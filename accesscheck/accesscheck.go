@@ -168,9 +168,10 @@ type Checker struct {
 	// CheckAnytime round attempts (0 = all remaining); see WithAnytimeChunk.
 	anytimeChunk int
 	// solverMemo/emptinessMemo are never set on user-constructed checkers:
-	// CheckAnytime sets them on the derived per-round copy so the engines
-	// reuse a checkpoint's warm tables. They are execution detail, excluded
-	// from Fingerprint like parallelism.
+	// CheckAnytime sets them on the derived per-round copy so planning and
+	// the engines reuse a checkpoint's derived search setup and warm
+	// tables. They are execution detail, excluded from Fingerprint like
+	// parallelism.
 	solverMemo    *accltl.SolverMemo
 	emptinessMemo *autom.EmptinessMemo
 	// negative carries the Bloom negative caches fronting the parallel
@@ -608,18 +609,14 @@ func (c *Checker) Check(ctx context.Context, sch *Schema, f Formula) (*Result, e
 	res.Truncated = sr.Truncated || sr.ResponsesCapped
 	if len(c.shards) > 0 {
 		// Shard-subset run: tag the verdict with its coverage so a partial
-		// answer is honest on its face. The plan derivation is a pure
-		// re-enumeration (no search), so its cost is negligible next to the
-		// solve; best-effort — a plan error leaves the totals at zero
-		// rather than failing a verdict already in hand.
+		// answer is honest on its face. The sharded engines report the
+		// partition size they executed against, so no second enumeration.
 		distinct := make(map[int]bool, len(c.shards))
 		for _, idx := range c.shards {
 			distinct[idx] = true // duplicates collapse, like in the engine
 		}
 		res.ShardsCompleted = len(distinct)
-		if plan, _, err := c.ShardPlan(context.Background(), sch, f); err == nil {
-			res.ShardsTotal = len(plan)
-		}
+		res.ShardsTotal = sr.TotalShards
 	}
 	return res, nil
 }
@@ -746,6 +743,7 @@ func (c *Checker) ShardPlan(ctx context.Context, sch *Schema, f Formula) ([]Shar
 			MaxResponseChoices: c.maxResponseChoices,
 			MaxPaths:           c.maxPaths,
 			Universe:           c.universe,
+			Memo:               c.emptinessMemo,
 		})
 	}
 	opts := accltl.SolveOptions{
@@ -760,6 +758,7 @@ func (c *Checker) ShardPlan(ctx context.Context, sch *Schema, f Formula) ([]Shar
 		Universe:           c.universe,
 		MaxResponseChoices: c.maxResponseChoices,
 		MaxPaths:           c.maxPaths,
+		Memo:               c.solverMemo,
 	}
 	// SolveX tightens the default depth bound to the X-nesting depth plus
 	// one before searching; the plan must use the same bound the search

@@ -459,3 +459,33 @@ func TestFingerprint(t *testing.T) {
 		t.Error("different formulas share a fingerprint")
 	}
 }
+
+// TestShadowedQuantifierVerdict: a nested quantifier that reuses an outer
+// variable's name is scoped like its alpha-variant through the whole
+// pipeline, on the serial engine and with two walkers.
+func TestShadowedQuantifierVerdict(t *testing.T) {
+	sch, err := accesscheck.ParseSchema([]string{"R:string", "S:string"}, []string{"GetR:R", "GetS:S"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spellings := []string{
+		"F [exists x. (pre R(x) & (exists x. pre S(x)))]",
+		"F [exists x. (pre R(x) & (exists y. pre S(y)))]",
+	}
+	for _, par := range []int{1, 2} {
+		for _, src := range spellings {
+			f, err := accesscheck.ParseFormula(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := accesscheck.Check(context.Background(), sch, f,
+				accesscheck.WithEngine(accesscheck.EngineBounded), accesscheck.WithMaxDepth(3), accesscheck.WithParallelism(par))
+			if err != nil {
+				t.Fatalf("W=%d %s: %v", par, src, err)
+			}
+			if !res.Satisfiable || res.Truncated {
+				t.Errorf("W=%d %s: satisfiable=%v truncated=%v, want an exact satisfiable verdict", par, src, res.Satisfiable, res.Truncated)
+			}
+		}
+	}
+}

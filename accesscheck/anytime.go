@@ -72,11 +72,10 @@ type Checkpoint struct {
 // with the warm memo armed by the checker's negative caches (nil-safe):
 // resumed rounds then share the same process-wide Bloom filters as fresh
 // searches.
-func (c *Checker) newCheckpoint(key string, engine Engine, planSize int) *Checkpoint {
+func (c *Checker) newCheckpoint(key string, engine Engine) *Checkpoint {
 	cp := &Checkpoint{
 		key:       key,
 		engine:    engine,
-		planSize:  planSize,
 		completed: make(map[int]bool),
 	}
 	if engine == EngineAutomaton {
@@ -250,7 +249,8 @@ func (c *Checker) anytimeKey(sch *Schema, f Formula) string {
 //     budget whose exact semantics do not compose across rounds — and the
 //     returned checkpoint is nil.
 //   - Unshardable checks (the plan has fewer than two shards, or planning
-//     failed) fall back to plain Check: exact or error, nothing to resume.
+//     failed for a reason other than ctx) fall back to plain Check: exact
+//     or error, nothing to resume.
 //
 // PathsExplored, Elapsed and ResponsesCapped accumulate across rounds;
 // Depth, the verdict and the witness are those of the (sub)search. The
@@ -275,20 +275,36 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 		}
 	}
 
+	// Rounds run on a per-round copy of the checker carrying the
+	// checkpoint's memos: the engines' warm tables, and the search setup
+	// (witness universe, depth bound, root partition) the first plan or
+	// search derives and every later round reuses.
+	cp := prev
+	if cp == nil {
+		cp = c.newCheckpoint(key, engine)
+	}
+	round := *c
+	round.solverMemo = cp.solverMemo
+	round.emptinessMemo = cp.emptinessMemo
+
 	// Resolve the target shard set and the plan size. A shard-restricted
 	// checker targets its configured subset and can defer the plan size
 	// (its caller — the fabric worker — knows the plan already); a whole
-	// check targets the full canonical partition and needs the plan once.
+	// check targets the full canonical partition and plans it once, through
+	// the checkpoint, so its first round executes that same enumeration.
 	var target []int
-	planSize := 0
-	if prev != nil {
-		planSize = prev.PlanSize()
-	}
+	planSize := cp.PlanSize()
 	if c.shards != nil {
 		target = dedupSortedShards(c.shards)
 	} else {
 		if planSize == 0 {
-			plan, _, err := c.ShardPlan(ctx, sch, f)
+			plan, _, err := round.ShardPlan(ctx, sch, f)
+			if err != nil && ctx.Err() != nil {
+				// The budget died while planning: nothing is covered, but
+				// the checkpoint keeps whatever setup was derived for the
+				// retry, like any other zero-progress expiry.
+				return nil, cp, err
+			}
 			if err != nil || len(plan) < 2 {
 				// Unshardable (or planning failed): there is no frontier to
 				// slice, so anytime degenerates to the plain check.
@@ -307,10 +323,6 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 		}
 	}
 
-	cp := prev
-	if cp == nil {
-		cp = c.newCheckpoint(key, engine, planSize)
-	}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	if cp.planSize == 0 {
@@ -338,10 +350,7 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 		attempt = attempt[:c.anytimeChunk]
 	}
 
-	round := *c
 	round.shards = attempt
-	round.solverMemo = cp.solverMemo
-	round.emptinessMemo = cp.emptinessMemo
 
 	start := time.Now()
 	sr, automStates, err := round.runSolve(ctx, sch, f, engine)

@@ -8,6 +8,7 @@ package accesscheck_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -290,5 +291,34 @@ func TestCheckpointStoreShardedConcurrentResume(t *testing.T) {
 	}
 	if n != 8 {
 		t.Fatalf("%d of 8 goroutines converged", n)
+	}
+}
+
+// TestAnytimeShardedPlanningExpiryKeepsCheckpoint: a budget that dies
+// before the plan exists is a zero-progress expiry like any other — the
+// context error comes back with a checkpoint, and resuming that checkpoint
+// under a live budget lands the uninterrupted verdict.
+func TestAnytimeShardedPlanningExpiryKeepsCheckpoint(t *testing.T) {
+	for _, eng := range []accesscheck.Engine{accesscheck.EngineBounded, accesscheck.EngineAutomaton} {
+		t.Run(eng.String(), func(t *testing.T) {
+			sch, f, chk := anytimeFixture(t, parUnsatFormula, accesscheck.WithEngine(eng))
+			expired, cancel := context.WithCancel(context.Background())
+			cancel()
+			res, cp, err := chk.CheckAnytime(expired, sch, f, nil)
+			if !errors.Is(err, context.Canceled) || res != nil || cp == nil {
+				t.Fatalf("expired planning: res=%v cp=%v err=%v, want the context error with a checkpoint", res, cp, err)
+			}
+			if cp.PlanSize() != 0 || cp.Coverage() != 0 {
+				t.Fatalf("expired planning recorded plan size %d, coverage %v", cp.PlanSize(), cp.Coverage())
+			}
+			full, err := chk.Check(context.Background(), sch, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, _, err = chk.CheckAnytime(context.Background(), sch, f, cp)
+			if err != nil || res.Satisfiable != full.Satisfiable || res.Truncated != full.Truncated || res.Coverage != 1 {
+				t.Fatalf("resumed: %+v, %v; uninterrupted sat=%v truncated=%v", res, err, full.Satisfiable, full.Truncated)
+			}
+		})
 	}
 }

@@ -209,6 +209,12 @@ func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardRe
 		out := shardResult(sh, res, false)
 		out.Shards = cp.CompletedWithin(sh.Indexes())
 		out.ShardsCompleted = len(out.Shards)
+		// The part claims only its completed slices, each explored to the
+		// bound, so only the response cap qualifies it. The missing slices
+		// are stated by the coverage: the coordinator's merge marks an
+		// incomplete cover truncated, and a later full cover that includes
+		// this part stays exact (and cacheable).
+		out.Truncated = res.ResponsesCapped
 		return out, nil
 	}
 	// Settled (exact or final path-capped): the frontier is spent; drop it

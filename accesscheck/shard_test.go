@@ -166,3 +166,41 @@ func TestFingerprintSeparatesShardSubsets(t *testing.T) {
 		t.Error("parallelism leaked into shard-restricted fingerprint")
 	}
 }
+
+// TestShardSubsetCheckReportsPlanTotal: a shard-subset Check tags its
+// verdict with the size of the partition it ran against, and that size is
+// the plan ShardPlan enumerates, on both sharded engines.
+func TestShardSubsetCheckReportsPlanTotal(t *testing.T) {
+	sch, err := accesscheck.ParseSchema(parRelations, parMethods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{parSatFormula, parUnsatFormula} {
+		f, err := accesscheck.ParseFormula(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eng := range []accesscheck.Engine{accesscheck.EngineBounded, accesscheck.EngineAutomaton} {
+			chk, err := accesscheck.NewChecker(accesscheck.WithEngine(eng))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, _, err := chk.ShardPlan(context.Background(), sch, f)
+			if err != nil {
+				t.Fatalf("%v %s: %v", eng, src, err)
+			}
+			if len(plan) < 2 {
+				t.Fatalf("%v %s: plan of %d shards", eng, src, len(plan))
+			}
+			for _, sub := range [][]int{{0}, {0, len(plan) - 1}} {
+				res, err := accesscheck.Check(context.Background(), sch, f, accesscheck.WithEngine(eng), accesscheck.WithShards(sub...))
+				if err != nil {
+					t.Fatalf("%v %s %v: %v", eng, src, sub, err)
+				}
+				if res.ShardsTotal != len(plan) || res.ShardsCompleted != len(sub) {
+					t.Errorf("%v %s %v: shards %d/%d, want %d/%d", eng, src, sub, res.ShardsCompleted, res.ShardsTotal, len(sub), len(plan))
+				}
+			}
+		}
+	}
+}

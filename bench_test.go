@@ -9,11 +9,14 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"accltl/accesscheck"
 	"accltl/accesscheck/cachetier"
 	"accltl/internal/accltl"
 	"accltl/internal/autom"
@@ -566,6 +569,71 @@ func BenchmarkSolverParallelUnsat(b *testing.B) {
 					}
 				}
 			})
+		})
+	}
+}
+
+// ---------- Wide budget-storm checks through CheckAnytime ----------
+
+// wideCheck builds the budget-storm fixture of scripts/fabric_smoke.sh
+// widened to k relations (4 ≤ k ≤ 7): Mobile# and Address plus k-2 binary
+// relations with one access method per position, and an unsatisfiable
+// conjunction that names every binary relation (the first two twice). Its
+// bounded depth-4 search visits every path and splits into many root
+// shards, so per-node letter evaluation and root planning dominate.
+func wideCheck(b *testing.B, k int) (*accesscheck.Schema, accesscheck.Formula) {
+	rels := []string{"Mobile#:string,string,string,int", "Address:string,string,string,int"}
+	methods := []string{"AcM1:Mobile#:0", "AcM2:Address:0,1"}
+	mobile := "[exists n,p,s,ph. pre Mobile#(n,p,s,ph)]"
+	formula := mobile + " & (!" + mobile + ")"
+	for j, rel := range []string{"Email", "Phone", "Fax", "Pager", "Telex"}[:k-2] {
+		rels = append(rels, rel+":string,string")
+		methods = append(methods, fmt.Sprintf("Get%sBy0:%s:0", rel, rel), fmt.Sprintf("Get%sBy1:%s:1", rel, rel))
+		atoms := 1
+		if j < 2 {
+			atoms = 2
+		}
+		for a := 0; a < atoms; a++ {
+			formula += fmt.Sprintf(" & [exists x%d%d,y%d%d. pre %s(x%d%d,y%d%d)]", j, a, j, a, rel, j, a, j, a)
+		}
+	}
+	sch, err := accesscheck.ParseSchema(rels, methods)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := accesscheck.ParseFormula(formula)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sch, f
+}
+
+// BenchmarkWideCheckAnytime runs the wide family the way accesscheck/server
+// runs a fresh check under its defaults: one walker, the bounded engine at
+// depth 4, CheckAnytime with no prior checkpoint under the 5 s default
+// budget. The cost is planning the root partition plus the search, whose
+// per-node work is evaluating every embedded sentence on M(t).
+func BenchmarkWideCheckAnytime(b *testing.B) {
+	for k := 4; k <= 7; k++ {
+		b.Run(fmt.Sprintf("wide%d", k), func(b *testing.B) {
+			sch, f := wideCheck(b, k)
+			chk, err := accesscheck.NewChecker(
+				accesscheck.WithParallelism(1),
+				accesscheck.WithEngine(accesscheck.EngineBounded),
+				accesscheck.WithMaxDepth(4))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				res, _, err := chk.CheckAnytime(ctx, sch, f, nil)
+				cancel()
+				if err != nil || res.Satisfiable || res.Truncated {
+					b.Fatalf("res=%+v err=%v", res, err)
+				}
+			}
 		})
 	}
 }

@@ -67,8 +67,12 @@ type SolveOptions struct {
 	Shards []int
 	// Memo, when non-nil, carries the solver's shared tables (obligation
 	// interner, progression cache, dominance memo) across calls so a
-	// resumed search starts warm instead of cold (progressive deepening).
-	// Only the sharded engine consults it. The tables are only valid for
+	// resumed search starts warm instead of cold (progressive deepening),
+	// together with the search setup derived from the formula and options:
+	// exploration options, witness universe, depth bound and root
+	// partition, derived once and reused by every later search or
+	// PlanShards through the memo. Only the sharded engine consults the
+	// tables. The tables and the setup are only valid for
 	// repeat searches of the *same* formula under the same options — reuse
 	// across different checks is unsound and unchecked. A search that ends
 	// early (witness, cap, error) scrubs the commitments of its unfinished
@@ -295,6 +299,18 @@ func searchLTSOptions(f Formula, opts SolveOptions) (lts.Options, int, error) {
 	}, depth, nil
 }
 
+// searchSetup returns the search's setup — opts.Memo's, or a fresh one for
+// a memo-less search — with its exploration options (carrying opts.Context)
+// and depth bound derived.
+func searchSetup(f Formula, opts SolveOptions) (*lts.Setup, lts.Options, int, error) {
+	setup := &lts.Setup{}
+	if opts.Memo != nil {
+		setup = &opts.Memo.setup
+	}
+	o, depth, err := setup.Options(opts.Context, func() (lts.Options, int, error) { return searchLTSOptions(f, opts) })
+	return setup, o, depth, err
+}
+
 // PlanShards enumerates the root shards a bounded search of f under opts
 // would partition into, in the canonical sorted order SolveOptions.Shards
 // indexes. The plan is a pure function of (schema, formula, options):
@@ -302,6 +318,9 @@ func searchLTSOptions(f Formula, opts SolveOptions) (lts.Options, int, error) {
 // its workers given the same check derive identical plans. The bool result
 // reports whether root response fan-out was truncated to
 // MaxResponseChoices during enumeration.
+//
+// With opts.Memo set, the plan is the memo's: enumerated by the first plan
+// or sharded search through the memo and reused by every later one.
 func PlanShards(f Formula, opts SolveOptions) ([]lts.ShardID, bool, error) {
 	if opts.Schema == nil {
 		return nil, false, fmt.Errorf("accltl: SolveOptions.Schema is required")
@@ -309,11 +328,15 @@ func PlanShards(f Formula, opts SolveOptions) ([]lts.ShardID, bool, error) {
 	if err := CheckSentences(f); err != nil {
 		return nil, false, err
 	}
-	ltsOpts, _, err := searchLTSOptions(f, opts)
+	setup, _, _, err := searchSetup(f, opts)
 	if err != nil {
 		return nil, false, err
 	}
-	return lts.Shards(opts.Schema, ltsOpts)
+	plan, err := setup.Plan(opts.Context, opts.Schema)
+	if err != nil {
+		return nil, false, err
+	}
+	return plan.IDs(), plan.ResponsesCapped(), nil
 }
 
 func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, error) {
@@ -332,16 +355,21 @@ func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, e
 	// Abstract the temporal skeleton: each distinct sentence becomes a
 	// proposition; progression over the letters of evaluated sentences
 	// decides the formula, and dead obligations prune the search. The
-	// sentence→proposition table is laid out once here — evalLetter walks
-	// the flat table instead of re-rendering every sentence's canonical
-	// string at every visited node.
+	// sentence→proposition table is laid out once here, with every
+	// sentence prepared — evalLetter walks the flat table instead of
+	// re-rendering, re-checking or re-planning any sentence at every
+	// visited node.
 	sentences := Sentences(f)
 	props := make(map[string]ltl.Prop, len(sentences))
 	letters := make([]letterEntry, len(sentences))
 	for i, s := range sentences {
 		p := ltl.Prop(fmt.Sprintf("q%d", i))
 		props[s.String()] = p
-		letters[i] = letterEntry{sentence: s, prop: p}
+		prepared, err := fo.Prepare(s)
+		if err != nil {
+			return SolveResult{}, err
+		}
+		letters[i] = letterEntry{sentence: prepared, prop: p}
 	}
 	skeleton, err := abstract(f, props)
 	if err != nil {
@@ -349,15 +377,17 @@ func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, e
 	}
 	skeleton = ltl.NNF(skeleton)
 
-	ltsOpts, depth, err := searchLTSOptions(f, opts)
+	setup, ltsOpts, depth, err := searchSetup(f, opts)
 	if err != nil {
 		return SolveResult{}, err
 	}
 
 	if opts.Parallelism > 1 || opts.Shards != nil {
-		ltsOpts.Parallelism = opts.Parallelism
-		ltsOpts.Shards = opts.Shards
-		return parallelBoundedSearch(f, opts, voc, skeleton, letters, ltsOpts, depth)
+		plan, err := setup.Plan(opts.Context, opts.Schema)
+		if err != nil {
+			return SolveResult{}, err
+		}
+		return parallelBoundedSearch(f, opts, voc, skeleton, letters, plan, depth)
 	}
 
 	res := SolveResult{Depth: depth}
@@ -435,10 +465,7 @@ func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, e
 		var nextID int
 		var accept bool
 		if useMask {
-			mask, err := evalLetterMask(letters, last, voc)
-			if err != nil {
-				return false, err
-			}
+			mask := evalLetterMask(letters, last, voc)
 			pk := progKey{ob: curID, letter: mask}
 			pv, ok := progCache[pk]
 			if !ok {
@@ -449,12 +476,8 @@ func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, e
 			}
 			next, nextID, accept = pv.next, pv.nextID, pv.accept
 		} else {
-			letter, err := evalLetter(letters, last, voc)
-			if err != nil {
-				return false, err
-			}
 			var n ltl.Formula
-			n, accept = ltl.Step(cur, letter)
+			n, accept = ltl.Step(cur, evalLetter(letters, last, voc))
 			nextID, next = intern(n)
 		}
 		if accept {
@@ -631,57 +654,48 @@ func abstract(f Formula, props map[string]ltl.Prop) (ltl.Formula, error) {
 	}
 }
 
-// letterEntry pairs an embedded sentence with its proposition. boundedSearch
-// lays the table out once per solve; evalLetter then never re-renders a
-// sentence's canonical string to find its proposition.
+// letterEntry pairs a prepared embedded sentence with its proposition.
+// boundedSearch lays the table out once per solve and the serial and
+// sharded visitors share it: evalLetter never re-renders a sentence's
+// canonical string to find its proposition, and never re-prepares it.
 type letterEntry struct {
-	sentence fo.Formula
+	sentence *fo.Prepared
 	prop     ltl.Prop
+}
+
+// letterStructure is the structure M(t) the letters are evaluated on.
+func letterStructure(t access.Transition, voc Vocabulary) fo.Structure {
+	if voc == ZeroAcc {
+		return access.ZeroAccStructureOf(t)
+	}
+	return access.StructureOf(t)
 }
 
 // evalLetter evaluates every sentence on the transition and returns the
 // corresponding propositional letter.
-func evalLetter(letters []letterEntry, t access.Transition, voc Vocabulary) (ltl.Letter, error) {
-	var st fo.Structure
-	if voc == ZeroAcc {
-		st = access.ZeroAccStructureOf(t)
-	} else {
-		st = access.StructureOf(t)
-	}
+func evalLetter(letters []letterEntry, t access.Transition, voc Vocabulary) ltl.Letter {
+	st := letterStructure(t, voc)
 	l := make(ltl.Letter, len(letters))
 	for _, e := range letters {
-		v, err := fo.Eval(e.sentence, st)
-		if err != nil {
-			return nil, err
-		}
-		if v {
+		if e.sentence.Eval(st) {
 			l[e.prop] = true
 		}
 	}
-	return l, nil
+	return l
 }
 
 // evalLetterMask is evalLetter packed into a bitmask (bit i ⇔ sentence i
 // holds): the allocation-free letter the progression cache keys on. Only
 // valid for ≤ 64 sentences; boundedSearch falls back to evalLetter beyond.
-func evalLetterMask(letters []letterEntry, t access.Transition, voc Vocabulary) (uint64, error) {
-	var st fo.Structure
-	if voc == ZeroAcc {
-		st = access.ZeroAccStructureOf(t)
-	} else {
-		st = access.StructureOf(t)
-	}
+func evalLetterMask(letters []letterEntry, t access.Transition, voc Vocabulary) uint64 {
+	st := letterStructure(t, voc)
 	var mask uint64
 	for i, e := range letters {
-		v, err := fo.Eval(e.sentence, st)
-		if err != nil {
-			return 0, err
-		}
-		if v {
+		if e.sentence.Eval(st) {
 			mask |= 1 << uint(i)
 		}
 	}
-	return mask, nil
+	return mask
 }
 
 // letterFromMask expands a bitmask back into the map form ltl.Step consumes

@@ -147,12 +147,15 @@ type solverSpine struct {
 // cache are pure (always reusable), and the dominance memo is kept sound
 // across rounds by scrubbing unfinished walks' commitments after every
 // search (an entry that survives means some round finished that subtree
-// without finding a witness, so pruning against it later is sound). A memo
+// without finding a witness, so pruning against it later is sound). It
+// also carries the search setup, so a check plans its partition and runs
+// every round over one witness universe and one root enumeration. A memo
 // is tied to one (formula, options) pair; callers key it accordingly.
 type SolverMemo struct {
-	in   *obInterner
-	prog *progTable
-	memo *lts.DominanceMemo[solverMemoKey]
+	in    *obInterner
+	prog  *progTable
+	memo  *lts.DominanceMemo[solverMemoKey]
+	setup lts.Setup
 }
 
 // NewSolverMemo builds an empty reusable table set.
@@ -186,10 +189,11 @@ func solverNegHash(k solverMemoKey) (uint64, uint64) {
 	return k.conf.A ^ ob, k.conf.B ^ (ob<<32 | ob>>32)
 }
 
-// parallelBoundedSearch runs the sharded search. skeleton is already in
-// NNF; letters is the sentence→proposition table; ltsOpts carries the
-// exploration options including Parallelism > 1.
-func parallelBoundedSearch(f Formula, opts SolveOptions, voc Vocabulary, skeleton ltl.Formula, letters []letterEntry, ltsOpts lts.Options, depth int) (SolveResult, error) {
+// parallelBoundedSearch runs the sharded search over plan, the root
+// partition of the search's setup, with opts.Parallelism walkers over the
+// opts.Shards subset. skeleton is already in NNF; letters is the
+// sentence→proposition table.
+func parallelBoundedSearch(f Formula, opts SolveOptions, voc Vocabulary, skeleton ltl.Formula, letters []letterEntry, plan *lts.Plan, depth int) (SolveResult, error) {
 	res := SolveResult{Depth: depth}
 	useMask := len(letters) <= 64
 	tables := opts.Memo
@@ -242,10 +246,7 @@ func parallelBoundedSearch(f Formula, opts SolveOptions, voc Vocabulary, skeleto
 			var nextID int
 			var accept bool
 			if useMask {
-				mask, err := evalLetterMask(letters, last, voc)
-				if err != nil {
-					return false, err
-				}
+				mask := evalLetterMask(letters, last, voc)
 				pk := progKey{ob: curID, letter: mask}
 				pv, ok := prog.get(pk)
 				if !ok {
@@ -256,12 +257,8 @@ func parallelBoundedSearch(f Formula, opts SolveOptions, voc Vocabulary, skeleto
 				}
 				next, nextID, accept = pv.next, pv.nextID, pv.accept
 			} else {
-				letter, err := evalLetter(letters, last, voc)
-				if err != nil {
-					return false, err
-				}
 				var n ltl.Formula
-				n, accept = ltl.Step(cur, letter)
+				n, accept = ltl.Step(cur, evalLetter(letters, last, voc))
 				nextID, next = in.intern(n)
 			}
 			if accept {
@@ -307,7 +304,7 @@ func parallelBoundedSearch(f Formula, opts SolveOptions, voc Vocabulary, skeleto
 	}
 	root := func(p *access.Path, pre, conf *instance.Instance) (bool, error) { return true, nil }
 
-	rep, searchErr := lts.ExploreSharded(opts.Schema, ltsOpts, root, factory)
+	rep, searchErr := plan.Explore(opts.Context, opts.Parallelism, opts.Shards, root, factory)
 	res.PathsExplored = rep.Paths
 	res.CompletedShards = rep.CompletedShards
 	res.TotalShards = rep.TotalShards

@@ -3,6 +3,7 @@ package accltl
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -164,5 +165,45 @@ func TestSolveParallelWitnessRepeatable(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("run %d: witness rejected: ok=%v err=%v", i, ok, err)
 		}
+	}
+}
+
+// TestSolverMemoCarriesPlan: planning through a memo and then searching
+// the partition shard by shard through it enumerates the partition once —
+// every round runs on the plan PlanShards built — and the rounds agree
+// with the memo-less plan and the serial verdict.
+func TestSolverMemoCarriesPlan(t *testing.T) {
+	s := chainSchema(t)
+	f := Conj(F(postNonEmpty("R0")), G(Not{F: postNonEmpty("R0")}))
+	opts := SolveOptions{Schema: s, MaxDepth: 3}
+	serial, err := SolveZeroAcc(f, opts)
+	if err != nil || serial.Satisfiable {
+		t.Fatalf("serial: %+v, %v", serial, err)
+	}
+	want, _, err := PlanShards(f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := NewSolverMemo()
+	mopts := opts
+	mopts.Memo = memo
+	ids, _, err := PlanShards(f, mopts)
+	if err != nil || !reflect.DeepEqual(ids, want) {
+		t.Fatalf("memo plan %v (%v), fresh plan %v", ids, err, want)
+	}
+	plan, err := memo.setup.Plan(nil, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		o := mopts
+		o.Shards = []int{id.Index}
+		res, err := SolveZeroAcc(f, o)
+		if err != nil || res.Satisfiable || res.TotalShards != len(ids) {
+			t.Fatalf("shard %d: %+v, %v", id.Index, res, err)
+		}
+	}
+	if again, err := memo.setup.Plan(nil, s); err != nil || again != plan {
+		t.Errorf("rounds re-planned: %p, %v; planned %p", again, err, plan)
 	}
 }

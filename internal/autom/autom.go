@@ -136,24 +136,63 @@ func (a *Automaton) Guards() []fo.Formula {
 // StepStates advances a state set over one path transition: the NFA subset
 // simulation used both by Accepts and by the emptiness search.
 func (a *Automaton) StepStates(states map[int]bool, st fo.Structure) (map[int]bool, error) {
+	return a.step(states, st, a.prepareGuards())
+}
+
+// guardTable is an automaton's guards prepared for repeated evaluation:
+// guards[k] is the k-th distinct guard (errs[k] its preparation error, if
+// any), and of[i] is the index of the guard of Transitions[i]. A search
+// prepares its automaton's table once; every step then evaluates each
+// distinct guard at most once, without rendering or re-preparing it. A
+// guardTable is read-only after construction, so concurrent walkers share
+// it.
+type guardTable struct {
+	guards []*fo.Prepared
+	errs   []error
+	of     []int
+}
+
+func (a *Automaton) prepareGuards() *guardTable {
+	t := &guardTable{of: make([]int, len(a.Transitions))}
+	index := make(map[string]int)
+	for i, tr := range a.Transitions {
+		key := tr.Guard.String()
+		g, ok := index[key]
+		if !ok {
+			g = len(t.guards)
+			index[key] = g
+			p, err := fo.Prepare(tr.Guard)
+			t.guards = append(t.guards, p)
+			t.errs = append(t.errs, err)
+		}
+		t.of[i] = g
+	}
+	return t
+}
+
+// step is StepStates over a prepared guard table. A guard that failed to
+// prepare is an error only once a transition from a current state needs
+// it.
+func (a *Automaton) step(states map[int]bool, st fo.Structure, t *guardTable) (map[int]bool, error) {
 	next := make(map[int]bool)
-	// Guard results are shared across transitions with the same guard.
-	cache := make(map[string]bool)
-	for _, tr := range a.Transitions {
+	// Guard results are shared across transitions with the same guard:
+	// 0 not yet evaluated, 1 holds, -1 fails.
+	held := make([]int8, len(t.guards))
+	for i, tr := range a.Transitions {
 		if !states[tr.From] {
 			continue
 		}
-		key := tr.Guard.String()
-		holds, ok := cache[key]
-		if !ok {
-			var err error
-			holds, err = fo.Eval(tr.Guard, st)
-			if err != nil {
-				return nil, err
+		g := t.of[i]
+		if held[g] == 0 {
+			if t.errs[g] != nil {
+				return nil, t.errs[g]
 			}
-			cache[key] = holds
+			held[g] = -1
+			if t.guards[g].Eval(st) {
+				held[g] = 1
+			}
 		}
-		if holds {
+		if held[g] == 1 {
 			next[tr.To] = true
 		}
 	}
@@ -174,9 +213,10 @@ func (a *Automaton) Accepts(p *access.Path) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	guards := a.prepareGuards()
 	cur := map[int]bool{a.Init: true}
 	for _, t := range ts {
-		cur, err = a.StepStates(cur, access.StructureOf(t))
+		cur, err = a.step(cur, access.StructureOf(t), guards)
 		if err != nil {
 			return false, err
 		}

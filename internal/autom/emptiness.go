@@ -56,8 +56,11 @@ type EmptinessOptions struct {
 	// the sharded engine even at Parallelism ≤ 1.
 	Shards []int
 	// Memo, when non-nil, carries the product search's dominance memo
-	// across calls so a resumed search starts warm (progressive deepening).
-	// Only the sharded engine consults it, it is only valid for repeat
+	// across calls so a resumed search starts warm (progressive deepening),
+	// together with the search setup (exploration options, witness
+	// universe, depth bound, root partition) that every later search or
+	// PlanShards through the memo reuses. Only the sharded engine consults
+	// the dominance memo, the memo is only valid for repeat
 	// searches of the same automaton under the same options, and searches
 	// that end early scrub their unfinished walks' commitments before
 	// returning; see NewEmptinessMemo.
@@ -115,7 +118,7 @@ func (a *Automaton) IsEmpty(opts EmptinessOptions) (EmptinessResult, error) {
 			return EmptinessResult{}, err
 		}
 	}
-	ltsOpts, depth, err := a.emptinessLTSOptions(opts)
+	setup, ltsOpts, depth, err := a.searchSetup(opts)
 	if err != nil {
 		return EmptinessResult{}, err
 	}
@@ -127,10 +130,13 @@ func (a *Automaton) IsEmpty(opts EmptinessOptions) (EmptinessResult, error) {
 		return res, nil
 	}
 	if opts.Parallelism > 1 || opts.Shards != nil {
-		ltsOpts.Parallelism = opts.Parallelism
-		ltsOpts.Shards = opts.Shards
-		return a.isEmptyParallel(opts, ltsOpts, depth)
+		plan, err := setup.Plan(opts.Context, a.Schema)
+		if err != nil {
+			return res, err
+		}
+		return a.isEmptyParallel(opts, plan, depth)
 	}
+	guards := a.prepareGuards()
 	type frame struct {
 		states map[int]bool
 		length int
@@ -160,7 +166,7 @@ func (a *Automaton) IsEmpty(opts EmptinessOptions) (EmptinessResult, error) {
 		// the pre/post configurations the explorer maintains incrementally
 		// — no per-node rebuild of the whole path's transitions.
 		last := access.Transition{Before: pre, Access: p.Step(p.Len() - 1).Access, After: conf}
-		next, err := a.StepStates(cur, access.StructureOf(last))
+		next, err := a.step(cur, access.StructureOf(last), guards)
 		if err != nil {
 			return false, err
 		}
@@ -252,21 +258,40 @@ func (a *Automaton) emptinessLTSOptions(opts EmptinessOptions) (lts.Options, int
 	}, depth, nil
 }
 
+// searchSetup returns the search's setup — opts.Memo's, or a fresh one for
+// a memo-less search — with its exploration options (carrying opts.Context)
+// and depth bound derived.
+func (a *Automaton) searchSetup(opts EmptinessOptions) (*lts.Setup, lts.Options, int, error) {
+	setup := &lts.Setup{}
+	if opts.Memo != nil {
+		setup = &opts.Memo.setup
+	}
+	o, depth, err := setup.Options(opts.Context, func() (lts.Options, int, error) { return a.emptinessLTSOptions(opts) })
+	return setup, o, depth, err
+}
+
 // PlanShards enumerates the root shards an emptiness search of a under opts
 // would partition into, in the canonical sorted order
 // EmptinessOptions.Shards indexes. Pure in (automaton, options) —
 // Parallelism and Shards themselves do not affect it — so independent
 // processes derive identical plans. The bool result reports whether root
 // response fan-out was truncated during enumeration.
+//
+// With opts.Memo set, the plan is the memo's: enumerated by the first plan
+// or sharded search through the memo and reused by every later one.
 func (a *Automaton) PlanShards(opts EmptinessOptions) ([]lts.ShardID, bool, error) {
 	if err := a.Validate(); err != nil {
 		return nil, false, err
 	}
-	ltsOpts, _, err := a.emptinessLTSOptions(opts)
+	setup, _, _, err := a.searchSetup(opts)
 	if err != nil {
 		return nil, false, err
 	}
-	return lts.Shards(a.Schema, ltsOpts)
+	plan, err := setup.Plan(opts.Context, a.Schema)
+	if err != nil {
+		return nil, false, err
+	}
+	return plan.IDs(), plan.ResponsesCapped(), nil
 }
 
 // stateSetKey renders a state set canonically.

@@ -31,9 +31,12 @@ type emptinessMemoKey struct {
 // argument is the solver's (see accltl.SolverMemo): commitments of walks
 // that were cut short are scrubbed before every search returns, so a
 // surviving entry means some round finished that subtree without reaching
-// an accepting state. A memo is tied to one (automaton, options) pair.
+// an accepting state. Like the solver's, it also carries the search setup
+// (exploration options, witness universe, depth bound, root partition). A
+// memo is tied to one (automaton, options) pair.
 type EmptinessMemo struct {
-	memo *lts.DominanceMemo[emptinessMemoKey]
+	memo  *lts.DominanceMemo[emptinessMemoKey]
+	setup lts.Setup
 }
 
 // NewEmptinessMemo builds an empty reusable memo.
@@ -76,10 +79,10 @@ type emptinessFrame struct {
 	recorded bool
 }
 
-// isEmptyParallel runs the sharded product search; ltsOpts carries the
-// exploration options including Parallelism > 1, and the automaton is
+// isEmptyParallel runs the sharded product search over plan with
+// opts.Parallelism walkers over the opts.Shards subset; the automaton is
 // already validated with the empty-path acceptance handled by the caller.
-func (a *Automaton) isEmptyParallel(opts EmptinessOptions, ltsOpts lts.Options, depth int) (EmptinessResult, error) {
+func (a *Automaton) isEmptyParallel(opts EmptinessOptions, plan *lts.Plan, depth int) (EmptinessResult, error) {
 	res := EmptinessResult{Empty: true, Depth: depth}
 	tables := opts.Memo
 	persist := tables != nil
@@ -87,6 +90,7 @@ func (a *Automaton) isEmptyParallel(opts EmptinessOptions, ltsOpts lts.Options, 
 		tables = NewEmptinessMemoNeg(opts.Negative)
 	}
 	memo := tables.memo
+	guards := a.prepareGuards()
 	wit := &lts.WitnessBox[*access.Path]{}
 
 	var (
@@ -119,7 +123,7 @@ func (a *Automaton) isEmptyParallel(opts EmptinessOptions, ltsOpts lts.Options, 
 			}
 			cur := stack[len(stack)-1].states
 			last := access.Transition{Before: pre, Access: p.Step(p.Len() - 1).Access, After: conf}
-			next, err := a.StepStates(cur, access.StructureOf(last))
+			next, err := a.step(cur, access.StructureOf(last), guards)
 			if err != nil {
 				return false, err
 			}
@@ -149,7 +153,7 @@ func (a *Automaton) isEmptyParallel(opts EmptinessOptions, ltsOpts lts.Options, 
 	}
 	root := func(p *access.Path, pre, conf *instance.Instance) (bool, error) { return true, nil }
 
-	rep, err := lts.ExploreSharded(a.Schema, ltsOpts, root, factory)
+	rep, err := plan.Explore(opts.Context, opts.Parallelism, opts.Shards, root, factory)
 	res.PathsExplored = rep.Paths
 	res.CompletedShards = rep.CompletedShards
 	res.TotalShards = rep.TotalShards

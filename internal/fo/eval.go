@@ -2,6 +2,8 @@ package fo
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"accltl/internal/instance"
 	"accltl/internal/schema"
@@ -138,31 +140,432 @@ func sortSlice(n int, less func(i, j int) bool, swap func(i, j int)) {
 // is needed only to satisfy ≠ against all current values, and one fresh
 // value per quantified variable suffices).
 //
-// Eval returns an error when f has free variables.
+// Eval returns an error when f has free variables. It is Prepare followed
+// by Prepared.Eval; a caller evaluating one sentence on many structures
+// should prepare it once.
 func Eval(f Formula, st Structure) (bool, error) {
-	fv := FreeVars(f)
-	if len(fv) != 0 {
-		return false, fmt.Errorf("fo: Eval of open formula %s (free vars %v)", f, fv)
+	p, err := Prepare(f)
+	if err != nil {
+		return false, err
 	}
-	dom := evalDomain(f, st)
-	env := make(map[string]instance.Value)
-	return eval(f, st, dom, env), nil
+	return p.Eval(st), nil
 }
 
-// EvalWith decides f under an environment binding its free variables.
+// EvalWith decides f under an environment binding its free variables. A
+// quantifier inside f that reuses a name the environment binds shadows it.
 func EvalWith(f Formula, st Structure, env map[string]instance.Value) (bool, error) {
-	for _, v := range FreeVars(f) {
-		if _, ok := env[v]; !ok {
+	free := FreeVars(f)
+	vals := make([]instance.Value, len(free))
+	for i, v := range free {
+		val, ok := env[v]
+		if !ok {
 			return false, fmt.Errorf("fo: EvalWith: free variable %s unbound", v)
 		}
+		vals[i] = val
 	}
-	dom := evalDomain(f, st)
-	return eval(f, st, dom, env), nil
+	p, _ := compile(f, free) // every free variable is pre-bound: none is left unresolved
+	return p.eval(st, vals), nil
 }
 
-// evalDomain assembles the quantification domain: active domain, formula
+// Prepared is a sentence compiled for repeated evaluation. Closedness is
+// checked once; every variable occurrence is resolved to a slot owned by
+// its binding quantifier, so a nested quantifier that reuses a name ranges
+// over its own candidates and leaves the outer binding untouched; and each
+// ∃ carries its search plan, computed once: the generator atoms — positive
+// atoms conjunctive at the top of its body — that bind its variables by
+// matching tuples (a join, not a cross product), followed by the variables
+// no generator atom mentions, which range over the quantification domain.
+// That domain (active domain, constants, fresh reserve) is built lazily,
+// at most once per evaluation and only when such a variable is reached, so
+// generator-bound sentences never ask the structure for its domain.
+//
+// A Prepared is immutable and safe for concurrent use.
+type Prepared struct {
+	root   node
+	nslots int
+	// arity is the widest atom: the size of the per-evaluation tuple
+	// buffer atoms are checked through.
+	arity int
+	// consts and fresh feed the quantification domain: the sentence's
+	// constants and its quantified-variable count (the fresh reserve).
+	consts []instance.Value
+	fresh  int
+}
+
+// Prepare compiles the sentence f for repeated evaluation. It returns an
+// error when f has free variables.
+func Prepare(f Formula) (*Prepared, error) {
+	p, free := compile(f, nil)
+	if len(free) != 0 {
+		return nil, fmt.Errorf("fo: Eval of open formula %s (free vars %v)", f, free)
+	}
+	return p, nil
+}
+
+// Eval decides whether the prepared sentence holds in st.
+func (p *Prepared) Eval(st Structure) bool { return p.eval(st, nil) }
+
+// eval runs one evaluation with slots 0..len(free)-1 pre-bound.
+func (p *Prepared) eval(st Structure, free []instance.Value) bool {
+	buf := make([]instance.Value, p.nslots+p.arity)
+	ev := evaluator{p: p, st: st, env: buf[:p.nslots], tup: instance.Tuple(buf[p.nslots:])}
+	copy(ev.env, free)
+	return ev.holds(p.root)
+}
+
+// Compiled formula nodes. Variables are slots into the evaluation's
+// environment; a term with slot < 0 is the constant val.
+type (
+	node any
+
+	term struct {
+		slot int
+		val  instance.Value
+	}
+	atomNode struct {
+		pred Pred
+		args []term
+	}
+	cmpNode struct {
+		l, r term
+		neq  bool
+	}
+	andNode   []node
+	orNode    []node
+	notNode   struct{ f node }
+	truthNode bool
+
+	// existsNode binds its variables step by step, then checks its body.
+	existsNode struct {
+		steps []step
+		body  node
+	}
+	// step is one move of an ∃'s search plan. An atom step (ops non-nil)
+	// matches the tuples of pred position by position; a domain step
+	// (ops nil) ranges slot over the quantification domain.
+	step struct {
+		slot int
+		pred Pred
+		ops  []op
+		// foreign marks an atom step with a position bound by a nested
+		// quantifier: distinct tuples can then bind the same values, so
+		// repeats are skipped.
+		foreign bool
+	}
+	op struct {
+		kind opKind
+		slot int
+		val  instance.Value
+	}
+	opKind uint8
+)
+
+const (
+	opSkip  opKind = iota // bound by a nested quantifier: matches anything
+	opConst               // constant: must equal val
+	opCheck               // bound before this position: must equal env[slot]
+	opBind                // this step binds slot to the tuple's value
+)
+
+// compiler resolves variable names to slots in one pass over the formula.
+type compiler struct {
+	p       *Prepared
+	scope   map[string]int
+	unbound []string
+}
+
+// compile prepares f with the names in free pre-bound to slots
+// 0..len(free)-1, and returns the names it could not resolve, sorted and
+// deduplicated.
+func compile(f Formula, free []string) (*Prepared, []string) {
+	c := compiler{p: &Prepared{nslots: len(free)}, scope: make(map[string]int, len(free))}
+	for i, v := range free {
+		c.scope[v] = i
+	}
+	c.p.root = c.node(f)
+	slices.Sort(c.unbound)
+	return c.p, slices.Compact(c.unbound)
+}
+
+func (c *compiler) term(t Term) term {
+	if !t.IsVar() {
+		if !slices.Contains(c.p.consts, t.Value()) {
+			c.p.consts = append(c.p.consts, t.Value())
+		}
+		return term{slot: -1, val: t.Value()}
+	}
+	slot, ok := c.scope[t.Name()]
+	if !ok {
+		c.unbound = append(c.unbound, t.Name())
+		return term{slot: -1}
+	}
+	return term{slot: slot}
+}
+
+func (c *compiler) node(f Formula) node {
+	switch g := f.(type) {
+	case Truth:
+		return truthNode(g.Val)
+	case Atom:
+		a := &atomNode{pred: g.Pred, args: make([]term, len(g.Args))}
+		for i, t := range g.Args {
+			a.args[i] = c.term(t)
+		}
+		if len(a.args) > c.p.arity {
+			c.p.arity = len(a.args)
+		}
+		return a
+	case Eq:
+		return &cmpNode{l: c.term(g.L), r: c.term(g.R)}
+	case Neq:
+		return &cmpNode{l: c.term(g.L), r: c.term(g.R), neq: true}
+	case And:
+		out := make(andNode, len(g.Conj))
+		for i, x := range g.Conj {
+			out[i] = c.node(x)
+		}
+		return out
+	case Or:
+		out := make(orNode, len(g.Disj))
+		for i, x := range g.Disj {
+			out[i] = c.node(x)
+		}
+		return out
+	case Not:
+		return &notNode{f: c.node(g.F)}
+	case Exists:
+		// The quantifier's slots are [lo, hi), one per distinct name; its
+		// body's nested quantifiers take slots from hi upward, enclosing ones
+		// hold slots below lo.
+		lo := c.p.nslots
+		type saved struct {
+			name  string
+			slot  int
+			bound bool
+		}
+		var outer []saved
+		for _, v := range g.Vars {
+			if slot, ok := c.scope[v]; ok && slot >= lo {
+				continue // ∃x,x binds x once
+			}
+			sv := saved{name: v}
+			sv.slot, sv.bound = c.scope[v]
+			outer = append(outer, sv)
+			c.scope[v] = c.p.nslots
+			c.p.nslots++
+		}
+		hi := c.p.nslots
+		c.p.fresh += len(g.Vars)
+		body := c.node(g.Body)
+		for _, sv := range outer {
+			if sv.bound {
+				c.scope[sv.name] = sv.slot
+			} else {
+				delete(c.scope, sv.name)
+			}
+		}
+		return &existsNode{steps: plan(lo, hi, body), body: body}
+	default:
+		return truthNode(false)
+	}
+}
+
+// plan lays out the search of the quantifier owning slots [lo, hi): one
+// atom step per generator atom that binds a variable no earlier step bound,
+// then one domain step per variable no generator atom mentions. Generator
+// atoms are complete for their variables — any satisfying assignment makes
+// each of them true, so its values occur in a matching tuple — which is
+// why the plan needs the domain only for the rest.
+func plan(lo, hi int, body node) []step {
+	covered := make([]bool, hi-lo)
+	var steps []step
+	for _, a := range generators(body, nil) {
+		binds := false
+		for _, t := range a.args {
+			if t.slot >= lo && t.slot < hi && !covered[t.slot-lo] {
+				binds = true
+			}
+		}
+		if !binds {
+			continue
+		}
+		s := step{pred: a.pred, ops: make([]op, len(a.args))}
+		for i, t := range a.args {
+			switch {
+			case t.slot < 0:
+				s.ops[i] = op{kind: opConst, val: t.val}
+			case t.slot >= hi:
+				s.ops[i] = op{kind: opSkip}
+				s.foreign = true
+			case t.slot < lo || covered[t.slot-lo]:
+				s.ops[i] = op{kind: opCheck, slot: t.slot}
+			default:
+				s.ops[i] = op{kind: opBind, slot: t.slot}
+				covered[t.slot-lo] = true
+			}
+		}
+		steps = append(steps, s)
+	}
+	for slot := lo; slot < hi; slot++ {
+		if !covered[slot-lo] {
+			steps = append(steps, step{slot: slot})
+		}
+	}
+	return steps
+}
+
+// generators collects the atoms occurring conjunctively at the top of n,
+// looking through nested quantifiers (whose own slots the plan skips).
+func generators(n node, out []*atomNode) []*atomNode {
+	switch g := n.(type) {
+	case *atomNode:
+		out = append(out, g)
+	case andNode:
+		for _, x := range g {
+			out = generators(x, out)
+		}
+	case *existsNode:
+		out = generators(g.body, out)
+	}
+	return out
+}
+
+// evaluator is the state of one evaluation: the slot environment, the
+// tuple buffer atoms are checked through, and the lazily built domain.
+type evaluator struct {
+	p        *Prepared
+	st       Structure
+	env      []instance.Value
+	tup      instance.Tuple
+	dom      []instance.Value
+	domBuilt bool
+}
+
+func (ev *evaluator) value(t term) instance.Value {
+	if t.slot < 0 {
+		return t.val
+	}
+	return ev.env[t.slot]
+}
+
+func (ev *evaluator) holds(n node) bool {
+	switch g := n.(type) {
+	case truthNode:
+		return bool(g)
+	case *atomNode:
+		tup := ev.tup[:len(g.args)]
+		for i, a := range g.args {
+			tup[i] = ev.value(a)
+		}
+		return ev.st.Holds(g.pred, tup)
+	case *cmpNode:
+		return (ev.value(g.l) == ev.value(g.r)) != g.neq
+	case andNode:
+		for _, x := range g {
+			if !ev.holds(x) {
+				return false
+			}
+		}
+		return true
+	case orNode:
+		for _, x := range g {
+			if ev.holds(x) {
+				return true
+			}
+		}
+		return false
+	case *notNode:
+		return !ev.holds(g.f)
+	case *existsNode:
+		return ev.search(g, 0)
+	default:
+		return false
+	}
+}
+
+// search runs the ∃'s plan from step i and checks the body under each
+// complete assignment, stopping at the first that satisfies it.
+func (ev *evaluator) search(x *existsNode, i int) bool {
+	if i == len(x.steps) {
+		return ev.holds(x.body)
+	}
+	s := &x.steps[i]
+	if s.ops == nil {
+		for _, v := range ev.domain() {
+			ev.env[s.slot] = v
+			if ev.search(x, i+1) {
+				return true
+			}
+		}
+		return false
+	}
+	ts := ev.st.TuplesOf(s.pred)
+	for j, t := range ts {
+		if !ev.match(s.ops, t) || s.foreign && repeated(s.ops, ts[:j], t) {
+			continue
+		}
+		if ev.search(x, i+1) {
+			return true
+		}
+	}
+	return false
+}
+
+// match unifies a tuple with an atom step, binding the step's slots.
+func (ev *evaluator) match(ops []op, t instance.Tuple) bool {
+	if len(t) != len(ops) {
+		return false
+	}
+	for i, o := range ops {
+		switch o.kind {
+		case opConst:
+			if t[i] != o.val {
+				return false
+			}
+		case opCheck:
+			if t[i] != ev.env[o.slot] {
+				return false
+			}
+		case opBind:
+			ev.env[o.slot] = t[i]
+		}
+	}
+	return true
+}
+
+// repeated reports whether an earlier tuple agrees with t on every
+// position the step does not skip, i.e. already produced t's bindings.
+func repeated(ops []op, earlier []instance.Tuple, t instance.Tuple) bool {
+	for _, u := range earlier {
+		if len(u) != len(t) {
+			continue
+		}
+		same := true
+		for i, o := range ops {
+			if o.kind != opSkip && u[i] != t[i] {
+				same = false
+				break
+			}
+		}
+		if same {
+			return true
+		}
+	}
+	return false
+}
+
+// domain returns the quantification domain, building it on first use.
+func (ev *evaluator) domain() []instance.Value {
+	if !ev.domBuilt {
+		ev.dom = ev.p.domain(ev.st)
+		ev.domBuilt = true
+	}
+	return ev.dom
+}
+
+// domain assembles the quantification domain: active domain, sentence
 // constants, plus fresh values per type for ≠-witnesses.
-func evalDomain(f Formula, st Structure) []instance.Value {
+func (p *Prepared) domain(st Structure) []instance.Value {
 	seen := make(map[instance.Value]bool)
 	var dom []instance.Value
 	add := func(v instance.Value) {
@@ -174,231 +577,28 @@ func evalDomain(f Formula, st Structure) []instance.Value {
 	for _, v := range st.Domain() {
 		add(v)
 	}
-	for _, v := range Constants(f) {
+	for _, v := range p.consts {
 		add(v)
 	}
-	// Fresh reserve: as many fresh values per kind as quantified variables,
-	// but capped — one fresh int and string per variable is enough for any
-	// chain of inequalities.
-	nvars := countQuantified(f)
-	if nvars > 0 {
+	// Fresh reserve: as many fresh values per kind as quantified variables
+	// — one fresh int and string per variable is enough for any chain of
+	// inequalities.
+	if p.fresh > 0 {
 		// Fresh ints: pick values below any present (min-1 downward).
 		var minInt int64 = 0
-		for v := range seen {
+		for _, v := range dom {
 			if v.Kind() == schema.TypeInt && v.AsInt() < minInt {
 				minInt = v.AsInt()
 			}
 		}
-		for i := 1; i <= nvars; i++ {
+		for i := 1; i <= p.fresh; i++ {
 			add(instance.Int(minInt - int64(i) - 1000000007))
 		}
-		for i := 0; i < nvars; i++ {
-			add(instance.Str(fmt.Sprintf("$fresh%d", i)))
+		for i := 0; i < p.fresh; i++ {
+			add(instance.Str("$fresh" + strconv.Itoa(i)))
 		}
 		add(instance.Bool(true))
 		add(instance.Bool(false))
 	}
 	return dom
-}
-
-func countQuantified(f Formula) int {
-	switch g := f.(type) {
-	case And:
-		n := 0
-		for _, c := range g.Conj {
-			n += countQuantified(c)
-		}
-		return n
-	case Or:
-		n := 0
-		for _, d := range g.Disj {
-			n += countQuantified(d)
-		}
-		return n
-	case Not:
-		return countQuantified(g.F)
-	case Exists:
-		return len(g.Vars) + countQuantified(g.Body)
-	default:
-		return 0
-	}
-}
-
-func termValue(t Term, env map[string]instance.Value) (instance.Value, bool) {
-	if t.IsVar() {
-		v, ok := env[t.Name()]
-		return v, ok
-	}
-	return t.Value(), true
-}
-
-func eval(f Formula, st Structure, dom []instance.Value, env map[string]instance.Value) bool {
-	switch g := f.(type) {
-	case Truth:
-		return g.Val
-	case Atom:
-		tup := make(instance.Tuple, len(g.Args))
-		for i, a := range g.Args {
-			v, ok := termValue(a, env)
-			if !ok {
-				return false
-			}
-			tup[i] = v
-		}
-		return st.Holds(g.Pred, tup)
-	case Eq:
-		l, lok := termValue(g.L, env)
-		r, rok := termValue(g.R, env)
-		return lok && rok && l == r
-	case Neq:
-		l, lok := termValue(g.L, env)
-		r, rok := termValue(g.R, env)
-		return lok && rok && l != r
-	case And:
-		for _, c := range g.Conj {
-			if !eval(c, st, dom, env) {
-				return false
-			}
-		}
-		return true
-	case Or:
-		for _, d := range g.Disj {
-			if eval(d, st, dom, env) {
-				return true
-			}
-		}
-		return false
-	case Not:
-		return !eval(g.F, st, dom, env)
-	case Exists:
-		return evalExists(g.Vars, g.Body, st, dom, env)
-	default:
-		return false
-	}
-}
-
-// evalExists enumerates assignments for the quantified variables. Rather
-// than blindly ranging each variable over the full domain, it seeds
-// candidate assignments from matching atom tuples when the body is (or
-// starts with) a conjunction of atoms; this makes evaluation behave like a
-// join rather than a cross product.
-func evalExists(vars []string, body Formula, st Structure, dom []instance.Value, env map[string]instance.Value) bool {
-	// Collect positive atoms usable as generators for the variables.
-	atoms := generatorAtoms(body)
-	return searchAssign(vars, 0, atoms, body, st, dom, env)
-}
-
-// generatorAtoms returns atoms that occur conjunctively at the top of f
-// (positive positions only) and can bind variables.
-func generatorAtoms(f Formula) []Atom {
-	switch g := f.(type) {
-	case Atom:
-		return []Atom{g}
-	case And:
-		var out []Atom
-		for _, c := range g.Conj {
-			out = append(out, generatorAtoms(c)...)
-		}
-		return out
-	case Exists:
-		return generatorAtoms(g.Body)
-	default:
-		return nil
-	}
-}
-
-// generatorAtomsFor collects conjunctive atoms relevant to variable v,
-// refusing to descend into nested Exists nodes that rebind v (their atom
-// occurrences of the name belong to the inner scope).
-func generatorAtomsFor(v string, f Formula) []Atom {
-	switch g := f.(type) {
-	case Atom:
-		return []Atom{g}
-	case And:
-		var out []Atom
-		for _, c := range g.Conj {
-			out = append(out, generatorAtomsFor(v, c)...)
-		}
-		return out
-	case Exists:
-		for _, w := range g.Vars {
-			if w == v {
-				return nil
-			}
-		}
-		return generatorAtomsFor(v, g.Body)
-	default:
-		return nil
-	}
-}
-
-func searchAssign(vars []string, idx int, atoms []Atom, body Formula, st Structure, dom []instance.Value, env map[string]instance.Value) bool {
-	if idx == len(vars) {
-		return eval(body, st, dom, env)
-	}
-	v := vars[idx]
-	if _, bound := env[v]; bound {
-		return searchAssign(vars, idx+1, atoms, body, st, dom, env)
-	}
-	// A variable occurring in a top-level conjunctive atom can only take
-	// values that atom's tuples provide — those candidates are complete, so
-	// no full-domain fallback is needed (and with zero candidates the
-	// conjunction is unsatisfiable outright). Variables constrained only
-	// inside disjunctions or by (in)equalities range over the full domain.
-	// Occurrences under a nested Exists that rebinds v do not count.
-	myAtoms := generatorAtomsFor(v, body)
-	var cands []instance.Value
-	if varInAtoms(v, myAtoms) {
-		cands = candidateValues(v, myAtoms, st)
-	} else {
-		cands = dom
-	}
-	tried := make(map[instance.Value]bool, len(cands))
-	for _, val := range cands {
-		if tried[val] {
-			continue
-		}
-		tried[val] = true
-		env[v] = val
-		if searchAssign(vars, idx+1, atoms, body, st, dom, env) {
-			delete(env, v)
-			return true
-		}
-	}
-	delete(env, v)
-	return false
-}
-
-// varInAtoms reports whether the variable occurs in one of the generator
-// atoms.
-func varInAtoms(v string, atoms []Atom) bool {
-	for _, a := range atoms {
-		for _, t := range a.Args {
-			if t.IsVar() && t.Name() == v {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// candidateValues collects values the variable can take from atoms mentioning
-// it. If the variable occurs in no atom, it returns nil (caller falls back
-// to full-domain enumeration).
-func candidateValues(v string, atoms []Atom, st Structure) []instance.Value {
-	var out []instance.Value
-	seen := make(map[instance.Value]bool)
-	for _, a := range atoms {
-		for i, t := range a.Args {
-			if t.IsVar() && t.Name() == v {
-				for _, tup := range st.TuplesOf(a.Pred) {
-					if i < len(tup) && !seen[tup[i]] {
-						seen[tup[i]] = true
-						out = append(out, tup[i])
-					}
-				}
-			}
-		}
-	}
-	return out
 }

@@ -174,7 +174,7 @@ func Explore(sch *schema.Schema, opts Options, visit Visitor) (Report, error) {
 		}
 	}
 	if o.Parallelism > 1 || o.Shards != nil {
-		return exploreSharded(sch, o, visit, func(int) Visitor { return visit })
+		return exploreSharded(sch, o, nil, visit, func(int) Visitor { return visit })
 	}
 	init := o.Initial
 	if init == nil {

@@ -115,6 +115,10 @@ const maxShardMasksPerAccess = 256
 // index, so subset runs on different machines can be merged with the same
 // lowest-shard witness preference as one full in-process run (see Shards
 // and ShardID for the enumeration the indexes refer to).
+//
+// ExploreSharded enumerates the partition after visiting the root; a
+// caller executing one partition more than once enumerates it once with
+// NewPlan and runs Plan.Explore instead.
 func ExploreSharded(sch *schema.Schema, opts Options, root Visitor, factory func(shard int) Visitor) (Report, error) {
 	o := opts.withDefaults()
 	if o.Universe == nil {
@@ -125,16 +129,14 @@ func ExploreSharded(sch *schema.Schema, opts Options, root Visitor, factory func
 			return Report{}, err
 		}
 	}
-	return exploreSharded(sch, o, root, factory)
+	return exploreSharded(sch, o, nil, root, factory)
 }
 
 // exploreSharded runs the sharded exploration; o has defaults applied and a
-// live context.
-func exploreSharded(sch *schema.Schema, o Options, root Visitor, factory func(shard int) Visitor) (Report, error) {
-	init := o.Initial
-	if init == nil {
-		init = instance.NewInstance(sch)
-	}
+// live context. The root is visited first; the partition is then plan's,
+// or enumerated here when plan is nil.
+func exploreSharded(sch *schema.Schema, o Options, plan *Plan, root Visitor, factory func(shard int) Visitor) (Report, error) {
+	init := initialOf(sch, o)
 	coord := &shardCoord{}
 	coord.paths.Add(1) // the root prefix
 	rootPre := init.Clone()
@@ -151,11 +153,12 @@ func exploreSharded(sch *schema.Schema, o Options, root Visitor, factory func(sh
 		return rep, nil
 	}
 
-	uTuples, uDomain := universeCaches(sch, o.Universe)
-	shards, rootRespCapped, err := enumerateRootShards(sch, o, init, uTuples, uDomain)
-	if err != nil {
-		return rep, err
+	if plan == nil {
+		if plan, err = newPlan(sch, o, init); err != nil {
+			return rep, err
+		}
 	}
+	shards, rootRespCapped := plan.shards, plan.respCapped
 	rep.ResponsesCapped = rootRespCapped
 	// Options.Shards restricts execution to a subset of the canonical
 	// partition: the full enumeration above still fixes the indexes (and the
@@ -201,8 +204,8 @@ func exploreSharded(sch *schema.Schema, o Options, root Visitor, factory func(sh
 			defer wg.Done()
 			e := newExplorer(sch, o)
 			e.shared = coord
-			e.uTuples = uTuples
-			e.uDomain = uDomain
+			e.uTuples = plan.uTuples
+			e.uDomain = plan.uDomain
 			e.path = access.NewPath(sch)
 			e.post = init.Clone()
 			e.pre = init.Clone()
@@ -450,7 +453,7 @@ func collectParallel(sch *schema.Schema, opts Options) (Stats, error) {
 		return ss
 	}
 	rootStats := newStats()
-	rep, err := exploreSharded(sch, o,
+	rep, err := exploreSharded(sch, o, nil,
 		func(p *access.Path, _, conf *instance.Instance) (bool, error) {
 			rootStats.visit(p, conf)
 			return true, nil

@@ -12,8 +12,10 @@ package lts
 // inputs enumerate identical descriptors on every machine.
 
 import (
+	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"accltl/internal/instance"
 	"accltl/internal/schema"
@@ -34,6 +36,150 @@ type ShardID struct {
 	WholeAccess bool
 }
 
+// Plan is the enumerated root partition of a sharded exploration: what
+// Shards describes and ExploreSharded executes, kept so that one
+// enumeration serves any number of executions. A check that plans its
+// partition and then searches it, or resumes it subset by subset, pays for
+// the root fan-out (every first access × response, over the whole binding
+// pool) once. A Plan holds the exploration options it was enumerated under
+// — Context, Parallelism and Shards excepted, which are per execution —
+// and the read-only universe caches its walkers share. It is immutable and
+// safe for concurrent use.
+type Plan struct {
+	sch        *schema.Schema
+	opts       Options
+	uTuples    map[string]*relCache
+	uDomain    []instance.Value
+	shards     []rootShard
+	respCapped bool
+}
+
+// NewPlan enumerates the root partition of a sharded exploration of sch
+// under opts, polling opts.Context while it does; opts.Parallelism and
+// opts.Shards are ignored. The partition is the one Shards describes.
+func NewPlan(sch *schema.Schema, opts Options) (*Plan, error) {
+	o := opts.withDefaults()
+	if o.Universe == nil {
+		return nil, fmt.Errorf("lts: NewPlan requires a Universe instance")
+	}
+	if o.Context != nil {
+		if err := o.Context.Err(); err != nil {
+			return nil, err
+		}
+	}
+	return newPlan(sch, o, initialOf(sch, o))
+}
+
+// newPlan runs the one root enumeration; o has defaults applied.
+func newPlan(sch *schema.Schema, o Options, init *instance.Instance) (*Plan, error) {
+	uTuples, uDomain := universeCaches(sch, o.Universe)
+	shards, respCapped, err := enumerateRootShards(sch, o, init, uTuples, uDomain)
+	if err != nil {
+		return nil, err
+	}
+	o.Context, o.Parallelism, o.Shards = nil, 0, nil
+	return &Plan{sch: sch, opts: o, uTuples: uTuples, uDomain: uDomain, shards: shards, respCapped: respCapped}, nil
+}
+
+// initialOf is the initial instance of an exploration: opts.Initial, or
+// the empty instance.
+func initialOf(sch *schema.Schema, o Options) *instance.Instance {
+	if o.Initial != nil {
+		return o.Initial
+	}
+	return instance.NewInstance(sch)
+}
+
+// IDs returns the plan's shard descriptors in canonical order.
+func (p *Plan) IDs() []ShardID {
+	ids := make([]ShardID, len(p.shards))
+	for i, sh := range p.shards {
+		ids[i] = ShardID{Index: i, Key: sh.sortKey, WholeAccess: sh.wholeAccess}
+	}
+	return ids
+}
+
+// ResponsesCapped reports whether the root subset-response fan-out was
+// truncated to MaxResponseChoices during enumeration.
+func (p *Plan) ResponsesCapped() bool { return p.respCapped }
+
+// Explore executes the plan exactly as ExploreSharded would execute the
+// partition it enumerates, with ctx, parallelism and shards in the roles
+// of Options.Context, Parallelism and Shards, and without enumerating the
+// root fan-out again.
+func (p *Plan) Explore(ctx context.Context, parallelism int, shards []int, root Visitor, factory func(shard int) Visitor) (Report, error) {
+	o := p.opts
+	o.Context, o.Parallelism, o.Shards = ctx, parallelism, shards
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return Report{}, err
+		}
+	}
+	return exploreSharded(p.sch, o, p, root, factory)
+}
+
+// Setup is the derived setup of one bounded search: the exploration
+// options a check derives from its formula and configuration (witness
+// universe, binding pool, caps), its depth bound and, once a sharded search
+// or a plan asks for it, its root partition. The per-check memos
+// (accltl.SolverMemo, autom.EmptinessMemo) each carry one, so a check
+// derives its setup and enumerates its partition once however many rounds
+// it runs. The zero value is empty; a Setup is safe for concurrent use.
+type Setup struct {
+	mu    sync.Mutex
+	ready bool
+	opts  Options
+	depth int
+	plan  *Plan
+}
+
+// Options returns the exploration options, carrying ctx, and the depth
+// bound, calling derive on first use. derive runs outside the lock; when
+// two first uses race, both derive the same setup and the first to finish
+// is kept.
+func (s *Setup) Options(ctx context.Context, derive func() (Options, int, error)) (Options, int, error) {
+	s.mu.Lock()
+	ready := s.ready
+	s.mu.Unlock()
+	if !ready {
+		o, depth, err := derive()
+		if err != nil {
+			return Options{}, 0, err
+		}
+		o.Context = nil
+		s.mu.Lock()
+		if !s.ready {
+			s.opts, s.depth, s.ready = o, depth, true
+		}
+		s.mu.Unlock()
+	}
+	s.mu.Lock()
+	o, depth := s.opts, s.depth
+	s.mu.Unlock()
+	o.Context = ctx
+	return o, depth, nil
+}
+
+// Plan returns the root partition of the options Options derived,
+// enumerating it under ctx on first use.
+func (s *Setup) Plan(ctx context.Context, sch *schema.Schema) (*Plan, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.ready {
+		return nil, fmt.Errorf("lts: Setup.Plan before Setup.Options")
+	}
+	if s.plan == nil {
+		o := s.opts
+		o.Context = ctx
+		p, err := NewPlan(sch, o)
+		if err != nil {
+			return nil, err
+		}
+		s.plan = p
+	}
+	return s.plan, nil
+}
+
 // Shards enumerates the root shards a sharded exploration of sch under opts
 // would partition the search into, in the canonical sorted order (the same
 // order ExploreSharded assigns indexes in). The bool result reports whether
@@ -46,29 +192,11 @@ type ShardID struct {
 // two processes given the same inputs agree on every Index and Key — the
 // property the distributed check fabric's wire shards rely on.
 func Shards(sch *schema.Schema, opts Options) ([]ShardID, bool, error) {
-	o := opts.withDefaults()
-	if o.Universe == nil {
-		return nil, false, fmt.Errorf("lts: Shards requires a Universe instance")
-	}
-	if o.Context != nil {
-		if err := o.Context.Err(); err != nil {
-			return nil, false, err
-		}
-	}
-	init := o.Initial
-	if init == nil {
-		init = instance.NewInstance(sch)
-	}
-	uTuples, uDomain := universeCaches(sch, o.Universe)
-	shards, respCapped, err := enumerateRootShards(sch, o, init, uTuples, uDomain)
+	p, err := NewPlan(sch, opts)
 	if err != nil {
-		return nil, respCapped, err
+		return nil, false, err
 	}
-	ids := make([]ShardID, len(shards))
-	for i, sh := range shards {
-		ids[i] = ShardID{Index: i, Key: sh.sortKey, WholeAccess: sh.wholeAccess}
-	}
-	return ids, respCapped, nil
+	return p.IDs(), p.respCapped, nil
 }
 
 // shardSubset validates and canonicalizes Options.Shards against an

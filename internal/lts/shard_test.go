@@ -1,7 +1,12 @@
 package lts
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"accltl/internal/access"
@@ -266,6 +271,149 @@ func TestShardSubsetParallelMatches(t *testing.T) {
 		}
 		if !statsEqual(want, got) {
 			t.Errorf("w=%d: subset stats diverged:\nserial:   %+v\nparallel: %+v", w, want, got)
+		}
+	}
+}
+
+// TestPlanExecutesLikeExploreSharded: one enumerated Plan, executed again
+// and again — whole, on shard subsets and at several walker counts —
+// visits exactly what ExploreSharded visits over its own enumeration, with
+// identical reports, and describes the partition Shards returns.
+func TestPlanExecutesLikeExploreSharded(t *testing.T) {
+	s := tinySchema(t)
+	type run func(root Visitor, factory func(int) Visitor) (Report, error)
+	trace := func(t *testing.T, r run) ([]string, Report) {
+		var mu sync.Mutex
+		var visits []string
+		rep, err := r(
+			func(p *access.Path, _, _ *instance.Instance) (bool, error) { return true, nil },
+			func(shard int) Visitor {
+				return func(p *access.Path, _, _ *instance.Instance) (bool, error) {
+					mu.Lock()
+					visits = append(visits, fmt.Sprintf("%d:%s", shard, p))
+					mu.Unlock()
+					return true, nil
+				}
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(visits)
+		return visits, rep
+	}
+	for _, c := range equivalenceGrid(t, s) {
+		if c.opts.MaxPaths > 0 {
+			continue // a capped run's visit set depends on the schedule
+		}
+		t.Run(c.name, func(t *testing.T) {
+			plan, err := NewPlan(s, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids, capped, err := Shards(s, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(plan.IDs(), ids) || plan.ResponsesCapped() != capped {
+				t.Fatalf("plan describes %v (capped %v), Shards %v (capped %v)", plan.IDs(), plan.ResponsesCapped(), ids, capped)
+			}
+			var evens []int
+			for i := 0; i < len(ids); i += 2 {
+				evens = append(evens, i)
+			}
+			for _, sub := range [][]int{nil, {}, evens} {
+				for _, w := range []int{1, 3} {
+					o := c.opts
+					o.Shards, o.Parallelism = sub, w
+					want, wantRep := trace(t, func(root Visitor, factory func(int) Visitor) (Report, error) {
+						return ExploreSharded(s, o, root, factory)
+					})
+					for i := 0; i < 2; i++ {
+						got, gotRep := trace(t, func(root Visitor, factory func(int) Visitor) (Report, error) {
+							return plan.Explore(nil, w, sub, root, factory)
+						})
+						if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotRep, wantRep) {
+							t.Fatalf("shards %v W=%d run %d: plan visited %d (%+v), ExploreSharded %d (%+v)",
+								sub, w, i, len(got), gotRep, len(want), wantRep)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSetupDerivesAndPlansOnce: a Setup derives its options once, hands
+// them out with the caller's context, enumerates its partition once, and
+// caches nothing from a failed derivation.
+func TestSetupDerivesAndPlansOnce(t *testing.T) {
+	s := tinySchema(t)
+	u := tinyUniverse(t, s)
+	var setup Setup
+	if _, err := setup.Plan(nil, s); err == nil {
+		t.Error("Plan before Options succeeded")
+	}
+	if _, _, err := setup.Options(nil, func() (Options, int, error) { return Options{}, 0, errors.New("no universe") }); err == nil {
+		t.Fatal("failed derivation reported success")
+	}
+	derives := 0
+	derive := func() (Options, int, error) {
+		derives++
+		return Options{Context: context.Background(), Universe: u, MaxDepth: 2}, 2, nil
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for i := 0; i < 3; i++ {
+		o, depth, err := setup.Options(ctx, derive)
+		if err != nil || depth != 2 || o.Context != ctx || o.Universe != u {
+			t.Fatalf("Options = %+v, %d, %v", o, depth, err)
+		}
+	}
+	if derives != 1 {
+		t.Errorf("derived %d times", derives)
+	}
+	p1, err := setup.Plan(ctx, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := setup.Plan(nil, s)
+	if err != nil || p2 != p1 {
+		t.Errorf("second Plan = %p, %v; first %p", p2, err, p1)
+	}
+	ids, _, err := Shards(s, Options{Universe: u, MaxDepth: 2})
+	if err != nil || !reflect.DeepEqual(p1.IDs(), ids) {
+		t.Errorf("plan IDs %v, Shards %v (%v)", p1.IDs(), ids, err)
+	}
+}
+
+// TestSetupConcurrentUse: rounds racing on one fresh Setup all get the same
+// options and the same plan — the memo-sharing contract under -race.
+func TestSetupConcurrentUse(t *testing.T) {
+	s := tinySchema(t)
+	u := tinyUniverse(t, s)
+	var setup Setup
+	derive := func() (Options, int, error) { return Options{Universe: u, MaxDepth: 2}, 2, nil }
+	plans := make([]*Plan, 8)
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, depth, err := setup.Options(nil, derive); err != nil || depth != 2 {
+				t.Errorf("Options: depth %d, %v", depth, err)
+				return
+			}
+			p, err := setup.Plan(nil, s)
+			if err != nil {
+				t.Errorf("Plan: %v", err)
+			}
+			plans[i] = p
+		}(i)
+	}
+	wg.Wait()
+	for i, p := range plans {
+		if p == nil || p != plans[0] {
+			t.Fatalf("goroutine %d got plan %p, goroutine 0 %p", i, p, plans[0])
 		}
 	}
 }

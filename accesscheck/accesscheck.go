@@ -28,7 +28,6 @@ import (
 	"runtime"
 	"time"
 
-	"accltl/accesscheck/cachetier"
 	"accltl/internal/access"
 	"accltl/internal/accltl"
 	"accltl/internal/autom"
@@ -174,55 +173,6 @@ type Checker struct {
 	// parallelism.
 	solverMemo    *accltl.SolverMemo
 	emptinessMemo *autom.EmptinessMemo
-	// negative carries the Bloom negative caches fronting the parallel
-	// engines' dominance memos (see WithNegativeCache). Execution detail,
-	// excluded from Fingerprint like parallelism.
-	negative *NegativeCaches
-}
-
-// NegativeCaches bundles the per-engine Bloom negative caches a checker
-// fronts its dominance memos with: one filter for the AccLTL solver's
-// (configuration, obligation) memo, one for the automaton emptiness
-// (configuration, state-set) memo — the keys hash differently, so mixing
-// them in one filter would only inflate false positives. The set is safe
-// to share across checkers, checks, and requests concurrently: the
-// filters never prune by themselves (a positive only routes to the
-// authoritative memo), so cross-request collisions cost lock
-// acquisitions, never verdicts. The server holds one process-wide set so
-// the filters stay warm across per-request checkers.
-type NegativeCaches struct {
-	Solver    *cachetier.NegativeCache
-	Emptiness *cachetier.NegativeCache
-}
-
-// NewNegativeCaches sizes a filter set from one total bit budget, half
-// per engine, each segmented to match the dominance memos' 64 lock
-// stripes (Bloofi-style: a root filter over per-stripe leaves). bits ≤ 0
-// returns nil — the disabled state.
-func NewNegativeCaches(bits int) *NegativeCaches {
-	if bits <= 0 {
-		return nil
-	}
-	return &NegativeCaches{
-		Solver:    cachetier.NewNegativeCache(bits/2, 64),
-		Emptiness: cachetier.NewNegativeCache(bits/2, 64),
-	}
-}
-
-// solverFilter / emptinessFilter are nil-safe accessors: a nil set means
-// the negative cache is off everywhere it is consulted.
-func (n *NegativeCaches) solverFilter() *cachetier.NegativeCache {
-	if n == nil {
-		return nil
-	}
-	return n.Solver
-}
-
-func (n *NegativeCaches) emptinessFilter() *cachetier.NegativeCache {
-	if n == nil {
-		return nil
-	}
-	return n.Emptiness
 }
 
 // Option configures a Checker; invalid settings surface as errors from
@@ -317,12 +267,13 @@ func WithMaxResponseChoices(n int) Option {
 }
 
 // WithParallelism sets the number of concurrent exploration walkers the
-// search may use. n = 1 (the default) is the serial engine, bit-for-bit the
-// same search as before the knob existed; n = 0 selects
-// runtime.GOMAXPROCS(0); n > 1 shards the exploration over the root
-// branching with one mutate-and-undo walker per goroutine, a single shared
-// path budget (WithMaxPaths stays a global cap with exact semantics) and
-// early cancellation as soon as any walker finds a witness.
+// search may use. The search is always sharded over the root branching and
+// walked in the canonical shard order; n = 1 (the default) walks the shards
+// one after another on the calling goroutine; n = 0 selects
+// runtime.GOMAXPROCS(0); n > 1 runs one mutate-and-undo walker per
+// goroutine, with a single shared path budget (WithMaxPaths stays a global
+// cap with exact semantics) and early cancellation as soon as any walker
+// finds a witness.
 //
 // Verdicts of searches that run to exhaustion — Result.Truncated false —
 // are identical for every parallelism, which is why the result cache treats
@@ -383,43 +334,6 @@ func WithAnytimeChunk(n int) Option {
 			return fmt.Errorf("accesscheck: WithAnytimeChunk(%d): chunk must be non-negative", n)
 		}
 		c.anytimeChunk = n
-		return nil
-	}
-}
-
-// WithNegativeCache arms the checker with a Bloom negative cache of
-// roughly the given total bits fronting the parallel engines' dominance
-// memos: a (configuration, obligation/state-set) key the filter has
-// definitely never seen skips the memo's striped critical section
-// lock-free on first sight. Strictly an execution accelerator — a filter
-// positive only routes to the authoritative memo, so verdicts are
-// bit-for-bit identical with the cache on or off (the golden equivalence
-// tests pin this), and like WithParallelism it is excluded from
-// Fingerprint. 0 disables (the default); sizing guide: ~10 bits per
-// distinct search state visited keeps the false-positive rate near 1%.
-// The serial engine ignores it. Long-lived callers sharing one filter
-// set across many checkers use WithNegativeCacheStore instead.
-func WithNegativeCache(bits int) Option {
-	return func(c *Checker) error {
-		if bits < 0 {
-			return fmt.Errorf("accesscheck: WithNegativeCache(%d): bits must be non-negative", bits)
-		}
-		if bits > 1<<32 {
-			return fmt.Errorf("accesscheck: WithNegativeCache(%d): more than 2^32 bits per filter is surely a unit mistake", bits)
-		}
-		c.negative = NewNegativeCaches(bits)
-		return nil
-	}
-}
-
-// WithNegativeCacheStore shares a pre-built filter set with this checker:
-// the server builds one process-wide NegativeCaches and hands it to every
-// per-request checker, so the filters warm across requests instead of
-// dying with each checker. nil clears. Sharing is sound per the
-// NegativeCaches contract.
-func WithNegativeCacheStore(nc *NegativeCaches) Option {
-	return func(c *Checker) error {
-		c.negative = nc
 		return nil
 	}
 }
@@ -498,9 +412,12 @@ type Result struct {
 	//
 	// Determinism under WithParallelism: the verdict of a search that ran
 	// to exhaustion (Truncated false) is identical for every parallelism.
-	// What may vary with the walker schedule is (a) which of several valid
-	// witnesses a satisfiable check returns — the engine prefers the lowest
-	// shard in a canonical sorted order, but a faster walker can win before
+	// With one walker the whole result is deterministic: a satisfiable
+	// check returns a witness from the first shard, in a canonical sorted
+	// order, that holds one.
+	// What may vary with the walker schedule at two or more walkers is (a)
+	// which of several valid witnesses a satisfiable check returns — the
+	// engine prefers the lowest shard, but a faster walker can win before
 	// the early-cancel broadcast lands — and (b) PathsExplored on
 	// early-stopped or path-capped searches. Every returned witness is
 	// verified against the direct semantics regardless.
@@ -644,7 +561,6 @@ func (c *Checker) runSolve(ctx context.Context, sch *Schema, f Formula, engine E
 		Parallelism:        c.parallelism,
 		Shards:             c.shards,
 		Memo:               c.solverMemo,
-		Negative:           c.negative.solverFilter(),
 	}
 
 	switch engine {
@@ -679,7 +595,6 @@ func (c *Checker) runSolve(ctx context.Context, sch *Schema, f Formula, engine E
 			Parallelism:        c.parallelism,
 			Shards:             c.shards,
 			Memo:               c.emptinessMemo,
-			Negative:           c.negative.emptinessFilter(),
 		})
 		sr := accltl.SolveResult{
 			Satisfiable:     !er.Empty,

@@ -69,9 +69,8 @@ type Checkpoint struct {
 }
 
 // newCheckpoint builds the suspended-search state for one fingerprint,
-// with the warm memo armed by the checker's negative caches (nil-safe):
-// resumed rounds then share the same process-wide Bloom filters as fresh
-// searches.
+// with an empty memo for the engine. Each round's search stripes the memo
+// for its own walkers.
 func (c *Checker) newCheckpoint(key string, engine Engine) *Checkpoint {
 	cp := &Checkpoint{
 		key:       key,
@@ -79,9 +78,9 @@ func (c *Checker) newCheckpoint(key string, engine Engine) *Checkpoint {
 		completed: make(map[int]bool),
 	}
 	if engine == EngineAutomaton {
-		cp.emptinessMemo = autom.NewEmptinessMemoNeg(c.negative.emptinessFilter())
+		cp.emptinessMemo = autom.NewEmptinessMemo()
 	} else {
-		cp.solverMemo = accltl.NewSolverMemoNeg(c.negative.solverFilter())
+		cp.solverMemo = accltl.NewSolverMemo()
 	}
 	return cp
 }
@@ -249,8 +248,11 @@ func (c *Checker) anytimeKey(sch *Schema, f Formula) string {
 //     budget whose exact semantics do not compose across rounds — and the
 //     returned checkpoint is nil.
 //   - Unshardable checks (the plan has fewer than two shards, or planning
-//     failed for a reason other than ctx) fall back to plain Check: exact
-//     or error, nothing to resume.
+//     failed for a reason other than ctx) run as one plain Check over the
+//     setup planning derived: exact or error, nothing to resume, and the
+//     verdict and witness Check itself returns. PathsExplored is Check's
+//     too, unless an earlier fallback on the same checkpoint left its
+//     memo warm; the checkpoint's lock keeps the two searches apart.
 //
 // PathsExplored, Elapsed and ResponsesCapped accumulate across rounds;
 // Depth, the verdict and the witness are those of the (sub)search. The
@@ -287,13 +289,19 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 	round.solverMemo = cp.solverMemo
 	round.emptinessMemo = cp.emptinessMemo
 
+	// The round holds the checkpoint from planning on: every search on its
+	// memo, the one-shard fallback included, runs alone (the dominance
+	// memo is sound across rounds, never across concurrent searches).
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+
 	// Resolve the target shard set and the plan size. A shard-restricted
 	// checker targets its configured subset and can defer the plan size
 	// (its caller — the fabric worker — knows the plan already); a whole
 	// check targets the full canonical partition and plans it once, through
 	// the checkpoint, so its first round executes that same enumeration.
 	var target []int
-	planSize := cp.PlanSize()
+	planSize := cp.planSize
 	if c.shards != nil {
 		target = dedupSortedShards(c.shards)
 	} else {
@@ -307,8 +315,10 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 			}
 			if err != nil || len(plan) < 2 {
 				// Unshardable (or planning failed): there is no frontier to
-				// slice, so anytime degenerates to the plain check.
-				res, cerr := c.Check(ctx, sch, f)
+				// slice, so anytime degenerates to the plain check. It runs
+				// on round, so the search reuses the setup and partition
+				// planning just derived through the checkpoint's memo.
+				res, cerr := round.Check(ctx, sch, f)
 				if cerr != nil {
 					return nil, nil, cerr
 				}
@@ -323,8 +333,6 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 		}
 	}
 
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
 	if cp.planSize == 0 {
 		cp.planSize = planSize
 	}

@@ -322,3 +322,128 @@ func TestAnytimeShardedPlanningExpiryKeepsCheckpoint(t *testing.T) {
 		})
 	}
 }
+
+// TestAnytimeOneShardFallbackMatchesCheck: a check whose plan has a single
+// shard has no frontier to slice, so CheckAnytime answers it as one plain
+// search over the setup its planning derived. The answer must be exact —
+// Coverage 1, no checkpoint — and carry the verdict, witness and
+// PathsExplored that Check itself returns.
+func TestAnytimeOneShardFallbackMatchesCheck(t *testing.T) {
+	sch, err := accesscheck.ParseSchema([]string{"R:int"}, []string{"Scan:R"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The universe holds no R tuple, so Scan's one response is the empty
+	// one and the root partition is a single shard. The unsat formula asks
+	// for a third access the depth bound does not allow.
+	for name, src := range map[string]string{"sat": "F [bind Scan]", "unsat": "X X [bind Scan]"} {
+		f, err := accesscheck.ParseFormula(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eng := range []accesscheck.Engine{accesscheck.EngineBounded, accesscheck.EngineAutomaton} {
+			t.Run(name+"/"+eng.String(), func(t *testing.T) {
+				chk, err := accesscheck.NewChecker(accesscheck.WithEngine(eng), accesscheck.WithMaxDepth(2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan, _, err := chk.ShardPlan(context.Background(), sch, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(plan) != 1 {
+					t.Fatalf("fixture plans %d shards, want 1", len(plan))
+				}
+				want, err := chk.Check(context.Background(), sch, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, cp, err := chk.CheckAnytime(context.Background(), sch, f, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cp != nil {
+					t.Errorf("one-shard check returned a checkpoint (rounds %d)", cp.Rounds())
+				}
+				if want.Satisfiable != (name == "sat") {
+					t.Fatalf("Check says satisfiable=%v on the %s fixture", want.Satisfiable, name)
+				}
+				if got.Coverage != 1 || got.Resumable {
+					t.Errorf("coverage %v resumable %v, want an exact answer", got.Coverage, got.Resumable)
+				}
+				if got.Satisfiable != want.Satisfiable || got.Truncated != want.Truncated ||
+					got.PathsExplored != want.PathsExplored || got.Depth != want.Depth {
+					t.Errorf("CheckAnytime %+v, Check %+v", got, want)
+				}
+				if got.Satisfiable && got.Witness.String() != want.Witness.String() {
+					t.Errorf("witness %s, Check's %s", got.Witness, want.Witness)
+				}
+			})
+		}
+	}
+}
+
+// TestAnytimeOneShardExpiredCheckpointConcurrentResume: a budget that dies
+// while planning a one-shard check leaves a checkpoint with no plan size,
+// the shape the server stores on expiry. Identical retries then resume it
+// concurrently, and each runs the one-shard fallback on the checkpoint's
+// memo. The checkpoint must serialize those searches — a dominance memo is
+// sound across rounds, not across concurrent searches — so every retry
+// answers exactly what Check answers. Run under -race in CI.
+func TestAnytimeOneShardExpiredCheckpointConcurrentResume(t *testing.T) {
+	sch, err := accesscheck.ParseSchema([]string{"R:int"}, []string{"Scan:R"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]string{"sat": "F [bind Scan]", "unsat": "X X [bind Scan]"} {
+		f, err := accesscheck.ParseFormula(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eng := range []accesscheck.Engine{accesscheck.EngineBounded, accesscheck.EngineAutomaton} {
+			t.Run(name+"/"+eng.String(), func(t *testing.T) {
+				chk, err := accesscheck.NewChecker(accesscheck.WithEngine(eng), accesscheck.WithMaxDepth(2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := chk.Check(context.Background(), sch, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				expired, cancel := context.WithCancel(context.Background())
+				cancel()
+				_, cp, err := chk.CheckAnytime(expired, sch, f, nil)
+				if !errors.Is(err, context.Canceled) || cp == nil || cp.PlanSize() != 0 {
+					t.Fatalf("expired planning: cp=%v err=%v, want the context error with a plan-less checkpoint", cp, err)
+				}
+				const retries = 8
+				results := make([]*accesscheck.Result, retries)
+				errs := make([]error, retries)
+				var wg sync.WaitGroup
+				for g := 0; g < retries; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						var next *accesscheck.Checkpoint
+						results[g], next, errs[g] = chk.CheckAnytime(context.Background(), sch, f, cp)
+						if errs[g] == nil && next != nil {
+							errs[g] = fmt.Errorf("one-shard check returned a checkpoint")
+						}
+					}()
+				}
+				wg.Wait()
+				for g, got := range results {
+					if errs[g] != nil {
+						t.Fatalf("retry %d: %v", g, errs[g])
+					}
+					if got.Satisfiable != want.Satisfiable || got.Truncated != want.Truncated || got.Coverage != 1 || got.Resumable {
+						t.Errorf("retry %d: %+v, Check %+v", g, got, want)
+					}
+					if got.Satisfiable && got.Witness.String() != want.Witness.String() {
+						t.Errorf("retry %d: witness %s, Check's %s", g, got.Witness, want.Witness)
+					}
+				}
+			})
+		}
+	}
+}

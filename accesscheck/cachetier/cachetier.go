@@ -1,16 +1,9 @@
 // Package cachetier is the tiered cache subsystem under the check
-// server: three coordinated layers that let a warm process answer
-// cheaply, survive restarts, and scale past a single lock.
+// server: coordinated layers that let a warm process answer cheaply,
+// survive restarts, and scale past a single lock.
 //
-// The tiers, in probe order — negative cache, memory shards, disk:
+// The tiers, in probe order — memory shards, disk:
 //
-//   - The negative cache (NegativeCache) is a Bloom filter set — a
-//     classic filter per memo segment plus a small Bloofi-style root
-//     that unions them — recording keys the dominance memos have seen.
-//     A definite "never seen" answer lets a walker skip the memo's
-//     mutex-protected critical section entirely. It is strictly an
-//     accelerator: a filter positive only routes to the authoritative
-//     memo, so false positives cost a lock acquisition, never a verdict.
 //   - The memory tier (Sharded) splits the result LRU into N shards by
 //     the same FNV+avalanche hash (Hash64) the fabric router rings
 //     with, so cache residency aligns with coordinator routing and

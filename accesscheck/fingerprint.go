@@ -35,8 +35,7 @@ const FingerprintSchemeVersion = "fp-v1"
 // any cached witness was verified against the direct semantics — so a
 // result computed at one parallelism is a correct answer for the same check
 // at any other, and splitting the cache by walker count would only lower
-// its hit rate. WithNegativeCache/WithNegativeCacheStore are excluded for
-// the same reason: the Bloom filter is verdict-neutral by construction.
+// its hit rate.
 //
 // WithShards, by contrast, is included (canonicalized: sorted, deduplicated)
 // when set: a shard-restricted check computes a partial answer over a

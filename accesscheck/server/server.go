@@ -96,12 +96,6 @@ type Config struct {
 	// discarded loudly at boot. Empty means memory-only (the previous
 	// behavior).
 	CacheDir string
-	// NegativeCacheBits, when positive, arms a process-wide Bloom negative
-	// cache of this many total bits (split across the solver and emptiness
-	// engines) shared by every check's dominance memo: keys definitely
-	// never seen skip the memo's striped locks entirely. Verdict-neutral by
-	// construction — see accesscheck.WithNegativeCache. Zero disables.
-	NegativeCacheBits int
 	// DefaultBudget applies when neither the request body nor the query
 	// string names one (default 5s). It must be positive: a server without
 	// deadlines cannot promise bounded response times.
@@ -157,9 +151,6 @@ type Server struct {
 	// wire round-trippable, so only they persist; non-check task results
 	// stay memory-resident.
 	cache *cachetier.Tiered[accesscheck.TaskResult]
-	// neg is the process-wide Bloom negative-cache set shared by every
-	// check's dominance memo (nil when Config.NegativeCacheBits is 0).
-	neg *accesscheck.NegativeCaches
 	// ckpts holds suspended anytime frontiers keyed by the shard-less check
 	// fingerprint: the opposite admission discipline of cache (partials
 	// only, never served as answers — see accesscheck.CheckpointStore).
@@ -241,7 +232,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		cache:   cachetier.NewTiered(mem, back, encodeDiskCheck),
-		neg:     accesscheck.NewNegativeCaches(cfg.NegativeCacheBits),
 		ckpts:   accesscheck.NewCheckpointStore(cfg.CacheSize),
 		sem:     make(chan struct{}, cfg.Workers),
 		mux:     http.NewServeMux(),
@@ -266,16 +256,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // Call after the HTTP listener has drained (http.Server.Shutdown); safe on
 // a memory-only server.
 func (s *Server) Close() error { return s.cache.Close() }
-
-// checkerExtras are the server-owned options appended to every check's
-// wire-derived checker: process-wide stores that accelerate execution
-// without entering the fingerprint.
-func (s *Server) checkerExtras() []accesscheck.Option {
-	if s.neg == nil {
-		return nil
-	}
-	return []accesscheck.Option{accesscheck.WithNegativeCacheStore(s.neg)}
-}
 
 // encodeDiskCheck is the disk tier's admission-and-serialization gate:
 // only exact whole check results are wire round-trippable (a TaskResult's
@@ -563,7 +543,7 @@ func (s *Server) doCheck(ctx context.Context, req CheckRequest) (*CheckResponse,
 		return nil, badRequest("missing relations")
 	}
 	par := s.parallelismFor(req.Options)
-	chk, err := checkerFor(req.Options, par, s.checkerExtras()...)
+	chk, err := checkerFor(req.Options, par)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
@@ -1020,23 +1000,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "accserve_cache_disk_deletes_total %d\n", ds.Deletes)
 		fmt.Fprintf(w, "accserve_cache_disk_corrupt_tails_total %d\n", ds.CorruptTails)
 		fmt.Fprintf(w, "accserve_cache_disk_scheme_discards_total %d\n", ds.SchemeDiscards)
-	}
-	if s.neg != nil {
-		// The negative cache's "hit" is a definite-absence answer: the test
-		// that skipped the memo's lock. Misses are tests that fell through.
-		for _, e := range []struct {
-			name string
-			nc   *cachetier.NegativeCache
-		}{{"solver", s.neg.Solver}, {"emptiness", s.neg.Emptiness}} {
-			engine, ns := e.name, e.nc.Stats()
-			fmt.Fprintf(w, "accserve_cache_tier_hits_total{tier=\"negative\",engine=%q} %d\n", engine, ns.Definite)
-			fmt.Fprintf(w, "accserve_cache_tier_misses_total{tier=\"negative\",engine=%q} %d\n", engine, ns.Tests-ns.Definite)
-			fmt.Fprintf(w, "accserve_cache_hit_ratio{tier=\"negative\",engine=%q} %g\n", engine, ratio(ns.Definite, ns.Tests-ns.Definite))
-			fmt.Fprintf(w, "accserve_negative_cache_bits{engine=%q} %d\n", engine, ns.Bits)
-			fmt.Fprintf(w, "accserve_negative_cache_set_bits{engine=%q} %d\n", engine, ns.SetBits)
-			fmt.Fprintf(w, "accserve_negative_cache_inserts_total{engine=%q} %d\n", engine, ns.Inserts)
-			fmt.Fprintf(w, "accserve_negative_cache_fp_estimate{engine=%q} %g\n", engine, ns.EstFP)
-		}
 	}
 	fmt.Fprintf(w, "accserve_in_flight %d\n", s.inFlight.Load())
 	fmt.Fprintf(w, "accserve_workers %d\n", s.cfg.Workers)

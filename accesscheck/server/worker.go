@@ -141,8 +141,7 @@ func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardRe
 		}
 	}
 
-	extra := append(s.checkerExtras(), accesscheck.WithShards(sh.Indexes()...))
-	chk, err := checkerFor(wireOpts, par, extra...)
+	chk, err := checkerFor(wireOpts, par, accesscheck.WithShards(sh.Indexes()...))
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -639,53 +638,6 @@ func BenchmarkWideCheckAnytime(b *testing.B) {
 }
 
 // ---------- Tiered cache subsystem ----------
-
-// avalanche64 is the murmur-style finalizer the memo stripes and the
-// negative cache's hash lanes are derived with in the benchmarks below.
-func avalanche64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
-// BenchmarkDominanceMemoNegativeCache measures DominatedOrRecord on a
-// stream of first-sight keys — the case the Bloom negative cache exists
-// for: a definite "never seen" answers lock-free instead of taking a
-// stripe lock to record the key. Run parallel so the stripe-lock
-// contention the filter sidesteps is actually present; "off" is the
-// baseline mutex path, "on" the filter-armed fast path.
-func BenchmarkDominanceMemoNegativeCache(b *testing.B) {
-	for _, armed := range []bool{false, true} {
-		name := "off"
-		if armed {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			memo := lts.NewDominanceMemo[uint64](avalanche64)
-			if armed {
-				memo.WithNegativeCache(
-					cachetier.NewNegativeCache(1<<24, 64),
-					func(k uint64) (uint64, uint64) {
-						return avalanche64(k), avalanche64(k ^ 0x9e3779b97f4a7c15)
-					})
-			}
-			var ctr atomic.Uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					k := ctr.Add(1)
-					if memo.DominatedOrRecord(k, 0) {
-						b.Fatal("fresh key reported dominated")
-					}
-				}
-			})
-		})
-	}
-}
 
 // BenchmarkDiskTier measures the persistent tier's two moves with
 // wire-sized values (a marshalled CheckResponse is a few hundred bytes):

@@ -13,9 +13,7 @@
 // with an append-only disk tier so exact check results survive restarts
 // (evicted and shutdown-resident entries are written behind, and a
 // restarted process with the same directory serves them without
-// re-solving); -negative-cache-bits arms a process-wide Bloom negative
-// cache that lets the parallel engines skip dominance-memo locks for
-// never-seen states. All three are observable under /metrics
+// re-solving). Both are observable under /metrics
 // (accserve_cache_tier_*, accserve_cache_hit_ratio{tier=...}).
 //
 // Endpoints (see accltl/accesscheck/server for the wire format):
@@ -92,7 +90,6 @@ func main() {
 	cacheSize := flag.Int("cache-size", 1024, "LRU result cache capacity (entries)")
 	cacheShards := flag.Int("cache-shards", 8, "in-memory result cache shard count (rounded to a power of two, capped at -cache-size)")
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent result-cache tier; exact check results survive restarts (empty = memory-only)")
-	negativeCacheBits := flag.Int("negative-cache-bits", 0, "total bits for the process-wide Bloom negative cache fronting the dominance memos (0 = off)")
 	defaultBudget := flag.Duration("default-budget", 5*time.Second, "per-request deadline when the request names none")
 	worker := flag.Bool("worker", false, "run as a fabric worker (the default standalone role; the flag only names it)")
 	coordinator := flag.Bool("coordinator", false, "run as a fabric coordinator: dispatch shards to the membership table instead of solving locally")
@@ -165,14 +162,13 @@ func main() {
 		handler = coord
 	default:
 		workerSrv = server.New(server.Config{
-			Workers:           *workers,
-			Parallelism:       *parallelism,
-			CacheSize:         *cacheSize,
-			CacheShards:       *cacheShards,
-			CacheDir:          *cacheDir,
-			NegativeCacheBits: *negativeCacheBits,
-			DefaultBudget:     *defaultBudget,
-			Failpoints:        failpoints,
+			Workers:       *workers,
+			Parallelism:   *parallelism,
+			CacheSize:     *cacheSize,
+			CacheShards:   *cacheShards,
+			CacheDir:      *cacheDir,
+			DefaultBudget: *defaultBudget,
+			Failpoints:    failpoints,
 		})
 		handler = workerSrv
 	}

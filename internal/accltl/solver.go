@@ -3,8 +3,8 @@ package accltl
 import (
 	"context"
 	"fmt"
+	"sync"
 
-	"accltl/accesscheck/cachetier"
 	"accltl/internal/access"
 	"accltl/internal/fo"
 	"accltl/internal/instance"
@@ -45,14 +45,15 @@ type SolveOptions struct {
 	// MaxPaths aborts after this many visited paths (0 = 2^22 default).
 	MaxPaths int
 	// Parallelism is the number of concurrent exploration walkers (0 or 1 =
-	// the serial engine, unchanged). W > 1 shards the search over the root
-	// branching (lts.ExploreSharded), with the solver's memo tables shared
-	// across walkers behind striped locks keyed by the instances'
-	// incremental Hash. Verdicts on searches that run to exhaustion are
-	// identical for every W; which witness a satisfiable search returns
-	// prefers the lowest shard in the deterministic sorted shard order but
-	// can vary with scheduling, and PathsExplored on early-stopped or
-	// capped searches is schedule-dependent.
+	// one walker, on the calling goroutine). The search is sharded over the
+	// root branching (lts.Plan.Explore) in the deterministic sorted shard
+	// order, with the solver's tables shared across walkers behind striped
+	// locks keyed by the instances' incremental Hash. Verdicts on searches
+	// that run to exhaustion are identical for every W. A satisfiable
+	// search at one walker returns the witness of the lowest shard that has
+	// one; at W > 1 it prefers that witness but can vary with scheduling,
+	// and PathsExplored on early-stopped or capped searches is
+	// schedule-dependent.
 	Parallelism int
 	// Shards, when non-nil, restricts the search to the listed root shards
 	// of the canonical partition PlanShards enumerates (lts.Options.Shards
@@ -62,8 +63,7 @@ type SolveOptions struct {
 	// "satisfiable" verdicts are exact, "unsatisfiable" verdicts cover only
 	// the selected shards and must be merged across a full cover of the
 	// partition — the contract the distributed check fabric's workers build
-	// on. Setting Shards routes through the sharded engine even at
-	// Parallelism ≤ 1.
+	// on.
 	Shards []int
 	// Memo, when non-nil, carries the solver's shared tables (obligation
 	// interner, progression cache, dominance memo) across calls so a
@@ -71,27 +71,14 @@ type SolveOptions struct {
 	// together with the search setup derived from the formula and options:
 	// exploration options, witness universe, depth bound and root
 	// partition, derived once and reused by every later search or
-	// PlanShards through the memo. Only the sharded engine consults the
-	// tables. The tables and the setup are only valid for
+	// PlanShards through the memo. Without one, each search builds fresh
+	// tables and a fresh setup. The tables and the setup are only valid for
 	// repeat searches of the *same* formula under the same options — reuse
 	// across different checks is unsound and unchecked. A search that ends
 	// early (witness, cap, error) scrubs the commitments of its unfinished
 	// shard walks before returning, so the surviving entries are safe to
 	// prune against in a later round; see NewSolverMemo.
 	Memo *SolverMemo
-	// Negative, when non-nil, fronts the sharded engine's dominance memo
-	// with a shared Bloom negative cache: a key the filter has definitely
-	// never seen skips the memo's critical section lock-free. Strictly an
-	// execution accelerator — a filter positive only routes to the
-	// authoritative memo, so verdicts are bit-for-bit identical with the
-	// filter on or off. Unlike Memo, the filter is safe to share across
-	// different formulas and requests (collisions cost lock acquisitions,
-	// never correctness), which is how the server keeps it warm
-	// process-wide. Ignored when Memo is set — a persistent memo carries
-	// its own arming from construction (see NewSolverMemoNeg). The serial
-	// engine (Parallelism ≤ 1, no Shards) has no shared memo and ignores
-	// it entirely.
-	Negative *cachetier.NegativeCache
 }
 
 // SolveResult reports a satisfiability verdict.
@@ -119,10 +106,9 @@ type SolveResult struct {
 	ResponsesCapped bool
 	// CompletedShards lists, ascending, the canonical root shards whose
 	// walk ran to completion; TotalShards is the partition size the indexes
-	// refer to. Populated only by the sharded engine (Parallelism > 1 or
-	// Shards set), and meaningful even when an error is returned alongside
-	// the result — checkpoint/resume reads them off a deadline-expired
-	// search to decide what not to redo.
+	// refer to. Both are meaningful even when an error is returned
+	// alongside the result — checkpoint/resume reads them off a
+	// deadline-expired search to decide what not to redo.
 	CompletedShards []int
 	TotalShards     int
 }
@@ -300,15 +286,15 @@ func searchLTSOptions(f Formula, opts SolveOptions) (lts.Options, int, error) {
 }
 
 // searchSetup returns the search's setup — opts.Memo's, or a fresh one for
-// a memo-less search — with its exploration options (carrying opts.Context)
-// and depth bound derived.
-func searchSetup(f Formula, opts SolveOptions) (*lts.Setup, lts.Options, int, error) {
+// a memo-less search — with its exploration options and depth bound
+// derived.
+func searchSetup(f Formula, opts SolveOptions) (*lts.Setup, int, error) {
 	setup := &lts.Setup{}
 	if opts.Memo != nil {
 		setup = &opts.Memo.setup
 	}
-	o, depth, err := setup.Options(opts.Context, func() (lts.Options, int, error) { return searchLTSOptions(f, opts) })
-	return setup, o, depth, err
+	_, depth, err := setup.Options(opts.Context, func() (lts.Options, int, error) { return searchLTSOptions(f, opts) })
+	return setup, depth, err
 }
 
 // PlanShards enumerates the root shards a bounded search of f under opts
@@ -328,7 +314,7 @@ func PlanShards(f Formula, opts SolveOptions) ([]lts.ShardID, bool, error) {
 	if err := CheckSentences(f); err != nil {
 		return nil, false, err
 	}
-	setup, _, _, err := searchSetup(f, opts)
+	setup, _, err := searchSetup(f, opts)
 	if err != nil {
 		return nil, false, err
 	}
@@ -339,6 +325,9 @@ func PlanShards(f Formula, opts SolveOptions) ([]lts.ShardID, bool, error) {
 	return plan.IDs(), plan.ResponsesCapped(), nil
 }
 
+// boundedSearch runs the bounded-model search: opts.Parallelism walkers over
+// the root shards of the search's plan (the opts.Shards subset), each
+// walker's shards visited by its spine (see search.go).
 func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, error) {
 	if opts.Schema == nil {
 		return SolveResult{}, fmt.Errorf("accltl: SolveOptions.Schema is required")
@@ -377,160 +366,67 @@ func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, e
 	}
 	skeleton = ltl.NNF(skeleton)
 
-	setup, ltsOpts, depth, err := searchSetup(f, opts)
+	setup, depth, err := searchSetup(f, opts)
+	if err != nil {
+		return SolveResult{}, err
+	}
+	plan, err := setup.Plan(opts.Context, opts.Schema)
 	if err != nil {
 		return SolveResult{}, err
 	}
 
-	if opts.Parallelism > 1 || opts.Shards != nil {
-		plan, err := setup.Plan(opts.Context, opts.Schema)
-		if err != nil {
-			return SolveResult{}, err
-		}
-		return parallelBoundedSearch(f, opts, voc, skeleton, letters, plan, depth)
+	tables := opts.Memo
+	if tables == nil {
+		tables = NewSolverMemo()
 	}
+	tables.widen(opts.Parallelism)
+	skelID, skeleton := tables.in.intern(skeleton)
+	srch := &search{
+		f:       f,
+		voc:     voc,
+		opts:    &opts,
+		letters: letters,
+		useMask: len(letters) <= 64,
+		depth:   depth,
+		tables:  tables,
+	}
+	var (
+		spineMu sync.Mutex
+		spines  []*spine
+	)
+	walker := func() lts.ShardVisitor {
+		// Per-walker obligation stack: every shard's DFS starts at depth 1,
+		// so the root obligation (the whole skeleton, length 0) seeds it.
+		sp := &spine{s: srch, shard: -1}
+		sp.stack = append(sp.buf[:0], obState{ob: skeleton, id: skelID})
+		if opts.Memo != nil {
+			// A persistent memo keeps every walker's stack reachable, so
+			// an unfinished walk can be scrubbed after the search joins.
+			spineMu.Lock()
+			spines = append(spines, sp)
+			spineMu.Unlock()
+		}
+		return sp.visit
+	}
+	root := func(p *access.Path, pre, conf *instance.Instance) (bool, error) { return true, nil }
 
-	res := SolveResult{Depth: depth}
-	type obState struct {
-		ob  ltl.Formula
-		id  int
-		len int
+	rep, searchErr := plan.Explore(opts.Context, opts.Parallelism, opts.Shards, root, walker)
+	res := SolveResult{
+		Depth:           depth,
+		PathsExplored:   rep.Paths,
+		CompletedShards: rep.CompletedShards,
+		TotalShards:     rep.TotalShards,
 	}
-	// Obligations are interned: id ↔ canonical rendering, with obList
-	// holding one representative formula per id. Progression results are
-	// cached per (obligation id, letter bitmask), so on the hot path a
-	// visited node neither re-runs ltl.Step nor re-renders a formula
-	// string — String() happens once per *distinct* obligation, not once
-	// per node. The bitmask fast path carries one bit per sentence and so
-	// needs len(letters) ≤ 64; larger formulas fall back to the direct
-	// route below (still correct, just per-node work).
-	obIDs := map[string]int{}
-	var obList []ltl.Formula
-	intern := func(f ltl.Formula) (int, ltl.Formula) {
-		s := f.String()
-		if id, ok := obIDs[s]; ok {
-			return id, obList[id]
-		}
-		id := len(obList)
-		obIDs[s] = id
-		obList = append(obList, f)
-		return id, f
-	}
-	type progKey struct {
-		ob     int
-		letter uint64
-	}
-	type progVal struct {
-		next   ltl.Formula
-		nextID int
-		accept bool
-	}
-	progCache := map[progKey]progVal{}
-	useMask := len(letters) <= 64
-	skelID, skeleton := intern(skeleton)
-	// Obligation per active prefix, keyed by path length; exploration is
-	// DFS so a stack mirrors the prefix chain.
-	stack := []obState{{ob: skeleton, id: skelID, len: 0}}
-	// Memoization: satisfiability from a node depends only on the revealed
-	// configuration and the residual obligation, not on the history. Prune
-	// when the same (config, obligation) pair was already explored with at
-	// least as much depth budget remaining. The configuration side of the
-	// key is the instance's O(1) incremental Hash, the obligation side its
-	// interned id — no canonical string is rebuilt per node.
-	type memoKey struct {
-		conf instance.Hash
-		ob   int
-	}
-	seen := make(map[memoKey]int)
-	rep, searchErr := lts.Explore(opts.Schema, ltsOpts, func(p *access.Path, pre, conf *instance.Instance) (bool, error) {
-		res.PathsExplored++
-		if p.Len() == 0 {
-			return true, nil
-		}
-		// Pop stale obligations (DFS backtracked).
-		for len(stack) > 0 && stack[len(stack)-1].len >= p.Len() {
-			stack = stack[:len(stack)-1]
-		}
-		if len(stack) == 0 {
-			return false, fmt.Errorf("accltl: obligation stack underflow")
-		}
-		cur := stack[len(stack)-1].ob
-		curID := stack[len(stack)-1].id
-		// Evaluate the letter on the last transition only: the explorer
-		// already maintains the pre/post configurations incrementally, so
-		// no per-node materialization of the whole path's transitions (an
-		// O(depth²) habit) happens here.
-		last := access.Transition{Before: pre, Access: p.Step(p.Len() - 1).Access, After: conf}
-		var next ltl.Formula
-		var nextID int
-		var accept bool
-		if useMask {
-			mask := evalLetterMask(letters, last, voc)
-			pk := progKey{ob: curID, letter: mask}
-			pv, ok := progCache[pk]
-			if !ok {
-				n, acc := ltl.Step(cur, letterFromMask(letters, mask))
-				pv.nextID, pv.next = intern(n)
-				pv.accept = acc
-				progCache[pk] = pv
-			}
-			next, nextID, accept = pv.next, pv.nextID, pv.accept
-		} else {
-			var n ltl.Formula
-			n, accept = ltl.Step(cur, evalLetter(letters, last, voc))
-			nextID, next = intern(n)
-		}
-		if accept {
-			res.Satisfiable = true
-			res.Witness = p.Clone()
-			return false, lts.ErrStop
-		}
-		if opts.DisableLTLPruning {
-			// Ablation: ignore the dead-obligation signal; re-check the
-			// whole formula directly at every prefix instead (this is the
-			// one place the full transition list is still materialized —
-			// deliberately, it is the slow baseline).
-			ts, err := p.Transitions(opts.Initial)
-			if err != nil {
-				return false, err
-			}
-			ok, err := Satisfied(f, ts, voc)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				res.Satisfiable = true
-				res.Witness = p.Clone()
-				return false, lts.ErrStop
-			}
-			stack = append(stack, obState{ob: next, id: nextID, len: p.Len()})
-			return true, nil
-		}
-		if t, isT := next.(ltl.Truth); isT && !bool(t) {
-			return false, nil // dead obligation: prune
-		}
-		// Under idempotence the future also depends on the responses seen
-		// so far, so (config, obligation) memoization would be unsound.
-		if !opts.IdempotentOnly {
-			remaining := depth - p.Len()
-			key := memoKey{conf: conf.Hash(), ob: nextID}
-			if prev, ok := seen[key]; ok && prev >= remaining {
-				return false, nil // dominated: already searched from here
-			}
-			seen[key] = remaining
-		}
-		stack = append(stack, obState{ob: next, id: nextID, len: p.Len()})
-		return true, nil
-	})
-	if searchErr != nil {
-		return res, searchErr
-	}
-	if !res.Satisfiable {
-		res.Truncated = rep.PathsCapped
-		res.ResponsesCapped = rep.ResponsesCapped
-	}
-	if res.Satisfiable {
-		// Sanity: the witness must pass the direct semantics.
+	scrub(tables.memo, spines, rep.CompletedShards)
+	if w, found := srch.wit.Take(); found {
+		// A found witness settles the question even when another walker
+		// errored in the race window before the early-cancel broadcast
+		// landed (the same resolution the branching checker uses): the
+		// witness is validated against the direct semantics below, so the
+		// verdict it carries does not depend on the failed walker's search.
+		// Without this, satisfiable-vs-error would be schedule-dependent.
+		res.Satisfiable = true
+		res.Witness = w
 		ts, err := res.Witness.Transitions(opts.Initial)
 		if err != nil {
 			return res, err
@@ -542,7 +438,13 @@ func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, e
 		if !ok {
 			return res, fmt.Errorf("accltl: internal error: witness rejected by direct semantics")
 		}
+		return res, nil
 	}
+	if searchErr != nil {
+		return res, searchErr
+	}
+	res.Truncated = rep.PathsCapped
+	res.ResponsesCapped = rep.ResponsesCapped
 	return res, nil
 }
 
@@ -655,9 +557,9 @@ func abstract(f Formula, props map[string]ltl.Prop) (ltl.Formula, error) {
 }
 
 // letterEntry pairs a prepared embedded sentence with its proposition.
-// boundedSearch lays the table out once per solve and the serial and
-// sharded visitors share it: evalLetter never re-renders a sentence's
-// canonical string to find its proposition, and never re-prepares it.
+// boundedSearch lays the table out once per solve and every shard visitor
+// shares it: evalLetter never re-renders a sentence's canonical string to
+// find its proposition, and never re-prepares it.
 type letterEntry struct {
 	sentence *fo.Prepared
 	prop     ltl.Prop

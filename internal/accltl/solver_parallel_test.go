@@ -6,15 +6,21 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"accltl/internal/lts"
 )
 
 // TestSolveParallelMatchesSerialAcrossGrid is the solver-level golden test
-// of the sharded engine: over the same formula × option grid the serial
-// equivalence test uses, every Parallelism must reproduce the serial
+// of the walker count: over the same formula × option grid the pruning
+// equivalence test uses, every Parallelism must reproduce the one-walker
 // verdict whenever the search ran to exhaustion, and any witness must pass
 // the direct semantics. Path-capped searches visit a schedule-dependent
 // subset of the space, so — exactly as with the pruning ablation — verdicts
-// there may only diverge when a Truncated flag says so.
+// there may only diverge when a Truncated flag says so. Since the search at
+// one walker is the same engine, every verdict that is not truncated is
+// also checked against an independent reference: the brute-force oracle,
+// the serial walk of lts.EnumeratePaths over the solver's own exploration
+// space, evaluated with the direct semantics.
 func TestSolveParallelMatchesSerialAcrossGrid(t *testing.T) {
 	s := chainSchema(t)
 	formulas := map[string]Formula{
@@ -39,29 +45,34 @@ func TestSolveParallelMatchesSerialAcrossGrid(t *testing.T) {
 	}
 	for fname, f := range formulas {
 		for _, g := range grid {
-			for _, w := range []int{2, 4, 8} {
-				f, g, w := f, g, w
+			one, err := SolveZeroAcc(f, g.opts)
+			if err != nil {
+				t.Fatalf("%s/%s one walker: %v", fname, g.name, err)
+			}
+			oracle := oracleSatisfiable(t, f, g.opts)
+			for _, w := range []int{1, 2, 4, 8} {
 				t.Run(fname+"/"+g.name+"/w="+string(rune('0'+w)), func(t *testing.T) {
-					serial, err := SolveZeroAcc(f, g.opts)
-					if err != nil {
-						t.Fatalf("serial: %v", err)
-					}
 					popts := g.opts
 					popts.Parallelism = w
 					par, err := SolveZeroAcc(f, popts)
 					if err != nil {
 						t.Fatalf("parallel: %v", err)
 					}
-					if par.Satisfiable != serial.Satisfiable {
-						if !par.Truncated && !serial.Truncated {
-							t.Fatalf("verdicts diverge without truncation: serial=%+v parallel=%+v", serial, par)
+					for name, res := range map[string]SolveResult{"one walker": one, "parallel": par} {
+						if !res.Truncated && res.Satisfiable != oracle {
+							t.Errorf("%s: satisfiable=%v, brute-force oracle %v", name, res.Satisfiable, oracle)
+						}
+					}
+					if par.Satisfiable != one.Satisfiable {
+						if !par.Truncated && !one.Truncated {
+							t.Fatalf("verdicts diverge without truncation: one walker=%+v parallel=%+v", one, par)
 						}
 						return
 					}
 					if par.Satisfiable {
 						// Witnesses may differ; both must pass the direct
 						// semantics (the solver self-checks, assert anyway).
-						for name, res := range map[string]SolveResult{"serial": serial, "parallel": par} {
+						for name, res := range map[string]SolveResult{"one walker": one, "parallel": par} {
 							ts, err := res.Witness.Transitions(nil)
 							if err != nil {
 								t.Fatal(err)
@@ -79,21 +90,56 @@ func TestSolveParallelMatchesSerialAcrossGrid(t *testing.T) {
 					// Unsat without a path cap: the honesty flags are
 					// properties of the exhaustive space and must agree.
 					if g.opts.MaxPaths == 0 {
-						if par.Truncated != serial.Truncated || par.ResponsesCapped != serial.ResponsesCapped {
-							t.Errorf("honesty flags diverge: serial trunc=%v caps=%v, parallel trunc=%v caps=%v",
-								serial.Truncated, serial.ResponsesCapped, par.Truncated, par.ResponsesCapped)
+						if par.Truncated != one.Truncated || par.ResponsesCapped != one.ResponsesCapped {
+							t.Errorf("honesty flags diverge: one walker trunc=%v caps=%v, parallel trunc=%v caps=%v",
+								one.Truncated, one.ResponsesCapped, par.Truncated, par.ResponsesCapped)
 						}
-						if par.PathsExplored != serial.PathsExplored && !g.opts.IdempotentOnly && g.name != "no-pruning" {
+						if par.PathsExplored != one.PathsExplored && !g.opts.IdempotentOnly && g.name != "no-pruning" {
 							// Shared-memo timing can change how much the
 							// parallel engine expands, but never the verdict;
 							// log for visibility, don't fail.
-							t.Logf("paths explored: serial=%d parallel=%d", serial.PathsExplored, par.PathsExplored)
+							t.Logf("paths explored: one walker=%d parallel=%d", one.PathsExplored, par.PathsExplored)
 						}
 					}
 				})
 			}
 		}
 	}
+}
+
+// oracleSatisfiable decides f by brute force over the space a bounded
+// search of f under opts explores: every path the serial walk
+// lts.EnumeratePaths reaches, uncapped, evaluated with the direct
+// semantics. It shares nothing with the solver's search loop but the
+// exploration options.
+func oracleSatisfiable(t *testing.T, f Formula, opts SolveOptions) bool {
+	t.Helper()
+	o, _, err := searchLTSOptions(f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.MaxPaths = 0
+	paths, err := lts.EnumeratePaths(opts.Schema, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range paths {
+		if p.Len() == 0 {
+			continue
+		}
+		ts, err := p.Transitions(opts.Initial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok, err := Satisfied(f, ts, ZeroAcc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			return true
+		}
+	}
+	return false
 }
 
 // TestSolveParallelOtherEntryPoints smoke-tests that every bounded entry
@@ -171,14 +217,14 @@ func TestSolveParallelWitnessRepeatable(t *testing.T) {
 // TestSolverMemoCarriesPlan: planning through a memo and then searching
 // the partition shard by shard through it enumerates the partition once —
 // every round runs on the plan PlanShards built — and the rounds agree
-// with the memo-less plan and the serial verdict.
+// with the memo-less plan and the memo-less verdict.
 func TestSolverMemoCarriesPlan(t *testing.T) {
 	s := chainSchema(t)
 	f := Conj(F(postNonEmpty("R0")), G(Not{F: postNonEmpty("R0")}))
 	opts := SolveOptions{Schema: s, MaxDepth: 3}
-	serial, err := SolveZeroAcc(f, opts)
-	if err != nil || serial.Satisfiable {
-		t.Fatalf("serial: %+v, %v", serial, err)
+	full, err := SolveZeroAcc(f, opts)
+	if err != nil || full.Satisfiable {
+		t.Fatalf("memo-less: %+v, %v", full, err)
 	}
 	want, _, err := PlanShards(f, opts)
 	if err != nil {
@@ -205,5 +251,24 @@ func TestSolverMemoCarriesPlan(t *testing.T) {
 	}
 	if again, err := memo.setup.Plan(nil, s); err != nil || again != plan {
 		t.Errorf("rounds re-planned: %p, %v; planned %p", again, err, plan)
+	}
+}
+
+// TestSolverMemoWidensForLaterWalkers: a memo first searched at one walker
+// (one lock stripe) is widened by a later search with more walkers, as a
+// checkpoint created by a one-walker request and resumed by wider ones is,
+// and the wider search's verdict stays the memo-less one.
+func TestSolverMemoWidensForLaterWalkers(t *testing.T) {
+	s := chainSchema(t)
+	f := Conj(F(postNonEmpty("R0")), G(Not{F: postNonEmpty("R0")}))
+	memo := NewSolverMemo()
+	for _, w := range []int{1, 4} {
+		res, err := SolveZeroAcc(f, SolveOptions{Schema: s, MaxDepth: 3, Parallelism: w, Memo: memo})
+		if err != nil || res.Satisfiable {
+			t.Fatalf("W=%d: %+v, %v", w, res, err)
+		}
+		if got, want := len(memo.prog.stripes), lts.Stripes(w); got != want {
+			t.Errorf("W=%d: progression cache has %d stripes, want %d", w, got, want)
+		}
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
-	"accltl/accesscheck/cachetier"
 	"accltl/internal/access"
 	"accltl/internal/accltl"
 	"accltl/internal/fo"
@@ -40,37 +40,30 @@ type EmptinessOptions struct {
 	// Universe overrides the guard-derived witness universe.
 	Universe *instance.Instance
 	// Parallelism is the number of concurrent exploration walkers (0 or 1 =
-	// the serial engine, unchanged). W > 1 shards the product search over
-	// the root branching (lts.ExploreSharded) with the (configuration,
-	// state-set) memo shared across walkers behind striped locks keyed by
-	// the configuration Hash. Verdicts of searches that run to exhaustion
-	// are identical for every W; witness choice and PathsExplored on
-	// early-stopped or capped searches are schedule-dependent (see the
-	// solver's twin note on accltl.SolveOptions.Parallelism).
+	// one walker, on the calling goroutine). The product search is sharded
+	// over the root branching (lts.Plan.Explore) in the deterministic sorted
+	// shard order, with the (configuration, state-set) memo shared across
+	// walkers behind striped locks keyed by the configuration Hash. Verdicts
+	// of searches that run to exhaustion are identical for every W; witness
+	// choice and PathsExplored follow the solver's rules (see
+	// accltl.SolveOptions.Parallelism).
 	Parallelism int
 	// Shards, when non-nil, restricts the product search to the listed root
 	// shards of the canonical partition PlanShards enumerates (see
 	// accltl.SolveOptions.Shards for the subset-search contract: "non-empty"
 	// verdicts stay exact, "empty" verdicts cover only the selected shards
-	// and must be merged across a full cover). Setting Shards routes through
-	// the sharded engine even at Parallelism ≤ 1.
+	// and must be merged across a full cover).
 	Shards []int
 	// Memo, when non-nil, carries the product search's dominance memo
 	// across calls so a resumed search starts warm (progressive deepening),
 	// together with the search setup (exploration options, witness
 	// universe, depth bound, root partition) that every later search or
-	// PlanShards through the memo reuses. Only the sharded engine consults
-	// the dominance memo, the memo is only valid for repeat
-	// searches of the same automaton under the same options, and searches
-	// that end early scrub their unfinished walks' commitments before
-	// returning; see NewEmptinessMemo.
+	// PlanShards through the memo reuses. Without one, each search builds a
+	// fresh memo and setup. The memo is only valid for repeat searches of
+	// the same automaton under the same options, and searches that end
+	// early scrub their unfinished walks' commitments before returning; see
+	// NewEmptinessMemo.
 	Memo *EmptinessMemo
-	// Negative, when non-nil, fronts the sharded engine's dominance memo
-	// with a shared Bloom negative cache — the accltl.SolveOptions.Negative
-	// contract: verdict-neutral, safe to share across automata and
-	// requests, ignored when Memo is set (a persistent memo carries its
-	// own arming; see NewEmptinessMemoNeg) and by the serial engine.
-	Negative *cachetier.NegativeCache
 }
 
 // EmptinessResult reports an emptiness verdict.
@@ -94,9 +87,9 @@ type EmptinessResult struct {
 	ResponsesCapped bool
 	// CompletedShards lists, ascending, the canonical root shards whose
 	// walk ran to completion; TotalShards is the partition size the indexes
-	// refer to. Populated only by the sharded engine, and meaningful even
-	// when an error is returned alongside the result (checkpoint/resume
-	// reads them off a deadline-expired search).
+	// refer to. Both are meaningful even when an error is returned
+	// alongside the result (checkpoint/resume reads them off a
+	// deadline-expired search).
 	CompletedShards []int
 	TotalShards     int
 }
@@ -109,6 +102,10 @@ type EmptinessResult struct {
 // relative to the depth bound, which suffices for automata whose guards'
 // obligations each need at most one revealing access — in particular for
 // every automaton compiled from AccLTL+ by this repository.
+//
+// The search runs opts.Parallelism walkers over the root shards of its
+// plan (the opts.Shards subset), each walker's shards visited by its spine
+// (see search.go).
 func (a *Automaton) IsEmpty(opts EmptinessOptions) (EmptinessResult, error) {
 	if err := a.Validate(); err != nil {
 		return EmptinessResult{}, err
@@ -118,7 +115,7 @@ func (a *Automaton) IsEmpty(opts EmptinessOptions) (EmptinessResult, error) {
 			return EmptinessResult{}, err
 		}
 	}
-	setup, ltsOpts, depth, err := a.searchSetup(opts)
+	setup, depth, err := a.searchSetup(opts)
 	if err != nil {
 		return EmptinessResult{}, err
 	}
@@ -129,78 +126,49 @@ func (a *Automaton) IsEmpty(opts EmptinessOptions) (EmptinessResult, error) {
 		res.Witness = access.NewPath(a.Schema)
 		return res, nil
 	}
-	if opts.Parallelism > 1 || opts.Shards != nil {
-		plan, err := setup.Plan(opts.Context, a.Schema)
-		if err != nil {
-			return res, err
-		}
-		return a.isEmptyParallel(opts, plan, depth)
-	}
-	guards := a.prepareGuards()
-	type frame struct {
-		states map[int]bool
-		length int
-	}
-	stack := []frame{{states: map[int]bool{a.Init: true}, length: 0}}
-	// Memoization: emptiness from a node depends only on the revealed
-	// configuration and the automaton state set; prune dominated revisits.
-	// The configuration is identified by its O(1) incremental Hash.
-	type memoKey struct {
-		conf   instance.Hash
-		states string
-	}
-	seen := make(map[memoKey]int)
-	rep, err := lts.Explore(a.Schema, ltsOpts, func(p *access.Path, pre, conf *instance.Instance) (bool, error) {
-		res.PathsExplored++
-		if p.Len() == 0 {
-			return true, nil
-		}
-		for len(stack) > 0 && stack[len(stack)-1].length >= p.Len() {
-			stack = stack[:len(stack)-1]
-		}
-		if len(stack) == 0 {
-			return false, fmt.Errorf("autom: state stack underflow")
-		}
-		cur := stack[len(stack)-1].states
-		// The automaton steps on the last transition only, assembled from
-		// the pre/post configurations the explorer maintains incrementally
-		// — no per-node rebuild of the whole path's transitions.
-		last := access.Transition{Before: pre, Access: p.Step(p.Len() - 1).Access, After: conf}
-		next, err := a.step(cur, access.StructureOf(last), guards)
-		if err != nil {
-			return false, err
-		}
-		if len(next) == 0 {
-			return false, nil // dead: prune
-		}
-		for s := range next {
-			if a.Accepting[s] {
-				res.Empty = false
-				res.Witness = p.Clone()
-				return false, lts.ErrStop
-			}
-		}
-		// Under idempotence the future also depends on the responses seen
-		// so far; skip memoization there (see the solver's twin note).
-		if !opts.IdempotentOnly {
-			remaining := depth - p.Len()
-			key := memoKey{conf: conf.Hash(), states: stateSetKey(next)}
-			if prev, ok := seen[key]; ok && prev >= remaining {
-				return false, nil
-			}
-			seen[key] = remaining
-		}
-		stack = append(stack, frame{states: next, length: p.Len()})
-		return true, nil
-	})
+	plan, err := setup.Plan(opts.Context, a.Schema)
 	if err != nil {
 		return res, err
 	}
-	if res.Empty {
-		res.Truncated = rep.PathsCapped
-		res.ResponsesCapped = rep.ResponsesCapped
+
+	tables := opts.Memo
+	if tables == nil {
+		tables = NewEmptinessMemo()
 	}
-	if !res.Empty && res.Witness.Len() > 0 {
+	tables.memo.Widen(opts.Parallelism)
+	srch := &search{a: a, opts: &opts, guards: a.prepareGuards(), depth: depth, memo: tables.memo}
+	var (
+		spineMu sync.Mutex
+		spines  []*spine
+	)
+	walker := func() lts.ShardVisitor {
+		// Per-walker simulation stack, seeded with the initial state at the
+		// root (every shard's DFS starts at depth 1).
+		sp := &spine{s: srch, shard: -1}
+		sp.stack = append(sp.buf[:0], emptinessFrame{states: map[int]bool{a.Init: true}})
+		if opts.Memo != nil {
+			// A persistent memo keeps every walker's stack reachable, so
+			// an unfinished walk can be scrubbed after the search joins.
+			spineMu.Lock()
+			spines = append(spines, sp)
+			spineMu.Unlock()
+		}
+		return sp.visit
+	}
+	root := func(p *access.Path, pre, conf *instance.Instance) (bool, error) { return true, nil }
+
+	rep, err := plan.Explore(opts.Context, opts.Parallelism, opts.Shards, root, walker)
+	res.PathsExplored = rep.Paths
+	res.CompletedShards = rep.CompletedShards
+	res.TotalShards = rep.TotalShards
+	scrub(tables.memo, spines, rep.CompletedShards)
+	if w, found := srch.wit.Take(); found {
+		// A found witness settles non-emptiness even when another walker
+		// errored before the early-cancel broadcast landed (the solver's
+		// rule): it is validated against the run semantics below, so the
+		// verdict does not depend on the failed walker's search.
+		res.Empty = false
+		res.Witness = w
 		ok, err := a.Accepts(res.Witness)
 		if err != nil {
 			return res, err
@@ -208,7 +176,13 @@ func (a *Automaton) IsEmpty(opts EmptinessOptions) (EmptinessResult, error) {
 		if !ok {
 			return res, fmt.Errorf("autom: internal error: witness rejected by run semantics")
 		}
+		return res, nil
 	}
+	if err != nil {
+		return res, err
+	}
+	res.Truncated = rep.PathsCapped
+	res.ResponsesCapped = rep.ResponsesCapped
 	return res, nil
 }
 
@@ -259,15 +233,15 @@ func (a *Automaton) emptinessLTSOptions(opts EmptinessOptions) (lts.Options, int
 }
 
 // searchSetup returns the search's setup — opts.Memo's, or a fresh one for
-// a memo-less search — with its exploration options (carrying opts.Context)
-// and depth bound derived.
-func (a *Automaton) searchSetup(opts EmptinessOptions) (*lts.Setup, lts.Options, int, error) {
+// a memo-less search — with its exploration options and depth bound
+// derived.
+func (a *Automaton) searchSetup(opts EmptinessOptions) (*lts.Setup, int, error) {
 	setup := &lts.Setup{}
 	if opts.Memo != nil {
 		setup = &opts.Memo.setup
 	}
-	o, depth, err := setup.Options(opts.Context, func() (lts.Options, int, error) { return a.emptinessLTSOptions(opts) })
-	return setup, o, depth, err
+	_, depth, err := setup.Options(opts.Context, func() (lts.Options, int, error) { return a.emptinessLTSOptions(opts) })
+	return setup, depth, err
 }
 
 // PlanShards enumerates the root shards an emptiness search of a under opts
@@ -283,7 +257,7 @@ func (a *Automaton) PlanShards(opts EmptinessOptions) ([]lts.ShardID, bool, erro
 	if err := a.Validate(); err != nil {
 		return nil, false, err
 	}
-	setup, _, _, err := a.searchSetup(opts)
+	setup, _, err := a.searchSetup(opts)
 	if err != nil {
 		return nil, false, err
 	}

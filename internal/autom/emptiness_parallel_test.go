@@ -7,12 +7,17 @@ import (
 	"time"
 
 	"accltl/internal/accltl"
+	"accltl/internal/lts"
 )
 
-// TestIsEmptyParallelMatchesSerial pins the sharded product search against
-// the serial engine across formulas with both verdicts and across the W
-// grid: exhaustive searches must agree on Empty and the honesty flags, and
-// every witness must pass the run semantics.
+// TestIsEmptyParallelMatchesSerial pins the product search across the W
+// grid against its one-walker run, over formulas with both verdicts:
+// exhaustive searches must agree on Empty and the honesty flags, and every
+// witness must pass the run semantics. Since the search at one walker is
+// the same engine, every verdict that is not truncated is also checked
+// against an independent reference: the brute-force oracle, the serial walk
+// of lts.EnumeratePaths over the search's own exploration space, each path
+// run through Automaton.Accepts.
 func TestIsEmptyParallelMatchesSerial(t *testing.T) {
 	s := twoRelSchema(t)
 	formulas := []accltl.Formula{
@@ -41,25 +46,29 @@ func TestIsEmptyParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("formula %d: %v", fi, err)
 		}
 		for gi, base := range grids {
-			serial, err := a.IsEmpty(base)
+			one, err := a.IsEmpty(base)
 			if err != nil {
-				t.Fatalf("formula %d grid %d serial: %v", fi, gi, err)
+				t.Fatalf("formula %d grid %d one walker: %v", fi, gi, err)
 			}
-			for _, w := range []int{2, 4, 8} {
+			oracle := oracleEmpty(t, a, base)
+			for _, w := range []int{1, 2, 4, 8} {
 				popts := base
 				popts.Parallelism = w
 				par, err := a.IsEmpty(popts)
 				if err != nil {
 					t.Fatalf("formula %d grid %d w=%d: %v", fi, gi, w, err)
 				}
-				if par.Empty != serial.Empty {
-					t.Errorf("formula %d grid %d w=%d: Empty=%v, serial %v", fi, gi, w, par.Empty, serial.Empty)
+				if !par.Truncated && par.Empty != oracle {
+					t.Errorf("formula %d grid %d w=%d: Empty=%v, brute-force oracle %v", fi, gi, w, par.Empty, oracle)
+				}
+				if par.Empty != one.Empty {
+					t.Errorf("formula %d grid %d w=%d: Empty=%v, one walker %v", fi, gi, w, par.Empty, one.Empty)
 					continue
 				}
 				if par.Empty {
-					if par.Truncated != serial.Truncated || par.ResponsesCapped != serial.ResponsesCapped {
-						t.Errorf("formula %d grid %d w=%d: honesty flags diverge: serial trunc=%v caps=%v, parallel trunc=%v caps=%v",
-							fi, gi, w, serial.Truncated, serial.ResponsesCapped, par.Truncated, par.ResponsesCapped)
+					if par.Truncated != one.Truncated || par.ResponsesCapped != one.ResponsesCapped {
+						t.Errorf("formula %d grid %d w=%d: honesty flags diverge: one walker trunc=%v caps=%v, parallel trunc=%v caps=%v",
+							fi, gi, w, one.Truncated, one.ResponsesCapped, par.Truncated, par.ResponsesCapped)
 					}
 					continue
 				}
@@ -72,6 +81,39 @@ func TestIsEmptyParallelMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// oracleEmpty decides emptiness by brute force over the space an emptiness
+// search of a under opts explores: every path the serial walk
+// lts.EnumeratePaths reaches, uncapped, run through Accepts. It shares
+// nothing with the product search loop but the exploration options.
+func oracleEmpty(t *testing.T, a *Automaton, opts EmptinessOptions) bool {
+	t.Helper()
+	if a.AcceptEmpty && a.Accepting[a.Init] {
+		return false
+	}
+	o, _, err := a.emptinessLTSOptions(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.MaxPaths = 0
+	paths, err := lts.EnumeratePaths(a.Schema, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range paths {
+		if p.Len() == 0 {
+			continue
+		}
+		ok, err := a.Accepts(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			return false
+		}
+	}
+	return true
 }
 
 // TestIsEmptyParallelContextCancellation: a tight deadline surfaces as the

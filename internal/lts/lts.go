@@ -174,7 +174,8 @@ func Explore(sch *schema.Schema, opts Options, visit Visitor) (Report, error) {
 		}
 	}
 	if o.Parallelism > 1 || o.Shards != nil {
-		return exploreSharded(sch, o, nil, visit, func(int) Visitor { return visit })
+		shardVisit := func(_ int, p *access.Path, pre, conf *instance.Instance) (bool, error) { return visit(p, pre, conf) }
+		return exploreSharded(sch, o, nil, visit, func() ShardVisitor { return shardVisit })
 	}
 	init := o.Initial
 	if init == nil {
@@ -269,6 +270,10 @@ type explorer struct {
 	versionSeq  uint64
 	bindCache   map[bindKey][]boundAccess
 	bindLog     []bindKey
+	// bindShared marks bindCache as a plan's root bindings, which the
+	// walkers of a sharded exploration share read-only: the first entry
+	// this explorer adds copies the map (see cacheBindings).
+	bindShared bool
 
 	// Universe caches: relation contents in canonical order with their
 	// canonical keys, and the active domain, each computed once per
@@ -284,14 +289,15 @@ type relCache struct {
 }
 
 func newExplorer(sch *schema.Schema, o Options) *explorer {
-	return &explorer{
-		sch:       sch,
-		opts:      o,
-		known:     make(map[instance.Value]bool),
-		idem:      make(map[string]string),
-		bindCache: make(map[bindKey][]boundAccess),
-		uTuples:   make(map[string]*relCache),
+	e := &explorer{
+		sch:   sch,
+		opts:  o,
+		known: make(map[instance.Value]bool),
 	}
+	if o.IdempotentOnly {
+		e.idem = make(map[string]string)
+	}
+	return e
 }
 
 func (e *explorer) frame(depth int) *frame {
@@ -597,7 +603,7 @@ func (e *explorer) bindings(m *schema.AccessMethod) ([]boundAccess, error) {
 		if err := add(instance.Tuple{}); err != nil {
 			return nil, err
 		}
-		e.bindCache[key] = bas
+		e.cacheBindings(key, bas)
 		return bas, nil
 	}
 	byType := make(map[schema.Type][]instance.Value)
@@ -624,8 +630,21 @@ func (e *explorer) bindings(m *schema.AccessMethod) ([]boundAccess, error) {
 	if buildErr != nil {
 		return nil, buildErr
 	}
-	e.bindCache[key] = bas
+	e.cacheBindings(key, bas)
 	return bas, nil
+}
+
+// cacheBindings records a binding list in the cache, first copying a
+// shared cache (see bindShared) or making the map on first use.
+func (e *explorer) cacheBindings(key bindKey, bas []boundAccess) {
+	if e.bindCache == nil || e.bindShared {
+		m := make(map[bindKey][]boundAccess, len(e.bindCache)+1)
+		for k, v := range e.bindCache {
+			m[k] = v
+		}
+		e.bindCache, e.bindShared = m, false
+	}
+	e.bindCache[key] = bas
 }
 
 func (e *explorer) bindingPool() []instance.Value {
@@ -690,6 +709,9 @@ func (e *explorer) matching(fr *frame, acc access.Access) ([]instance.Tuple, []s
 		for i, t := range ts {
 			rc.keys[i] = t.Key()
 		}
+		if e.uTuples == nil {
+			e.uTuples = make(map[string]*relCache)
+		}
 		e.uTuples[rel] = rc
 	}
 	inputs := acc.Method.Inputs()
@@ -744,7 +766,7 @@ type Stats struct {
 // Collect runs an exploration and gathers statistics. Per-depth
 // configuration dedup keys on the instances' incremental Hash, so no
 // canonical strings are built per node. With opts.Parallelism > 1 the
-// exploration runs sharded (see ExploreSharded) with private per-shard
+// exploration runs sharded (see ExploreSharded) with private per-walker
 // tallies — counts summed and config sets unioned on join, nothing shared
 // in the hot loop; the resulting Stats are identical to the serial
 // engine's for every Parallelism whenever the search is not cut by

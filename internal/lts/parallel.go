@@ -32,6 +32,7 @@ package lts
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -59,19 +60,22 @@ type shardCoord struct {
 
 // rootShard is one unit of parallel work: the subtree of all paths opening
 // with this (first access, first response) pair — or, when wholeAccess is
-// set, with this first access under *any* of its responses. resp and keys
-// are owned by the shard (materialized once at enumeration), so any walker
-// can borrow them for the duration of its walk; wholeAccess shards carry no
-// response and enumerate theirs lazily inside the walker, which keeps the
-// up-front materialization bounded when a subset fan-out is huge (a raised
-// MaxResponseChoices can make one access fan out into 2^k responses — the
-// serial engine streams those, and so must sharding).
+// set, with this first access under *any* of its responses. ba points into
+// the plan's root binding cache, which walkers share read-only. The
+// response is not stored: a walker rebuilds it from the access's matching
+// tuples, all of them for an exact method and the subset mask selects
+// otherwise (see stepShard). wholeAccess shards enumerate their responses
+// lazily inside the walker, which keeps the root bounded when a subset
+// fan-out is huge (a raised MaxResponseChoices can make one access fan out
+// into 2^k responses — Explore streams those, and so must sharding).
 type rootShard struct {
-	ba          boundAccess
-	resp        []instance.Tuple
-	keys        []string
+	ba          *boundAccess
+	mask        int
 	wholeAccess bool
-	sortKey     string
+	// key is the canonical key ShardID.Key carries and the shards are
+	// sorted by: the access key, joined for a per-response shard to the
+	// response fingerprint by 0x1e.
+	key string
 }
 
 // maxShardMasksPerAccess bounds how many subset responses of one access are
@@ -82,18 +86,25 @@ type rootShard struct {
 // caps. More shards than a few× the walker count buy no extra balance.
 const maxShardMasksPerAccess = 256
 
+// ShardVisitor is the visitor of one walker of a sharded exploration. It
+// receives, with the canonical index of the shard each belongs to, every
+// prefix of every shard its walker runs. The walker runs its shards one
+// after another, each in strict depth-first order from depth 1, so a
+// shard's visits end before the next shard's begin, and state that mirrors
+// the DFS can live per walker. The borrowed-argument contract of Visitor
+// applies.
+type ShardVisitor func(shard int, p *access.Path, pre, conf *instance.Instance) (expand bool, err error)
+
 // ExploreSharded is the parallel counterpart of Explore for visitors that
 // carry per-DFS state (solver obligation stacks, automaton state sets). The
 // root prefix is visited exactly once, by root, on the calling goroutine
-// before any walker starts. Every other prefix is visited by the visitor
-// factory(shard) of the shard its first access/response belongs to; factory
-// is called once per shard, possibly concurrently from different walkers,
-// and each returned visitor observes a strict depth-first visit order over
-// its shard starting at depth 1 (the borrowed-argument contract of Visitor
-// is unchanged). A shard is normally one (first access, first response)
-// pair; a first access whose subset fan-out exceeds an internal bound
-// becomes a single shard covering all its responses, enumerated lazily (see
-// maxShardMasksPerAccess), so its visitor sees several first responses of
+// before any walker starts. Every other prefix is visited by the
+// ShardVisitor of the walker that runs its shard: walker is called once per
+// walker, possibly concurrently, before that walker claims its first
+// shard. A shard is normally one (first access, first response) pair; a
+// first access whose subset fan-out exceeds an internal bound becomes a
+// single shard covering all its responses, enumerated lazily (see
+// maxShardMasksPerAccess), so its visits see several first responses of
 // the same access. Shard indexes follow the deterministic sorted shard
 // order, so callers can use them as a stable tie-break between concurrent
 // results.
@@ -101,17 +112,20 @@ const maxShardMasksPerAccess = 256
 // Reports are merged across walkers: Paths counts every visit globally,
 // MaxPaths is one shared budget with exact PathsCapped semantics, and
 // ResponsesCapped is the OR over the root enumeration and every walker.
-// Note one deliberate divergence from the serial engine: the whole root
+// Note one deliberate divergence from Explore's serial walk: the whole root
 // fan-out is enumerated up front, so a run cut short by MaxPaths may report
-// ResponsesCapped for root responses the serial engine would never have
+// ResponsesCapped for root responses the serial walk would never have
 // reached. Exhaustive runs agree exactly.
 //
-// Parallelism ≤ 1 still uses the sharded machinery with a single walker
-// (deterministic sorted shard order); callers wanting the serial engine
-// bit-for-bit use Explore with Parallelism ≤ 1.
+// Parallelism ≤ 1 runs one walker, on the calling goroutine, over the
+// shards in the sorted shard order; it is the search the solvers run at
+// Parallelism ≤ 1, and it visits the same prefixes as Explore but in a
+// different order. Explore with Parallelism ≤ 1 keeps the unsharded
+// depth-first walk in schema method order, which EnumeratePaths,
+// BuildTree and Collect depend on.
 //
 // Options.Shards restricts execution to a subset of the partition while
-// keeping the canonical indexes: factory still receives each shard's global
+// keeping the canonical indexes: visitors still receive each shard's global
 // index, so subset runs on different machines can be merged with the same
 // lowest-shard witness preference as one full in-process run (see Shards
 // and ShardID for the enumeration the indexes refer to).
@@ -119,7 +133,7 @@ const maxShardMasksPerAccess = 256
 // ExploreSharded enumerates the partition after visiting the root; a
 // caller executing one partition more than once enumerates it once with
 // NewPlan and runs Plan.Explore instead.
-func ExploreSharded(sch *schema.Schema, opts Options, root Visitor, factory func(shard int) Visitor) (Report, error) {
+func ExploreSharded(sch *schema.Schema, opts Options, root Visitor, walker func() ShardVisitor) (Report, error) {
 	o := opts.withDefaults()
 	if o.Universe == nil {
 		return Report{}, fmt.Errorf("lts: ExploreSharded requires a Universe instance")
@@ -129,19 +143,16 @@ func ExploreSharded(sch *schema.Schema, opts Options, root Visitor, factory func
 			return Report{}, err
 		}
 	}
-	return exploreSharded(sch, o, nil, root, factory)
+	return exploreSharded(sch, o, nil, root, walker)
 }
 
 // exploreSharded runs the sharded exploration; o has defaults applied and a
 // live context. The root is visited first; the partition is then plan's,
 // or enumerated here when plan is nil.
-func exploreSharded(sch *schema.Schema, o Options, plan *Plan, root Visitor, factory func(shard int) Visitor) (Report, error) {
+func exploreSharded(sch *schema.Schema, o Options, plan *Plan, root Visitor, walker func() ShardVisitor) (Report, error) {
 	init := initialOf(sch, o)
-	coord := &shardCoord{}
-	coord.paths.Add(1) // the root prefix
-	rootPre := init.Clone()
-	rootPost := init.Clone()
-	expand, err := root(access.NewPath(sch), rootPre, rootPost)
+	rootPath, rootPre, rootPost := access.NewPath(sch), init.Clone(), init.Clone()
+	expand, err := root(rootPath, rootPre, rootPost)
 	rep := Report{Paths: 1}
 	if err == ErrStop {
 		return rep, nil
@@ -158,25 +169,25 @@ func exploreSharded(sch *schema.Schema, o Options, plan *Plan, root Visitor, fac
 			return rep, err
 		}
 	}
-	shards, rootRespCapped := plan.shards, plan.respCapped
-	rep.ResponsesCapped = rootRespCapped
+	rep.ResponsesCapped = plan.respCapped
 	// Options.Shards restricts execution to a subset of the canonical
 	// partition: the full enumeration above still fixes the indexes (and the
 	// root-level ResponsesCapped), only dispatch is filtered. order holds
 	// the canonical indexes to execute, ascending, so the deterministic
 	// shard-order semantics survive subsetting.
-	order := make([]int, len(shards))
-	for i := range order {
-		order[i] = i
-	}
+	var order []int
 	if o.Shards != nil {
-		order, err = shardSubset(o.Shards, len(shards))
-		if err != nil {
+		if order, err = shardSubset(o.Shards, len(plan.shards)); err != nil {
 			return rep, err
 		}
+	} else {
+		order = make([]int, len(plan.shards))
+		for i := range order {
+			order[i] = i
+		}
 	}
+	rep.TotalShards = len(plan.shards)
 	if len(order) == 0 {
-		rep.TotalShards = len(shards)
 		return rep, nil
 	}
 
@@ -187,119 +198,135 @@ func exploreSharded(sch *schema.Schema, o Options, plan *Plan, root Visitor, fac
 	if w > len(order) {
 		w = len(order)
 	}
-
-	var (
-		next         atomic.Int64
-		dispatchStop atomic.Bool
-		mu           sync.Mutex
-		errShard     = -1
-		firstErr     error
-		respCap      = rootRespCapped
-		completed    []int
-		wg           sync.WaitGroup
-	)
-	for i := 0; i < w; i++ {
+	r := &shardRun{o: o, plan: plan, init: init, order: order, walker: walker, errShard: -1, respCap: plan.respCapped, completed: make([]int, 0, len(order))}
+	r.paths.Add(1) // the root prefix
+	// The calling goroutine runs the last walker itself, on the root
+	// visit's state (the root visitor has returned, so nothing borrows it
+	// any more): a one-walker exploration spawns nothing and clones
+	// nothing further.
+	var wg sync.WaitGroup
+	for i := 1; i < w; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e := newExplorer(sch, o)
-			e.shared = coord
-			e.uTuples = plan.uTuples
-			e.uDomain = plan.uDomain
-			e.path = access.NewPath(sch)
-			e.post = init.Clone()
-			e.pre = init.Clone()
-			for _, v := range init.ActiveDomain() {
-				e.known[v] = true
-			}
-			for {
-				if coord.stop.Load() || dispatchStop.Load() {
-					break
-				}
-				oi := int(next.Add(1)) - 1
-				if oi >= len(order) {
-					break
-				}
-				si := order[oi]
-				sh := &shards[si]
-				e.visit = factory(si)
-				var err error
-				if sh.wholeAccess {
-					err = e.stepWholeAccess(&sh.ba)
-				} else {
-					err = e.step(0, e.frame(0), &sh.ba, sh.resp, sh.keys)
-				}
-				if err == nil {
-					// The shard's whole subtree was walked: a stop broadcast, a
-					// budget denial or a context kill all surface as a non-nil
-					// error from step, so nil really means "explored to the
-					// bound". Checkpoint/resume skips exactly these shards.
-					mu.Lock()
-					completed = append(completed, si)
-					mu.Unlock()
-					continue
-				}
-				if err == ErrStop {
-					// Visitor abort (the witness signal): broadcast the early
-					// cancel to every walker, exactly like serial ErrStop
-					// aborts the whole exploration.
-					coord.stop.Store(true)
-					break
-				}
-				if err != nil {
-					// Real error (including context expiry): record it with
-					// the lowest shard index winning, and stop handing out
-					// further shards — dispatch is monotonic over the sorted
-					// order, so every shard below the errored one is already
-					// running and is deliberately left to finish. A witness
-					// one of them offers outranks the error at the solvers'
-					// join (the deterministic resolution: an error only wins
-					// against shards the canonical order places after it).
-					mu.Lock()
-					if errShard == -1 || si < errShard {
-						errShard, firstErr = si, err
-					}
-					mu.Unlock()
-					dispatchStop.Store(true)
-					break
-				}
-			}
-			// Flush the walker-local visit count (uncapped searches count
-			// locally; capped ones claimed from the shared budget directly,
-			// leaving e.paths at zero).
-			coord.paths.Add(int64(e.paths))
-			mu.Lock()
-			respCap = respCap || e.respCapped
-			mu.Unlock()
+			r.walk(access.NewPath(sch), init.Clone(), init.Clone())
 		}()
 	}
+	r.walk(rootPath, rootPre, rootPost)
 	wg.Wait()
 
 	// Every claim that did not become a visit (budget denial, context kill)
 	// was refunded, so the joined counter is the exact global visit count.
-	sort.Ints(completed)
+	sort.Ints(r.completed)
 	rep = Report{
-		Paths:           int(coord.paths.Load()),
-		PathsCapped:     coord.capped.Load(),
-		ResponsesCapped: respCap,
-		CompletedShards: completed,
-		TotalShards:     len(shards),
+		Paths:           int(r.paths.Load()),
+		PathsCapped:     r.capped.Load(),
+		ResponsesCapped: r.respCap,
+		CompletedShards: r.completed,
+		TotalShards:     len(plan.shards),
 	}
-	return rep, firstErr
+	return rep, r.firstErr
 }
 
-// stepWholeAccess explores every response edge of one first access from the
-// root — the lazy walker side of a wholeAccess shard, using the same
-// streaming respIter the serial engine's expandChildren uses.
-func (e *explorer) stepWholeAccess(ba *boundAccess) error {
+// shardRun is the state the walkers of one sharded exploration share: the
+// coordinator atomics every walker's hot loop reads, the dispatch cursor
+// over order, and the results the walkers merge under mu.
+type shardRun struct {
+	shardCoord
+	o      Options
+	plan   *Plan
+	init   *instance.Instance
+	order  []int
+	walker func() ShardVisitor
+
+	// next is the dispatch cursor into order; dispatchStop ends dispatch
+	// after a real error (see walk).
+	next         atomic.Int64
+	dispatchStop atomic.Bool
+
+	mu        sync.Mutex
+	errShard  int
+	firstErr  error
+	respCap   bool
+	completed []int
+}
+
+// walk runs one walker over the mutate-and-undo state it is handed — a root
+// path and two copies of the initial configuration — claiming shards from
+// the dispatch cursor until none remain or the exploration stops.
+func (r *shardRun) walk(path *access.Path, pre, post *instance.Instance) {
+	e := r.plan.rootExplorer(r.o, r.init)
+	e.shared = &r.shardCoord
+	e.path, e.pre, e.post = path, pre, post
+	si := -1
+	visit := r.walker()
+	e.visit = func(p *access.Path, pre, conf *instance.Instance) (bool, error) { return visit(si, p, pre, conf) }
+	for !r.stop.Load() && !r.dispatchStop.Load() {
+		oi := int(r.next.Add(1)) - 1
+		if oi >= len(r.order) {
+			break
+		}
+		si = r.order[oi]
+		err := e.stepShard(&r.plan.shards[si])
+		if err == nil {
+			// The shard's whole subtree was walked: a stop broadcast, a
+			// budget denial or a context kill all surface as a non-nil
+			// error from step, so nil really means "explored to the
+			// bound". Checkpoint/resume skips exactly these shards.
+			r.mu.Lock()
+			r.completed = append(r.completed, si)
+			r.mu.Unlock()
+			continue
+		}
+		if err == ErrStop {
+			// Visitor abort (the witness signal): broadcast the early
+			// cancel to every walker, so the whole exploration stops.
+			r.stop.Store(true)
+			break
+		}
+		// Real error (including context expiry): record it with the lowest
+		// shard index winning, and stop handing out further shards —
+		// dispatch is monotonic over the sorted order, so every shard below
+		// the errored one is already running and is deliberately left to
+		// finish. A witness one of them offers outranks the error at the
+		// solvers' join (the deterministic resolution: an error only wins
+		// against shards the canonical order places after it).
+		r.mu.Lock()
+		if r.errShard == -1 || si < r.errShard {
+			r.errShard, r.firstErr = si, err
+		}
+		r.mu.Unlock()
+		r.dispatchStop.Store(true)
+		break
+	}
+	// Flush the walker-local visit count (uncapped searches count locally;
+	// capped ones claimed from the shared budget directly, leaving e.paths
+	// at zero).
+	r.paths.Add(int64(e.paths))
+	r.mu.Lock()
+	r.respCap = r.respCap || e.respCapped
+	r.mu.Unlock()
+}
+
+// stepShard explores a shard's subtree from the root: the edge of its one
+// first response, or for a wholeAccess shard every response edge of its
+// first access, streamed by the same respIter Explore's expandChildren
+// uses. A per-response shard's response is rebuilt from its mask, exactly
+// as the enumeration drew it.
+func (e *explorer) stepShard(sh *rootShard) error {
 	fr := e.frame(0)
-	it := e.responses(fr, ba.acc, e.exact(ba.acc.Method))
+	it := e.responses(fr, sh.ba.acc, e.exact(sh.ba.acc.Method))
+	if !sh.wholeAccess {
+		it.mask = sh.mask
+		resp, keys, _ := it.next(fr)
+		return e.step(0, fr, sh.ba, resp, keys)
+	}
 	for {
 		resp, keys, ok := it.next(fr)
 		if !ok {
 			return nil
 		}
-		if err := e.step(0, fr, ba, resp, keys); err != nil {
+		if err := e.step(0, fr, sh.ba, resp, keys); err != nil {
 			return err
 		}
 	}
@@ -310,26 +337,28 @@ func (e *explorer) stepWholeAccess(ba *boundAccess) error {
 // in the canonical order: sorted by access key, then response fingerprint.
 // The sort makes shard indexes (and so the shard→walker assignment and any
 // index-based witness preference) deterministic across runs, independent of
-// schema method insertion order. The bool result reports whether the root
-// subset-response fan-out was truncated to MaxResponseChoices.
-func enumerateRootShards(sch *schema.Schema, o Options, init *instance.Instance, uTuples map[string]*relCache, uDomain []instance.Value) ([]rootShard, bool, error) {
-	e := newExplorer(sch, o)
-	// Reuse the precomputed read-only universe caches the walkers share:
-	// recomputing them here would key and sort every universe tuple twice
-	// per exploration.
-	e.uTuples = uTuples
-	e.uDomain = uDomain
-	for _, v := range init.ActiveDomain() {
-		e.known[v] = true
-	}
+// schema method insertion order. e stands at the root (see
+// Plan.rootExplorer); its respCapped reports afterwards whether the root
+// subset-response fan-out was truncated to MaxResponseChoices, and its
+// binding cache holds every method's root bindings.
+func enumerateRootShards(e *explorer) ([]rootShard, error) {
 	fr := &frame{}
-	var shards []rootShard
-	var sk strings.Builder
-	polled := 0
-	for _, m := range sch.Methods() {
+	methods := e.sch.Methods()
+	// Every binding opens at least one shard, and exact ones exactly one.
+	n := 0
+	for _, m := range methods {
 		bas, err := e.bindings(m)
 		if err != nil {
-			return nil, e.respCapped, err
+			return nil, err
+		}
+		n += len(bas)
+	}
+	shards := make([]rootShard, 0, n)
+	polled := 0
+	for _, m := range methods {
+		bas, err := e.bindings(m)
+		if err != nil {
+			return nil, err
 		}
 		exact := e.exact(m)
 		for i := range bas {
@@ -338,52 +367,36 @@ func enumerateRootShards(sch *schema.Schema, o Options, init *instance.Instance,
 			// fan-out is materialized before any walker starts polling, so
 			// an expired budget must be honoured here too.
 			polled++
-			if o.Context != nil && polled&0x3f == 0 {
-				if err := o.Context.Err(); err != nil {
-					return nil, e.respCapped, err
+			if e.opts.Context != nil && polled&0x3f == 0 {
+				if err := e.opts.Context.Err(); err != nil {
+					return nil, err
 				}
 			}
-			ba := bas[i]
-			if !exact {
-				// A subset fan-out beyond the per-access limit becomes one
-				// lazy whole-access shard instead of 2^k materialized ones.
-				matching, _ := e.matching(fr, ba.acc)
-				n := len(matching)
-				if n > e.opts.MaxResponseChoices {
-					n = e.opts.MaxResponseChoices
-					e.respCapped = true
-				}
-				if n > 8 || 1<<n > maxShardMasksPerAccess {
-					shards = append(shards, rootShard{ba: ba, wholeAccess: true, sortKey: ba.key})
-					continue
-				}
-			}
+			ba := &bas[i]
 			it := e.responses(fr, ba.acc, exact)
+			if n := len(it.matching); !exact && (n > 8 || 1<<n > maxShardMasksPerAccess) {
+				// A subset fan-out beyond the per-access limit becomes one
+				// lazy whole-access shard instead of 2^n materialized ones.
+				shards = append(shards, rootShard{ba: ba, wholeAccess: true, key: ba.key})
+				continue
+			}
 			for {
-				resp, keys, ok := it.next(fr)
+				mask := it.mask
+				_, keys, ok := it.next(fr)
 				if !ok {
 					break
 				}
-				r := make([]instance.Tuple, len(resp))
-				copy(r, resp)
-				k := make([]string, len(keys))
-				copy(k, keys)
-				sk.Reset()
-				sk.WriteString(ba.key)
-				sk.WriteByte(0x1e)
-				sk.WriteString(e.respFingerprintKeyed(fr, k))
-				shards = append(shards, rootShard{ba: ba, resp: r, keys: k, sortKey: sk.String()})
+				shards = append(shards, rootShard{ba: ba, mask: mask, key: ba.key + "\x1e" + e.respFingerprintKeyed(fr, keys)})
 			}
 		}
 	}
-	sort.Slice(shards, func(i, j int) bool { return shards[i].sortKey < shards[j].sortKey })
-	return shards, e.respCapped, nil
+	slices.SortFunc(shards, func(a, b rootShard) int { return strings.Compare(a.key, b.key) })
+	return shards, nil
 }
 
 // universeCaches precomputes the per-relation universe contents (with
 // canonical keys) and the active domain once, for read-only sharing across
-// all walkers: the caches cover every relation of the schema, so no walker
-// ever takes the lazy-fill path in matching concurrently.
+// all walkers.
 func universeCaches(sch *schema.Schema, u *instance.Instance) (map[string]*relCache, []instance.Value) {
 	uTuples := make(map[string]*relCache, sch.NumRelations())
 	for _, r := range sch.Relations() {
@@ -401,7 +414,7 @@ func universeCaches(sch *schema.Schema, u *instance.Instance) (map[string]*relCa
 	return uTuples, dom
 }
 
-// collectShardStats is one shard's private tally: per-depth visit counts
+// collectShardStats is one walker's private tally: per-depth visit counts
 // and per-depth distinct-configuration sets keyed by the instances'
 // incremental Hash. Nothing is shared in the hot loop — the global counts
 // come from summing the tallies and unioning the sets on join ("per-walker
@@ -458,14 +471,14 @@ func collectParallel(sch *schema.Schema, opts Options) (Stats, error) {
 			rootStats.visit(p, conf)
 			return true, nil
 		},
-		func(int) Visitor {
+		func() ShardVisitor {
 			ss := newStats()
-			return func(p *access.Path, _, conf *instance.Instance) (bool, error) {
+			return func(_ int, p *access.Path, _, conf *instance.Instance) (bool, error) {
 				ss.visit(p, conf)
 				return true, nil
 			}
 		})
-	// Merge: sum the per-shard visit counts, union the per-shard config
+	// Merge: sum the per-walker visit counts, union the per-walker config
 	// sets, and match the serial engine's slice shape (grown only as deep
 	// as paths were actually visited).
 	paths := make([]int, depths)

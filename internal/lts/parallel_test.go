@@ -146,10 +146,11 @@ func TestParallelExploreVisitSetMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestExploreShardedContract pins the per-shard visitor contract: the root
-// visitor sees exactly the empty path; every factory visitor sees a strict
-// DFS over paths opening with one fixed (access, response) pair, starting
-// at depth 1, and shard indexes follow the sorted canonical order.
+// TestExploreShardedContract pins the walker visitor contract: the root
+// visitor sees exactly the empty path; at most Parallelism walkers start;
+// each walker visits its shards one after another; every shard's visits are
+// paths opening with one fixed (access, response) pair, starting at depth
+// 1; and shard indexes follow the sorted canonical order.
 func TestExploreShardedContract(t *testing.T) {
 	s := tinySchema(t)
 	u := tinyUniverse(t, s)
@@ -160,6 +161,7 @@ func TestExploreShardedContract(t *testing.T) {
 		paths []string
 	}
 	var mu sync.Mutex
+	var walkers atomic.Int64
 	traces := map[int]*shardTrace{}
 	rep, err := ExploreSharded(s, Options{Universe: u, MaxDepth: 3, Parallelism: 4},
 		func(p *access.Path, pre, conf *instance.Instance) (bool, error) {
@@ -169,15 +171,25 @@ func TestExploreShardedContract(t *testing.T) {
 			}
 			return true, nil
 		},
-		func(shard int) Visitor {
-			tr := &shardTrace{}
-			mu.Lock()
-			if _, dup := traces[shard]; dup {
-				t.Errorf("factory called twice for shard %d", shard)
-			}
-			traces[shard] = tr
-			mu.Unlock()
-			return func(p *access.Path, pre, conf *instance.Instance) (bool, error) {
+		func() ShardVisitor {
+			walkers.Add(1)
+			// A walker's shards follow one another: once it leaves a shard
+			// it never visits that shard again.
+			cur, left := -1, map[int]bool{}
+			return func(shard int, p *access.Path, pre, conf *instance.Instance) (bool, error) {
+				if shard != cur {
+					if left[shard] {
+						t.Errorf("walker came back to shard %d", shard)
+					}
+					left[cur], cur = true, shard
+				}
+				mu.Lock()
+				tr := traces[shard]
+				if tr == nil {
+					tr = &shardTrace{}
+					traces[shard] = tr
+				}
+				mu.Unlock()
 				tr.mu.Lock()
 				defer tr.mu.Unlock()
 				if p.Len() < 1 {
@@ -199,6 +211,9 @@ func TestExploreShardedContract(t *testing.T) {
 	}
 	if rootVisits.Load() != 1 {
 		t.Errorf("root visited %d times", rootVisits.Load())
+	}
+	if n := walkers.Load(); n < 1 || n > 4 {
+		t.Errorf("%d walkers started, want 1 to 4", n)
 	}
 	total := 1
 	firsts := map[string]bool{}
@@ -397,8 +412,8 @@ func TestExploreShardedEdgeCases(t *testing.T) {
 	u := tinyUniverse(t, s)
 	rep, err := ExploreSharded(s, Options{Universe: u, MaxDepth: 0, Parallelism: 4},
 		func(p *access.Path, _, _ *instance.Instance) (bool, error) { return true, nil },
-		func(shard int) Visitor {
-			t.Errorf("factory called for shard %d at depth 0", shard)
+		func() ShardVisitor {
+			t.Error("walker started at depth 0")
 			return nil
 		})
 	if err != nil || rep.Paths != 1 || rep.PathsCapped {
@@ -406,8 +421,8 @@ func TestExploreShardedEdgeCases(t *testing.T) {
 	}
 	rep, err = ExploreSharded(s, Options{Universe: u, MaxDepth: 3, Parallelism: 4},
 		func(p *access.Path, _, _ *instance.Instance) (bool, error) { return false, nil },
-		func(shard int) Visitor {
-			t.Errorf("factory called for shard %d after root declined", shard)
+		func() ShardVisitor {
+			t.Error("walker started after root declined")
 			return nil
 		})
 	if err != nil || rep.Paths != 1 {

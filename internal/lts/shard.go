@@ -25,11 +25,11 @@ import (
 // in the canonical sorted order and its canonical key. The key is the
 // access key (method name plus binding) for whole-access shards, or the
 // access key joined to the response fingerprint (0x1e-separated) for
-// per-response shards — exactly the sort key enumerateRootShards orders by,
-// so Index and Key always agree between two enumerations over the same
-// inputs. WholeAccess marks a lazy-range shard: one covering every response
-// of its access, enumerated lazily by the walker that executes it (see
-// maxShardMasksPerAccess).
+// per-response shards — exactly the key enumerateRootShards orders the
+// shards by, so Index and Key always agree between two enumerations over
+// the same inputs. WholeAccess marks a lazy-range shard: one covering
+// every response of its access, enumerated lazily by the walker that
+// executes it (see maxShardMasksPerAccess).
 type ShardID struct {
 	Index       int
 	Key         string
@@ -52,6 +52,10 @@ type Plan struct {
 	uDomain    []instance.Value
 	shards     []rootShard
 	respCapped bool
+	// rootBindings is the binding cache the root enumeration built: every
+	// method's candidate accesses over the root binding pool (version 0).
+	// Walkers start from it instead of rebuilding it.
+	rootBindings map[bindKey][]boundAccess
 }
 
 // NewPlan enumerates the root partition of a sharded exploration of sch
@@ -72,13 +76,34 @@ func NewPlan(sch *schema.Schema, opts Options) (*Plan, error) {
 
 // newPlan runs the one root enumeration; o has defaults applied.
 func newPlan(sch *schema.Schema, o Options, init *instance.Instance) (*Plan, error) {
-	uTuples, uDomain := universeCaches(sch, o.Universe)
-	shards, respCapped, err := enumerateRootShards(sch, o, init, uTuples, uDomain)
+	p := &Plan{sch: sch}
+	p.uTuples, p.uDomain = universeCaches(sch, o.Universe)
+	e := p.rootExplorer(o, init)
+	shards, err := enumerateRootShards(e)
 	if err != nil {
 		return nil, err
 	}
 	o.Context, o.Parallelism, o.Shards = nil, 0, nil
-	return &Plan{sch: sch, opts: o, uTuples: uTuples, uDomain: uDomain, shards: shards, respCapped: respCapped}, nil
+	p.opts, p.shards, p.respCapped, p.rootBindings = o, shards, e.respCapped, e.bindCache
+	return p, nil
+}
+
+// rootExplorer returns an explorer standing at the root of the plan's
+// partition: the binding pool holds the initial instance's values, and
+// the read-only universe caches and root bindings are the plan's. The
+// caches cover every relation of the schema, so no walker ever takes the
+// lazy-fill path in matching concurrently. The root bindings are shared
+// too, copied by the first walker that adds bindings of its own (a
+// grounded walk whose pool grew); a non-grounded pool never changes, so
+// those walkers only ever read them.
+func (p *Plan) rootExplorer(o Options, init *instance.Instance) *explorer {
+	e := newExplorer(p.sch, o)
+	e.uTuples, e.uDomain = p.uTuples, p.uDomain
+	for _, v := range init.ActiveDomain() {
+		e.known[v] = true
+	}
+	e.bindCache, e.bindShared = p.rootBindings, true
+	return e
 }
 
 // initialOf is the initial instance of an exploration: opts.Initial, or
@@ -94,7 +119,7 @@ func initialOf(sch *schema.Schema, o Options) *instance.Instance {
 func (p *Plan) IDs() []ShardID {
 	ids := make([]ShardID, len(p.shards))
 	for i, sh := range p.shards {
-		ids[i] = ShardID{Index: i, Key: sh.sortKey, WholeAccess: sh.wholeAccess}
+		ids[i] = ShardID{Index: i, Key: sh.key, WholeAccess: sh.wholeAccess}
 	}
 	return ids
 }
@@ -107,7 +132,7 @@ func (p *Plan) ResponsesCapped() bool { return p.respCapped }
 // partition it enumerates, with ctx, parallelism and shards in the roles
 // of Options.Context, Parallelism and Shards, and without enumerating the
 // root fan-out again.
-func (p *Plan) Explore(ctx context.Context, parallelism int, shards []int, root Visitor, factory func(shard int) Visitor) (Report, error) {
+func (p *Plan) Explore(ctx context.Context, parallelism int, shards []int, root Visitor, walker func() ShardVisitor) (Report, error) {
 	o := p.opts
 	o.Context, o.Parallelism, o.Shards = ctx, parallelism, shards
 	if ctx != nil {
@@ -115,7 +140,7 @@ func (p *Plan) Explore(ctx context.Context, parallelism int, shards []int, root 
 			return Report{}, err
 		}
 	}
-	return exploreSharded(p.sch, o, p, root, factory)
+	return exploreSharded(p.sch, o, p, root, walker)
 }
 
 // Setup is the derived setup of one bounded search: the exploration

@@ -166,7 +166,7 @@ func TestShardSubsetVisitsOnlyItsShard(t *testing.T) {
 }
 
 // TestShardSubsetValidation: out-of-range indexes error, duplicates
-// collapse, the empty subset visits only the root, and factory receives
+// collapse, the empty subset visits only the root, and visitors receive
 // global canonical indexes.
 func TestShardSubsetValidation(t *testing.T) {
 	s := tinySchema(t)
@@ -223,22 +223,24 @@ func TestShardSubsetValidation(t *testing.T) {
 		t.Errorf("duplicate indexes changed the report: %+v vs %+v", dupRep, oneRep)
 	}
 
-	// factory receives global indexes even under a subset.
+	// Visitors receive global indexes even under a subset.
 	want := []int{n - 1}
 	sub := opts
 	sub.Shards = want
-	var got []int
+	seen := map[int]bool{}
 	_, err = ExploreSharded(s, sub,
 		func(*access.Path, *instance.Instance, *instance.Instance) (bool, error) { return true, nil },
-		func(shard int) Visitor {
-			got = append(got, shard)
-			return func(*access.Path, *instance.Instance, *instance.Instance) (bool, error) { return true, nil }
+		func() ShardVisitor {
+			return func(shard int, _ *access.Path, _, _ *instance.Instance) (bool, error) {
+				seen[shard] = true
+				return true, nil
+			}
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0] != n-1 {
-		t.Errorf("factory saw shards %v, want %v", got, want)
+	if len(seen) != 1 || !seen[n-1] {
+		t.Errorf("visitors saw shards %v, want %v", seen, want)
 	}
 }
 
@@ -281,14 +283,14 @@ func TestShardSubsetParallelMatches(t *testing.T) {
 // identical reports, and describes the partition Shards returns.
 func TestPlanExecutesLikeExploreSharded(t *testing.T) {
 	s := tinySchema(t)
-	type run func(root Visitor, factory func(int) Visitor) (Report, error)
+	type run func(root Visitor, walker func() ShardVisitor) (Report, error)
 	trace := func(t *testing.T, r run) ([]string, Report) {
 		var mu sync.Mutex
 		var visits []string
 		rep, err := r(
 			func(p *access.Path, _, _ *instance.Instance) (bool, error) { return true, nil },
-			func(shard int) Visitor {
-				return func(p *access.Path, _, _ *instance.Instance) (bool, error) {
+			func() ShardVisitor {
+				return func(shard int, p *access.Path, _, _ *instance.Instance) (bool, error) {
 					mu.Lock()
 					visits = append(visits, fmt.Sprintf("%d:%s", shard, p))
 					mu.Unlock()
@@ -325,12 +327,12 @@ func TestPlanExecutesLikeExploreSharded(t *testing.T) {
 				for _, w := range []int{1, 3} {
 					o := c.opts
 					o.Shards, o.Parallelism = sub, w
-					want, wantRep := trace(t, func(root Visitor, factory func(int) Visitor) (Report, error) {
-						return ExploreSharded(s, o, root, factory)
+					want, wantRep := trace(t, func(root Visitor, walker func() ShardVisitor) (Report, error) {
+						return ExploreSharded(s, o, root, walker)
 					})
 					for i := 0; i < 2; i++ {
-						got, gotRep := trace(t, func(root Visitor, factory func(int) Visitor) (Report, error) {
-							return plan.Explore(nil, w, sub, root, factory)
+						got, gotRep := trace(t, func(root Visitor, walker func() ShardVisitor) (Report, error) {
+							return plan.Explore(nil, w, sub, root, walker)
 						})
 						if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotRep, wantRep) {
 							t.Fatalf("shards %v W=%d run %d: plan visited %d (%+v), ExploreSharded %d (%+v)",
@@ -414,6 +416,36 @@ func TestSetupConcurrentUse(t *testing.T) {
 	for i, p := range plans {
 		if p == nil || p != plans[0] {
 			t.Fatalf("goroutine %d got plan %p, goroutine 0 %p", i, p, plans[0])
+		}
+	}
+}
+
+// TestDominanceMemoWidenKeepsEntries: a memo made for one walker and
+// widened for more keeps every commitment, so a persistent memo resumed by
+// a search with more walkers prunes exactly as before.
+func TestDominanceMemoWidenKeepsEntries(t *testing.T) {
+	m := NewDominanceMemo(func(k int) uint64 { return uint64(k) * 0x9e3779b97f4a7c15 })
+	for k := 0; k < 200; k++ {
+		m.DominatedOrRecord(k, k%5)
+	}
+	m.Widen(1)
+	if len(m.stripes) != 1 {
+		t.Fatalf("one walker widened the memo to %d stripes", len(m.stripes))
+	}
+	m.Widen(4)
+	if len(m.stripes) != Stripes(4) {
+		t.Fatalf("%d stripes after widening for 4 walkers, want %d", len(m.stripes), Stripes(4))
+	}
+	m.Widen(1)
+	if len(m.stripes) != Stripes(4) {
+		t.Fatalf("Widen narrowed the memo to %d stripes", len(m.stripes))
+	}
+	for k := 0; k < 200; k++ {
+		if !m.DominatedOrRecord(k, k%5) {
+			t.Fatalf("key %d lost its commitment when the memo widened", k)
+		}
+		if m.DominatedOrRecord(k, k%5+1) {
+			t.Fatalf("key %d dominated a larger budget", k)
 		}
 	}
 }

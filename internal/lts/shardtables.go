@@ -6,13 +6,21 @@ package lts
 // two structures (their keys differ, their semantics do not), so they live
 // here once instead of as twins in each engine.
 
-import (
-	"sync"
+import "sync"
 
-	"accltl/accesscheck/cachetier"
-)
-
-const shardTableStripes = 64
+// Stripes is the number of lock stripes a table shared by the given number
+// of concurrent walkers uses: one for a single walker, whose lock is then
+// never contended and whose entries share one map, and 64 otherwise, so
+// that walkers rarely meet on a stripe. Always a power of two. A table
+// outlives its searches when it is persistent (a checkpoint's memo), so
+// each search widens it to its own walker count before the walkers start
+// (see DominanceMemo.Widen).
+func Stripes(walkers int) int {
+	if walkers <= 1 {
+		return 1
+	}
+	return 64
+}
 
 // DominanceMemo is a concurrent map from search states to the largest
 // remaining depth budget a walker has committed to exploring them with,
@@ -20,24 +28,21 @@ const shardTableStripes = 64
 // incremental instance.Hash, so walkers covering overlapping configuration
 // spaces land on the same stripes and prune against each other's work).
 //
-// Sharing the memo across walkers is sound for the same reason the serial
-// memo is: an entry means "a search from this state with at least this much
-// budget was committed to", and verdicts are only produced by searches that
-// ran to completion — errors and context expiries surface as errors, caps
-// surface as truncation. It does make visited-path counts
-// schedule-dependent (whether a walker reaches a node before or after a
+// Sharing the memo across walkers is sound because an entry means "a
+// search from this state with at least this much budget was committed to",
+// and verdicts are only produced by searches that ran to completion —
+// errors and context expiries surface as errors, caps surface as
+// truncation. It does make visited-path counts schedule-dependent at two
+// or more walkers (whether a walker reaches a node before or after a
 // dominating entry lands decides whether the node expands), which is why
 // only verdicts, not path counts, are pinned across Parallelism.
+//
+// A memo starts with one stripe; a search with more walkers widens it
+// (see Widen). Stripe maps are made on first use: a small search touches a
+// handful of stripes, and the memo is built once per search.
 type DominanceMemo[K comparable] struct {
 	stripeOf func(K) uint64
-	stripes  [shardTableStripes]dominanceStripe[K]
-
-	// neg, when armed via WithNegativeCache, is a Bloom filter over every
-	// key ever offered to DominatedOrRecord (possibly shared with other
-	// memos). A definite "never seen" answers the first sight of a key
-	// lock-free; negKey derives the filter's two hash lanes from a key.
-	neg    *cachetier.NegativeCache
-	negKey func(K) (uint64, uint64)
+	stripes  []dominanceStripe[K]
 }
 
 type dominanceStripe[K comparable] struct {
@@ -47,55 +52,48 @@ type dominanceStripe[K comparable] struct {
 
 // NewDominanceMemo builds an empty memo striped by stripeOf.
 func NewDominanceMemo[K comparable](stripeOf func(K) uint64) *DominanceMemo[K] {
-	t := &DominanceMemo[K]{stripeOf: stripeOf}
-	for i := range t.stripes {
-		t.stripes[i].m = make(map[K]int)
-	}
-	return t
+	return &DominanceMemo[K]{stripeOf: stripeOf, stripes: make([]dominanceStripe[K], 1)}
 }
 
-// WithNegativeCache arms the memo with a shared Bloom negative cache:
-// before taking a stripe lock, DominatedOrRecord asks the filter whether
-// the key was ever seen, and a definite "no" short-circuits lock-free.
-// key derives the filter's two 64-bit hash lanes from a memo key. The
-// filter may be shared across memos (the server shares one per engine
-// across all requests); sharing only adds false positives, which cost a
-// lock acquisition and never a verdict. Returns the memo for chaining.
-func (t *DominanceMemo[K]) WithNegativeCache(neg *cachetier.NegativeCache, key func(K) (uint64, uint64)) *DominanceMemo[K] {
-	t.neg, t.negKey = neg, key
-	return t
+// Widen re-stripes the memo for a search of the given number of walkers
+// (see Stripes), moving its entries; it never narrows. The memo must be
+// idle: a search calls it before its walkers start.
+func (t *DominanceMemo[K]) Widen(walkers int) {
+	n := Stripes(walkers)
+	if n <= len(t.stripes) {
+		return
+	}
+	old := t.stripes
+	t.stripes = make([]dominanceStripe[K], n)
+	for i := range old {
+		for k, v := range old[i].m {
+			st := t.stripe(k)
+			if st.m == nil {
+				st.m = make(map[K]int)
+			}
+			st.m[k] = v
+		}
+	}
+}
+
+func (t *DominanceMemo[K]) stripe(k K) *dominanceStripe[K] {
+	return &t.stripes[t.stripeOf(k)&uint64(len(t.stripes)-1)]
 }
 
 // DominatedOrRecord reports whether k was already committed with at least
 // remaining budget; if not, it records the new budget. The check and the
 // update are one critical section, so two walkers racing on the same key
 // cannot both conclude "dominated".
-//
-// With a negative cache armed, a key the filter has definitely never
-// seen skips the critical section: the filter bits are set and the
-// walker proceeds as not-dominated WITHOUT recording in the map. This is
-// sound — "not dominated" only means the walker explores, exactly what
-// an empty memo would answer — and keeps the fast path lock-free; the
-// map-backed pruning then engages from a key's second sight onward. A
-// filter false positive (or a bit left by another memo sharing the
-// filter) merely falls through to the authoritative critical section.
-// Remove cannot clear filter bits, which is equally harmless: a stale
-// bit routes to the map, which no longer holds the key and re-records.
 func (t *DominanceMemo[K]) DominatedOrRecord(k K, remaining int) bool {
-	h := t.stripeOf(k)
-	if t.neg != nil {
-		h1, h2 := t.negKey(k)
-		if !t.neg.MayContain(h, h1, h2) {
-			t.neg.Insert(h, h1, h2)
-			return false
-		}
-	}
-	st := &t.stripes[h&(shardTableStripes-1)]
+	st := t.stripe(k)
 	st.mu.Lock()
 	prev, ok := st.m[k]
 	if ok && prev >= remaining {
 		st.mu.Unlock()
 		return true
+	}
+	if st.m == nil {
+		st.m = make(map[K]int)
 	}
 	st.m[k] = remaining
 	st.mu.Unlock()
@@ -109,7 +107,7 @@ func (t *DominanceMemo[K]) DominatedOrRecord(k K, remaining int) bool {
 // truncation), but not for a later run resuming against the same memo.
 // Removing a live entry is always sound; it only costs pruning.
 func (t *DominanceMemo[K]) Remove(k K) {
-	st := &t.stripes[t.stripeOf(k)&(shardTableStripes-1)]
+	st := t.stripe(k)
 	st.mu.Lock()
 	delete(st.m, k)
 	st.mu.Unlock()

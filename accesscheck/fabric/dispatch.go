@@ -14,11 +14,11 @@ import (
 )
 
 // StatusError is a non-2xx answer from a worker, carrying the status and
-// the (truncated) response body. Whether it is retryable depends on the
-// status: 5xx other than 504 may be transient (worker overloaded,
-// restarting behind the same address), 4xx means the request itself is
-// wrong on every worker, and 504 means the shard's budget is already
-// spent — retrying cannot finish any sooner.
+// the (truncated) response body. Whether another attempt could help
+// depends on the status (see BreakerFailure): 5xx other than 504 may be
+// transient (worker overloaded, restarting behind the same address), 4xx
+// means the request itself is wrong on every worker, and 504 means the
+// shard's budget is already spent — retrying cannot finish any sooner.
 type StatusError struct {
 	Status int
 	Worker string
@@ -30,37 +30,24 @@ func (e *StatusError) Error() string {
 }
 
 // BreakerOpenError is a dispatch denied locally because the worker's
-// circuit breaker is open: no request left the coordinator. It is
-// retryable — DoHedged fails over to the next candidate immediately.
+// circuit breaker is open: no request left the coordinator. It is a
+// breaker failure, so DoHedged fails over to the next candidate
+// immediately.
 type BreakerOpenError struct{ Worker string }
 
 func (e *BreakerOpenError) Error() string {
 	return fmt.Sprintf("fabric: breaker open for worker %s", e.Worker)
 }
 
-// retryable reports whether a fresh attempt (same or another worker) could
-// plausibly succeed.
-func retryable(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	var se *StatusError
-	if errors.As(err, &se) {
-		return se.Status >= 500 && se.Status != http.StatusGatewayTimeout
-	}
-	return true // transport-level failure (or a locally denied breaker)
-}
-
 // BreakerFailure reports whether the error should count toward the
-// worker's circuit breaker: transport-level failures and 5xx answers
-// (except budget-spent 504). A 4xx or 504 proves the worker is reachable
-// and reasoning about the request, so it feeds the breaker as a success;
-// context expiry is the caller's deadline, not the worker's fault, and
-// feeds nothing. Exported so the coordinator's whole-request forward
-// paths apply the same classification as shard dispatch.
+// worker's circuit breaker, which is also whether a fresh attempt (same or
+// another worker) could plausibly succeed: transport-level failures, a
+// locally denied breaker, and 5xx answers except budget-spent 504. A 4xx
+// or 504 proves the worker is reachable and reasoning about the request,
+// so it feeds the breaker as a success and would fail identically
+// anywhere; context expiry is the caller's deadline, not the worker's
+// fault, and feeds nothing. Exported so the coordinator's whole-request
+// forwards apply the same rule as shard dispatch.
 func BreakerFailure(err error) bool {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
@@ -72,6 +59,35 @@ func BreakerFailure(err error) bool {
 	return true
 }
 
+// Post sends one JSON body to a worker route and returns the 200 response
+// body, read up to 8 MiB. Any other status becomes a StatusError carrying
+// the first 512 bytes of the body. Shard dispatch and the coordinator's
+// whole-request forwards both go through it.
+func Post(ctx context.Context, client *http.Client, worker, path string, body []byte) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		msg := string(data)
+		if len(msg) > 512 {
+			msg = msg[:512]
+		}
+		return nil, &StatusError{Status: resp.StatusCode, Worker: worker, Body: msg}
+	}
+	return data, nil
+}
+
 // Dispatcher ships shards to workers over HTTP: POST {worker}/v1/shard
 // with retries, exponential backoff and hedged requests. The zero value is
 // usable; fields override the defaults.
@@ -80,7 +96,8 @@ type Dispatcher struct {
 	// global timeout — per-shard budgets arrive via the context.
 	Client *http.Client
 	// Retries is the number of re-attempts per worker after the first try
-	// (default 2). Only retryable failures are re-attempted.
+	// (default 2). Only breaker failures (see BreakerFailure) are
+	// re-attempted.
 	Retries int
 	// Backoff is the base retry delay (default 25ms). The actual sleep
 	// before retry k is drawn uniformly from [0, min(MaxBackoff,
@@ -95,9 +112,7 @@ type Dispatcher struct {
 	// success wins and the loser's request is cancelled.
 	HedgeAfter time.Duration
 	// Registry, when set, supplies the per-worker circuit-breaker gate
-	// (Allow) and receives dispatch feedback: breaker-relevant failures
-	// (transport, 5xx≠504) mark workers down, everything the worker
-	// answered sanely marks them up.
+	// (Allow) and receives every attempt's outcome (Record).
 	Registry *Registry
 	// Failpoints, when armed, is consulted before every outbound shard
 	// request (site "dispatch.send").
@@ -203,7 +218,7 @@ func (d *Dispatcher) hedgeAfter() time.Duration {
 	return 400 * time.Millisecond
 }
 
-// Do executes the shard on one worker, retrying retryable failures with
+// Do executes the shard on one worker, retrying breaker failures with
 // capped full-jitter backoff until the attempts or the context run out.
 // Every attempt passes the worker's circuit breaker first: a denial fails
 // locally with BreakerOpenError (no request sent, no feedback recorded)
@@ -233,23 +248,14 @@ func (d *Dispatcher) Do(ctx context.Context, worker string, sh *Shard) (*ShardRe
 			d.dispatched.Add(1)
 		}
 		res, err := d.once(ctx, worker, body)
+		if d.Registry != nil {
+			d.Registry.Record(worker, err)
+		}
 		if err == nil {
-			if d.Registry != nil {
-				d.Registry.MarkUp(worker)
-			}
 			return res, nil
 		}
 		lastErr = err
-		if d.Registry != nil {
-			if BreakerFailure(err) {
-				d.Registry.MarkDown(worker, err.Error())
-			} else if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-				// A 4xx or 504 answer proves the worker is alive and sane;
-				// count it as contact, not failure.
-				d.Registry.MarkUp(worker)
-			}
-		}
-		if !retryable(err) {
+		if !BreakerFailure(err) {
 			return nil, err
 		}
 	}
@@ -272,26 +278,9 @@ func (d *Dispatcher) once(ctx context.Context, worker string, body []byte) (*Sha
 			}
 		}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+"/v1/shard", bytes.NewReader(body))
+	data, err := Post(ctx, d.client(), worker, "/v1/shard", body)
 	if err != nil {
 		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := d.client().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg := string(data)
-		if len(msg) > 512 {
-			msg = msg[:512]
-		}
-		return nil, &StatusError{Status: resp.StatusCode, Worker: worker, Body: msg}
 	}
 	var res ShardResult
 	if err := json.Unmarshal(data, &res); err != nil {
@@ -305,11 +294,12 @@ func (d *Dispatcher) once(ctx context.Context, worker string, body []byte) (*Sha
 
 // DoHedged executes the shard against an ordered candidate list (the
 // router's Sequence): the primary goes first; if it has not answered
-// within HedgeAfter, or fails retryably, the next candidate is fired with
-// the same shard. The first success wins — the losing in-flight request is
-// cancelled — and the winning worker's URL is returned alongside the
-// result. A non-retryable failure (4xx, budget-spent 504, context expiry)
-// aborts immediately: it would fail identically everywhere.
+// within HedgeAfter, or fails with a breaker failure, the next candidate
+// is fired with the same shard. The first success wins — the losing
+// in-flight request is cancelled — and the winning worker's URL is
+// returned alongside the result. Any other failure (4xx, budget-spent 504,
+// context expiry) aborts immediately: it would fail identically
+// everywhere.
 func (d *Dispatcher) DoHedged(ctx context.Context, workers []string, sh *Shard) (*ShardResult, string, error) {
 	if len(workers) == 0 {
 		return nil, "", fmt.Errorf("fabric: no workers to dispatch to")
@@ -356,10 +346,10 @@ func (d *Dispatcher) DoHedged(ctx context.Context, workers []string, sh *Shard) 
 			if firstErr == nil {
 				firstErr = o.err
 			}
-			if !retryable(o.err) && ctx.Err() == nil {
+			if !BreakerFailure(o.err) && ctx.Err() == nil {
 				return nil, o.worker, o.err
 			}
-			// Failover: a retryable failure releases the slot to the next
+			// Failover: a breaker failure releases the slot to the next
 			// candidate immediately rather than waiting for the hedge timer.
 			if launched < len(workers) {
 				d.retried.Add(1)

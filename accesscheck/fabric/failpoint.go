@@ -97,7 +97,8 @@ type Injection struct {
 }
 
 // FailpointError is the transport-flavoured error produced by ActDrop; it
-// is retryable (and breaker-relevant) like any other transport failure.
+// is a breaker failure, worth another attempt, like any other transport
+// failure.
 type FailpointError struct{ Name string }
 
 func (e *FailpointError) Error() string {

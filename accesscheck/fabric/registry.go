@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -384,6 +385,20 @@ func (r *Registry) MarkDown(worker string, reason string) {
 // worker's breaker from any state (this is how a half-open trial
 // succeeds). Unknown URLs are ignored.
 func (r *Registry) MarkUp(worker string) { r.record(worker, true, false, "") }
+
+// Record feeds one request's outcome to the worker's breaker by the
+// BreakerFailure rule: a breaker failure marks it down, a success or any
+// other answer from the worker (4xx, 504) marks it up.
+func (r *Registry) Record(worker string, err error) {
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		// The caller's deadline, not the worker's fault: no feedback.
+	case err != nil && BreakerFailure(err):
+		r.MarkDown(worker, err.Error())
+	default:
+		r.MarkUp(worker)
+	}
+}
 
 func (r *Registry) record(worker string, success, probe bool, errText string) {
 	r.mu.Lock()

@@ -1,18 +1,17 @@
 package server
 
-// The coordinator role of the distributed check fabric: the same /v1/check
-// and /v1/batch surface as a standalone server, but instead of solving
-// locally it enumerates the check's canonical shard plan, groups the
-// slices by the consistent-hash owner of Fingerprint+shard-key (cache
-// affinity: the same slice of the same check always lands on the worker
-// whose shard-keyed LRU already holds it), dispatches one wire shard per
-// owner under the request's remaining budget with retries and hedging, and
-// merges the partial verdicts with the witness/error-priority semantics
-// the in-process sharded engine pins.
+// The coordinator role of the distributed check fabric: the request spine
+// in front of a fabric dispatcher instead of a local solver. A check's
+// canonical shard plan is grouped by the consistent-hash owner of
+// Fingerprint+shard-key (cache affinity: the same slice of the same check
+// always lands on the worker whose shard-keyed LRU already holds it); one
+// wire shard per owner is dispatched under the request's remaining budget
+// with retries and hedging, and the partial verdicts merge with the
+// witness/error-priority semantics the in-process sharded engine pins.
 //
 // Fallbacks keep the surface total: a check whose plan fails or has fewer
-// than two slices, or a fabric with one healthy worker, forwards the whole
-// check to a single worker's /v1/check (still routed by fingerprint so its
+// than two slices, or a fabric with one healthy worker, is forwarded whole
+// to a single worker's /v1/check (still routed by fingerprint so its
 // whole-check cache stays hot).
 //
 // The coordinator keeps two stores of its own, keyed by the shard-less
@@ -29,11 +28,12 @@ package server
 // matching mixed-batch items) are never fanned out — shard planning is a
 // property of the check pipeline only. Each is forwarded whole to the
 // worker the ring selects for its task fingerprint, so repeat tasks land
-// where their cache entry lives; the worker's response is proxied back
-// unchanged.
+// where their cache entry lives.
+//
+// The coordinator's own routes are POST /v1/join, GET /v1/workers and a
+// /healthz that probes every worker.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -57,9 +57,12 @@ type CoordinatorConfig struct {
 	// of accserve worker processes. May be empty — workers can self-register
 	// via POST /v1/join and keep their TTL lease alive on a heartbeat.
 	Workers []string
-	// Server carries the shared HTTP knobs (DefaultBudget, MaxBatch,
-	// MaxBodyBytes); solver-pool fields (Workers, Parallelism, CacheSize)
-	// are unused by the coordinator, which never solves locally.
+	// Server carries the knobs the spine reads (DefaultBudget, MaxBatch,
+	// MaxBodyBytes) and Failpoints, whose "dispatch.send" site fires on
+	// shard dispatch. CacheSize sizes the merged-result cache and the
+	// checkpoint store. The solver-pool fields (Workers, Parallelism,
+	// CacheShards, CacheDir) are unused: the coordinator never solves
+	// locally.
 	Server Config
 	// Retries / Backoff / MaxBackoff / HedgeAfter tune the fabric
 	// dispatcher (zero values select its defaults).
@@ -73,21 +76,18 @@ type CoordinatorConfig struct {
 	// DefaultLeaseTTL is the lease granted to joins that name no TTL
 	// (default 15s).
 	DefaultLeaseTTL time.Duration
-	// Failpoints, when armed, injects deterministic faults into shard
-	// dispatch ("dispatch.send"). Nil in production.
-	Failpoints *fabric.Failpoints
 	// Client is the HTTP client used for worker traffic (default: one with
 	// no global timeout — budgets arrive per request via contexts).
 	Client *http.Client
 }
 
-// Coordinator is the fan-out HTTP handler. Construct with NewCoordinator.
+// Coordinator is the coordinator role: the request spine in front of the
+// fabric. Construct with NewCoordinator.
 type Coordinator struct {
-	cfg    Config
+	*spine
 	client *http.Client
 	reg    *fabric.Registry
 	disp   *fabric.Dispatcher
-	mux    *http.ServeMux
 	// taskChk derives task fingerprints for affinity routing; non-check
 	// fingerprints are canonical in the payload alone, so a default checker
 	// agrees with every worker.
@@ -108,11 +108,6 @@ type Coordinator struct {
 	partials      atomic.Uint64
 	resumes       atomic.Uint64
 	noWorkers     atomic.Uint64
-	// Cause-split context deaths, mirroring the worker-side counters: the
-	// request's own budget vs the client hanging up.
-	budgetExpiries atomic.Uint64
-	disconnects    atomic.Uint64
-	failpoints     *fabric.Failpoints
 	// taskForwards counts whole-task forwards per kind (check forwards are
 	// the plan/worker fallback counted in forwards).
 	taskForwards [numTaskKinds]atomic.Uint64
@@ -141,7 +136,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	scfg := cfg.Server.withDefaults()
 	c := &Coordinator{
-		cfg:    scfg,
 		client: client,
 		reg:    reg,
 		// Exact-only admission: a witness settles the check exactly however
@@ -166,200 +160,24 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			MaxBackoff: cfg.MaxBackoff,
 			HedgeAfter: cfg.HedgeAfter,
 			Registry:   reg,
-			Failpoints: cfg.Failpoints,
+			Failpoints: scfg.Failpoints,
 		},
-		mux:        http.NewServeMux(),
-		taskChk:    taskChk,
-		failpoints: cfg.Failpoints,
+		taskChk: taskChk,
 	}
-	c.mux.HandleFunc("POST /v1/check", c.handleCheck)
-	c.mux.HandleFunc("POST /v1/containment", c.handleContainment)
-	c.mux.HandleFunc("POST /v1/relevance", c.handleRelevance)
-	c.mux.HandleFunc("POST /v1/chase", c.handleChase)
-	c.mux.HandleFunc("POST /v1/batch", c.handleBatch)
+	c.spine = newSpine(scfg, "accserve_coordinator_", c, c.writeMetrics)
 	c.mux.HandleFunc("POST /v1/join", c.handleJoin)
 	c.mux.HandleFunc("GET /v1/workers", c.handleWorkers)
 	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
-	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
 	return c, nil
 }
-
-// ServeHTTP dispatches to the coordinator's routes.
-func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.ServeHTTP(w, r) }
 
 // Registry exposes the worker registry (health probing, status snapshots).
 func (c *Coordinator) Registry() *fabric.Registry { return c.reg }
 
-// resolveBudget mirrors the server's precedence: item budget, query
-// parameter, configured default.
-func (c *Coordinator) resolveBudget(item string, r *http.Request) (time.Duration, error) {
-	for _, spec := range []string{item, r.URL.Query().Get("budget")} {
-		if spec == "" {
-			continue
-		}
-		d, err := time.ParseDuration(spec)
-		if err != nil {
-			return 0, badRequest("bad budget %q: %v", spec, err)
-		}
-		if d <= 0 {
-			return 0, badRequest("bad budget %q: must be positive", spec)
-		}
-		return d, nil
-	}
-	return c.cfg.DefaultBudget, nil
-}
-
-func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-	return decodeStrict(w, r.Body, v)
-}
-
-func (c *Coordinator) handleCheck(w http.ResponseWriter, r *http.Request) {
-	var req CheckRequest
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	budget, err := c.resolveBudget(req.Budget, r)
-	if err != nil {
-		writeError(w, err, c.cfg.DefaultBudget)
-		return
-	}
-	ctx, cancel := context.WithTimeoutCause(r.Context(), budget, errBudgetExhausted)
-	defer cancel()
-	res, err := c.doCheck(ctx, req)
-	if err != nil {
-		writeError(w, c.ctxErr(ctx, err), budget)
-		return
-	}
-	tagResumable(w, res, budget)
-	writeJSON(w, http.StatusOK, res)
-}
-
-// ctxErr attributes a context-death error to its cause, mirroring the
-// worker-side Server.ctxErr: the coordinator's own budget expiry answers
-// code "budget_exhausted" — including the fabric-internal form, where a
-// worker 504ed the wire budget derived from this request's budget — and a
-// vanished client answers 499 "client_disconnected". Non-context errors
-// pass through untouched.
-func (c *Coordinator) ctxErr(ctx context.Context, err error) error {
-	if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
-		return err
-	}
-	cause := context.Cause(ctx)
-	switch {
-	case errors.Is(cause, errBudgetExhausted), errors.Is(err, context.DeadlineExceeded):
-		c.budgetExpiries.Add(1)
-		return &httpError{status: http.StatusGatewayTimeout, code: "budget_exhausted",
-			err: fmt.Errorf("%w: request budget exhausted", context.DeadlineExceeded)}
-	default:
-		c.disconnects.Add(1)
-		return &httpError{status: statusClientClosedRequest, code: "client_disconnected",
-			err: fmt.Errorf("%w: client disconnected", context.Canceled)}
-	}
-}
-
-func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	n := checkBatchSize(w, &req, c.cfg.MaxBatch)
-	if n < 0 {
-		return
-	}
-	serveBatch(w, r, &req, n, c.resolveBudget, c.doCheck, c.doTaskItem)
-}
-
-// doTaskItem runs one mixed-batch item at the coordinator: check items go
-// through the usual plan/fan-out path, everything else is forwarded whole
-// to its ring-selected worker. Mirrors the worker-side Server.doTaskItem.
-func (c *Coordinator) doTaskItem(ctx context.Context, item *TaskRequest) BatchItem {
-	kind, err := accesscheck.ParseTaskKind(item.Task)
-	if err != nil {
-		return BatchItem{Task: item.Task, Error: err.Error()}
-	}
-	out := BatchItem{Task: kind.String()}
-	switch kind {
-	case accesscheck.TaskCheck:
-		if item.Check == nil {
-			out.Error = missingPayload(kind)
-			return out
-		}
-		res, err := c.doCheck(ctx, *item.Check)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.Result = res
-	case accesscheck.TaskContainment:
-		if item.Containment == nil {
-			out.Error = missingPayload(kind)
-			return out
-		}
-		t, err := parseContainmentTask(item.Containment)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		raw, err := c.forwardTask(ctx, taskPaths[kind], item.Containment, t)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.Containment = new(ContainmentResponse)
-		err = json.Unmarshal(raw, out.Containment)
-		if err != nil {
-			out.Containment, out.Error = nil, fmt.Sprintf("bad containment response: %v", err)
-		}
-	case accesscheck.TaskRelevance:
-		if item.Relevance == nil {
-			out.Error = missingPayload(kind)
-			return out
-		}
-		t, err := parseRelevanceTask(item.Relevance)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		raw, err := c.forwardTask(ctx, taskPaths[kind], item.Relevance, t)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.Relevance = new(RelevanceResponse)
-		err = json.Unmarshal(raw, out.Relevance)
-		if err != nil {
-			out.Relevance, out.Error = nil, fmt.Sprintf("bad relevance response: %v", err)
-		}
-	case accesscheck.TaskChase:
-		if item.Chase == nil {
-			out.Error = missingPayload(kind)
-			return out
-		}
-		t, err := parseChaseTask(item.Chase)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		raw, err := c.forwardTask(ctx, taskPaths[kind], item.Chase, t)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.Chase = new(ChaseResponse)
-		err = json.Unmarshal(raw, out.Chase)
-		if err != nil {
-			out.Chase, out.Error = nil, fmt.Sprintf("bad chase response: %v", err)
-		}
-	}
-	return out
-}
-
 // coordCheckpoint is the coordinator's resume unit: the partial verdicts
 // already collected for one check plus the canonical indexes they cover. A
 // follow-up identical request redispatches only the uncovered indexes and
-// merges old and new parts — shard-group-granular anytime resume, the
-// distributed twin of the in-process checkpoint.
+// merges old and new parts: anytime resume at shard-group granularity.
 type coordCheckpoint struct {
 	mu       sync.Mutex
 	planSize int
@@ -416,8 +234,8 @@ func (cc *coordCheckpoint) snapshot() []fabric.ShardResult {
 	return out
 }
 
-// doCheck plans, fans out, and merges one check.
-func (c *Coordinator) doCheck(ctx context.Context, req CheckRequest) (*CheckResponse, error) {
+// check plans, fans out, and merges one check.
+func (c *Coordinator) check(ctx context.Context, req CheckRequest) (*CheckResponse, error) {
 	if req.Formula == "" {
 		return nil, badRequest("missing formula")
 	}
@@ -463,7 +281,11 @@ func (c *Coordinator) doCheck(ctx context.Context, req CheckRequest) (*CheckResp
 	plan, _, planErr := chk.ShardPlan(ctx, sch, f)
 	if planErr != nil || len(plan) < 2 || len(workers) < 2 {
 		c.forwards.Add(1)
-		return c.forward(ctx, req, router, fp, len(workers))
+		out := new(CheckResponse)
+		if err := c.forward(ctx, router.Sequence(fp, len(workers)), "/v1/check", req, out); err != nil {
+			return nil, err
+		}
+		return out, nil
 	}
 	c.fanouts.Add(1)
 
@@ -507,8 +329,7 @@ func (c *Coordinator) doCheck(ctx context.Context, req CheckRequest) (*CheckResp
 		budget = time.Until(dl)
 	}
 	if budget <= 0 {
-		err := context.DeadlineExceeded
-		return nil, err
+		return nil, errBudgetExhausted
 	}
 	// Reserve a merge window: the per-shard budget on the wire is shorter
 	// than the request's own remaining budget, so a worker whose slice ran
@@ -591,8 +412,7 @@ func (c *Coordinator) doCheck(ctx context.Context, req CheckRequest) (*CheckResp
 				return wireShardMerge(p), nil
 			}
 		}
-		c.dispatchErrs.Add(1)
-		return nil, dispatchError(firstErr)
+		return nil, c.dispatchError(firstErr)
 	}
 	res, err := fabric.MergeCover(merged, len(plan))
 	if err != nil {
@@ -663,37 +483,36 @@ func noHealthyWorkersError(hint time.Duration) error {
 	}
 }
 
-// forward ships the whole check to one worker's /v1/check, trying the
-// fingerprint's full preference sequence until a worker answers. Breaker-
-// open candidates are skipped without a request; feedback uses the same
-// classification as shard dispatch.
-func (c *Coordinator) forward(ctx context.Context, req CheckRequest, router *fabric.Router, fp string, n int) (*CheckResponse, error) {
-	seq := router.Sequence(fp, n)
-	if len(seq) == 0 {
-		return nil, &httpError{status: http.StatusBadGateway, err: fmt.Errorf("no workers available")}
-	}
+// forward ships one whole request to the first worker of seq that answers
+// it, failing over along seq; out receives the worker's 200 body. Breaker-
+// open candidates are skipped without a request, and every answer feeds
+// the breaker by the rule shard dispatch uses (fabric.BreakerFailure):
+// only a breaker failure moves on to the next candidate; any other answer
+// would be the same on every worker. Forwards bypass the dispatcher: they
+// are not retried or hedged, and not counted as shard dispatches.
+func (c *Coordinator) forward(ctx context.Context, seq []string, path string, req, out any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var lastErr error
 	for _, worker := range seq {
 		if !c.reg.Allow(worker) {
 			continue
 		}
-		res, err := c.forwardOnce(ctx, worker, body)
+		data, err := fabric.Post(ctx, c.client, worker, path, body)
 		if err == nil {
-			c.reg.MarkUp(worker)
+			if err = json.Unmarshal(data, out); err != nil {
+				err = fmt.Errorf("worker %s: bad %s response: %w", worker, path, err)
+			}
+		}
+		c.reg.Record(worker, err)
+		if err == nil {
 			c.checks.Add(1)
-			return res, nil
+			return nil
 		}
 		lastErr = err
-		c.recordForward(worker, err, ctx)
-		var se *fabric.StatusError
-		if errors.As(err, &se) && (se.Status < 500 || se.Status == http.StatusGatewayTimeout) {
-			break // terminal everywhere
-		}
-		if ctx.Err() != nil {
+		if ctx.Err() != nil || !fabric.BreakerFailure(err) {
 			break
 		}
 	}
@@ -701,80 +520,15 @@ func (c *Coordinator) forward(ctx context.Context, req CheckRequest, router *fab
 		// Every candidate was denied locally by its breaker.
 		c.noWorkers.Add(1)
 		_, hint := c.reg.Available()
-		return nil, noHealthyWorkersError(hint)
+		return noHealthyWorkersError(hint)
 	}
-	c.dispatchErrs.Add(1)
-	return nil, dispatchError(lastErr)
+	return c.dispatchError(lastErr)
 }
 
-// recordForward feeds one whole-request forward outcome to the registry,
-// with the dispatcher's classification: breaker-relevant failures mark
-// down, sane answers (4xx, 504) mark up, our own context expiry feeds
-// nothing.
-func (c *Coordinator) recordForward(worker string, err error, ctx context.Context) {
-	if ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return
-	}
-	if fabric.BreakerFailure(err) {
-		c.reg.MarkDown(worker, err.Error())
-	} else {
-		c.reg.MarkUp(worker)
-	}
-}
-
-func (c *Coordinator) forwardOnce(ctx context.Context, worker string, body []byte) (*CheckResponse, error) {
-	data, err := c.postWorker(ctx, worker, "/v1/check", body)
-	if err != nil {
-		return nil, err
-	}
-	var out CheckResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("worker %s: bad check response: %w", worker, err)
-	}
-	return &out, nil
-}
-
-// postWorker POSTs one JSON body to a worker route and returns the raw
-// 200 response; any other status becomes a fabric.StatusError.
-func (c *Coordinator) postWorker(ctx context.Context, worker, path string, body []byte) ([]byte, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg := string(data)
-		if len(msg) > 512 {
-			msg = msg[:512]
-		}
-		return nil, &fabric.StatusError{Status: resp.StatusCode, Worker: worker, Body: msg}
-	}
-	return data, nil
-}
-
-// taskPaths maps a task kind to its worker route.
-var taskPaths = [numTaskKinds]string{
-	accesscheck.TaskCheck:       "/v1/check",
-	accesscheck.TaskContainment: "/v1/containment",
-	accesscheck.TaskRelevance:   "/v1/relevance",
-	accesscheck.TaskChase:       "/v1/chase",
-}
-
-// forwardTask ships one non-check task whole to the worker its fingerprint
+// task forwards one non-check task whole to the worker its fingerprint
 // ring-selects — shard fan-out is a check-pipeline property, so the other
-// kinds travel undivided and land where their cache entry lives. The
-// retry/health bookkeeping mirrors forward; the worker's 200 body is
-// returned raw for proxying.
-func (c *Coordinator) forwardTask(ctx context.Context, path string, req any, t *accesscheck.Task) (json.RawMessage, error) {
+// kinds travel undivided and land where their cache entry lives.
+func (c *Coordinator) task(ctx context.Context, t *accesscheck.Task, payload any) (any, error) {
 	fp, err := c.taskChk.FingerprintTask(t)
 	if err != nil {
 		return nil, badRequest("%v", err)
@@ -784,123 +538,33 @@ func (c *Coordinator) forwardTask(ctx context.Context, path string, req any, t *
 	if err != nil {
 		return nil, err
 	}
-	router := fabric.NewRouter(workers)
-	seq := router.Sequence(fp, len(workers))
-	if len(seq) == 0 {
-		return nil, &httpError{status: http.StatusBadGateway, err: fmt.Errorf("no workers available")}
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
+	seq := fabric.NewRouter(workers).Sequence(fp, len(workers))
+	out := taskWire[t.Kind].response()
+	if err := c.forward(ctx, seq, taskWire[t.Kind].path, payload, out); err != nil {
 		return nil, err
 	}
-	var lastErr error
-	for _, worker := range seq {
-		if !c.reg.Allow(worker) {
-			continue
-		}
-		data, err := c.postWorker(ctx, worker, path, body)
-		if err == nil {
-			c.reg.MarkUp(worker)
-			c.checks.Add(1)
-			return data, nil
-		}
-		lastErr = err
-		c.recordForward(worker, err, ctx)
-		var se *fabric.StatusError
-		if errors.As(err, &se) && (se.Status < 500 || se.Status == http.StatusGatewayTimeout) {
-			break // terminal everywhere
-		}
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	if lastErr == nil {
-		c.noWorkers.Add(1)
-		_, hint := c.reg.Available()
-		return nil, noHealthyWorkersError(hint)
+	return out, nil
+}
+
+// dispatchError maps a fabric failure onto the coordinator's own response
+// and counts it. A context death passes through, and a worker's 504 (the
+// budget this request's own budget derived died inside the fabric) becomes
+// this request's budget expiry: the spine counts and answers both as
+// expiries, never as dispatch errors. Other worker-reported 4xx statuses
+// pass through (the request is wrong on any worker); transport failures
+// and everything else become 502.
+func (c *Coordinator) dispatchError(err error) error {
+	var se *fabric.StatusError
+	isStatus := errors.As(err, &se)
+	switch {
+	case isContextErr(err):
+		return err
+	case isStatus && se.Status == http.StatusGatewayTimeout:
+		return errBudgetExhausted
 	}
 	c.dispatchErrs.Add(1)
-	return nil, dispatchError(lastErr)
-}
-
-// serveForwardTask is the single-task handler tail the three non-check
-// routes share: budget, deadline, forward, proxy.
-func (c *Coordinator) serveForwardTask(w http.ResponseWriter, r *http.Request, itemBudget, path string, req any, t *accesscheck.Task) {
-	budget, err := c.resolveBudget(itemBudget, r)
-	if err != nil {
-		writeError(w, err, c.cfg.DefaultBudget)
-		return
-	}
-	ctx, cancel := context.WithTimeoutCause(r.Context(), budget, errBudgetExhausted)
-	defer cancel()
-	raw, err := c.forwardTask(ctx, path, req, t)
-	if err != nil {
-		writeError(w, err, budget)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(raw)
-}
-
-func (c *Coordinator) handleContainment(w http.ResponseWriter, r *http.Request) {
-	var req ContainmentRequest
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	t, err := parseContainmentTask(&req)
-	if err != nil {
-		writeError(w, err, c.cfg.DefaultBudget)
-		return
-	}
-	c.serveForwardTask(w, r, req.Budget, taskPaths[accesscheck.TaskContainment], &req, t)
-}
-
-func (c *Coordinator) handleRelevance(w http.ResponseWriter, r *http.Request) {
-	var req RelevanceRequest
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	t, err := parseRelevanceTask(&req)
-	if err != nil {
-		writeError(w, err, c.cfg.DefaultBudget)
-		return
-	}
-	c.serveForwardTask(w, r, req.Budget, taskPaths[accesscheck.TaskRelevance], &req, t)
-}
-
-func (c *Coordinator) handleChase(w http.ResponseWriter, r *http.Request) {
-	var req ChaseRequest
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	t, err := parseChaseTask(&req)
-	if err != nil {
-		writeError(w, err, c.cfg.DefaultBudget)
-		return
-	}
-	c.serveForwardTask(w, r, req.Budget, taskPaths[accesscheck.TaskChase], &req, t)
-}
-
-// dispatchError maps a fabric failure onto the coordinator's own response:
-// worker-reported statuses pass through (a 400/422 is the request's fault
-// on any worker; a 504 means the budget died inside the fabric), transport
-// failures and everything else become 502.
-func dispatchError(err error) error {
-	if err == nil {
-		return &httpError{status: http.StatusBadGateway, err: fmt.Errorf("dispatch failed")}
-	}
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return err
-	}
-	var se *fabric.StatusError
-	if errors.As(err, &se) {
-		if se.Status >= 400 && se.Status < 500 {
-			return &httpError{status: se.Status, err: err}
-		}
-		if se.Status == http.StatusGatewayTimeout {
-			return context.DeadlineExceeded
-		}
+	if isStatus && se.Status >= 400 && se.Status < 500 {
+		return &httpError{status: se.Status, err: err}
 	}
 	return &httpError{status: http.StatusBadGateway, err: err}
 }
@@ -929,19 +593,7 @@ func fabricOptions(o *CheckOptions) *fabric.CheckOptions {
 // partial — the coordinator checkpoints its frontier, so the identical
 // request redispatches only the missing shards.
 func wireShardMerge(res fabric.ShardResult) *CheckResponse {
-	out := wireShardMergeBase(res)
-	switch {
-	case res.Satisfiable || (res.ShardsTotal > 0 && res.ShardsCompleted == res.ShardsTotal):
-		out.Coverage = 1
-	case res.ShardsTotal > 0:
-		out.Coverage = float64(res.ShardsCompleted) / float64(res.ShardsTotal)
-		out.Resumable = true
-	}
-	return out
-}
-
-func wireShardMergeBase(res fabric.ShardResult) *CheckResponse {
-	return &CheckResponse{
+	out := &CheckResponse{
 		Satisfiable:     res.Satisfiable,
 		Fragment:        res.Fragment,
 		InFragment:      res.InFragment,
@@ -957,6 +609,14 @@ func wireShardMergeBase(res fabric.ShardResult) *CheckResponse {
 		ShardsCompleted: res.ShardsCompleted,
 		ShardsTotal:     res.ShardsTotal,
 	}
+	switch {
+	case res.Satisfiable || (res.ShardsTotal > 0 && res.ShardsCompleted == res.ShardsTotal):
+		out.Coverage = 1
+	case res.ShardsTotal > 0:
+		out.Coverage = float64(res.ShardsCompleted) / float64(res.ShardsTotal)
+		out.Resumable = true
+	}
+	return out
 }
 
 // handleJoin is the membership endpoint: a worker announces (or renews)
@@ -965,7 +625,7 @@ func wireShardMergeBase(res fabric.ShardResult) *CheckResponse {
 // re-registering.
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req fabric.JoinRequest
-	if !c.decodeBody(w, r, &req) {
+	if !c.decode(w, r, &req) {
 		return
 	}
 	var ttl time.Duration
@@ -1025,9 +685,10 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// writeMetrics writes the coordinator's own /metrics lines; the spine adds
+// the shared ones under the accserve_coordinator_ prefix.
+func (c *Coordinator) writeMetrics(w io.Writer) {
 	ds := c.disp.Stats()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprintf(w, "accserve_coordinator_checks_total %d\n", c.checks.Load())
 	fmt.Fprintf(w, "accserve_coordinator_fanouts_total %d\n", c.fanouts.Load())
 	fmt.Fprintf(w, "accserve_coordinator_forwards_total %d\n", c.forwards.Load())
@@ -1036,8 +697,6 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "accserve_coordinator_partial_answers_total %d\n", c.partials.Load())
 	fmt.Fprintf(w, "accserve_coordinator_resumes_total %d\n", c.resumes.Load())
 	fmt.Fprintf(w, "accserve_coordinator_no_workers_total %d\n", c.noWorkers.Load())
-	fmt.Fprintf(w, "accserve_coordinator_budget_exhausted_total %d\n", c.budgetExpiries.Load())
-	fmt.Fprintf(w, "accserve_coordinator_client_disconnected_total %d\n", c.disconnects.Load())
 	rcs := c.resCache.Stats()
 	fmt.Fprintf(w, "accserve_coordinator_cache_hits_total %d\n", rcs.Hits)
 	fmt.Fprintf(w, "accserve_coordinator_cache_misses_total %d\n", rcs.Misses)
@@ -1046,9 +705,9 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	ccs := c.ckpts.Stats()
 	fmt.Fprintf(w, "accserve_coordinator_checkpoints_size %d\n", ccs.Size)
 	fmt.Fprintf(w, "accserve_coordinator_checkpoints_evictions_total %d\n", ccs.Evictions)
-	// Unified tier-labeled view, same scheme as the worker's /metrics: the
-	// coordinator's stores are its merged-result cache and its shard-group
-	// checkpoint frontier.
+	// Unified tier-labeled view, in the worker's scheme: the coordinator's
+	// stores are its merged-result cache and its shard-group checkpoint
+	// frontier.
 	fmt.Fprintf(w, "accserve_cache_tier_hits_total{tier=\"merged\"} %d\n", rcs.Hits)
 	fmt.Fprintf(w, "accserve_cache_tier_misses_total{tier=\"merged\"} %d\n", rcs.Misses)
 	fmt.Fprintf(w, "accserve_cache_tier_evictions_total{tier=\"merged\"} %d\n", rcs.Evictions)
@@ -1073,7 +732,6 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "accserve_registry_joins_total %d\n", rs.Joins)
 	fmt.Fprintf(w, "accserve_registry_expirations_total %d\n", rs.Expirations)
 	fmt.Fprintf(w, "accserve_registry_breaker_opens_total %d\n", rs.BreakerOpens)
-	fmt.Fprintf(w, "accserve_failpoints_fired_total %d\n", c.failpoints.Fired())
 	snap := c.reg.Snapshot()
 	sorted := make([]fabric.WorkerStatus, len(snap))
 	copy(sorted, snap)

@@ -12,6 +12,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -19,6 +21,7 @@ import (
 
 	"accltl/accesscheck"
 	"accltl/accesscheck/fabric"
+	"accltl/internal/workload"
 )
 
 // goldenGrid is the option grid fanned-out checks are compared against
@@ -488,43 +491,152 @@ func TestWorkerShardCaching(t *testing.T) {
 	}
 }
 
-// TestDeadlineCarriesRetryAfter: a 504 must name a machine-readable backoff
-// in both the Retry-After header and the structured JSON body.
+// TestDeadlineCarriesRetryAfter: on both roles, every budgeted route
+// answers a blown own budget the same way — a 504 naming budget_exhausted
+// with a machine-readable backoff in both the Retry-After header and the
+// structured JSON body, or, on a batch, that message on every item — and
+// counts it once, as a budget expiry, never as a dispatch error.
 func TestDeadlineCarriesRetryAfter(t *testing.T) {
-	ts := newTestServer(t, Config{})
-	req := checkReq(unsatFormula)
-	req.Options = &CheckOptions{MaxDepth: 8, Engine: "bounded"}
-	req.Budget = "1ns"
-	resp, body := postJSON(t, ts.URL+"/v1/check", req)
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status %d, want 504: %s", resp.StatusCode, body)
+	const wantMsg = "context deadline exceeded: request budget exhausted"
+	check := checkReq(unsatFormula)
+	check.Options = &CheckOptions{MaxDepth: 8, Engine: "bounded"}
+	check.Budget = "1ns"
+	containment := containmentReq(workload.ContainmentScenarios()[0])
+	containment.Budget = "1ns"
+	relevance := relevanceReq(workload.RelevanceScenarios()[0])
+	relevance.Budget = "1ns"
+	chase := ChaseRequest{Arities: []string{"R:3"}, FDs: []string{"R:0->1", "R:1->2"}, Sigma: "R:0->2", Budget: "1ns"}
+	batch := BatchRequest{Items: []TaskRequest{
+		{Task: "check", Check: &check},
+		{Task: "containment", Containment: &containment},
+		{Task: "relevance", Relevance: &relevance},
+		{Task: "chase", Chase: &chase},
+	}}
+	routes := []struct {
+		path     string
+		body     any
+		expiries int
+	}{
+		{"/v1/check", check, 1},
+		{"/v1/containment", containment, 1},
+		{"/v1/relevance", relevance, 1},
+		{"/v1/chase", chase, 1},
+		{"/v1/batch", batch, len(batch.Items)},
 	}
-	if got := resp.Header.Get("Retry-After"); got != "1" {
-		t.Errorf("Retry-After = %q, want \"1\" (1ns budget rounds up to 1s)", got)
-	}
-	var e errorResponse
-	if err := json.Unmarshal(body, &e); err != nil {
-		t.Fatal(err)
-	}
-	if e.Code != "budget_exhausted" {
-		t.Errorf("error code = %q, want \"budget_exhausted\" (own-budget expiry names its cause)", e.Code)
-	}
-	if e.RetryAfter != 1 {
-		t.Errorf("retry_after_seconds = %d, want 1", e.RetryAfter)
-	}
-	if e.Error == "" {
-		t.Error("structured error body missing the message")
+	for _, rl := range roles(t, Config{}) {
+		for _, rt := range routes {
+			label := rl.name + " " + rt.path
+			before := metricsAt(t, rl.url)
+			resp, body := postJSON(t, rl.url+rt.path, rt.body)
+			if rt.path == "/v1/batch" {
+				var out BatchResponse
+				if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &out) != nil {
+					t.Fatalf("%s: status %d: %s", label, resp.StatusCode, body)
+				}
+				for i, item := range out.Results {
+					if item.Error != wantMsg {
+						t.Errorf("%s item %d: error %q, want %q", label, i, item.Error, wantMsg)
+					}
+				}
+			} else {
+				if resp.StatusCode != http.StatusGatewayTimeout {
+					t.Fatalf("%s: status %d, want 504: %s", label, resp.StatusCode, body)
+				}
+				if got := resp.Header.Get("Retry-After"); got != "1" {
+					t.Errorf("%s: Retry-After = %q, want \"1\" (1ns budget rounds up to 1s)", label, got)
+				}
+				var e errorResponse
+				if err := json.Unmarshal(body, &e); err != nil {
+					t.Fatal(err)
+				}
+				if e.Code != "budget_exhausted" {
+					t.Errorf("%s: error code = %q, want \"budget_exhausted\" (own-budget expiry names its cause)", label, e.Code)
+				}
+				if e.RetryAfter != 1 {
+					t.Errorf("%s: retry_after_seconds = %d, want 1", label, e.RetryAfter)
+				}
+				if e.Error != wantMsg {
+					t.Errorf("%s: message %q, want %q", label, e.Error, wantMsg)
+				}
+			}
+			after := metricsAt(t, rl.url)
+			if d := after[rl.prefix+"budget_exhausted_total"] - before[rl.prefix+"budget_exhausted_total"]; d != rt.expiries {
+				t.Errorf("%s: %sbudget_exhausted_total moved by %d, want %d", label, rl.prefix, d, rt.expiries)
+			}
+			const dispatchErrs = "accserve_coordinator_dispatch_errors_total"
+			if d := after[dispatchErrs] - before[dispatchErrs]; d != 0 {
+				t.Errorf("%s: expiry counted as %d dispatch error(s)", label, d)
+			}
+		}
 	}
 }
 
 // TestCacheEvictionsExposed: overflowing a 1-entry cache with two distinct
-// exact results increments accserve_cache_evictions_total.
+// exact results increments the memory tier's eviction counter.
 func TestCacheEvictionsExposed(t *testing.T) {
 	ts := newTestServer(t, Config{CacheSize: 1})
 	postJSON(t, ts.URL+"/v1/check", checkReq(satFormula))
 	postJSON(t, ts.URL+"/v1/check", checkReq(unsatFormula))
 	m := metrics(t, ts)
-	if m["accserve_cache_evictions_total"] == 0 {
+	if m[`accserve_cache_tier_evictions_total{tier="memory"}`] == 0 {
 		t.Error("eviction not counted after overflowing a 1-entry cache")
+	}
+}
+
+// TestFabricScrapedMetricNames guards the /metrics names the serving
+// benchmark (perfbench/trace.go) and the fabric smoke script read. The
+// benchmark sums each name over the coordinator and the workers, so a name
+// that goes missing silently reads 0, and a name that starts appearing on
+// the other role is counted twice. Every scraped name must appear on
+// exactly the role that emits it: the coordinator's accserve_coordinator_,
+// accserve_fabric_ and accserve_registry_ families, and the workers'
+// everything else.
+func TestFabricScrapedMetricNames(t *testing.T) {
+	name := regexp.MustCompile(`accserve_[a-z_]+(\{[a-z]+="[a-z]+"\})?`)
+	var scraped []string
+	for _, src := range []string{"../../perfbench/trace.go", "../../scripts/fabric_smoke.sh"} {
+		data, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := name.FindAllString(string(data), -1)
+		if len(found) == 0 {
+			t.Fatalf("%s names no accserve_ metric", src)
+		}
+		scraped = append(scraped, found...)
+	}
+
+	var workers []string
+	for i := 0; i < 2; i++ {
+		srv := New(Config{CacheDir: t.TempDir()})
+		ts := httptest.NewServer(srv)
+		t.Cleanup(func() { ts.Close(); srv.Close() })
+		workers = append(workers, ts.URL)
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(coord)
+	t.Cleanup(cts.Close)
+	for route, body := range map[string]any{
+		"/v1/check":       checkReq(unsatFormula),
+		"/v1/containment": containmentReq(workload.ContainmentScenarios()[0]),
+	} {
+		if resp, out := postJSON(t, cts.URL+route, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", route, resp.StatusCode, out)
+		}
+	}
+
+	onCoord, onWorker := metricsAt(t, cts.URL), metricsAt(t, workers[0])
+	for _, n := range scraped {
+		coordOnly := strings.HasPrefix(n, "accserve_coordinator_") ||
+			strings.HasPrefix(n, "accserve_fabric_") || strings.HasPrefix(n, "accserve_registry_")
+		_, c := onCoord[n]
+		_, w := onWorker[n]
+		if c != coordOnly || w == coordOnly {
+			t.Errorf("%s: on coordinator %v, on worker %v; want it on the %s only",
+				n, c, w, map[bool]string{true: "coordinator", false: "workers"}[coordOnly])
+		}
 	}
 }

@@ -244,8 +244,9 @@ func (s *shardIndexFail) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.inner.ServeHTTP(w, r)
 }
 
-// planAndGroups mirrors the coordinator's affinity grouping for the given
-// request over two worker URLs: which worker owns each canonical shard.
+// planAndGroups recomputes the coordinator's affinity grouping for the
+// given request over two worker URLs: which worker owns each canonical
+// shard.
 func planAndGroups(t *testing.T, req CheckRequest, workers []string) ([]accesscheck.ShardID, map[string][]int) {
 	t.Helper()
 	chk, err := checkerFor(req.Options, 1)

@@ -1,8 +1,9 @@
 // Package server is the HTTP frontend of the accesscheck facade: a batch
 // check service with bounded concurrency, per-request response-time budgets
 // and an exact-results-only LRU cache, in the spirit of bounded-response-
-// time query services (BlinkDB). It is the substrate later scaling work
-// (sharding, multi-backend dispatch) plugs into.
+// time query services (BlinkDB). It serves in two roles over one request
+// spine (spine.go): a Server solves locally and doubles as a fabric
+// worker, and a Coordinator fans checks out over a fabric of workers.
 //
 // Endpoints:
 //
@@ -14,13 +15,19 @@
 //	POST /v1/chase        FD+ID implication; ChaseRequest → ChaseResponse
 //	POST /v1/batch        many tasks; BatchRequest (check-only "requests" or
 //	                      mixed-task "items") → BatchResponse
+//	POST /v1/shard        worker only: a slice of one check's shard plan;
+//	                      fabric.Shard → fabric.ShardResult
 //	GET  /healthz         liveness probe
-//	GET  /metrics         Prometheus-style text counters (hits, misses,
-//	                      truncations, per-task counters, in-flight, ...)
+//	GET  /metrics         Prometheus-style text counters (truncations,
+//	                      cache tiers, per-task counters, in-flight, ...)
 //
-// Every task kind shares one spine: the same budget resolution, the same
-// bounded worker pool, the same 504 semantics on a blown budget, and the
-// same exact-results-only LRU keyed by task-kind-aware fingerprints.
+// The coordinator adds POST /v1/join and GET /v1/workers (coordinator.go).
+//
+// Every task kind, on either role, shares one spine: the same budget
+// resolution, the same 504 semantics on a blown budget, and the same batch
+// and error shapes. On a Server every task also shares the bounded worker
+// pool and the exact-results-only LRU keyed by task-kind-aware
+// fingerprints.
 //
 // Budget semantics: every check runs under a deadline. The most specific
 // wins — the item's "budget" field, then the ?budget= query parameter, then
@@ -49,8 +56,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -108,8 +113,9 @@ type Config struct {
 	// being buffered into memory.
 	MaxBodyBytes int64
 	// Failpoints, when armed (accserve -failpoints / ACCSERVE_FAILPOINTS),
-	// injects deterministic faults at the worker's shard handler
-	// ("worker.shard") for chaos testing. Nil in production.
+	// injects deterministic faults for chaos testing: at a worker's shard
+	// handler ("worker.shard") and at a coordinator's shard dispatch
+	// ("dispatch.send"). Nil in production.
 	Failpoints *fabric.Failpoints
 }
 
@@ -141,22 +147,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the HTTP handler. Construct with New; the zero value is not
-// usable.
+// Server is the worker role: the request spine in front of the local
+// solver. Construct with New; the zero value is not usable.
 type Server struct {
-	cfg Config
+	*spine
 	// cache is the tiered result store: a fingerprint-sharded in-memory
 	// LRU (exact results only), optionally written behind to an append-only
 	// disk tier when Config.CacheDir is set. Only exact check results are
 	// wire round-trippable, so only they persist; non-check task results
 	// stay memory-resident.
 	cache *cachetier.Tiered[accesscheck.TaskResult]
-	// ckpts holds suspended anytime frontiers keyed by the shard-less check
-	// fingerprint: the opposite admission discipline of cache (partials
-	// only, never served as answers — see accesscheck.CheckpointStore).
+	// ckpts holds suspended anytime frontiers keyed by the fingerprint of
+	// the check or shard group they belong to: the opposite admission
+	// discipline of cache (partials only, never served as answers — see
+	// accesscheck.CheckpointStore).
 	ckpts *accesscheck.CheckpointStore
 	sem   chan struct{}
-	mux   *http.ServeMux
 	// taskChk runs the non-check tasks. Their verdicts and fingerprints are
 	// canonical in the payload alone (checker options do not leak in), so
 	// one default-configured checker serves every such request.
@@ -165,14 +171,6 @@ type Server struct {
 	inFlight    atomic.Int64
 	checks      atomic.Uint64
 	truncations atomic.Uint64
-	deadlines   atomic.Uint64
-	cancels     atomic.Uint64
-	// Cause-split expiry counters: deadlines/cancels keep the legacy
-	// totals, while these three attribute each context death to what
-	// actually killed it (see ctxErr).
-	budgetExpiries atomic.Uint64
-	shardExpiries  atomic.Uint64
-	disconnects    atomic.Uint64
 	// anytimePartials counts resumable coverage-tagged answers served;
 	// anytimeResumes counts requests that found a stored frontier to
 	// resume from.
@@ -184,9 +182,8 @@ type Server struct {
 	shardChecks     atomic.Uint64
 	shardMismatch   atomic.Uint64
 
-	// Per-task-kind counters, indexed by accesscheck.TaskKind: requests
-	// received, truncated results served, and cache probe outcomes.
-	taskRequests    [numTaskKinds]atomic.Uint64
+	// Per-task-kind counters, indexed by accesscheck.TaskKind: truncated
+	// results served, and cache probe outcomes.
 	taskTruncations [numTaskKinds]atomic.Uint64
 	taskCacheHits   [numTaskKinds]atomic.Uint64
 	taskCacheMisses [numTaskKinds]atomic.Uint64
@@ -230,26 +227,16 @@ func New(cfg Config) *Server {
 		back = dt
 	}
 	s := &Server{
-		cfg:     cfg,
 		cache:   cachetier.NewTiered(mem, back, encodeDiskCheck),
 		ckpts:   accesscheck.NewCheckpointStore(cfg.CacheSize),
 		sem:     make(chan struct{}, cfg.Workers),
-		mux:     http.NewServeMux(),
 		taskChk: taskChk,
 	}
-	s.mux.HandleFunc("POST /v1/check", s.handleCheck)
-	s.mux.HandleFunc("POST /v1/containment", s.handleContainment)
-	s.mux.HandleFunc("POST /v1/relevance", s.handleRelevance)
-	s.mux.HandleFunc("POST /v1/chase", s.handleChase)
-	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
+	s.spine = newSpine(cfg, "accserve_", s, s.writeMetrics)
 	s.mux.HandleFunc("POST /v1/shard", s.handleShard)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
 }
-
-// ServeHTTP dispatches to the server's routes.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Close flushes the resident exact check results through to the disk tier
 // and closes it — the graceful-shutdown half of the write-behind contract.
@@ -373,9 +360,18 @@ type BatchItem struct {
 	Error       string               `json:"error,omitempty"`
 }
 
-// BatchResponse lines up index-for-index with BatchRequest.Requests.
+// BatchResponse lines up index-for-index with the batch's requests or
+// items.
 type BatchResponse struct {
 	Results []BatchItem `json:"results"`
+}
+
+// BatchStreamItem is one NDJSON line of a streamed /v1/batch response: the
+// item's index in the request plus its outcome. Lines arrive in completion
+// order, not request order — the index is the correlation.
+type BatchStreamItem struct {
+	Index int `json:"index"`
+	BatchItem
 }
 
 // errorResponse is the structured error body every non-2xx JSON endpoint
@@ -401,7 +397,7 @@ type errorResponse struct {
 // CAUSE (not context.DeadlineExceeded) in the errors of requests whose
 // context expired, so a coordinator whose budget dies mid-dispatch sees
 // `Post ...: request budget exhausted` from the transport. Every deadline
-// classifier in the fabric (BreakerFailure, retryable, recordForward) asks
+// classifier (fabric.BreakerFailure, isContextErr) asks
 // errors.Is(err, context.DeadlineExceeded) — so the sentinels answer yes
 // to that question via a custom Is, keeping them deadline errors wherever
 // they travel while staying distinct identities for cause mapping.
@@ -470,25 +466,6 @@ func badRequest(format string, args ...any) error {
 	return &httpError{status: http.StatusBadRequest, err: fmt.Errorf(format, args...)}
 }
 
-// resolveBudget picks the per-check deadline: item budget, then query
-// parameter, then server default.
-func (s *Server) resolveBudget(item string, r *http.Request) (time.Duration, error) {
-	for _, spec := range []string{item, r.URL.Query().Get("budget")} {
-		if spec == "" {
-			continue
-		}
-		d, err := time.ParseDuration(spec)
-		if err != nil {
-			return 0, badRequest("bad budget %q: %v", spec, err)
-		}
-		if d <= 0 {
-			return 0, badRequest("bad budget %q: must be positive", spec)
-		}
-		return d, nil
-	}
-	return s.cfg.DefaultBudget, nil
-}
-
 // parallelismFor resolves a check's effective walker count: the server's
 // configured per-check parallelism, lowered (never raised) by the request.
 func (s *Server) parallelismFor(o *CheckOptions) int {
@@ -532,10 +509,9 @@ func checkerFor(o *CheckOptions, parallelism int, extra ...accesscheck.Option) (
 	return accesscheck.NewChecker(opts...)
 }
 
-// doCheck runs one check end to end: parse, cache probe, bounded solve,
-// cache admission. ctx must already carry the request's budget.
-func (s *Server) doCheck(ctx context.Context, req CheckRequest) (*CheckResponse, error) {
-	s.taskRequests[accesscheck.TaskCheck].Add(1)
+// check runs one check end to end: parse, cache probe (memory, then
+// disk), anytime solve. ctx carries the request's budget.
+func (s *Server) check(ctx context.Context, req CheckRequest) (*CheckResponse, error) {
 	if req.Formula == "" {
 		return nil, badRequest("missing formula")
 	}
@@ -571,64 +547,94 @@ func (s *Server) doCheck(ctx context.Context, req CheckRequest) (*CheckResponse,
 	}
 	s.taskCacheMisses[accesscheck.TaskCheck].Add(1)
 
-	// Anytime frontier: an identical request that blew its budget earlier
-	// left a suspended checkpoint under this fingerprint; resume it instead
-	// of restarting from scratch.
+	res, _, err := s.solveCheck(ctx, chk, sch, f, fp, par)
+	if err != nil {
+		return nil, err
+	}
+	s.checks.Add(1)
+	if res.Truncated {
+		s.taskTruncations[accesscheck.TaskCheck].Add(1)
+	}
+	return wireResult(res, false), nil
+}
+
+// solveCheck is the one anytime solve behind /v1/check and /v1/shard. An
+// identical request that blew its budget earlier left a suspended frontier
+// under fp, which this run resumes instead of restarting from scratch. The
+// frontier is kept while the check is unsettled and dropped once it
+// settles.
+func (s *Server) solveCheck(ctx context.Context, chk *accesscheck.Checker, sch *accesscheck.Schema,
+	f accesscheck.Formula, fp string, par int) (*accesscheck.Result, *accesscheck.Checkpoint, error) {
 	prev, _ := s.ckpts.Get(fp)
 	if prev != nil {
 		s.anytimeResumes.Add(1)
 	}
+	var cp *accesscheck.Checkpoint
+	tr, err := s.solve(ctx, fp, func() (*accesscheck.TaskResult, error) {
+		// Per-request parallelism telemetry: sum/count expose the average
+		// effective fan-out on /metrics without a histogram dependency.
+		// Counted only once a solve actually starts — cache hits and
+		// requests whose budget dies waiting for a worker slot run zero
+		// walkers.
+		s.parSum.Add(uint64(par))
+		s.parCount.Add(1)
+		res, next, err := chk.CheckAnytime(ctx, sch, f, prev)
+		cp = next
+		if err != nil {
+			return nil, err
+		}
+		return checkTaskResult(res), nil
+	})
+	switch {
+	case err != nil:
+		if isContextErr(err) {
+			// Expired with no completed shard: no honest coverage to answer
+			// with, but the frontier's warm memo tables still accelerate a
+			// retry. (No frontier when the budget died waiting for a slot.)
+			s.ckpts.PutAs(fp, cp)
+		}
+		return nil, nil, err
+	case tr.Check.Resumable:
+		// Budget blown with progress made: a coverage-tagged partial whose
+		// frontier the next identical request resumes. Resumable answers
+		// are always Truncated, so solve kept them out of the cache.
+		s.anytimePartials.Add(1)
+		s.ckpts.PutAs(fp, cp)
+	default:
+		// Settled: the frontier is spent. Dropping it keeps a later
+		// identical request from resuming stale cumulative statistics.
+		s.ckpts.Remove(fp)
+	}
+	return tr.Check, cp, nil
+}
 
-	// Acquire a worker slot without outliving the budget.
+// solve is the path every cache miss takes: wait for a worker slot without
+// outliving the budget, run, release the slot, and admit the result. Exact
+// results enter the cache under fp; a truncated one is relative to this
+// request's caps, so it is counted and served but never cached.
+func (s *Server) solve(ctx context.Context, fp string, run func() (*accesscheck.TaskResult, error)) (*accesscheck.TaskResult, error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, s.ctxErr(ctx, ctx.Err())
+		return nil, ctx.Err()
 	}
 	s.inFlight.Add(1)
-	// Per-request parallelism telemetry: sum/count expose the average
-	// effective fan-out on /metrics without a histogram dependency. Counted
-	// only once a solve actually starts — cache hits and requests whose
-	// budget dies waiting for a worker slot run zero walkers and would
-	// otherwise report the configured parallelism for work that never
-	// explored.
-	s.parSum.Add(uint64(par))
-	s.parCount.Add(1)
-	res, cp, err := chk.CheckAnytime(ctx, sch, f, prev)
+	tr, err := run()
 	s.inFlight.Add(-1)
 	<-s.sem
-
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			// Expired with no completed shard: no honest coverage to
-			// answer with, but the checkpoint's warm memo tables still
-			// accelerate a retry.
-			s.ckpts.Put(cp)
-			return nil, s.ctxErr(ctx, err)
+		if !isContextErr(err) {
+			s.errs.Add(1)
+			err = &httpError{status: http.StatusUnprocessableEntity, err: err}
 		}
-		s.errs.Add(1)
-		return nil, &httpError{status: http.StatusUnprocessableEntity, err: err}
+		return nil, err
 	}
-	s.checks.Add(1)
-	if res.Resumable {
-		// Budget blown with progress made: a coverage-tagged partial, and
-		// the frontier checkpointed so the next identical request resumes.
-		// Resumable answers are always Truncated — never cache-admissible.
-		s.anytimePartials.Add(1)
+	if tr.Truncated {
 		s.truncations.Add(1)
-		s.taskTruncations[accesscheck.TaskCheck].Add(1)
-		s.ckpts.Put(cp)
-		return wireResult(res, false), nil
-	}
-	s.ckpts.Remove(fp)
-	if res.Truncated {
-		// Cap-relative verdict: served, counted, never cached.
-		s.truncations.Add(1)
-		s.taskTruncations[accesscheck.TaskCheck].Add(1)
 	} else {
-		s.cache.Add(fp, *checkTaskResult(res))
+		s.cache.Add(fp, *tr)
 	}
-	return wireResult(res, false), nil
+	return tr, nil
 }
 
 // checkTaskResult wraps a check Result in the task envelope the cache
@@ -670,42 +676,6 @@ func wireResult(res *accesscheck.Result, cached bool) *CheckResponse {
 	return out
 }
 
-// ctxErr converts a context death into the error the route answers with,
-// attributing it to its cause. The legacy deadlines/cancels totals keep
-// their meaning ("budgets too tight" vs "client went away"); the
-// cause-split counters and the returned code distinguish the server's own
-// request budget from a coordinator-imposed per-shard budget from a client
-// disconnect — conflating them would let ordinary disconnects inflate the
-// budget alarm, and budget expiry is the one retrying helps.
-func (s *Server) ctxErr(ctx context.Context, err error) error {
-	cause := context.Cause(ctx)
-	if cause == nil {
-		cause = err
-	}
-	switch {
-	case errors.Is(cause, errBudgetExhausted):
-		s.deadlines.Add(1)
-		s.budgetExpiries.Add(1)
-		return &httpError{status: http.StatusGatewayTimeout, code: "budget_exhausted",
-			err: fmt.Errorf("%w: %v", context.DeadlineExceeded, cause)}
-	case errors.Is(cause, errShardBudgetExhausted):
-		s.deadlines.Add(1)
-		s.shardExpiries.Add(1)
-		return &httpError{status: http.StatusGatewayTimeout, code: "shard_budget_exhausted",
-			err: fmt.Errorf("%w: %v", context.DeadlineExceeded, cause)}
-	case errors.Is(err, context.DeadlineExceeded):
-		// An externally imposed deadline (a caller-supplied context): the
-		// legacy code, no cause to blame.
-		s.deadlines.Add(1)
-		return err
-	default:
-		s.cancels.Add(1)
-		s.disconnects.Add(1)
-		return &httpError{status: statusClientClosedRequest, code: "client_disconnected",
-			err: fmt.Errorf("%w: client disconnected", context.Canceled)}
-	}
-}
-
 // statusClientClosedRequest is nginx's conventional status for a request
 // abandoned by the client; there is no standard constant.
 const statusClientClosedRequest = 499
@@ -724,218 +694,10 @@ func statusOf(err error) int {
 	return http.StatusInternalServerError
 }
 
-// decodeBody reads the JSON body under the size cap; oversized bodies are
-// rejected with 413 before they can exhaust memory, and unknown fields with
-// 400 — a typo'd option name must fail loudly instead of being silently
-// ignored (a misspelled "grounded" would otherwise run the wrong check).
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	return decodeStrict(w, r.Body, v)
-}
-
-// decodeStrict decodes JSON with DisallowUnknownFields, rendering the
-// structured error responses every /v1/* body shares.
-func decodeStrict(w http.ResponseWriter, body io.Reader, v any) bool {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return false
-		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
-		return false
-	}
-	return true
-}
-
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	var req CheckRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	budget, err := s.resolveBudget(req.Budget, r)
-	if err != nil {
-		writeError(w, err, s.cfg.DefaultBudget)
-		return
-	}
-	ctx, cancel := context.WithTimeoutCause(r.Context(), budget, errBudgetExhausted)
-	defer cancel()
-	res, err := s.doCheck(ctx, req)
-	if err != nil {
-		writeError(w, err, budget)
-		return
-	}
-	tagResumable(w, res, budget)
-	writeJSON(w, http.StatusOK, res)
-}
-
-// tagResumable stamps the retry horizon on a resumable 200: the identical
-// request, re-issued after roughly the same budget, resumes the stored
-// frontier. The header rides only on single-check responses; batch items
-// carry the field alone.
-func tagResumable(w http.ResponseWriter, res *CheckResponse, budget time.Duration) {
-	if !res.Resumable {
-		return
-	}
-	res.RetryAfter = retrySecs(budget)
-	if w != nil {
-		w.Header().Set("Retry-After", strconv.Itoa(res.RetryAfter))
-	}
-}
-
-// checkBatchSize validates the two batch forms share one size policy;
-// returns the item count or writes the error and returns -1.
-func checkBatchSize(w http.ResponseWriter, req *BatchRequest, maxBatch int) int {
-	if len(req.Requests) > 0 && len(req.Items) > 0 {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: `batch carries both "requests" and "items"; use one`})
-		return -1
-	}
-	n := len(req.Requests) + len(req.Items)
-	if n == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "empty batch"})
-		return -1
-	}
-	if n > maxBatch {
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			errorResponse{Error: fmt.Sprintf("batch of %d exceeds the limit of %d", n, maxBatch)})
-		return -1
-	}
-	return n
-}
-
-// taskItemBudget names the budget field of a mixed-batch item's payload.
-func (t *TaskRequest) budget() string {
-	switch {
-	case t.Check != nil:
-		return t.Check.Budget
-	case t.Containment != nil:
-		return t.Containment.Budget
-	case t.Relevance != nil:
-		return t.Relevance.Budget
-	case t.Chase != nil:
-		return t.Chase.Budget
-	}
-	return ""
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	n := checkBatchSize(w, &req, s.cfg.MaxBatch)
-	if n < 0 {
-		return
-	}
-	serveBatch(w, r, &req, n, s.resolveBudget, s.doCheck, s.doTaskItem)
-}
-
-// BatchStreamItem is one NDJSON line of a streamed /v1/batch response: the
-// item's index in the request plus its outcome. Lines arrive in completion
-// order, not request order — the index is the correlation.
-type BatchStreamItem struct {
-	Index int `json:"index"`
-	BatchItem
-}
-
-// wantsNDJSON reports whether the client asked for a streamed batch.
-func wantsNDJSON(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
-}
-
-// serveBatch is the batch engine the standalone server and the coordinator
-// share: per-item budgets anchored at arrival, bounded by whoever runs the
-// items, and two response shapes. The default buffers everything into one
-// BatchResponse; with "Accept: application/x-ndjson" each item streams as
-// its own line the moment it completes, so slow items do not delay fast
-// ones reaching the client.
-func serveBatch(w http.ResponseWriter, r *http.Request, req *BatchRequest, n int,
-	resolveBudget func(string, *http.Request) (time.Duration, error),
-	doCheck func(context.Context, CheckRequest) (*CheckResponse, error),
-	doTaskItem func(context.Context, *TaskRequest) BatchItem,
-) {
-	stream := wantsNDJSON(r)
-	results := make([]BatchItem, n)
-	var done chan int
-	if stream {
-		done = make(chan int, n)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if stream {
-				defer func() { done <- i }()
-			}
-			var itemBudget string
-			if req.Requests != nil {
-				itemBudget = req.Requests[i].Budget
-			} else {
-				itemBudget = req.Items[i].budget()
-			}
-			budget, err := resolveBudget(itemBudget, r)
-			if err != nil {
-				results[i] = BatchItem{Error: err.Error()}
-				return
-			}
-			// Deadlines are per item, all anchored at arrival: the worker
-			// pool bounds actual parallelism, and an item whose budget
-			// expires while queued fails fast instead of hogging a slot.
-			ctx, cancel := context.WithTimeoutCause(r.Context(), budget, errBudgetExhausted)
-			defer cancel()
-			if req.Requests != nil {
-				res, err := doCheck(ctx, req.Requests[i])
-				if err != nil {
-					results[i] = BatchItem{Error: err.Error()}
-					return
-				}
-				tagResumable(nil, res, budget)
-				results[i] = BatchItem{Result: res}
-				return
-			}
-			item := doTaskItem(ctx, &req.Items[i])
-			if item.Result != nil {
-				tagResumable(nil, item.Result, budget)
-			}
-			results[i] = item
-		}(i)
-	}
-	if !stream {
-		wg.Wait()
-		writeJSON(w, http.StatusOK, BatchResponse{Results: results})
-		return
-	}
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	// Single writer: item goroutines publish completion via the channel
-	// (which orders their writes to results[i] before our read), and only
-	// this loop touches the ResponseWriter.
-	for i := range done {
-		_ = enc.Encode(BatchStreamItem{Index: i, BatchItem: results[i]})
-		if fl != nil {
-			fl.Flush()
-		}
-	}
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleMetrics renders the counters in Prometheus exposition style: plain
-// text, one "name value" per line, scrape-friendly without pulling in a
-// client library.
 // ratio renders h/(h+m) as a gauge value, 0 when nothing was probed.
 func ratio(h, m uint64) float64 {
 	if h+m == 0 {
@@ -944,23 +706,18 @@ func ratio(h, m uint64) float64 {
 	return float64(h) / float64(h+m)
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// writeMetrics writes the worker's own /metrics lines; the spine adds the
+// shared ones.
+func (s *Server) writeMetrics(w io.Writer) {
 	cs := s.cache.MemStats()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprintf(w, "accserve_cache_hits_total %d\n", cs.Hits)
-	fmt.Fprintf(w, "accserve_cache_misses_total %d\n", cs.Misses)
 	fmt.Fprintf(w, "accserve_cache_rejected_total %d\n", cs.Rejected)
-	fmt.Fprintf(w, "accserve_cache_evictions_total %d\n", cs.Evictions)
 	fmt.Fprintf(w, "accserve_cache_size %d\n", cs.Size)
 	fmt.Fprintf(w, "accserve_cache_capacity %d\n", cs.Capacity)
 	fmt.Fprintf(w, "accserve_cache_shards %d\n", s.cache.Shards())
 	fmt.Fprintf(w, "accserve_checks_total %d\n", s.checks.Load())
 	fmt.Fprintf(w, "accserve_truncations_total %d\n", s.truncations.Load())
 	fmt.Fprintf(w, "accserve_deadline_exceeded_total %d\n", s.deadlines.Load())
-	fmt.Fprintf(w, "accserve_client_cancelled_total %d\n", s.cancels.Load())
-	fmt.Fprintf(w, "accserve_budget_exhausted_total %d\n", s.budgetExpiries.Load())
 	fmt.Fprintf(w, "accserve_shard_budget_exhausted_total %d\n", s.shardExpiries.Load())
-	fmt.Fprintf(w, "accserve_client_disconnected_total %d\n", s.disconnects.Load())
 	fmt.Fprintf(w, "accserve_anytime_partials_total %d\n", s.anytimePartials.Load())
 	fmt.Fprintf(w, "accserve_anytime_resumes_total %d\n", s.anytimeResumes.Load())
 	ks := s.ckpts.Stats()
@@ -970,16 +727,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "accserve_check_errors_total %d\n", s.errs.Load())
 	fmt.Fprintf(w, "accserve_shard_checks_total %d\n", s.shardChecks.Load())
 	fmt.Fprintf(w, "accserve_shard_plan_mismatches_total %d\n", s.shardMismatch.Load())
-	fmt.Fprintf(w, "accserve_failpoints_fired_total %d\n", s.cfg.Failpoints.Fired())
 	for _, k := range taskKinds {
-		fmt.Fprintf(w, "accserve_task_requests_total{task=%q} %d\n", k.String(), s.taskRequests[k].Load())
 		fmt.Fprintf(w, "accserve_task_truncations_total{task=%q} %d\n", k.String(), s.taskTruncations[k].Load())
 		fmt.Fprintf(w, "accserve_task_cache_hits_total{task=%q} %d\n", k.String(), s.taskCacheHits[k].Load())
 		fmt.Fprintf(w, "accserve_task_cache_misses_total{task=%q} %d\n", k.String(), s.taskCacheMisses[k].Load())
 	}
 	// Tiered-cache view: one unified tier-labeled family over every store,
 	// plus hit-ratio gauges, so dashboards compare tiers without knowing
-	// each store's legacy metric names.
+	// each store's own metric names.
 	ts := s.cache.Stats()
 	fmt.Fprintf(w, "accserve_cache_tier_hits_total{tier=\"memory\"} %d\n", cs.Hits)
 	fmt.Fprintf(w, "accserve_cache_tier_misses_total{tier=\"memory\"} %d\n", cs.Misses)

@@ -133,9 +133,33 @@ func TestCheckEndpointBadRequests(t *testing.T) {
 	}
 }
 
+// role is one front of the request spine: a standalone server or a
+// coordinator over two workers. prefix starts the role's shared metric
+// names; own is a POST route only this role serves.
+type role struct {
+	name, url, prefix, own string
+}
+
+// roles starts both fronts over cfg; the coordinator's workers take the
+// defaults.
+func roles(t *testing.T, cfg Config) []role {
+	t.Helper()
+	ts := newTestServer(t, cfg)
+	url, _, _ := newFabric(t, 2, CoordinatorConfig{Server: cfg})
+	return []role{
+		{name: "server", url: ts.URL, prefix: "accserve_", own: "/v1/shard"},
+		{name: "coordinator", url: url, prefix: "accserve_coordinator_", own: "/v1/join"},
+	}
+}
+
 func metrics(t *testing.T, ts *httptest.Server) map[string]int {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/metrics")
+	return metricsAt(t, ts.URL)
+}
+
+func metricsAt(t *testing.T, url string) map[string]int {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +207,11 @@ func TestRepeatedRequestsHitCache(t *testing.T) {
 		}
 	}
 	m := metrics(t, ts)
-	if m["accserve_cache_hits_total"] != 2 {
-		t.Errorf("cache hits = %d, want 2", m["accserve_cache_hits_total"])
+	if m[`accserve_cache_tier_hits_total{tier="memory"}`] != 2 {
+		t.Errorf("cache hits = %d, want 2", m[`accserve_cache_tier_hits_total{tier="memory"}`])
 	}
-	if m["accserve_cache_misses_total"] != 1 {
-		t.Errorf("cache misses = %d, want 1", m["accserve_cache_misses_total"])
+	if m[`accserve_cache_tier_misses_total{tier="memory"}`] != 1 {
+		t.Errorf("cache misses = %d, want 1", m[`accserve_cache_tier_misses_total{tier="memory"}`])
 	}
 	if m["accserve_checks_total"] != 1 {
 		t.Errorf("solves = %d, want 1 (second and third served from cache)", m["accserve_checks_total"])
@@ -344,8 +368,8 @@ func TestTruncatedResultsNotCached(t *testing.T) {
 	if m["accserve_truncations_total"] != 2 {
 		t.Errorf("truncations = %d, want 2 (both solves capped)", m["accserve_truncations_total"])
 	}
-	if m["accserve_cache_hits_total"] != 0 {
-		t.Errorf("cache hits = %d, want 0", m["accserve_cache_hits_total"])
+	if m[`accserve_cache_tier_hits_total{tier="memory"}`] != 0 {
+		t.Errorf("cache hits = %d, want 0", m[`accserve_cache_tier_hits_total{tier="memory"}`])
 	}
 }
 
@@ -399,24 +423,25 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	if m["accserve_in_flight"] != 0 {
 		t.Errorf("in-flight = %d after traffic drained", m["accserve_in_flight"])
 	}
-	if m["accserve_cache_hits_total"] == 0 {
+	if m[`accserve_cache_tier_hits_total{tier="memory"}`] == 0 {
 		t.Error("no cache hits across 60 identical-shaped requests")
 	}
 }
 
-// TestOversizedBodyRejected: the body cap answers 413 instead of buffering
-// an arbitrarily large request into memory.
+// TestOversizedBodyRejected: on both roles, the body cap answers 413
+// instead of buffering an arbitrarily large request into memory.
 func TestOversizedBodyRejected(t *testing.T) {
-	ts := newTestServer(t, Config{MaxBodyBytes: 512})
 	req := checkReq(satFormula)
 	req.Formula = strings.Repeat("x", 2048) // garbage, but over the cap
-	resp, body := postJSON(t, ts.URL+"/v1/check", req)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized check body: status %d, want 413: %s", resp.StatusCode, body)
-	}
-	resp, body = postJSON(t, ts.URL+"/v1/batch", BatchRequest{Requests: []CheckRequest{req}})
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized batch body: status %d, want 413: %s", resp.StatusCode, body)
+	for _, rl := range roles(t, Config{MaxBodyBytes: 512}) {
+		resp, body := postJSON(t, rl.url+"/v1/check", req)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized check body: status %d, want 413: %s", rl.name, resp.StatusCode, body)
+		}
+		resp, body = postJSON(t, rl.url+"/v1/batch", BatchRequest{Requests: []CheckRequest{req}})
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized batch body: status %d, want 413: %s", rl.name, resp.StatusCode, body)
+		}
 	}
 }
 

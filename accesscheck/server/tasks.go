@@ -1,17 +1,14 @@
 package server
 
-// The non-check task routes: /v1/containment, /v1/relevance and /v1/chase
-// ride the same spine as /v1/check — strict JSON decoding, budget
-// resolution (item budget, then ?budget=, then the server default), the
-// bounded worker pool, 504 + Retry-After on a blown budget, and the
-// exact-results-only LRU keyed by FingerprintTask. Mixed /v1/batch items
-// funnel through doTaskItem into the same path.
+// The task kinds on the wire: each kind's route, request and response
+// types, the parsers that turn requests into facade tasks, and the
+// renderers that turn results into responses. /v1/containment,
+// /v1/relevance and /v1/chase ride the same spine as /v1/check, and a
+// Server answers them through the same bounded worker pool and
+// exact-results-only LRU, keyed by FingerprintTask.
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"net/http"
 	"sort"
 	"strings"
 	"time"
@@ -284,192 +281,92 @@ func parseSchemaAndFacts(relations, methods, facts []string, factName string) (*
 	return sch, in, nil
 }
 
-// doTask runs one non-check task end to end on the shared spine: cache
-// probe under the task fingerprint, bounded solve in the worker pool,
-// exact-results-only cache admission. The caller has already counted the
-// request and parsed the task; ctx must carry the budget.
-func (s *Server) doTask(ctx context.Context, t *accesscheck.Task) (*accesscheck.TaskResult, bool, error) {
+// taskWire binds each task kind to its route and wire types. The spine
+// registers its single-task routes from it; item builds a batch item whose
+// payload a route decodes into, and response an empty answer a
+// coordinator decodes a worker's reply into.
+var taskWire = [numTaskKinds]struct {
+	path     string
+	item     func() *TaskRequest
+	response func() any
+}{
+	accesscheck.TaskCheck: {"/v1/check",
+		func() *TaskRequest { return &TaskRequest{Check: new(CheckRequest)} },
+		func() any { return new(CheckResponse) }},
+	accesscheck.TaskContainment: {"/v1/containment",
+		func() *TaskRequest { return &TaskRequest{Containment: new(ContainmentRequest)} },
+		func() any { return new(ContainmentResponse) }},
+	accesscheck.TaskRelevance: {"/v1/relevance",
+		func() *TaskRequest { return &TaskRequest{Relevance: new(RelevanceRequest)} },
+		func() any { return new(RelevanceResponse) }},
+	accesscheck.TaskChase: {"/v1/chase",
+		func() *TaskRequest { return &TaskRequest{Chase: new(ChaseRequest)} },
+		func() any { return new(ChaseResponse) }},
+}
+
+// budget names the budget field of a batch item's payload.
+func (t *TaskRequest) budget() string {
+	switch {
+	case t.Check != nil:
+		return t.Check.Budget
+	case t.Containment != nil:
+		return t.Containment.Budget
+	case t.Relevance != nil:
+		return t.Relevance.Budget
+	case t.Chase != nil:
+		return t.Chase.Budget
+	}
+	return ""
+}
+
+// payload returns the item's request for kind, or nil when the item does
+// not carry one.
+func (t *TaskRequest) payload(kind accesscheck.TaskKind) any {
+	switch {
+	case kind == accesscheck.TaskCheck && t.Check != nil:
+		return t.Check
+	case kind == accesscheck.TaskContainment && t.Containment != nil:
+		return t.Containment
+	case kind == accesscheck.TaskRelevance && t.Relevance != nil:
+		return t.Relevance
+	case kind == accesscheck.TaskChase && t.Chase != nil:
+		return t.Chase
+	}
+	return nil
+}
+
+// task runs one non-check task on the worker: cache probe under the task
+// fingerprint, then a solve in the worker pool. The payload is not needed:
+// the parsed task carries everything.
+func (s *Server) task(ctx context.Context, t *accesscheck.Task, _ any) (any, error) {
 	kind := t.Kind
 	fp, err := s.taskChk.FingerprintTask(t)
 	if err != nil {
-		return nil, false, badRequest("%v", err)
+		return nil, badRequest("%v", err)
 	}
-	if tr, ok := s.cache.Get(fp); ok && tr.Kind == kind {
+	tr, ok := s.cache.Get(fp)
+	cached := ok && tr.Kind == kind
+	if cached {
 		s.taskCacheHits[kind].Add(1)
-		return &tr, true, nil
-	}
-	s.taskCacheMisses[kind].Add(1)
-
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, false, s.ctxErr(ctx, ctx.Err())
-	}
-	s.inFlight.Add(1)
-	res, err := s.taskChk.Do(ctx, t)
-	s.inFlight.Add(-1)
-	<-s.sem
-
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			return nil, false, s.ctxErr(ctx, err)
-		}
-		s.errs.Add(1)
-		return nil, false, &httpError{status: http.StatusUnprocessableEntity, err: err}
-	}
-	if res.Truncated {
-		s.truncations.Add(1)
-		s.taskTruncations[kind].Add(1)
 	} else {
-		s.cache.Add(fp, *res)
+		s.taskCacheMisses[kind].Add(1)
+		res, err := s.solve(ctx, fp, func() (*accesscheck.TaskResult, error) { return s.taskChk.Do(ctx, t) })
+		if err != nil {
+			return nil, err
+		}
+		if res.Truncated {
+			s.taskTruncations[kind].Add(1)
+		}
+		tr = *res
 	}
-	return res, false, nil
-}
-
-// serveTask is the single-task handler tail every non-check route shares:
-// budget resolution, deadline, doTask, render.
-func (s *Server) serveTask(w http.ResponseWriter, r *http.Request, itemBudget string,
-	t *accesscheck.Task, render func(*accesscheck.TaskResult, bool) any) {
-	budget, err := s.resolveBudget(itemBudget, r)
-	if err != nil {
-		writeError(w, err, s.cfg.DefaultBudget)
-		return
-	}
-	ctx, cancel := context.WithTimeoutCause(r.Context(), budget, errBudgetExhausted)
-	defer cancel()
-	tr, cached, err := s.doTask(ctx, t)
-	if err != nil {
-		writeError(w, err, budget)
-		return
-	}
-	writeJSON(w, http.StatusOK, render(tr, cached))
-}
-
-func (s *Server) handleContainment(w http.ResponseWriter, r *http.Request) {
-	s.taskRequests[accesscheck.TaskContainment].Add(1)
-	var req ContainmentRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	t, err := parseContainmentTask(&req)
-	if err != nil {
-		writeError(w, err, s.cfg.DefaultBudget)
-		return
-	}
-	s.serveTask(w, r, req.Budget, t, func(tr *accesscheck.TaskResult, cached bool) any {
-		return wireContainment(tr, cached)
-	})
-}
-
-func (s *Server) handleRelevance(w http.ResponseWriter, r *http.Request) {
-	s.taskRequests[accesscheck.TaskRelevance].Add(1)
-	var req RelevanceRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	t, err := parseRelevanceTask(&req)
-	if err != nil {
-		writeError(w, err, s.cfg.DefaultBudget)
-		return
-	}
-	s.serveTask(w, r, req.Budget, t, func(tr *accesscheck.TaskResult, cached bool) any {
-		return wireRelevance(tr, cached)
-	})
-}
-
-func (s *Server) handleChase(w http.ResponseWriter, r *http.Request) {
-	s.taskRequests[accesscheck.TaskChase].Add(1)
-	var req ChaseRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	t, err := parseChaseTask(&req)
-	if err != nil {
-		writeError(w, err, s.cfg.DefaultBudget)
-		return
-	}
-	s.serveTask(w, r, req.Budget, t, func(tr *accesscheck.TaskResult, cached bool) any {
-		return wireChase(tr, cached)
-	})
-}
-
-// doTaskItem runs one mixed-batch item: kind dispatch, per-kind parsing,
-// and the shared task path; every failure stays inside this item.
-func (s *Server) doTaskItem(ctx context.Context, item *TaskRequest) BatchItem {
-	kind, err := accesscheck.ParseTaskKind(item.Task)
-	if err != nil {
-		return BatchItem{Task: item.Task, Error: err.Error()}
-	}
-	out := BatchItem{Task: kind.String()}
 	switch kind {
-	case accesscheck.TaskCheck:
-		if item.Check == nil {
-			out.Error = missingPayload(kind)
-			return out
-		}
-		res, err := s.doCheck(ctx, *item.Check)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.Result = res
 	case accesscheck.TaskContainment:
-		s.taskRequests[kind].Add(1)
-		if item.Containment == nil {
-			out.Error = missingPayload(kind)
-			return out
-		}
-		t, err := parseContainmentTask(item.Containment)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		tr, cached, err := s.doTask(ctx, t)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.Containment = wireContainment(tr, cached)
+		return wireContainment(&tr, cached), nil
 	case accesscheck.TaskRelevance:
-		s.taskRequests[kind].Add(1)
-		if item.Relevance == nil {
-			out.Error = missingPayload(kind)
-			return out
-		}
-		t, err := parseRelevanceTask(item.Relevance)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		tr, cached, err := s.doTask(ctx, t)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.Relevance = wireRelevance(tr, cached)
-	case accesscheck.TaskChase:
-		s.taskRequests[kind].Add(1)
-		if item.Chase == nil {
-			out.Error = missingPayload(kind)
-			return out
-		}
-		t, err := parseChaseTask(item.Chase)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		tr, cached, err := s.doTask(ctx, t)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.Chase = wireChase(tr, cached)
+		return wireRelevance(&tr, cached), nil
+	default:
+		return wireChase(&tr, cached), nil
 	}
-	return out
-}
-
-func missingPayload(kind accesscheck.TaskKind) string {
-	return fmt.Sprintf("%s item without %q payload", kind, kind.String())
 }
 
 func wireContainment(tr *accesscheck.TaskResult, cached bool) *ContainmentResponse {

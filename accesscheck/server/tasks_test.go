@@ -158,25 +158,26 @@ func TestChaseEndpoint(t *testing.T) {
 	}
 }
 
-// TestStrictDecodeRejectsUnknownFields: every /v1/* body decoder runs with
-// DisallowUnknownFields, so a typoed field is a structured 400 naming the
-// field instead of a silently ignored option.
+// TestStrictDecodeRejectsUnknownFields: every /v1/* body decoder, on both
+// roles, runs with DisallowUnknownFields, so a typoed field is a
+// structured 400 naming the field instead of a silently ignored option.
 func TestStrictDecodeRejectsUnknownFields(t *testing.T) {
-	ts := newTestServer(t, Config{})
-	routes := []string{"/v1/check", "/v1/containment", "/v1/relevance", "/v1/chase", "/v1/batch"}
-	for _, route := range routes {
-		resp, body := postJSON(t, ts.URL+route, map[string]any{"max_dpeth": 3})
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400: %s", route, resp.StatusCode, body)
-			continue
-		}
-		var out errorResponse
-		if err := json.Unmarshal(body, &out); err != nil {
-			t.Errorf("%s: error body not structured JSON: %s", route, body)
-			continue
-		}
-		if !strings.Contains(out.Error, "max_dpeth") {
-			t.Errorf("%s: error does not name the unknown field: %q", route, out.Error)
+	for _, rl := range roles(t, Config{}) {
+		routes := []string{"/v1/check", "/v1/containment", "/v1/relevance", "/v1/chase", "/v1/batch", rl.own}
+		for _, route := range routes {
+			resp, body := postJSON(t, rl.url+route, map[string]any{"max_dpeth": 3})
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400: %s", rl.name, route, resp.StatusCode, body)
+				continue
+			}
+			var out errorResponse
+			if err := json.Unmarshal(body, &out); err != nil {
+				t.Errorf("%s %s: error body not structured JSON: %s", rl.name, route, body)
+				continue
+			}
+			if !strings.Contains(out.Error, "max_dpeth") {
+				t.Errorf("%s %s: error does not name the unknown field: %q", rl.name, route, out.Error)
+			}
 		}
 	}
 }
@@ -239,8 +240,8 @@ func TestTaskCacheIsolation(t *testing.T) {
 	if got := m[`accserve_task_cache_hits_total{task="containment"}`]; got != 0 {
 		t.Errorf("containment cache hits = %d, want 0", got)
 	}
-	if m["accserve_cache_hits_total"] != 0 {
-		t.Errorf("check cache hits = %d, want 0", m["accserve_cache_hits_total"])
+	if m[`accserve_cache_tier_hits_total{tier="memory"}`] != 0 {
+		t.Errorf("check cache hits = %d, want 0", m[`accserve_cache_tier_hits_total{tier="memory"}`])
 	}
 }
 
@@ -303,5 +304,13 @@ func TestMixedBatchTasks(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("both-forms batch: status %d, want 400", resp.StatusCode)
+	}
+	// An empty "requests" array beside "items" is the items form.
+	resp, body = postJSON(t, ts.URL+"/v1/batch", map[string]any{
+		"requests": []CheckRequest{},
+		"items":    []TaskRequest{{Task: "chase", Chase: &chase}},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("empty requests beside items: status %d, want 200: %s", resp.StatusCode, body)
 	}
 }

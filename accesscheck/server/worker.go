@@ -5,7 +5,9 @@ package server
 // execute — re-derives the shard plan locally, verifies it against the
 // shipped canonical keys, runs the assigned slices with the mutate-and-undo
 // core, and answers a fabric.ShardResult partial verdict. Every server is a
-// capable worker; `accserve -worker` only names the role.
+// capable worker; `accserve -worker` only names the role. The route is the
+// worker's own, but a shard runs through the same anytime solve as
+// /v1/check (solveCheck).
 //
 // Partial results go through the same LRU as whole checks: the checker's
 // fingerprint includes the shard subset, so a cached partial verdict can
@@ -16,9 +18,7 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -63,39 +63,20 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	data, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	var sh fabric.Shard
+	if !s.decode(w, r, &sh) {
 		return
 	}
-	sh, err := fabric.DecodeShard(data)
-	if err != nil {
+	if err := sh.Validate(); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	budget, err := s.resolveBudget(sh.Budget, r)
-	if err != nil {
-		writeError(w, err, s.cfg.DefaultBudget)
 		return
 	}
 	// The shard budget is coordinator-imposed (shipped in the wire shard),
 	// not this request's own: its expiry gets its own cause so worker
 	// metrics and error bodies can tell the two apart.
-	ctx, cancel := context.WithTimeoutCause(r.Context(), budget, errShardBudgetExhausted)
-	defer cancel()
-	res, err := s.doShard(ctx, sh)
-	if err != nil {
-		writeError(w, err, budget)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	s.serve(w, r, sh.Budget, errShardBudgetExhausted, func(ctx context.Context) (any, error) {
+		return s.doShard(ctx, &sh)
+	})
 }
 
 // doShard executes one wire shard end to end: parse, plan verification,
@@ -122,10 +103,10 @@ func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardRe
 	}
 	plan, _, err := planChk.ShardPlan(ctx, sch, f)
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			return nil, s.ctxErr(ctx, err)
+		if !isContextErr(err) {
+			err = &httpError{status: http.StatusUnprocessableEntity, err: err}
 		}
-		return nil, &httpError{status: http.StatusUnprocessableEntity, err: err}
+		return nil, err
 	}
 	if sh.PlanSize != len(plan) {
 		s.shardMismatch.Add(1)
@@ -168,64 +149,26 @@ func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardRe
 	// never fold each other's cumulative statistics into a partial report —
 	// a group's paths must cover exactly its own slices for the
 	// coordinator's merge arithmetic to stay honest.
-	prev, _ := s.ckpts.Get(fp)
-	if prev != nil {
-		s.anytimeResumes.Add(1)
-	}
-
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, s.ctxErr(ctx, ctx.Err())
-	}
-	s.inFlight.Add(1)
-	s.parSum.Add(uint64(par))
-	s.parCount.Add(1)
-	res, cp, err := chk.CheckAnytime(ctx, sch, f, prev)
-	s.inFlight.Add(-1)
-	<-s.sem
-
+	res, cp, err := s.solveCheck(ctx, chk, sch, f, fp, par)
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			// Zero-progress expiry: no coverage to report, but the frontier's
-			// warm memo tables still accelerate a redispatch of this group.
-			s.ckpts.PutAs(fp, cp)
-			return nil, s.ctxErr(ctx, err)
-		}
-		s.errs.Add(1)
-		return nil, &httpError{status: http.StatusUnprocessableEntity, err: err}
+		return nil, err
 	}
 	s.shardChecks.Add(1)
+	out := shardResult(sh, res, false)
 	if res.Resumable {
-		// Partial coverage of the assigned group: keep the frontier for the
-		// redispatch, and report exactly the slices that finished so the
-		// coordinator's merge counts honest coverage and redispatches only
-		// the remainder. Resumable implies at least one completed slice (a
-		// zero-progress expiry errors above).
-		s.ckpts.PutAs(fp, cp)
-		s.truncations.Add(1)
-		s.anytimePartials.Add(1)
-		out := shardResult(sh, res, false)
-		out.Shards = cp.CompletedWithin(sh.Indexes())
-		out.ShardsCompleted = len(out.Shards)
-		// The part claims only its completed slices, each explored to the
-		// bound, so only the response cap qualifies it. The missing slices
-		// are stated by the coverage: the coordinator's merge marks an
+		// Partial coverage of the assigned group: report exactly the slices
+		// that finished so the coordinator's merge counts honest coverage
+		// and redispatches only the remainder. Resumable implies at least
+		// one completed slice (a zero-progress expiry errors above). The
+		// part claims only its completed slices, each explored to the
+		// bound, so only the response cap qualifies it; the merge marks an
 		// incomplete cover truncated, and a later full cover that includes
 		// this part stays exact (and cacheable).
+		out.Shards = cp.CompletedWithin(sh.Indexes())
+		out.ShardsCompleted = len(out.Shards)
 		out.Truncated = res.ResponsesCapped
-		return out, nil
 	}
-	// Settled (exact or final path-capped): the frontier is spent; drop it
-	// so a later identical group starts clean rather than resuming stale
-	// cumulative statistics.
-	s.ckpts.Remove(fp)
-	if res.Truncated {
-		s.truncations.Add(1)
-	} else {
-		s.cache.Add(fp, *checkTaskResult(res))
-	}
-	return shardResult(sh, res, false), nil
+	return out, nil
 }
 
 // shardResultFromWire rebuilds a fabric partial verdict from a disk-tier

@@ -145,6 +145,7 @@ func main() {
 			Workers: workerList,
 			Server: server.Config{
 				DefaultBudget: *defaultBudget,
+				Failpoints:    failpoints,
 			},
 			Retries:    *retries,
 			MaxBackoff: *maxBackoff,
@@ -154,7 +155,6 @@ func main() {
 				Cooldown:  *breakerCooldown,
 			},
 			DefaultLeaseTTL: *leaseTTL,
-			Failpoints:      failpoints,
 		})
 		if err != nil {
 			log.Fatalf("accserve: %v", err)

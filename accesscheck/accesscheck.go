@@ -17,15 +17,16 @@
 // solver promptly — a prerequisite for serving checks under a response-time
 // budget.
 //
-// Everything under internal/ is an implementation detail; consumers (the
-// cmd/ tools, the examples, and any future server frontend) build against
-// this package only.
+// Everything under internal/ is an implementation detail; the check server
+// (accesscheck/server), acclcheck and the examples run their checks through
+// this package.
 package accesscheck
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"accltl/internal/access"
@@ -307,14 +308,16 @@ func WithShards(indexes ...int) Option {
 		if len(indexes) == 0 {
 			return fmt.Errorf("accesscheck: WithShards needs at least one shard index")
 		}
-		sel := make([]int, 0, len(indexes))
 		for _, i := range indexes {
 			if i < 0 {
 				return fmt.Errorf("accesscheck: WithShards(%d): shard index must be non-negative", i)
 			}
-			sel = append(sel, i)
 		}
-		c.shards = sel
+		// Stored canonical, sorted and deduplicated: the form Fingerprint
+		// hashes and Check and CheckAnytime count.
+		sel := slices.Clone(indexes)
+		slices.Sort(sel)
+		c.shards = slices.Compact(sel)
 		return nil
 	}
 }
@@ -528,11 +531,7 @@ func (c *Checker) Check(ctx context.Context, sch *Schema, f Formula) (*Result, e
 		// Shard-subset run: tag the verdict with its coverage so a partial
 		// answer is honest on its face. The sharded engines report the
 		// partition size they executed against, so no second enumeration.
-		distinct := make(map[int]bool, len(c.shards))
-		for _, idx := range c.shards {
-			distinct[idx] = true // duplicates collapse, like in the engine
-		}
-		res.ShardsCompleted = len(distinct)
+		res.ShardsCompleted = len(c.shards)
 		res.ShardsTotal = sr.TotalShards
 	}
 	return res, nil
@@ -546,23 +545,7 @@ func (c *Checker) Check(ctx context.Context, sch *Schema, f Formula) (*Result, e
 // is what checkpoint capture reads. The int result is the compiled state
 // count for EngineAutomaton (zero otherwise).
 func (c *Checker) runSolve(ctx context.Context, sch *Schema, f Formula, engine Engine) (accltl.SolveResult, int, error) {
-	opts := accltl.SolveOptions{
-		Context:            ctx,
-		Schema:             sch,
-		Initial:            c.initial,
-		Grounded:           c.grounded,
-		IdempotentOnly:     c.idempotentOnly,
-		ExactMethods:       c.exactMethods,
-		AllExact:           c.allExact,
-		MaxDepth:           c.maxDepth,
-		Universe:           c.universe,
-		MaxResponseChoices: c.maxResponseChoices,
-		MaxPaths:           c.maxPaths,
-		Parallelism:        c.parallelism,
-		Shards:             c.shards,
-		Memo:               c.solverMemo,
-	}
-
+	opts := c.solveOptions(ctx, sch)
 	switch engine {
 	case EngineX:
 		sr, err := accltl.SolveX(f, opts)
@@ -581,21 +564,7 @@ func (c *Checker) runSolve(ctx context.Context, sch *Schema, f Formula, engine E
 		if err != nil {
 			return accltl.SolveResult{}, 0, err
 		}
-		er, err := a.IsEmpty(autom.EmptinessOptions{
-			Context:            ctx,
-			Initial:            c.initial,
-			Grounded:           c.grounded,
-			IdempotentOnly:     c.idempotentOnly,
-			ExactMethods:       c.exactMethods,
-			AllExact:           c.allExact,
-			MaxDepth:           c.maxDepth,
-			MaxResponseChoices: c.maxResponseChoices,
-			MaxPaths:           c.maxPaths,
-			Universe:           c.universe,
-			Parallelism:        c.parallelism,
-			Shards:             c.shards,
-			Memo:               c.emptinessMemo,
-		})
+		er, err := a.IsEmpty(c.emptinessOptions(ctx))
 		sr := accltl.SolveResult{
 			Satisfiable:     !er.Empty,
 			Witness:         er.Witness,
@@ -647,21 +616,23 @@ func (c *Checker) ShardPlan(ctx context.Context, sch *Schema, f Formula) ([]Shar
 		if err != nil {
 			return nil, false, err
 		}
-		return a.PlanShards(autom.EmptinessOptions{
-			Context:            ctx,
-			Initial:            c.initial,
-			Grounded:           c.grounded,
-			IdempotentOnly:     c.idempotentOnly,
-			ExactMethods:       c.exactMethods,
-			AllExact:           c.allExact,
-			MaxDepth:           c.maxDepth,
-			MaxResponseChoices: c.maxResponseChoices,
-			MaxPaths:           c.maxPaths,
-			Universe:           c.universe,
-			Memo:               c.emptinessMemo,
-		})
+		return a.PlanShards(c.emptinessOptions(ctx))
 	}
-	opts := accltl.SolveOptions{
+	opts := c.solveOptions(ctx, sch)
+	// SolveX tightens the default depth bound to the X-nesting depth plus
+	// one before searching; the plan must use the same bound the search
+	// will.
+	if engine == EngineX && opts.MaxDepth == 0 {
+		opts.MaxDepth = accltl.TemporalDepth(f) + 1
+	}
+	return accltl.PlanShards(f, opts)
+}
+
+// solveOptions is the checker's configuration as the solvers' options.
+// PlanShards ignores Parallelism and Shards, so the one form serves both
+// planning and solving.
+func (c *Checker) solveOptions(ctx context.Context, sch *Schema) accltl.SolveOptions {
+	return accltl.SolveOptions{
 		Context:            ctx,
 		Schema:             sch,
 		Initial:            c.initial,
@@ -673,15 +644,30 @@ func (c *Checker) ShardPlan(ctx context.Context, sch *Schema, f Formula) ([]Shar
 		Universe:           c.universe,
 		MaxResponseChoices: c.maxResponseChoices,
 		MaxPaths:           c.maxPaths,
+		Parallelism:        c.parallelism,
+		Shards:             c.shards,
 		Memo:               c.solverMemo,
 	}
-	// SolveX tightens the default depth bound to the X-nesting depth plus
-	// one before searching; the plan must use the same bound the search
-	// will.
-	if engine == EngineX && opts.MaxDepth == 0 {
-		opts.MaxDepth = accltl.TemporalDepth(f) + 1
+}
+
+// emptinessOptions is the checker's configuration as the emptiness check's
+// options, for planning and solving alike, like solveOptions.
+func (c *Checker) emptinessOptions(ctx context.Context) autom.EmptinessOptions {
+	return autom.EmptinessOptions{
+		Context:            ctx,
+		Initial:            c.initial,
+		Grounded:           c.grounded,
+		IdempotentOnly:     c.idempotentOnly,
+		ExactMethods:       c.exactMethods,
+		AllExact:           c.allExact,
+		MaxDepth:           c.maxDepth,
+		MaxResponseChoices: c.maxResponseChoices,
+		MaxPaths:           c.maxPaths,
+		Universe:           c.universe,
+		Parallelism:        c.parallelism,
+		Shards:             c.shards,
+		Memo:               c.emptinessMemo,
 	}
-	return accltl.PlanShards(f, opts)
 }
 
 // resolveEngine is Check's engine dispatch as a function: the forced engine

@@ -16,10 +16,11 @@ package accesscheck
 //     returned without a witness, an error, a cap denial or a cancel
 //     (lts.Report.CompletedShards), so skipping it in a later round can
 //     never hide a witness;
-//   - the persistent dominance memos scrub the commitments of walks that
-//     were cut short before every search returns (accltl.SolverMemo /
-//     autom.EmptinessMemo), so an entry a resumed round prunes against was
-//     always fully searched by some earlier round.
+//   - the persistent dominance memos (accltl.SolverMemo /
+//     autom.EmptinessMemo) lose the commitments of walks that were cut
+//     short before every search returns (lts.Product's scrub), so an entry
+//     a resumed round prunes against was always fully searched by some
+//     earlier round.
 //
 // Exact results and suspended partials never mix: a Checkpoint is not an
 // answer and is never served as one, and every resumable Result is
@@ -101,8 +102,7 @@ func (cp *Checkpoint) Rounds() int {
 }
 
 // PlanSize is the size of the canonical shard partition the completed
-// indexes refer to (zero while unknown — shard-subset rounds that never
-// needed the full plan).
+// indexes refer to (zero until a round has planned or searched it).
 func (cp *Checkpoint) PlanSize() int {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
@@ -295,17 +295,14 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 
-	// Resolve the target shard set and the plan size. A shard-restricted
-	// checker targets its configured subset and can defer the plan size
-	// (its caller — the fabric worker — knows the plan already); a whole
-	// check targets the full canonical partition and plans it once, through
-	// the checkpoint, so its first round executes that same enumeration.
-	var target []int
-	planSize := cp.planSize
-	if c.shards != nil {
-		target = dedupSortedShards(c.shards)
-	} else {
-		if planSize == 0 {
+	// Resolve the target shard set. A shard-restricted checker targets its
+	// configured subset and learns the plan size from its first round (its
+	// caller — the fabric worker — knows the plan already); a whole check
+	// targets the full canonical partition and plans it once, through the
+	// checkpoint, so its first round executes that same enumeration.
+	target := c.shards
+	if target == nil {
+		if cp.planSize == 0 {
 			plan, _, err := round.ShardPlan(ctx, sch, f)
 			if err != nil && ctx.Err() != nil {
 				// The budget died while planning: nothing is covered, but
@@ -325,16 +322,12 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 				res.Coverage = 1
 				return res, nil, nil
 			}
-			planSize = len(plan)
+			cp.planSize = len(plan)
 		}
-		target = make([]int, planSize)
+		target = make([]int, cp.planSize)
 		for i := range target {
 			target[i] = i
 		}
-	}
-
-	if cp.planSize == 0 {
-		cp.planSize = planSize
 	}
 
 	remaining := make([]int, 0, len(target))
@@ -362,6 +355,9 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 
 	start := time.Now()
 	sr, automStates, err := round.runSolve(ctx, sch, f, engine)
+	if cp.planSize == 0 {
+		cp.planSize = sr.TotalShards
+	}
 	cp.rounds++
 	cp.paths += sr.PathsExplored
 	cp.elapsed += time.Since(start)
@@ -494,19 +490,4 @@ func (c *Checker) tagShardSubset(res *Result, cp *Checkpoint, target []int) {
 	}
 	res.ShardsCompleted = len(target)
 	res.ShardsTotal = cp.planSize
-}
-
-// dedupSortedShards collapses duplicates and sorts ascending, the engine's
-// own canonicalization of a shard subset.
-func dedupSortedShards(indexes []int) []int {
-	seen := make(map[int]bool, len(indexes))
-	out := make([]int, 0, len(indexes))
-	for _, i := range indexes {
-		if !seen[i] {
-			seen[i] = true
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -72,18 +72,8 @@ func (c *Checker) Fingerprint(sch *Schema, f Formula) string {
 			field("exact", n)
 		}
 	}
-	if c.shards != nil {
-		sel := make([]int, len(c.shards))
-		copy(sel, c.shards)
-		sort.Ints(sel)
-		prev := -1
-		for _, i := range sel {
-			if i == prev {
-				continue
-			}
-			prev = i
-			field("shard", fmt.Sprintf("%d", i))
-		}
+	for _, i := range c.shards {
+		field("shard", fmt.Sprintf("%d", i))
 	}
 	field("maxDepth", fmt.Sprintf("%d", c.maxDepth))
 	field("maxPaths", fmt.Sprintf("%d", c.maxPaths))

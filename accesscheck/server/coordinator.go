@@ -61,8 +61,7 @@ type CoordinatorConfig struct {
 	// MaxBodyBytes) and Failpoints, whose "dispatch.send" site fires on
 	// shard dispatch. CacheSize sizes the merged-result cache and the
 	// checkpoint store. The solver-pool fields (Workers, Parallelism,
-	// CacheShards, CacheDir) are unused: the coordinator never solves
-	// locally.
+	// CacheDir) are unused: the coordinator never solves locally.
 	Server Config
 	// Retries / Backoff / MaxBackoff / HedgeAfter tune the fabric
 	// dispatcher (zero values select its defaults).

@@ -21,7 +21,7 @@ import (
 // answered from disk — same verdict, Cached, zero solves.
 func TestServerShardedWarmRestartServesFromDisk(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{CacheSize: 8, CacheShards: 2, CacheDir: dir}
+	cfg := Config{CacheSize: 8, CacheDir: dir}
 
 	s1 := New(cfg)
 	ts1 := httptest.NewServer(s1)

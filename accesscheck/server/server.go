@@ -83,15 +83,8 @@ type Config struct {
 	// never raise it above this limit.
 	Parallelism int
 	// CacheSize is the LRU capacity in results (default 1024), split evenly
-	// across CacheShards fingerprint-sharded segments.
+	// across cacheShards fingerprint-sharded segments.
 	CacheSize int
-	// CacheShards splits the in-memory result cache into this many
-	// independently locked shards, selected by the same FNV+avalanche hash
-	// the fabric's affinity ring uses (default 8, rounded up to a power of
-	// two). More shards lower lock contention on hot mixed workloads; the
-	// per-shard LRU discipline and the exact-only admission rule are
-	// unchanged.
-	CacheShards int
 	// CacheDir, when non-empty, backs the result cache with an append-only
 	// disk tier in this directory: entries evicted from memory (and the
 	// residents at graceful shutdown, via Close) are written behind as wire
@@ -119,6 +112,13 @@ type Config struct {
 	Failpoints *fabric.Failpoints
 }
 
+// cacheShards is the number of independently locked shards of the
+// in-memory result cache, selected by the same FNV+avalanche hash the
+// fabric's affinity ring uses (capped at CacheSize). Shards lower lock
+// contention on hot mixed workloads; the per-shard LRU discipline and the
+// exact-only admission rule are unchanged.
+const cacheShards = 8
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -131,9 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = 1024
-	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 8
 	}
 	if c.DefaultBudget <= 0 {
 		c.DefaultBudget = 5 * time.Second
@@ -212,7 +209,7 @@ func New(cfg Config) *Server {
 	// Exact results only: a truncated result is relative to this request's
 	// caps and must never answer a later identical request. The rule lives
 	// in cachetier.Admissible so every store in the fabric shares it.
-	mem := cachetier.NewSharded(cfg.CacheSize, cfg.CacheShards, func(tr accesscheck.TaskResult) bool {
+	mem := cachetier.NewSharded(cfg.CacheSize, cacheShards, func(tr accesscheck.TaskResult) bool {
 		return cachetier.Admissible(cachetier.Verdict{Truncated: tr.Truncated})
 	})
 	var back cachetier.Store

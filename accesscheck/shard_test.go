@@ -169,7 +169,9 @@ func TestFingerprintSeparatesShardSubsets(t *testing.T) {
 
 // TestShardSubsetCheckReportsPlanTotal: a shard-subset Check tags its
 // verdict with the size of the partition it ran against, and that size is
-// the plan ShardPlan enumerates, on both sharded engines.
+// the plan ShardPlan enumerates, on both sharded engines. CheckAnytime tags
+// its answers the same way: a fresh exact round, and every round of a
+// one-shard-per-round resume, resumable partials included.
 func TestShardSubsetCheckReportsPlanTotal(t *testing.T) {
 	sch, err := accesscheck.ParseSchema(parRelations, parMethods)
 	if err != nil {
@@ -199,6 +201,34 @@ func TestShardSubsetCheckReportsPlanTotal(t *testing.T) {
 				}
 				if res.ShardsTotal != len(plan) || res.ShardsCompleted != len(sub) {
 					t.Errorf("%v %s %v: shards %d/%d, want %d/%d", eng, src, sub, res.ShardsCompleted, res.ShardsTotal, len(sub), len(plan))
+				}
+				for _, chunk := range []int{0, 1} {
+					chk, err := accesscheck.NewChecker(accesscheck.WithEngine(eng), accesscheck.WithShards(sub...), accesscheck.WithAnytimeChunk(chunk))
+					if err != nil {
+						t.Fatal(err)
+					}
+					var cp *accesscheck.Checkpoint
+					for round := 1; ; round++ {
+						res, next, err := chk.CheckAnytime(context.Background(), sch, f, cp)
+						if err != nil {
+							t.Fatalf("%v %s %v chunk %d round %d: %v", eng, src, sub, chunk, round, err)
+						}
+						want := len(sub)
+						if res.Resumable {
+							want = round
+						}
+						if res.ShardsTotal != len(plan) || res.ShardsCompleted != want {
+							t.Errorf("%v %s %v chunk %d round %d (resumable %v): shards %d/%d, want %d/%d",
+								eng, src, sub, chunk, round, res.Resumable, res.ShardsCompleted, res.ShardsTotal, want, len(plan))
+						}
+						if !res.Resumable {
+							break
+						}
+						if round > len(sub) {
+							t.Fatalf("%v %s %v chunk %d: still resumable after %d rounds", eng, src, sub, chunk, round)
+						}
+						cp = next
+					}
 				}
 			}
 		}

@@ -8,13 +8,13 @@
 // exploration out over that many walker goroutines (0 = auto, keeping
 // workers × parallelism ≤ GOMAXPROCS).
 //
-// Caching tiers: -cache-shards splits the in-memory result LRU into
-// independently locked fingerprint-routed shards; -cache-dir backs it
-// with an append-only disk tier so exact check results survive restarts
-// (evicted and shutdown-resident entries are written behind, and a
-// restarted process with the same directory serves them without
-// re-solving). Both are observable under /metrics
-// (accserve_cache_tier_*, accserve_cache_hit_ratio{tier=...}).
+// Caching tiers: the in-memory result LRU is split into independently
+// locked fingerprint-routed shards; -cache-dir backs it with an
+// append-only disk tier so exact check results survive restarts (evicted
+// and shutdown-resident entries are written behind, and a restarted
+// process with the same directory serves them without re-solving). Both
+// are observable under /metrics (accserve_cache_tier_*,
+// accserve_cache_hit_ratio{tier=...}).
 //
 // Endpoints (see accltl/accesscheck/server for the wire format):
 //
@@ -88,7 +88,6 @@ func main() {
 	parallelism := flag.Int("parallelism", 0,
 		"exploration walkers per solve; peak exploration concurrency is workers x parallelism (0 = auto: capped so the product stays <= GOMAXPROCS)")
 	cacheSize := flag.Int("cache-size", 1024, "LRU result cache capacity (entries)")
-	cacheShards := flag.Int("cache-shards", 8, "in-memory result cache shard count (rounded to a power of two, capped at -cache-size)")
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent result-cache tier; exact check results survive restarts (empty = memory-only)")
 	defaultBudget := flag.Duration("default-budget", 5*time.Second, "per-request deadline when the request names none")
 	worker := flag.Bool("worker", false, "run as a fabric worker (the default standalone role; the flag only names it)")
@@ -165,7 +164,6 @@ func main() {
 			Workers:       *workers,
 			Parallelism:   *parallelism,
 			CacheSize:     *cacheSize,
-			CacheShards:   *cacheShards,
 			CacheDir:      *cacheDir,
 			DefaultBudget: *defaultBudget,
 			Failpoints:    failpoints,

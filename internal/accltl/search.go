@@ -1,16 +1,14 @@
 package accltl
 
-// The bounded search's visitor and tables. The search runs as one or more
-// walkers over the root shards of the search space (lts.Plan.Explore); each
-// walker has its own spine, an obligation stack (obligations mirror the DFS
-// prefix chain, so they can never be shared), while the three tables that
-// make walkers share work instead of duplicating it are global:
+// The bounded search's control and tables. The search is an lts.Product
+// search whose control is the obligation: the residual LTL skeleton,
+// progressed over the letter the embedded sentences spell on each
+// transition. The walk itself (walkers, control stacks, dominance memo,
+// scrub of unfinished walks, witness) is lts's; the two tables below are
+// the solver's own, shared by all walkers:
 //
 //   - the obligation interner (mutex; hit once per *distinct* obligation);
-//   - the progression cache (obligation id, letter bitmask) → next, striped;
-//   - the (configuration Hash, obligation id) → remaining-depth dominance
-//     memo, striped by the hash so walkers exploring overlapping
-//     configuration spaces prune against each other's work.
+//   - the progression cache (obligation id, letter bitmask) → next, striped.
 //
 // Progression results are cached per (obligation id, letter bitmask), so on
 // the hot path a visited node neither re-runs ltl.Step nor re-renders a
@@ -18,11 +16,9 @@ package accltl
 // once per node.
 
 import (
-	"fmt"
 	"sync"
 
 	"accltl/internal/access"
-	"accltl/internal/instance"
 	"accltl/internal/ltl"
 	"accltl/internal/lts"
 )
@@ -41,18 +37,18 @@ func newObInterner() *obInterner {
 	return &obInterner{ids: make(map[string]int)}
 }
 
-// intern returns the id and canonical representative of f.
-func (in *obInterner) intern(f ltl.Formula) (int, ltl.Formula) {
+// intern returns f's canonical representative with its id.
+func (in *obInterner) intern(f ltl.Formula) obligation {
 	s := f.String()
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if id, ok := in.ids[s]; ok {
-		return id, in.list[id]
+		return obligation{ob: in.list[id], id: id}
 	}
 	id := len(in.list)
 	in.ids[s] = id
 	in.list = append(in.list, f)
-	return id, f
+	return obligation{ob: f, id: id}
 }
 
 // progStripe is one lock stripe of the shared progression cache. Its map
@@ -68,8 +64,7 @@ type progKey struct {
 }
 
 type progVal struct {
-	next   ltl.Formula
-	nextID int
+	next   obligation
 	accept bool
 }
 
@@ -116,62 +111,41 @@ func (t *progTable) put(k progKey, v progVal) {
 	st.mu.Unlock()
 }
 
-// solverMemoKey keys the shared (configuration, obligation) dominance memo
-// (lts.DominanceMemo, striped on the configuration hash). The
-// configuration side is the instance's O(1) incremental Hash, the
-// obligation side its interned id — no canonical string is rebuilt per
-// node.
-type solverMemoKey struct {
-	conf instance.Hash
-	ob   int
-}
-
-// obState is the obligation of one active prefix, keyed by path length.
-// key/recorded remember the dominance-memo entry the push committed, so a
-// persistent-memo search can scrub the commitments of a walk that was cut
-// short (see SolverMemo).
-type obState struct {
-	ob       ltl.Formula
-	id       int
-	len      int
-	key      solverMemoKey
-	recorded bool
+// obligation is the search's control: the residual formula of one prefix
+// and its interned id, which keys the progression cache and the dominance
+// memo.
+type obligation struct {
+	ob ltl.Formula
+	id int
 }
 
 // SolverMemo carries the solver's shared tables across calls, so a
 // budget-sliced search resumes warm: the obligation interner and progression
 // cache are pure (always reusable), and the dominance memo is kept sound
-// across rounds by scrubbing unfinished walks' commitments after every
-// search (an entry that survives means some round finished that subtree
-// without finding a witness, so pruning against it later is sound). It
-// also carries the search setup, so a check plans its partition and runs
-// every round over one witness universe and one root enumeration. A memo
-// is tied to one (formula, options) pair; callers key it accordingly.
+// across rounds by the product search's scrub of unfinished walks (an entry
+// that survives means some round finished that subtree without finding a
+// witness, so pruning against it later is sound). It also carries the
+// search setup, so a check plans its partition and runs every round over
+// one witness universe and one root enumeration. A memo is tied to one
+// (formula, options) pair; callers key it accordingly.
 type SolverMemo struct {
 	in    *obInterner
 	prog  *progTable
-	memo  *lts.DominanceMemo[solverMemoKey]
+	memo  *lts.DominanceMemo[lts.ProductKey[int]]
 	setup lts.Setup
 }
 
 // NewSolverMemo builds an empty reusable table set. Its tables have one
-// lock stripe until a search with more walkers widens them (see widen).
+// lock stripe until a search with more walkers widens them.
 func NewSolverMemo() *SolverMemo {
 	return &SolverMemo{
 		in:   newObInterner(),
 		prog: &progTable{stripes: make([]progStripe, 1)},
-		memo: lts.NewDominanceMemo(func(k solverMemoKey) uint64 { return k.conf.A }),
+		memo: lts.NewProductMemo[int](),
 	}
 }
 
-// widen stripes the tables for a search of the given number of walkers,
-// before its walkers start (see lts.Stripes).
-func (m *SolverMemo) widen(walkers int) {
-	m.prog.widen(walkers)
-	m.memo.Widen(walkers)
-}
-
-// search is the state one bounded search shares across its shard walks.
+// search is the state one bounded search shares across its walkers.
 type search struct {
 	f       Formula
 	voc     Vocabulary
@@ -181,49 +155,14 @@ type search struct {
 	// bit per sentence, so only for ≤ 64 sentences; larger formulas step on
 	// the map letter directly (still correct, just per-node work).
 	useMask bool
-	depth   int
 	tables  *SolverMemo
-	wit     lts.WitnessBox[*access.Path]
 }
 
-// spine is one walker's live obligation stack, and shard the shard it is
-// walking. A walker runs its shards one after another, each from depth 1,
-// so popping to the visited depth also drops the previous shard's frames.
-// The stack mirrors the DFS prefix chain: when a walk is aborted
-// (deadline, cap, early-cancel), the frames still on the stack are exactly
-// the subtrees of that shard that were entered but not finished — their
-// memo commitments must not survive into a resumed round (see scrub).
-// Frames of already-completed sibling subtrees may linger on the stack too
-// (pops are lazy); scrubbing those as well is sound, it only costs pruning.
-type spine struct {
-	s     *search
-	shard int
-	stack []obState
-	// buf backs the stack until a walk goes deeper than it.
-	buf [8]obState
-}
-
-// visit is the walker's lts.ShardVisitor: it progresses the obligation
-// over the letter of the path's last transition, reports an accepted prefix
-// as a witness, and prunes dead obligations and dominated (configuration,
-// obligation) pairs.
-func (sp *spine) visit(shard int, p *access.Path, pre, conf *instance.Instance) (bool, error) {
-	s := sp.s
-	sp.shard = shard
-	// Pop stale obligations (DFS backtracked, or a new shard began).
-	for len(sp.stack) > 0 && sp.stack[len(sp.stack)-1].len >= p.Len() {
-		sp.stack = sp.stack[:len(sp.stack)-1]
-	}
-	if len(sp.stack) == 0 {
-		return false, fmt.Errorf("accltl: obligation stack underflow")
-	}
-	top := sp.stack[len(sp.stack)-1]
-	// Evaluate the letter on the last transition only: the explorer
-	// maintains the pre/post configurations incrementally, so no per-node
-	// materialization of the whole path's transitions happens here.
-	last := access.Transition{Before: pre, Access: p.Step(p.Len() - 1).Access, After: conf}
-	var next ltl.Formula
-	var nextID int
+// step is the search's lts.Product step: it progresses the obligation over
+// the letter of the last transition, accepts when progression does, and
+// prunes a dead (false) obligation.
+func (s *search) step(top obligation, p *access.Path, last access.Transition) (obligation, lts.Move, error) {
+	var next obligation
 	var accept bool
 	if s.useMask {
 		mask := evalLetterMask(s.letters, last, s.voc)
@@ -231,19 +170,17 @@ func (sp *spine) visit(shard int, p *access.Path, pre, conf *instance.Instance) 
 		pv, ok := s.tables.prog.get(pk)
 		if !ok {
 			n, acc := ltl.Step(top.ob, letterFromMask(s.letters, mask))
-			pv.nextID, pv.next = s.tables.in.intern(n)
-			pv.accept = acc
+			pv = progVal{next: s.tables.in.intern(n), accept: acc}
 			s.tables.prog.put(pk, pv)
 		}
-		next, nextID, accept = pv.next, pv.nextID, pv.accept
+		next, accept = pv.next, pv.accept
 	} else {
 		var n ltl.Formula
 		n, accept = ltl.Step(top.ob, evalLetter(s.letters, last, s.voc))
-		nextID, next = s.tables.in.intern(n)
+		next = s.tables.in.intern(n)
 	}
 	if accept {
-		s.wit.Offer(sp.shard, p.Clone())
-		return false, lts.ErrStop
+		return next, lts.Accept, nil
 	}
 	if s.opts.DisableLTLPruning {
 		// Ablation: ignore the dead-obligation signal; re-check the whole
@@ -252,63 +189,15 @@ func (sp *spine) visit(shard int, p *access.Path, pre, conf *instance.Instance) 
 		// is the slow baseline).
 		ts, err := p.Transitions(s.opts.Initial)
 		if err != nil {
-			return false, err
+			return next, lts.Prune, err
 		}
-		ok, err := Satisfied(s.f, ts, s.voc)
-		if err != nil {
-			return false, err
+		if ok, err := Satisfied(s.f, ts, s.voc); err != nil || ok {
+			return next, lts.Accept, err
 		}
-		if ok {
-			s.wit.Offer(sp.shard, p.Clone())
-			return false, lts.ErrStop
-		}
-		sp.stack = append(sp.stack, obState{ob: next, id: nextID, len: p.Len()})
-		return true, nil
+		return next, lts.Expand, nil
 	}
-	if t, isT := next.(ltl.Truth); isT && !bool(t) {
-		return false, nil // dead obligation: prune
+	if t, isT := next.ob.(ltl.Truth); isT && !bool(t) {
+		return next, lts.Prune, nil
 	}
-	// Memoization: satisfiability from a node depends only on the revealed
-	// configuration and the residual obligation, not on the history, so
-	// prune when the same (config, obligation) pair was already committed
-	// to with at least as much depth budget remaining. Under idempotence
-	// the future also depends on the responses seen so far, so the memo
-	// would be unsound there.
-	var mk solverMemoKey
-	recorded := false
-	if !s.opts.IdempotentOnly {
-		mk = solverMemoKey{conf: conf.Hash(), ob: nextID}
-		if s.tables.memo.DominatedOrRecord(mk, s.depth-p.Len()) {
-			return false, nil // dominated: already searched from here
-		}
-		recorded = true
-	}
-	sp.stack = append(sp.stack, obState{ob: next, id: nextID, len: p.Len(), key: mk, recorded: recorded})
-	return true, nil
-}
-
-// scrub removes from a persistent memo the commitments of the walkers
-// whose last shard did not complete: frames still on their stacks are
-// subtrees of that shard that were entered but never finished, and their
-// pre-order commitments must not prune a resumed round. A walker stops at
-// its first unfinished shard, so no other shard needs scrubbing. The
-// walkers have joined, so the stacks are quiescent.
-func scrub(memo *lts.DominanceMemo[solverMemoKey], spines []*spine, completed []int) {
-	if len(spines) == 0 {
-		return
-	}
-	done := make(map[int]bool, len(completed))
-	for _, s := range completed {
-		done[s] = true
-	}
-	for _, sp := range spines {
-		if done[sp.shard] {
-			continue
-		}
-		for i := range sp.stack {
-			if sp.stack[i].recorded {
-				memo.Remove(sp.stack[i].key)
-			}
-		}
-	}
+	return next, lts.Expand, nil
 }

@@ -3,7 +3,6 @@ package accltl
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"accltl/internal/access"
 	"accltl/internal/fo"
@@ -76,8 +75,8 @@ type SolveOptions struct {
 	// repeat searches of the *same* formula under the same options — reuse
 	// across different checks is unsound and unchecked. A search that ends
 	// early (witness, cap, error) scrubs the commitments of its unfinished
-	// shard walks before returning, so the surviving entries are safe to
-	// prune against in a later round; see NewSolverMemo.
+	// shard walks before returning (lts.Product), so the surviving entries
+	// are safe to prune against in a later round.
 	Memo *SolverMemo
 }
 
@@ -217,8 +216,8 @@ func defaultDepth(f Formula) int {
 
 // searchLTSOptions assembles the exploration options a bounded search of f
 // under opts uses: the depth bound, the witness universe (formula-derived
-// unless overridden, unioned with the initial instance), the path cap and
-// the fresh binding pool. It is the single prep path shared by
+// unless overridden) and the formula's constants in the binding pool,
+// completed by lts.ProductOptions. It is the single prep path shared by
 // boundedSearch and PlanShards, so the shard partition a plan describes is
 // exactly the partition the search executes — the determinism the
 // distributed check fabric relies on when coordinator and workers derive
@@ -231,47 +230,11 @@ func searchLTSOptions(f Formula, opts SolveOptions) (lts.Options, int, error) {
 	universe := opts.Universe
 	if universe == nil {
 		var err error
-		universe, err = WitnessUniverse(opts.Schema, f)
-		if err != nil {
+		if universe, err = WitnessUniverse(opts.Schema, f); err != nil {
 			return lts.Options{}, 0, err
 		}
 	}
-	if opts.Initial != nil {
-		u := universe.Clone()
-		if err := u.UnionWith(opts.Initial); err != nil {
-			return lts.Options{}, 0, err
-		}
-		universe = u
-	}
-
-	maxPaths := opts.MaxPaths
-	if maxPaths == 0 {
-		maxPaths = 1 << 22
-	}
-
-	// Binding pool: formula constants plus one fresh value per datatype any
-	// method takes as input, so methods can fire even when the witness
-	// universe has no values of the needed type (e.g. formulas whose only
-	// sentences are 0-ary IsBind atoms).
-	extraVals := fo.Constants(sentenceConj(Sentences(f)))
-	needType := make(map[schema.Type]bool)
-	for _, m := range opts.Schema.Methods() {
-		for _, ty := range m.InputTypes() {
-			needType[ty] = true
-		}
-	}
-	if needType[schema.TypeInt] {
-		extraVals = append(extraVals, instance.Int(987654321))
-	}
-	if needType[schema.TypeString] {
-		extraVals = append(extraVals, instance.Str("_freshbind"))
-	}
-	if needType[schema.TypeBool] {
-		extraVals = append(extraVals, instance.Bool(true), instance.Bool(false))
-	}
-
-	return lts.Options{
-		Context:            opts.Context,
+	o, err := lts.ProductOptions(opts.Schema, lts.Options{
 		Universe:           universe,
 		Initial:            opts.Initial,
 		MaxDepth:           depth,
@@ -280,9 +243,10 @@ func searchLTSOptions(f Formula, opts SolveOptions) (lts.Options, int, error) {
 		ExactMethods:       opts.ExactMethods,
 		AllExact:           opts.AllExact,
 		MaxResponseChoices: opts.MaxResponseChoices,
-		MaxPaths:           maxPaths,
-		ExtraBindingValues: extraVals,
-	}, depth, nil
+		MaxPaths:           opts.MaxPaths,
+		ExtraBindingValues: fo.Constants(sentenceConj(Sentences(f))),
+	})
+	return o, depth, err
 }
 
 // searchSetup returns the search's setup — opts.Memo's, or a fresh one for
@@ -325,9 +289,9 @@ func PlanShards(f Formula, opts SolveOptions) ([]lts.ShardID, bool, error) {
 	return plan.IDs(), plan.ResponsesCapped(), nil
 }
 
-// boundedSearch runs the bounded-model search: opts.Parallelism walkers over
-// the root shards of the search's plan (the opts.Shards subset), each
-// walker's shards visited by its spine (see search.go).
+// boundedSearch runs the bounded-model search: an lts.Product search over
+// the search's plan (the opts.Shards subset) whose control is the
+// obligation (see search.go).
 func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, error) {
 	if opts.Schema == nil {
 		return SolveResult{}, fmt.Errorf("accltl: SolveOptions.Schema is required")
@@ -364,7 +328,6 @@ func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, e
 	if err != nil {
 		return SolveResult{}, err
 	}
-	skeleton = ltl.NNF(skeleton)
 
 	setup, depth, err := searchSetup(f, opts)
 	if err != nil {
@@ -379,55 +342,34 @@ func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, e
 	if tables == nil {
 		tables = NewSolverMemo()
 	}
-	tables.widen(opts.Parallelism)
-	skelID, skeleton := tables.in.intern(skeleton)
-	srch := &search{
-		f:       f,
-		voc:     voc,
-		opts:    &opts,
-		letters: letters,
-		useMask: len(letters) <= 64,
-		depth:   depth,
-		tables:  tables,
+	tables.prog.widen(opts.Parallelism)
+	srch := &search{f: f, voc: voc, opts: &opts, letters: letters, useMask: len(letters) <= 64, tables: tables}
+	pr := &lts.Product[obligation, int]{
+		Init:       tables.in.intern(ltl.NNF(skeleton)),
+		Step:       srch.step,
+		Memo:       tables.memo,
+		Depth:      depth,
+		Persistent: opts.Memo != nil,
 	}
-	var (
-		spineMu sync.Mutex
-		spines  []*spine
-	)
-	walker := func() lts.ShardVisitor {
-		// Per-walker obligation stack: every shard's DFS starts at depth 1,
-		// so the root obligation (the whole skeleton, length 0) seeds it.
-		sp := &spine{s: srch, shard: -1}
-		sp.stack = append(sp.buf[:0], obState{ob: skeleton, id: skelID})
-		if opts.Memo != nil {
-			// A persistent memo keeps every walker's stack reachable, so
-			// an unfinished walk can be scrubbed after the search joins.
-			spineMu.Lock()
-			spines = append(spines, sp)
-			spineMu.Unlock()
-		}
-		return sp.visit
+	// Satisfiability below a node depends only on the revealed configuration
+	// and the obligation, not on the history — except under idempotence,
+	// where the responses seen so far constrain the future, so the memo
+	// would be unsound there. The pruning ablation runs without it.
+	if !opts.IdempotentOnly && !opts.DisableLTLPruning {
+		pr.Key = func(o obligation) int { return o.id }
 	}
-	root := func(p *access.Path, pre, conf *instance.Instance) (bool, error) { return true, nil }
 
-	rep, searchErr := plan.Explore(opts.Context, opts.Parallelism, opts.Shards, root, walker)
+	rep, witness, err := pr.Search(opts.Context, plan, opts.Parallelism, opts.Shards)
 	res := SolveResult{
 		Depth:           depth,
 		PathsExplored:   rep.Paths,
 		CompletedShards: rep.CompletedShards,
 		TotalShards:     rep.TotalShards,
 	}
-	scrub(tables.memo, spines, rep.CompletedShards)
-	if w, found := srch.wit.Take(); found {
-		// A found witness settles the question even when another walker
-		// errored in the race window before the early-cancel broadcast
-		// landed (the same resolution the branching checker uses): the
-		// witness is validated against the direct semantics below, so the
-		// verdict it carries does not depend on the failed walker's search.
-		// Without this, satisfiable-vs-error would be schedule-dependent.
+	if witness != nil {
 		res.Satisfiable = true
-		res.Witness = w
-		ts, err := res.Witness.Transitions(opts.Initial)
+		res.Witness = witness
+		ts, err := witness.Transitions(opts.Initial)
 		if err != nil {
 			return res, err
 		}
@@ -440,8 +382,8 @@ func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, e
 		}
 		return res, nil
 	}
-	if searchErr != nil {
-		return res, searchErr
+	if err != nil {
+		return res, err
 	}
 	res.Truncated = rep.PathsCapped
 	res.ResponsesCapped = rep.ResponsesCapped

@@ -4,14 +4,12 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"accltl/internal/access"
 	"accltl/internal/accltl"
 	"accltl/internal/fo"
 	"accltl/internal/instance"
 	"accltl/internal/lts"
-	"accltl/internal/schema"
 )
 
 // EmptinessOptions configures the emptiness engines.
@@ -61,8 +59,8 @@ type EmptinessOptions struct {
 	// PlanShards through the memo reuses. Without one, each search builds a
 	// fresh memo and setup. The memo is only valid for repeat searches of
 	// the same automaton under the same options, and searches that end
-	// early scrub their unfinished walks' commitments before returning; see
-	// NewEmptinessMemo.
+	// early scrub their unfinished walks' commitments before returning
+	// (lts.Product).
 	Memo *EmptinessMemo
 }
 
@@ -103,9 +101,8 @@ type EmptinessResult struct {
 // obligations each need at most one revealing access — in particular for
 // every automaton compiled from AccLTL+ by this repository.
 //
-// The search runs opts.Parallelism walkers over the root shards of its
-// plan (the opts.Shards subset), each walker's shards visited by its spine
-// (see search.go).
+// The search is an lts.Product search over its plan (the opts.Shards
+// subset) whose control is the automaton's state set (see search.go).
 func (a *Automaton) IsEmpty(opts EmptinessOptions) (EmptinessResult, error) {
 	if err := a.Validate(); err != nil {
 		return EmptinessResult{}, err
@@ -135,41 +132,29 @@ func (a *Automaton) IsEmpty(opts EmptinessOptions) (EmptinessResult, error) {
 	if tables == nil {
 		tables = NewEmptinessMemo()
 	}
-	tables.memo.Widen(opts.Parallelism)
-	srch := &search{a: a, opts: &opts, guards: a.prepareGuards(), depth: depth, memo: tables.memo}
-	var (
-		spineMu sync.Mutex
-		spines  []*spine
-	)
-	walker := func() lts.ShardVisitor {
-		// Per-walker simulation stack, seeded with the initial state at the
-		// root (every shard's DFS starts at depth 1).
-		sp := &spine{s: srch, shard: -1}
-		sp.stack = append(sp.buf[:0], emptinessFrame{states: map[int]bool{a.Init: true}})
-		if opts.Memo != nil {
-			// A persistent memo keeps every walker's stack reachable, so
-			// an unfinished walk can be scrubbed after the search joins.
-			spineMu.Lock()
-			spines = append(spines, sp)
-			spineMu.Unlock()
-		}
-		return sp.visit
+	srch := &search{a: a, guards: a.prepareGuards()}
+	pr := &lts.Product[map[int]bool, string]{
+		Init:       map[int]bool{a.Init: true},
+		Step:       srch.step,
+		Memo:       tables.memo,
+		Depth:      depth,
+		Persistent: opts.Memo != nil,
 	}
-	root := func(p *access.Path, pre, conf *instance.Instance) (bool, error) { return true, nil }
+	// Emptiness below a node depends only on the revealed configuration and
+	// the state set — except under idempotence, where the responses seen so
+	// far constrain the future, so the memo stays off there.
+	if !opts.IdempotentOnly {
+		pr.Key = stateSetKey
+	}
 
-	rep, err := plan.Explore(opts.Context, opts.Parallelism, opts.Shards, root, walker)
+	rep, witness, err := pr.Search(opts.Context, plan, opts.Parallelism, opts.Shards)
 	res.PathsExplored = rep.Paths
 	res.CompletedShards = rep.CompletedShards
 	res.TotalShards = rep.TotalShards
-	scrub(tables.memo, spines, rep.CompletedShards)
-	if w, found := srch.wit.Take(); found {
-		// A found witness settles non-emptiness even when another walker
-		// errored before the early-cancel broadcast landed (the solver's
-		// rule): it is validated against the run semantics below, so the
-		// verdict does not depend on the failed walker's search.
+	if witness != nil {
 		res.Empty = false
-		res.Witness = w
-		ok, err := a.Accepts(res.Witness)
+		res.Witness = witness
+		ok, err := a.Accepts(witness)
 		if err != nil {
 			return res, err
 		}
@@ -187,10 +172,11 @@ func (a *Automaton) IsEmpty(opts EmptinessOptions) (EmptinessResult, error) {
 }
 
 // emptinessLTSOptions assembles the exploration options the product search
-// uses: depth bound (states + guards + 2 unless overridden), guard-derived
-// witness universe unioned with the initial instance, path cap and fresh
-// binding pool. The single prep path shared by IsEmpty and PlanShards, so a
-// plan always describes the partition the search executes.
+// uses: the depth bound (states + guards + 2 unless overridden), the
+// guard-derived witness universe and the guards' constants in the binding
+// pool, completed by lts.ProductOptions. The single prep path shared by
+// IsEmpty and PlanShards, so a plan always describes the partition the
+// search executes.
 func (a *Automaton) emptinessLTSOptions(opts EmptinessOptions) (lts.Options, int, error) {
 	depth := opts.MaxDepth
 	if depth == 0 {
@@ -199,26 +185,11 @@ func (a *Automaton) emptinessLTSOptions(opts EmptinessOptions) (lts.Options, int
 	universe := opts.Universe
 	if universe == nil {
 		var err error
-		universe, err = accltl.UniverseForSentences(a.Schema, a.Guards())
-		if err != nil {
+		if universe, err = accltl.UniverseForSentences(a.Schema, a.Guards()); err != nil {
 			return lts.Options{}, 0, err
 		}
 	}
-	if opts.Initial != nil {
-		u := universe.Clone()
-		if err := u.UnionWith(opts.Initial); err != nil {
-			return lts.Options{}, 0, err
-		}
-		universe = u
-	}
-	maxPaths := opts.MaxPaths
-	if maxPaths == 0 {
-		maxPaths = 1 << 22
-	}
-	extraVals := guardConstants(a)
-	extraVals = append(extraVals, freshBindingValues(a.Schema)...)
-	return lts.Options{
-		Context:            opts.Context,
+	o, err := lts.ProductOptions(a.Schema, lts.Options{
 		Universe:           universe,
 		Initial:            opts.Initial,
 		MaxDepth:           depth,
@@ -227,9 +198,10 @@ func (a *Automaton) emptinessLTSOptions(opts EmptinessOptions) (lts.Options, int
 		ExactMethods:       opts.ExactMethods,
 		AllExact:           opts.AllExact,
 		MaxResponseChoices: opts.MaxResponseChoices,
-		MaxPaths:           maxPaths,
-		ExtraBindingValues: extraVals,
-	}, depth, nil
+		MaxPaths:           opts.MaxPaths,
+		ExtraBindingValues: guardConstants(a),
+	})
+	return o, depth, err
 }
 
 // searchSetup returns the search's setup — opts.Memo's, or a fresh one for
@@ -293,28 +265,6 @@ func guardConstants(a *Automaton) []instance.Value {
 				out = append(out, v)
 			}
 		}
-	}
-	return out
-}
-
-// freshBindingValues supplies one fresh value per datatype used as a method
-// input, so methods can fire even over an empty universe.
-func freshBindingValues(sch *schema.Schema) []instance.Value {
-	need := make(map[schema.Type]bool)
-	for _, m := range sch.Methods() {
-		for _, ty := range m.InputTypes() {
-			need[ty] = true
-		}
-	}
-	var out []instance.Value
-	if need[schema.TypeInt] {
-		out = append(out, instance.Int(987654321))
-	}
-	if need[schema.TypeString] {
-		out = append(out, instance.Str("_freshbind"))
-	}
-	if need[schema.TypeBool] {
-		out = append(out, instance.Bool(true), instance.Bool(false))
 	}
 	return out
 }

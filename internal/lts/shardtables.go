@@ -1,10 +1,8 @@
 package lts
 
-// Concurrent companion tables for solvers built on ExploreSharded: the
-// striped dominance memo and the lowest-shard witness box. Both the AccLTL
-// bounded-model solver and the automaton emptiness check need exactly these
-// two structures (their keys differ, their semantics do not), so they live
-// here once instead of as twins in each engine.
+// The concurrent tables of the product search (product.go): the striped
+// dominance memo and the lowest-shard witness box. The walkers of one search
+// share them, and a persistent memo outlives the search.
 
 import "sync"
 
@@ -24,9 +22,8 @@ func Stripes(walkers int) int {
 
 // DominanceMemo is a concurrent map from search states to the largest
 // remaining depth budget a walker has committed to exploring them with,
-// striped by a caller-supplied hash (solvers stripe on the configuration's
-// incremental instance.Hash, so walkers covering overlapping configuration
-// spaces land on the same stripes and prune against each other's work).
+// striped by a caller-supplied hash (a product search's memo stripes on the
+// configuration's incremental instance.Hash, see NewProductMemo).
 //
 // Sharing the memo across walkers is sound because an entry means "a
 // search from this state with at least this much budget was committed to",

@@ -15,6 +15,12 @@
 #       two JSON files. Defaults: old=BENCH_baseline.json,
 #       new=BENCH_after.json. If new.json does not exist it is captured
 #       first (that is, "compare" runs baseline-vs-current by default).
+#       Each side's environment is printed first, read from the capture:
+#       its "cpu:" line and its GOMAXPROCS (the -N suffix of the result
+#       names; none means 1). When the two differ, compare prints no table
+#       and exits 1: ratios across machines or core counts measure the
+#       machines. The committed BENCH_baseline.json and BENCH_after.json
+#       come from different machines, so compare two captures made on one.
 #
 #   scripts/bench.sh check [out.json]
 #       Staleness gate (CI): fails if any Benchmark* function of
@@ -37,6 +43,17 @@ extract_results() {
 		sed 's/\\n/\n/g;s/\\t/\t/g' | grep -E '^Benchmark.* ns/op'
 }
 
+# environment file: the capture's "cpu:" line and the GOMAXPROCS values
+# its result names carry.
+environment() {
+	cpu=$(grep -o '"Output":"cpu: [^"]*' "$1" | head -n 1 | sed 's/^"Output":"cpu: //;s/\\n$//')
+	procs=$(extract_results "$1" | awk -F'\t' '{
+		name = $1; gsub(/ +$/, "", name)
+		if (match(name, /-[0-9]+$/)) print substr(name, RSTART + 1); else print 1
+	}' | sort -un | tr '\n' ',' | sed 's/,$//')
+	echo "cpu: ${cpu:-unknown}, GOMAXPROCS ${procs:-unknown}"
+}
+
 capture() {
 	out=$1
 	pat=$2
@@ -53,6 +70,14 @@ compare)
 	if [ ! -f "$new" ]; then
 		echo "bench.sh: $new not found, capturing current numbers first" >&2
 		capture "$new" "$default_pat"
+	fi
+	oldenv=$(environment "$old")
+	newenv=$(environment "$new")
+	echo "old $old: $oldenv"
+	echo "new $new: $newenv"
+	if [ "$oldenv" != "$newenv" ]; then
+		echo "bench.sh: the captures come from different environments; capture both on one machine" >&2
+		exit 1
 	fi
 	{ extract_results "$old" | sed 's/^/OLD\t/'; extract_results "$new" | sed 's/^/NEW\t/'; } | awk -F'\t' '
 	{

@@ -168,10 +168,10 @@ type Checker struct {
 	// CheckAnytime round attempts (0 = all remaining); see WithAnytimeChunk.
 	anytimeChunk int
 	// solverMemo/emptinessMemo are never set on user-constructed checkers:
-	// CheckAnytime sets them on the derived per-round copy so planning and
-	// the engines reuse a checkpoint's derived search setup and warm
-	// tables. They are execution detail, excluded from Fingerprint like
-	// parallelism.
+	// CheckAnytime and ShardPlanAnytime set them on a derived copy (see on)
+	// so planning and the engines reuse a checkpoint's derived search
+	// setup, compiled automaton and warm tables. They are execution detail,
+	// excluded from Fingerprint like parallelism.
 	solverMemo    *accltl.SolverMemo
 	emptinessMemo *autom.EmptinessMemo
 }
@@ -560,7 +560,7 @@ func (c *Checker) runSolve(ctx context.Context, sch *Schema, f Formula, engine E
 		sr, err := accltl.SolveBounded(f, opts)
 		return sr, 0, err
 	case EngineAutomaton:
-		a, err := autom.CompileAccLTLPlus(sch, f)
+		a, err := c.emptinessMemo.Compile(sch, f)
 		if err != nil {
 			return accltl.SolveResult{}, 0, err
 		}
@@ -612,7 +612,7 @@ func (c *Checker) ShardPlan(ctx context.Context, sch *Schema, f Formula) ([]Shar
 
 	engine := c.resolveEngine(f)
 	if engine == EngineAutomaton {
-		a, err := autom.CompileAccLTLPlus(sch, f)
+		a, err := c.emptinessMemo.Compile(sch, f)
 		if err != nil {
 			return nil, false, err
 		}

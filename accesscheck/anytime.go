@@ -221,15 +221,75 @@ func (c *Checker) anytimeKey(sch *Schema, f Formula) string {
 	return shardless.Fingerprint(sch, f)
 }
 
+// checkpointFor returns prev once it is checked to belong to this check
+// (the same shard-less fingerprint), or a fresh checkpoint when prev is nil.
+func (c *Checker) checkpointFor(sch *Schema, f Formula, engine Engine, prev *Checkpoint) (*Checkpoint, error) {
+	key := c.anytimeKey(sch, f)
+	if prev == nil {
+		return c.newCheckpoint(key, engine), nil
+	}
+	if pk := prev.Key(); pk != key {
+		return nil, fmt.Errorf("accesscheck: checkpoint belongs to a different check (key %q, want %q)", pk, key)
+	}
+	return prev, nil
+}
+
+// on returns a copy of the checker that runs on cp's memos: the engines'
+// warm tables, the compiled automaton, and the search setup (witness
+// universe, depth bound, root partition) the first plan or search through
+// cp derives and every later one reuses.
+func (c *Checker) on(cp *Checkpoint) *Checker {
+	round := *c
+	round.solverMemo = cp.solverMemo
+	round.emptinessMemo = cp.emptinessMemo
+	return &round
+}
+
+// planOn enumerates the check's root partition through cp's memos, so every
+// later round on cp searches this plan, and records its size once it is
+// shardable. Called with cp.mu held.
+func (c *Checker) planOn(ctx context.Context, sch *Schema, f Formula, cp *Checkpoint) ([]ShardID, error) {
+	plan, _, err := c.on(cp).ShardPlan(ctx, sch, f)
+	if err == nil && len(plan) >= 2 {
+		cp.planSize = len(plan)
+	}
+	return plan, err
+}
+
+// ShardPlanAnytime is ShardPlan through a checkpoint, as CheckAnytime is
+// Check through one: it enumerates the plan on prev's memos (a fresh
+// checkpoint's when prev is nil, with prev under CheckAnytime's contract)
+// and returns that checkpoint. A CheckAnytime handed the checkpoint
+// searches the partition this call enumerated instead of enumerating it
+// again — how a fabric worker verifies a shard's plan and then runs it with
+// one enumeration.
+func (c *Checker) ShardPlanAnytime(ctx context.Context, sch *Schema, f Formula, prev *Checkpoint) ([]ShardID, *Checkpoint, error) {
+	if f == nil {
+		return nil, nil, fmt.Errorf("accesscheck: ShardPlanAnytime: nil formula")
+	}
+	cp, err := c.checkpointFor(sch, f, c.resolveEngine(f), prev)
+	if err != nil {
+		return nil, nil, err
+	}
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	plan, err := c.planOn(ctx, sch, f, cp)
+	if err != nil {
+		return nil, nil, err
+	}
+	return plan, cp, nil
+}
+
 // CheckAnytime is Check with suspend/resume: it runs (a slice of) the check
 // against prev's frontier and returns the answer plus the checkpoint to
 // carry forward.
 //
 // Contract:
 //
-//   - prev nil starts fresh; prev non-nil must come from a CheckAnytime of
-//     an identically-configured checker on the same schema and formula
-//     (same shard-less fingerprint), else an error is returned.
+//   - prev nil starts fresh; prev non-nil must come from a CheckAnytime or
+//     ShardPlanAnytime of an identically-configured checker on the same
+//     schema and formula (same shard-less fingerprint), else an error is
+//     returned.
 //   - An exact answer (witness found, or every targeted shard explored)
 //     comes back with Coverage 1 and Resumable false; the caller should
 //     drop any stored checkpoint for the key. The returned checkpoint is
@@ -270,24 +330,11 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 	}
 
 	engine := c.resolveEngine(f)
-	key := c.anytimeKey(sch, f)
-	if prev != nil {
-		if pk := prev.Key(); pk != key {
-			return nil, nil, fmt.Errorf("accesscheck: CheckAnytime: checkpoint belongs to a different check (key %q, want %q)", pk, key)
-		}
+	cp, err := c.checkpointFor(sch, f, engine, prev)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	// Rounds run on a per-round copy of the checker carrying the
-	// checkpoint's memos: the engines' warm tables, and the search setup
-	// (witness universe, depth bound, root partition) the first plan or
-	// search derives and every later round reuses.
-	cp := prev
-	if cp == nil {
-		cp = c.newCheckpoint(key, engine)
-	}
-	round := *c
-	round.solverMemo = cp.solverMemo
-	round.emptinessMemo = cp.emptinessMemo
+	round := c.on(cp)
 
 	// The round holds the checkpoint from planning on: every search on its
 	// memo, the one-shard fallback included, runs alone (the dominance
@@ -296,14 +343,15 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 	defer cp.mu.Unlock()
 
 	// Resolve the target shard set. A shard-restricted checker targets its
-	// configured subset and learns the plan size from its first round (its
-	// caller — the fabric worker — knows the plan already); a whole check
-	// targets the full canonical partition and plans it once, through the
-	// checkpoint, so its first round executes that same enumeration.
+	// configured subset; its plan size comes from ShardPlanAnytime when the
+	// caller (the fabric worker) planned through the checkpoint, else from
+	// its first round. A whole check targets the full canonical partition
+	// and plans it once, through the checkpoint, so its first round
+	// executes that same enumeration.
 	target := c.shards
 	if target == nil {
 		if cp.planSize == 0 {
-			plan, _, err := round.ShardPlan(ctx, sch, f)
+			plan, err := c.planOn(ctx, sch, f, cp)
 			if err != nil && ctx.Err() != nil {
 				// The budget died while planning: nothing is covered, but
 				// the checkpoint keeps whatever setup was derived for the
@@ -322,7 +370,6 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 				res.Coverage = 1
 				return res, nil, nil
 			}
-			cp.planSize = len(plan)
 		}
 		target = make([]int, cp.planSize)
 		for i := range target {

@@ -1,0 +1,115 @@
+package accesscheck
+
+import (
+	"context"
+	"testing"
+
+	"accltl/internal/autom"
+	"accltl/internal/lts"
+)
+
+// checkpointPlan is the root partition the checkpoint's memo carries.
+func checkpointPlan(t *testing.T, cp *Checkpoint, sch *Schema) *lts.Plan {
+	t.Helper()
+	var setup *lts.Setup
+	if cp.emptinessMemo != nil {
+		setup = cp.emptinessMemo.Setup()
+	} else {
+		setup = cp.solverMemo.Setup()
+	}
+	plan, err := setup.Plan(context.Background(), sch)
+	if err != nil {
+		t.Fatalf("checkpoint carries no plan: %v", err)
+	}
+	return plan
+}
+
+// checkpointAutomaton is the compiled automaton the checkpoint's memo
+// carries (nil for the solver engines).
+func checkpointAutomaton(t *testing.T, cp *Checkpoint) *autom.Automaton {
+	t.Helper()
+	if cp.emptinessMemo == nil {
+		return nil
+	}
+	// Compiled already by the planning call: this only reads it back.
+	a, err := cp.emptinessMemo.Compile(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// TestShardPlanAnytimeCarriesPlan: the checkpoint ShardPlanAnytime returns
+// carries the plan it enumerated, and every CheckAnytime round handed that
+// checkpoint runs on it — the same checkpoint, the same plan pointer and,
+// on the automaton engine, the same compiled automaton (a memo refuses to
+// search any other, so a round that compiled again would fail) — for a
+// whole check sliced into one-shard rounds and for a fabric worker's
+// shard-restricted group. The rounds end on the verdict Check gives.
+func TestShardPlanAnytimeCarriesPlan(t *testing.T) {
+	sch, err := ParseSchema(
+		[]string{"Mobile#:string,string,string,int", "Address:string,string,string,int"},
+		[]string{"AcM1:Mobile#:0", "AcM2:Address:0,1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := ParseFormula(`[exists n,p,s,ph. pre Mobile#(n,p,s,ph)] & (![exists n,p,s,ph. pre Mobile#(n,p,s,ph)])`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, eng := range []Engine{EngineBounded, EngineAutomaton} {
+		for name, opts := range map[string][]Option{
+			"whole": {WithEngine(eng), WithAnytimeChunk(1)},
+			"group": {WithEngine(eng), WithShards(0, 1)},
+		} {
+			t.Run(eng.String()+"/"+name, func(t *testing.T) {
+				chk, err := NewChecker(opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids, cp, err := chk.ShardPlanAnytime(ctx, sch, f, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ids) < 2 || cp.PlanSize() != len(ids) {
+					t.Fatalf("plan of %d shards, checkpoint plan size %d", len(ids), cp.PlanSize())
+				}
+				plan := checkpointPlan(t, cp, sch)
+				a := checkpointAutomaton(t, cp)
+				if (a != nil) != (eng == EngineAutomaton) {
+					t.Fatalf("planning left automaton %p on the %v engine's checkpoint", a, eng)
+				}
+				for round := 1; ; round++ {
+					res, next, err := chk.CheckAnytime(ctx, sch, f, cp)
+					if err != nil {
+						t.Fatalf("round %d: %v", round, err)
+					}
+					if next != cp {
+						t.Fatalf("round %d returned checkpoint %p, planned %p", round, next, cp)
+					}
+					if got := checkpointPlan(t, next, sch); got != plan {
+						t.Fatalf("round %d searched plan %p, planned %p", round, got, plan)
+					}
+					if got := checkpointAutomaton(t, next); got != a {
+						t.Fatalf("round %d searched automaton %p, planned %p", round, got, a)
+					}
+					if !res.Resumable {
+						want, err := chk.Check(ctx, sch, f)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.Satisfiable != want.Satisfiable || res.Truncated != want.Truncated {
+							t.Errorf("rounds answered sat=%v truncated=%v, Check sat=%v truncated=%v",
+								res.Satisfiable, res.Truncated, want.Satisfiable, want.Truncated)
+						}
+						break
+					}
+					if round > len(ids) {
+						t.Fatalf("still resumable after %d rounds", round)
+					}
+				}
+			})
+		}
+	}
+}

@@ -46,6 +46,34 @@ func TestShardRoundTrip(t *testing.T) {
 	}
 }
 
+// TestShardViewDigest: the view digest moves with every field a worker's
+// plan verification compares — the plan size and each ref's index, key and
+// whole-access flag, including how the keys split — and with nothing else
+// a redispatch of the same group may change, such as the budget.
+func TestShardViewDigest(t *testing.T) {
+	base := sampleShard().ViewDigest()
+	mutate := func(f func(*Shard)) string {
+		s := sampleShard()
+		f(s)
+		return s.ViewDigest()
+	}
+	for name, d := range map[string]string{
+		"plan size":    mutate(func(s *Shard) { s.PlanSize++ }),
+		"index":        mutate(func(s *Shard) { s.Shards[1].Index = 5 }),
+		"key":          mutate(func(s *Shard) { s.Shards[0].Key = "mR(2)" }),
+		"key boundary": mutate(func(s *Shard) { s.Shards[0].Key, s.Shards[1].Key = "mR(1)m", "S(1,2)" }),
+		"whole access": mutate(func(s *Shard) { s.Shards[0].WholeAccess = true }),
+		"dropped ref":  mutate(func(s *Shard) { s.Shards = s.Shards[:1] }),
+	} {
+		if d == base {
+			t.Errorf("%s: digest unchanged", name)
+		}
+	}
+	if d := mutate(func(s *Shard) { s.Budget = "1ns" }); d != base {
+		t.Error("budget moved the view digest")
+	}
+}
+
 func TestShardValidation(t *testing.T) {
 	mutate := func(f func(*Shard)) *Shard {
 		s := sampleShard()

@@ -20,6 +20,9 @@ package fabric
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 )
@@ -132,6 +135,27 @@ func DecodeShard(data []byte) (*Shard, error) {
 		return nil, err
 	}
 	return &s, nil
+}
+
+// ViewDigest is a hex SHA-256 of the plan view the shard asserts: its
+// PlanSize and, in order, every ShardRef's index, canonical key and
+// whole-access flag — every field a worker's plan verification compares. A
+// worker binds its cache key to it, so a verdict admitted after verifying
+// one view is found again only by a shard asserting that same view.
+func (s *Shard) ViewDigest() string {
+	buf := binary.AppendVarint(nil, int64(s.PlanSize))
+	buf = binary.AppendUvarint(buf, uint64(len(s.Shards)))
+	for _, ref := range s.Shards {
+		var whole byte
+		if ref.WholeAccess {
+			whole = 1
+		}
+		buf = binary.AppendVarint(buf, int64(ref.Index))
+		buf = binary.AppendUvarint(buf, uint64(len(ref.Key)))
+		buf = append(append(buf, ref.Key...), whole)
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // Indexes returns the canonical indexes this shard assigns, in order.

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync/atomic"
@@ -488,6 +489,110 @@ func TestWorkerShardCaching(t *testing.T) {
 	}
 	if out.Cached {
 		t.Error("full check served from a partial result's cache entry")
+	}
+}
+
+// shardGroup is the wire shard assigning the given canonical indexes of
+// req's plan, with the true keys and plan size.
+func shardGroup(t *testing.T, req CheckRequest, indexes ...int) *fabric.Shard {
+	t.Helper()
+	sch, err := accesscheck.ParseSchema(req.Relations, req.Methods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := accesscheck.ParseFormula(req.Formula)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, _, err := (&accesscheck.Checker{}).ShardPlan(context.Background(), sch, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := &fabric.Shard{
+		Version:   fabric.WireVersion,
+		Relations: req.Relations,
+		Methods:   req.Methods,
+		Formula:   req.Formula,
+		PlanSize:  len(plan),
+	}
+	for _, i := range indexes {
+		if i >= len(plan) {
+			t.Fatalf("plan has %d shards, no index %d", len(plan), i)
+		}
+		wire.Shards = append(wire.Shards, fabric.ShardRef{Index: i, Key: plan[i].Key, WholeAccess: plan[i].WholeAccess})
+	}
+	return wire
+}
+
+// postShard posts a wire shard and decodes a 200 answer.
+func postShard(t *testing.T, url string, wire *fabric.Shard) fabric.ShardResult {
+	t.Helper()
+	resp, body := postJSON(t, url+"/v1/shard", wire)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var part fabric.ShardResult
+	if err := json.Unmarshal(body, &part); err != nil {
+		t.Fatal(err)
+	}
+	return part
+}
+
+// TestWorkerShardRepeatSkipsPlanning: a worker answers a shard group it
+// verified and settled from its cache tiers before any planning, so a
+// repeat under a budget no plan could meet ("1ns") still answers 200
+// cached, with the settled verdict — from the memory tier, and from the
+// disk tier after a restart over the same CacheDir — and never solves
+// again. A tampered view of the same group misses: under the dead budget
+// it reaches planning and expires rather than answering.
+func TestWorkerShardRepeatSkipsPlanning(t *testing.T) {
+	cfg := Config{CacheSize: 8, CacheDir: t.TempDir()}
+	wire := shardGroup(t, checkReq(unsatFormula), 0, 1)
+	dead := *wire
+	dead.Budget = "1ns"
+	same := func(phase string, got, want fabric.ShardResult) {
+		t.Helper()
+		if !got.Cached {
+			t.Errorf("%s: repeat not answered from the cache: %+v", phase, got)
+		}
+		if got.Satisfiable != want.Satisfiable || got.PathsExplored != want.PathsExplored ||
+			got.Depth != want.Depth || got.Truncated != want.Truncated ||
+			!reflect.DeepEqual(got.Shards, want.Shards) || got.ShardsTotal != want.ShardsTotal {
+			t.Errorf("%s: cached answer %+v, settled %+v", phase, got, want)
+		}
+	}
+
+	s1 := New(cfg)
+	ts1 := httptest.NewServer(s1)
+	settled := postShard(t, ts1.URL, wire)
+	if settled.Cached {
+		t.Fatalf("first request answered from an empty cache: %+v", settled)
+	}
+	same("memory", postShard(t, ts1.URL, &dead), settled)
+	tampered := dead
+	tampered.Shards = []fabric.ShardRef{wire.Shards[0], {Index: 1, Key: "not-the-canonical-key"}}
+	if resp, body := postJSON(t, ts1.URL+"/v1/shard", &tampered); resp.StatusCode != http.StatusGatewayTimeout {
+		t.Errorf("tampered view under a dead budget: status %d, want 504: %s", resp.StatusCode, body)
+	}
+	m := metrics(t, ts1)
+	if m["accserve_shard_checks_total"] != 1 || m["accserve_shard_plan_mismatches_total"] != 0 {
+		t.Errorf("memory phase: %d shard solves, %d mismatches; want 1 and 0",
+			m["accserve_shard_checks_total"], m["accserve_shard_plan_mismatches_total"])
+	}
+	ts1.Close()
+	if err := s1.Close(); err != nil { // write-behind: residents flush here
+		t.Fatalf("close: %v", err)
+	}
+
+	s2 := New(cfg)
+	ts2 := httptest.NewServer(s2)
+	t.Cleanup(ts2.Close)
+	t.Cleanup(func() { s2.Close() })
+	same("disk", postShard(t, ts2.URL, &dead), settled)
+	m = metrics(t, ts2)
+	if m["accserve_shard_checks_total"] != 0 || m[`accserve_cache_tier_hits_total{tier="disk"}`] != 1 {
+		t.Errorf("disk phase: %d shard solves, %d disk hits; want 0 and 1",
+			m["accserve_shard_checks_total"], m[`accserve_cache_tier_hits_total{tier="disk"}`])
 	}
 }
 

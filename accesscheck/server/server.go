@@ -544,7 +544,7 @@ func (s *Server) check(ctx context.Context, req CheckRequest) (*CheckResponse, e
 	}
 	s.taskCacheMisses[accesscheck.TaskCheck].Add(1)
 
-	res, _, err := s.solveCheck(ctx, chk, sch, f, fp, par)
+	res, _, err := s.solveCheck(ctx, chk, sch, f, fp, par, s.resumeFrom(fp))
 	if err != nil {
 		return nil, err
 	}
@@ -555,17 +555,24 @@ func (s *Server) check(ctx context.Context, req CheckRequest) (*CheckResponse, e
 	return wireResult(res, false), nil
 }
 
-// solveCheck is the one anytime solve behind /v1/check and /v1/shard. An
-// identical request that blew its budget earlier left a suspended frontier
-// under fp, which this run resumes instead of restarting from scratch. The
-// frontier is kept while the check is unsettled and dropped once it
-// settles.
-func (s *Server) solveCheck(ctx context.Context, chk *accesscheck.Checker, sch *accesscheck.Schema,
-	f accesscheck.Formula, fp string, par int) (*accesscheck.Result, *accesscheck.Checkpoint, error) {
-	prev, _ := s.ckpts.Get(fp)
-	if prev != nil {
+// resumeFrom returns the suspended frontier an identical request that blew
+// its budget earlier left under fp, if any, and counts the resume.
+func (s *Server) resumeFrom(fp string) *accesscheck.Checkpoint {
+	cp, _ := s.ckpts.Get(fp)
+	if cp != nil {
 		s.anytimeResumes.Add(1)
 	}
+	return cp
+}
+
+// solveCheck is the one anytime solve behind /v1/check and /v1/shard. It
+// runs on the caller's checkpoint prev: a frontier resumeFrom found under
+// fp, which this run resumes instead of restarting from scratch, a
+// checkpoint the caller planned through, or nil to start fresh. The
+// frontier is kept under fp while the check is unsettled and dropped once
+// it settles.
+func (s *Server) solveCheck(ctx context.Context, chk *accesscheck.Checker, sch *accesscheck.Schema,
+	f accesscheck.Formula, fp string, par int, prev *accesscheck.Checkpoint) (*accesscheck.Result, *accesscheck.Checkpoint, error) {
 	var cp *accesscheck.Checkpoint
 	tr, err := s.solve(ctx, fp, func() (*accesscheck.TaskResult, error) {
 		// Per-request parallelism telemetry: sum/count expose the average

@@ -2,19 +2,25 @@ package server
 
 // The worker role of the distributed check fabric: POST /v1/shard accepts
 // a fabric.Shard — the full check plus the canonical partition slices to
-// execute — re-derives the shard plan locally, verifies it against the
-// shipped canonical keys, runs the assigned slices with the mutate-and-undo
-// core, and answers a fabric.ShardResult partial verdict. Every server is a
+// execute — answers a verified repeat from its cache tiers, and otherwise
+// re-derives the shard plan locally, verifies it against the shipped
+// canonical keys, runs the assigned slices with the mutate-and-undo core,
+// and answers a fabric.ShardResult partial verdict. Every server is a
 // capable worker; `accserve -worker` only names the role. The route is the
 // worker's own, but a shard runs through the same anytime solve as
 // /v1/check (solveCheck).
 //
-// Partial results go through the same LRU as whole checks: the checker's
-// fingerprint includes the shard subset, so a cached partial verdict can
-// never be confused with (or poison) a full check of the same inputs, and
-// the coordinator's affinity routing makes repeat shards of hot checks land
-// where their entry already lives. The admission rule is unchanged — only
-// exact (non-truncated) results are cached.
+// Partial results go through the same tiers as whole checks, keyed by the
+// shard-keyed fingerprint bound to the plan view the request asserts (its
+// plan size and every shard ref; fabric.Shard.ViewDigest). The fingerprint
+// includes the shard subset, so a cached partial verdict can never be
+// confused with (or poison) a full check of the same inputs; the view
+// binding means an entry is only ever found by a request asserting a view
+// this worker verified before admitting it, so a hit answers without
+// re-deriving the plan, while a tampered or skewed view misses and fails
+// verification. The coordinator's affinity routing makes repeat shards of
+// hot checks land where their entry already lives. The admission rule is
+// unchanged — only exact (non-truncated) results are cached.
 
 import (
 	"context"
@@ -79,8 +85,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// doShard executes one wire shard end to end: parse, plan verification,
-// shard-keyed cache probe, bounded subset solve, cache admission.
+// doShard executes one wire shard end to end: parse, view-bound cache
+// probe, plan verification, bounded subset solve, cache admission.
 func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardResult, error) {
 	wireOpts := shardCheckOptions(sh.Options)
 	par := s.parallelismFor(wireOpts)
@@ -92,16 +98,34 @@ func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardRe
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-
-	// Re-derive the partition and verify the sender's view of it. A
-	// mismatch means coordinator and worker would not be searching the same
-	// slices — version skew or diverging option defaults — and must fail
-	// loudly (409) rather than merge a verdict about the wrong subspace.
-	planChk, err := checkerFor(wireOpts, par)
+	chk, err := checkerFor(wireOpts, par, accesscheck.WithShards(sh.Indexes()...))
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	plan, _, err := planChk.ShardPlan(ctx, sch, f)
+
+	// Only a result whose plan view passed verification below is ever
+	// admitted under this key, so a hit — memory, then the disk tier, where
+	// a restarted worker's settled partial verdicts survive — was verified
+	// against the same view and answers without planning. The stored wire
+	// response carries the check fields; the shard frame (indexes, plan
+	// size) is rebuilt from the request, which the key pins to that view.
+	key := chk.Fingerprint(sch, f) + "/" + sh.ViewDigest()
+	if tr, ok := s.cache.Get(key); ok && tr.Check != nil {
+		return shardResult(sh, tr.Check, true), nil
+	}
+	if data, ok := s.cache.Persisted(key); ok {
+		if cr := decodeDiskCheck(data); cr != nil {
+			return shardResultFromWire(sh, cr), nil
+		}
+	}
+
+	// Miss: re-derive the partition and verify the sender's view of it. A
+	// mismatch means coordinator and worker would not be searching the same
+	// slices — version skew or diverging option defaults — and must fail
+	// loudly (409) rather than merge a verdict about the wrong subspace.
+	// The plan is derived through the checkpoint the search then runs on,
+	// so a fresh group enumerates its partition once.
+	plan, cp, err := chk.ShardPlanAnytime(ctx, sch, f, s.resumeFrom(key))
 	if err != nil {
 		if !isContextErr(err) {
 			err = &httpError{status: http.StatusUnprocessableEntity, err: err}
@@ -122,34 +146,14 @@ func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardRe
 		}
 	}
 
-	chk, err := checkerFor(wireOpts, par, accesscheck.WithShards(sh.Indexes()...))
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	fp := chk.Fingerprint(sch, f)
-	if tr, ok := s.cache.Get(fp); ok && tr.Check != nil {
-		return shardResult(sh, tr.Check, true), nil
-	}
-	// Disk tier: a restarted worker's previously settled partial verdict
-	// for this exact shard group survives in the write-behind log; serve
-	// it without re-searching. The stored wire response carries the check
-	// fields, and the shard frame (indexes, plan size) is rebuilt from the
-	// request — plan verification above already pinned them to the same
-	// canonical partition the entry was keyed under.
-	if data, ok := s.cache.Persisted(fp); ok {
-		if cr := decodeDiskCheck(data); cr != nil {
-			return shardResultFromWire(sh, cr), nil
-		}
-	}
-
-	// Anytime frontier, keyed by the shard-keyed fingerprint: each shard
-	// group of a check owns its own checkpoint, so a redispatch of the
-	// identical group (retry, hedge, or a resume round) picks up where the
-	// blown budget left off, while sibling groups of the same check can
-	// never fold each other's cumulative statistics into a partial report —
-	// a group's paths must cover exactly its own slices for the
-	// coordinator's merge arithmetic to stay honest.
-	res, cp, err := s.solveCheck(ctx, chk, sch, f, fp, par)
+	// Anytime frontier, keyed like the cache: each shard group of a check
+	// owns its own checkpoint, so a redispatch of the identical group
+	// (retry, hedge, or a resume round) picks up where the blown budget
+	// left off, while sibling groups of the same check can never fold each
+	// other's cumulative statistics into a partial report — a group's paths
+	// must cover exactly its own slices for the coordinator's merge
+	// arithmetic to stay honest.
+	res, cp, err := s.solveCheck(ctx, chk, sch, f, key, par, cp)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +177,7 @@ func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardRe
 
 // shardResultFromWire rebuilds a fabric partial verdict from a disk-tier
 // wire response: the check fields come off the log, the shard frame from
-// the (plan-verified) request.
+// the request, whose view the entry's key pins.
 func shardResultFromWire(sh *fabric.Shard, cr *CheckResponse) *fabric.ShardResult {
 	return &fabric.ShardResult{
 		Version:         fabric.WireVersion,

@@ -1,8 +1,9 @@
 // Package bench is the benchmark harness regenerating every table and
-// figure of the paper's evaluation (see DESIGN.md §3 for the experiment
-// index and EXPERIMENTS.md for paper-vs-measured records). One benchmark
-// per Table 1 row, per figure, per worked example, plus the ablations of
-// DESIGN.md §5. Run with:
+// figure of the paper's evaluation: one benchmark per Table 1 row, per
+// figure, per worked example, plus the ablations at the end of this file.
+// README.md's Performance section records measured numbers, and its
+// Development section how scripts/bench.sh captures and compares them.
+// Run with:
 //
 //	go test -bench=. -benchmem
 package bench
@@ -683,7 +684,7 @@ func BenchmarkDiskTier(b *testing.B) {
 	})
 }
 
-// ---------- Ablations (DESIGN.md §5) ----------
+// ---------- Ablations ----------
 
 // D1: AccLTL+ satisfiability — direct bounded search vs. the Lemma 4.5
 // automaton pipeline.

@@ -145,6 +145,9 @@ func NewSolverMemo() *SolverMemo {
 	}
 }
 
+// Setup returns the search setup the memo carries.
+func (m *SolverMemo) Setup() *lts.Setup { return &m.setup }
+
 // search is the state one bounded search shares across its walkers.
 type search struct {
 	f       Formula

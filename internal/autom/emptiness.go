@@ -58,9 +58,9 @@ type EmptinessOptions struct {
 	// universe, depth bound, root partition) that every later search or
 	// PlanShards through the memo reuses. Without one, each search builds a
 	// fresh memo and setup. The memo is only valid for repeat searches of
-	// the same automaton under the same options, and searches that end
-	// early scrub their unfinished walks' commitments before returning
-	// (lts.Product).
+	// the same automaton under the same options (a search of another
+	// automaton through it is refused), and searches that end early scrub
+	// their unfinished walks' commitments before returning (lts.Product).
 	Memo *EmptinessMemo
 }
 
@@ -210,6 +210,9 @@ func (a *Automaton) emptinessLTSOptions(opts EmptinessOptions) (lts.Options, int
 func (a *Automaton) searchSetup(opts EmptinessOptions) (*lts.Setup, int, error) {
 	setup := &lts.Setup{}
 	if opts.Memo != nil {
+		if err := opts.Memo.tie(a); err != nil {
+			return nil, 0, err
+		}
 		setup = &opts.Memo.setup
 	}
 	_, depth, err := setup.Options(opts.Context, func() (lts.Options, int, error) { return a.emptinessLTSOptions(opts) })

@@ -27,7 +27,7 @@ import (
 // on which every positive obligation is satisfiable and no forbidden
 // pattern occurs.
 //
-// Scope note (documented substitution, see DESIGN.md §2): applying the
+// Scope note (a substitution for the paper's construction): applying the
 // negated guards globally to the backgrounds is exact for automata whose
 // negative constraints are path invariants — every negated sentence occurs
 // in the guard of every transition of the stages it spans, which holds for

@@ -7,8 +7,13 @@ package autom
 // unfinished walks, witness) is lts's.
 
 import (
+	"fmt"
+	"sync"
+
 	"accltl/internal/access"
+	"accltl/internal/accltl"
 	"accltl/internal/lts"
+	"accltl/internal/schema"
 )
 
 // EmptinessMemo carries the product search's dominance memo across calls so
@@ -16,17 +21,58 @@ import (
 // were cut short are scrubbed before every search returns (lts.Product),
 // so a surviving entry means some round finished that subtree without
 // reaching an accepting state. Like the solver's, it also carries the search setup
-// (exploration options, witness universe, depth bound, root partition). A
-// memo is tied to one (automaton, options) pair.
+// (exploration options, witness universe, depth bound, root partition), and
+// the automaton itself. A memo is tied to one (automaton, options) pair:
+// the first automaton planned or searched through it is its own, and any
+// other is refused.
 type EmptinessMemo struct {
 	memo  *lts.DominanceMemo[lts.ProductKey[string]]
 	setup lts.Setup
+
+	mu sync.Mutex
+	a  *Automaton
 }
 
 // NewEmptinessMemo builds an empty reusable memo. It has one lock stripe
 // until a search with more walkers widens it (see lts.DominanceMemo.Widen).
 func NewEmptinessMemo() *EmptinessMemo {
 	return &EmptinessMemo{memo: lts.NewProductMemo[string]()}
+}
+
+// Compile returns the memo's automaton, compiling f over sch on first use,
+// so a check's plan and every round through its memo share one
+// compilation. A nil memo compiles afresh.
+func (m *EmptinessMemo) Compile(sch *schema.Schema, f accltl.Formula) (*Automaton, error) {
+	if m == nil {
+		return CompileAccLTLPlus(sch, f)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.a == nil {
+		a, err := CompileAccLTLPlus(sch, f)
+		if err != nil {
+			return nil, err
+		}
+		m.a = a
+	}
+	return m.a, nil
+}
+
+// Setup returns the search setup the memo carries.
+func (m *EmptinessMemo) Setup() *lts.Setup { return &m.setup }
+
+// tie binds the memo to a on first use and refuses any other automaton:
+// the memo's setup and dominance entries are a's (its guards, its states).
+func (m *EmptinessMemo) tie(a *Automaton) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.a == nil {
+		m.a = a
+	}
+	if m.a != a {
+		return fmt.Errorf("autom: emptiness memo belongs to another automaton")
+	}
+	return nil
 }
 
 // search is the state one emptiness search shares across its walkers.

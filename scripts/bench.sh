@@ -5,9 +5,11 @@
 #
 #   scripts/bench.sh [out.json] [bench-regex]
 #       Capture mode (default). Runs the benchmark grid and writes the
-#       event stream to out.json (default BENCH_after.json). The committed
-#       BENCH_baseline.json was captured on the clone-per-child core
-#       immediately before the PR 3 mutate-and-undo rewrite.
+#       event stream to out.json (default BENCH_after.json), then appends
+#       the machine's CPU count as one more output event ("numcpu: N").
+#       The committed BENCH_baseline.json was captured on the
+#       clone-per-child core immediately before the mutate-and-undo
+#       rewrite of the exploration core.
 #
 #   scripts/bench.sh compare [old.json] [new.json]
 #       Delta table: ns/op and allocs/op for every benchmark present in
@@ -16,11 +18,13 @@
 #       new=BENCH_after.json. If new.json does not exist it is captured
 #       first (that is, "compare" runs baseline-vs-current by default).
 #       Each side's environment is printed first, read from the capture:
-#       its "cpu:" line and its GOMAXPROCS (the -N suffix of the result
-#       names; none means 1). When the two differ, compare prints no table
-#       and exits 1: ratios across machines or core counts measure the
-#       machines. The committed BENCH_baseline.json and BENCH_after.json
-#       come from different machines, so compare two captures made on one.
+#       its "cpu:" line, its CPU count (the "numcpu:" event; "unknown" in
+#       older captures) and its GOMAXPROCS (the -N suffix of the result
+#       names; none means 1). When the two differ,
+#       compare prints no table and exits 1: ratios across machines or core
+#       counts measure the machines. The committed BENCH_baseline.json and
+#       BENCH_after.json come from different machines, so compare two
+#       captures made on one.
 #
 #   scripts/bench.sh check [out.json]
 #       Staleness gate (CI): fails if any Benchmark* function of
@@ -43,21 +47,26 @@ extract_results() {
 		sed 's/\\n/\n/g;s/\\t/\t/g' | grep -E '^Benchmark.* ns/op'
 }
 
-# environment file: the capture's "cpu:" line and the GOMAXPROCS values
-# its result names carry.
+# environment file: the capture's "cpu:" line, its CPU count and the
+# GOMAXPROCS values its result names carry.
 environment() {
 	cpu=$(grep -o '"Output":"cpu: [^"]*' "$1" | head -n 1 | sed 's/^"Output":"cpu: //;s/\\n$//')
+	numcpu=$(grep -o '"Output":"numcpu: [0-9]*' "$1" | head -n 1 | sed 's/^"Output":"numcpu: //')
 	procs=$(extract_results "$1" | awk -F'\t' '{
 		name = $1; gsub(/ +$/, "", name)
 		if (match(name, /-[0-9]+$/)) print substr(name, RSTART + 1); else print 1
 	}' | sort -un | tr '\n' ',' | sed 's/,$//')
-	echo "cpu: ${cpu:-unknown}, GOMAXPROCS ${procs:-unknown}"
+	echo "cpu: ${cpu:-unknown}, NumCPU ${numcpu:-unknown}, GOMAXPROCS ${procs:-unknown}"
 }
 
 capture() {
 	out=$1
 	pat=$2
 	go test -json -run '^$' -bench "$pat" -benchmem -count 1 . >"$out"
+	# GOMAXPROCS alone does not tell a one-CPU machine from a
+	# GOMAXPROCS=1 run on a larger one, so record the CPU count too (nproc
+	# counts the CPUs this process may run on, as Go's runtime.NumCPU does).
+	printf '{"Action":"output","Package":"accltl","Output":"numcpu: %s\\n"}\n' "$(nproc)" >>"$out"
 	echo "wrote $out" >&2
 	extract_results "$out" >&2
 }

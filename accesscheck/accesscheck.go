@@ -295,7 +295,8 @@ func WithParallelism(n int) Option {
 
 // WithShards restricts the search to the listed root shards of the
 // canonical partition ShardPlan enumerates. Indexes are canonical positions
-// in the sorted shard order; duplicates collapse, and an index outside the
+// in the schema's shard order (method, then binding, then response);
+// duplicates collapse, and an index outside the
 // partition surfaces as an error from Check. A shard-restricted check is a
 // partial check: a satisfiable verdict is exact, an unsatisfiable verdict
 // covers only the selected shards and must be merged across a full cover of
@@ -416,8 +417,8 @@ type Result struct {
 	// Determinism under WithParallelism: the verdict of a search that ran
 	// to exhaustion (Truncated false) is identical for every parallelism.
 	// With one walker the whole result is deterministic: a satisfiable
-	// check returns a witness from the first shard, in a canonical sorted
-	// order, that holds one.
+	// check returns the first witness the search meets in the schema's
+	// depth-first order, the order lts.Explore visits paths in.
 	// What may vary with the walker schedule at two or more walkers is (a)
 	// which of several valid witnesses a satisfiable check returns — the
 	// engine prefers the lowest shard, but a faster walker can win before
@@ -583,15 +584,17 @@ func (c *Checker) runSolve(ctx context.Context, sch *Schema, f Formula, engine E
 
 // ShardPlan enumerates the root shards a Check on (sch, f) under this
 // checker's configuration would partition the search into, in the canonical
-// sorted order WithShards indexes. The plan is a pure function of the
+// order WithShards indexes (the schema's: method, then binding, then
+// response). The plan is a pure function of the
 // schema, the formula and the verdict-affecting options — WithParallelism
 // and WithShards themselves do not change it — so two processes configured
 // identically derive identical plans; that determinism is what lets a
 // distributed coordinator enumerate the partition, ship shard indexes to
 // workers as plain data, and have each worker re-derive the same partition
-// and execute its assigned slice. The bool result reports whether root
-// response fan-out was truncated to the response-choice cap during
-// enumeration (the ResponsesCapped seed every shard-restricted run shares).
+// and execute its assigned slice. The bool result reports whether some
+// root response fan-out was truncated to the response-choice cap during
+// enumeration; a search reports such a cap in ResponsesCapped only if it
+// runs a shard of that fan-out.
 //
 // Fragment membership is not validated here: a plan can be produced for a
 // formula the dispatched engine would reject, and the rejection then

@@ -5,11 +5,12 @@ package accesscheck
 // captures which root shards were fully explored, keeps the engines' memo
 // tables warm, and returns a coverage-tagged resumable partial; running the
 // identical check again against the returned Checkpoint executes only the
-// unfinished shard subset (Options.Shards underneath) and merges with the
-// suspended progress, so repeated budget pressure converges monotonically
-// to the exact verdict instead of restarting from scratch every time.
+// unfinished shard subset (a shard subset of lts.Plan.Explore underneath)
+// and merges with the suspended progress, so repeated budget pressure
+// converges monotonically to the exact verdict instead of restarting from
+// scratch every time.
 //
-// Soundness across rounds rests on two invariants the layers below
+// Soundness across rounds rests on three invariants the layers below
 // maintain:
 //
 //   - a shard is recorded completed only when its whole subtree walk
@@ -20,7 +21,10 @@ package accesscheck
 //     autom.EmptinessMemo) lose the commitments of walks that were cut
 //     short before every search returns (lts.Product's scrub), so an entry
 //     a resumed round prunes against was always fully searched by some
-//     earlier round.
+//     earlier round;
+//   - the engines report the response caps a search met on every return
+//     without a witness, an expired round's included, so a cap met in a
+//     shard later rounds skip still marks the settled answer truncated.
 //
 // Exact results and suspended partials never mix: a Checkpoint is not an
 // answer and is never served as one, and every resumable Result is

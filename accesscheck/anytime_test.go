@@ -447,3 +447,109 @@ func TestAnytimeOneShardExpiredCheckpointConcurrentResume(t *testing.T) {
 		}
 	}
 }
+
+// pollLimitCtx is a live context whose Err fails from its limit-th call on:
+// it expires a search at a chosen poll instead of at a chosen time. The
+// searches under it run one walker, so the count needs no lock.
+type pollLimitCtx struct {
+	context.Context
+	limit, calls int
+}
+
+func (c *pollLimitCtx) Err() error {
+	c.calls++
+	if c.calls >= c.limit {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestAnytimeShardedResumeKeepsResponseCaps: a round that times out after
+// completing shards whose walks met a response cap must carry the cap
+// forward. The resume skips those shards and never meets the cap again, so
+// without it the settled answer reads exact where the uninterrupted check
+// is truncated, and the exact-only caches would admit it. The first round
+// expires at every poll in turn, then the check resumes to the end; every
+// settled answer must agree with Check on the verdict and on Truncated. In
+// "below-root" the cap is met at depth 2, in "root" by the root fan-out of
+// the first method, whose shards one walker completes before its first
+// poll inside the walk.
+func TestAnytimeShardedResumeKeepsResponseCaps(t *testing.T) {
+	const formula = "F [exists x. post T(x)]" // no method reveals T: unsat
+	type fixture struct {
+		rels, methods []string
+		universe      map[string][][]int64
+		opts          []accesscheck.Option
+	}
+	fixtures := map[string]fixture{
+		"below-root": {
+			rels:     []string{"R:int", "S:int,int", "T:int", "U:int"},
+			methods:  []string{"mR:R", "mS:S:0", "mU:U"},
+			universe: map[string][][]int64{"R": {{1}}, "S": {{1, 10}, {1, 11}, {1, 12}, {1, 13}}, "U": {{20}, {21}, {22}}},
+			opts:     []accesscheck.Option{accesscheck.WithGrounded(), accesscheck.WithMaxDepth(2)},
+		},
+		"root": {
+			rels:     []string{"C:int", "D:int", "T:int"},
+			methods:  []string{"m0:C", "m1:D", "m2:D", "m3:D", "m4:D", "m5:D", "m6:D", "m7:D", "m8:D", "m9:D", "m10:D", "m11:D"},
+			universe: map[string][][]int64{"C": {{1}, {2}, {3}, {4}}, "D": {{1}, {2}, {3}}},
+			opts:     []accesscheck.Option{accesscheck.WithMaxDepth(1)},
+		},
+	}
+	for name, fx := range fixtures {
+		sch, err := accesscheck.ParseSchema(fx.rels, fx.methods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := accesscheck.NewInstance(sch)
+		for rel, tuples := range fx.universe {
+			for _, tuple := range tuples {
+				vals := make([]accesscheck.Value, len(tuple))
+				for i, v := range tuple {
+					vals[i] = accesscheck.Int(v)
+				}
+				u.MustAdd(rel, vals...)
+			}
+		}
+		f, err := accesscheck.ParseFormula(formula)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eng := range []accesscheck.Engine{accesscheck.EngineZeroAcc, accesscheck.EngineAutomaton} {
+			t.Run(name+"/"+eng.String(), func(t *testing.T) {
+				opts := append([]accesscheck.Option{accesscheck.WithEngine(eng), accesscheck.WithUniverse(u), accesscheck.WithParallelism(1)}, fx.opts...)
+				chk, err := accesscheck.NewChecker(opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				full, err := chk.Check(context.Background(), sch, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if full.Satisfiable || !full.Truncated || !full.ResponsesCapped {
+					t.Fatalf("uninterrupted check: sat=%v truncated=%v capped=%v, want a response-capped unsat", full.Satisfiable, full.Truncated, full.ResponsesCapped)
+				}
+				for limit := 1; ; limit++ {
+					ctx := &pollLimitCtx{Context: context.Background(), limit: limit}
+					res, cp, err := chk.CheckAnytime(ctx, sch, f, nil)
+					if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+						t.Fatalf("limit %d: %v", limit, err)
+					}
+					expired := err != nil || res.Resumable
+					for rounds := 0; err != nil || res.Resumable; rounds++ {
+						if rounds > 1000 {
+							t.Fatalf("limit %d: no settled answer after %d resumes", limit, rounds)
+						}
+						res, cp, err = chk.CheckAnytime(context.Background(), sch, f, cp)
+					}
+					if res.Satisfiable || res.Truncated != full.Truncated || res.ResponsesCapped != full.ResponsesCapped {
+						t.Fatalf("first round expired at poll %d: settled sat=%v truncated=%v capped=%v; uninterrupted sat=%v truncated=%v capped=%v",
+							limit, res.Satisfiable, res.Truncated, res.ResponsesCapped, full.Satisfiable, full.Truncated, full.ResponsesCapped)
+					}
+					if !expired {
+						break // the first round ran to the end: every poll was tried
+					}
+				}
+			})
+		}
+	}
+}

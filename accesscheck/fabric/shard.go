@@ -25,20 +25,23 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 )
 
 // WireVersion is the shard wire-format version this package speaks.
 // Decoding rejects any other version: a fabric must be upgraded in lock
 // step, since the partition derivation itself is part of the contract.
-const WireVersion = 1
+// Version 2 indexes shards in the schema's order (method, binding,
+// response); version 1 indexed them in the order of their sorted keys.
+const WireVersion = 2
 
 // ShardRef names one slice of the canonical partition: its index in the
-// canonical sorted order, the canonical key at that position (the access
-// key, extended by the response fingerprint for per-response shards), and
-// whether it is a whole-access lazy-range shard. Key and WholeAccess are
-// redundant with Index given the partition is deterministic — that is the
-// point: the worker re-derives the plan and verifies them, turning any
-// derivation drift into an error.
+// canonical order (the schema's: method, then binding, then response), the
+// canonical key at that position (the access key, extended by the response
+// fingerprint for per-response shards), and whether it is a whole-access
+// lazy-range shard. Key and WholeAccess are redundant with Index given the
+// partition is deterministic — that is the point: the worker re-derives the
+// plan and verifies them, turning any derivation drift into an error.
 type ShardRef struct {
 	Index       int    `json:"index"`
 	Key         string `json:"key"`
@@ -124,9 +127,14 @@ func (s *Shard) Encode() ([]byte, error) {
 // fields, unknown versions and malformed slices before any schema parsing
 // happens — a typo'd option between fabric versions must fail loudly, not
 // silently drop a restriction.
-func DecodeShard(data []byte) (*Shard, error) {
+func DecodeShard(data []byte) (*Shard, error) { return ReadShard(bytes.NewReader(data)) }
+
+// ReadShard is DecodeShard reading the encoding from r, as a worker's POST
+// /v1/shard does from its size-capped body: it streams, so the body is
+// never buffered twice. A read error, such as the size cap's, is wrapped.
+func ReadShard(r io.Reader) (*Shard, error) {
 	var s Shard
-	dec := json.NewDecoder(bytes.NewReader(data))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("fabric: bad shard encoding: %w", err)

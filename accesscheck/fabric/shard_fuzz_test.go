@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// FuzzDecodeShard: DecodeShard reads untrusted bytes the way a worker's
-// POST /v1/shard does (strict JSON decoding, then Validate), and a shard
-// that passes reaches the worker's cache key (through ViewDigest) before any
-// plan verification. Whatever the input, decoding must not panic, and a
+// FuzzDecodeShard: DecodeShard is the decoder a worker's POST /v1/shard
+// runs on its size-capped body (ReadShard: strict JSON decoding, then
+// Validate), and a shard that passes reaches the worker's cache key
+// (through ViewDigest) before any plan verification. Whatever the input, decoding must not panic, and a
 // shard it accepts must re-encode and decode to the same shard — the same
 // wire bytes again and the same plan view and view digest. Seeds live in
 // testdata/fuzz/FuzzDecodeShard.

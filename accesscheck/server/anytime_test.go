@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -63,8 +64,26 @@ const wideUnsatFormula = `[exists n,p,s,ph. pre Mobile#(n,p,s,ph)] & (![exists n
 // regressing, and the stored checkpoint dropped once the check settles.
 func TestServerShardedAnytimeRepeatConverges(t *testing.T) {
 	ts := newTestServer(t, Config{})
+	// A sequence whose first budget the sub-millisecond search outlasts
+	// settles before any pressure lands and shows nothing, so it is redone
+	// on a fresh fingerprint: MaxDepth one higher, which changes neither
+	// this search's cost nor its verdict.
+	for depth := 4; depth < 36; depth++ {
+		if anytimeRepeatConverges(t, ts, depth) {
+			return
+		}
+	}
+	t.Skip("machine too fast to exercise budget pressure")
+}
+
+// anytimeRepeatConverges runs one doubling-budget sequence of the wide
+// unsat check at MaxDepth depth and reports whether budget pressure landed
+// in it: a budget_exhausted 504 or a resumable partial.
+func anytimeRepeatConverges(t *testing.T, ts *httptest.Server, depth int) bool {
+	t.Helper()
+	exhausted := metrics(t, ts)["accserve_budget_exhausted_total"]
 	req := CheckRequest{Relations: wideRelations, Methods: wideMethods, Formula: wideUnsatFormula}
-	req.Options = &CheckOptions{MaxDepth: 4, Engine: "bounded"}
+	req.Options = &CheckOptions{MaxDepth: depth, Engine: "bounded"}
 
 	budget := 100 * time.Microsecond
 	prevCov := 0.0
@@ -134,9 +153,7 @@ func TestServerShardedAnytimeRepeatConverges(t *testing.T) {
 			t.Error("a partial was resumed but accserve_anytime_resumes_total is 0")
 		}
 	}
-	if m["accserve_budget_exhausted_total"] == 0 && !sawPartial {
-		t.Skip("machine too fast to exercise budget pressure")
-	}
+	return m["accserve_budget_exhausted_total"] > exhausted || sawPartial
 }
 
 // TestServerShardedShardBudgetCause: a coordinator-imposed per-shard budget

@@ -78,57 +78,49 @@ func TestServerShardedWarmRestartServesFromDisk(t *testing.T) {
 // store, blow check A's budget so its frontier is suspended, let check B's
 // suspension evict it, then re-ask A under a generous budget. The server
 // must restart A from scratch — a clean exact verdict with full coverage,
-// no panic, no stale partial arithmetic.
+// no resume of the evicted frontier, no panic, no stale partial arithmetic.
 func TestServerShardedCheckpointEvictedMidSequence(t *testing.T) {
 	ts := newTestServer(t, Config{CacheSize: 1})
-	reqA := CheckRequest{Relations: wideRelations, Methods: wideMethods, Formula: wideUnsatFormula}
-	reqA.Options = &CheckOptions{MaxDepth: 4, Engine: "bounded"}
-	reqB := reqA
-	reqB.Options = &CheckOptions{MaxDepth: 5, Engine: "bounded"} // distinct fingerprint
+	base := CheckRequest{Relations: wideRelations, Methods: wideMethods, Formula: wideUnsatFormula}
 
-	// Provoke a suspended frontier for A: tiny budgets until a 504 or a
-	// coverage-tagged partial lands. Either one stores A's checkpoint.
-	suspended := false
-	budget := 100 * time.Microsecond
-	for round := 0; round < 20 && !suspended; round++ {
-		reqA.Budget = budget.String()
-		resp, body := postJSON(t, ts.URL+"/v1/check", reqA)
-		switch resp.StatusCode {
-		case http.StatusGatewayTimeout:
-			suspended = true
-		case http.StatusOK:
-			var out CheckResponse
-			if err := json.Unmarshal(body, &out); err != nil {
-				t.Fatal(err)
+	// Whether a budget leaves a frontier behind is a race with the clock:
+	// one that dies before the solve starts stores nothing, one that
+	// outlasts the sub-millisecond search settles the check and caches it
+	// under its fingerprint. suspend therefore sends fresh fingerprints —
+	// MaxDepth counting up from depth, which does not change this search's
+	// cost or verdict — under budgets cycling from 25µs to 12.8ms, until
+	// the counter named by moved leaves zero, and returns the request that
+	// moved it. The server's own metrics, not the status code, say whether
+	// a frontier was stored.
+	suspend := func(depth int, moved string) CheckRequest {
+		t.Helper()
+		for i := 0; i < 64; i++ {
+			req := base
+			req.Options = &CheckOptions{MaxDepth: depth + i, Engine: "bounded"}
+			req.Budget = (25 * time.Microsecond << (i % 10)).String()
+			resp, body := postJSON(t, ts.URL+"/v1/check", req)
+			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusGatewayTimeout {
+				t.Fatalf("depth %d, budget %s: status %d: %s", depth+i, req.Budget, resp.StatusCode, body)
 			}
-			if out.Resumable {
-				suspended = true
-			} else {
-				t.Skip("machine too fast: check settled before any budget pressure")
+			if metrics(t, ts)[moved] > 0 {
+				return req
 			}
-		default:
-			t.Fatalf("round %d: status %d: %s", round, resp.StatusCode, body)
 		}
-	}
-	if !suspended {
-		t.Skip("could not provoke a suspended checkpoint")
+		t.Fatalf("64 budget-pressed checks never moved %s", moved)
+		return CheckRequest{}
 	}
 
-	// B's suspension (or zero-progress expiry — both checkpoint) evicts A's
-	// frontier from the capacity-1 store.
-	reqB.Budget = (100 * time.Microsecond).String()
-	resp, body := postJSON(t, ts.URL+"/v1/check", reqB)
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("evictor check: status %d: %s", resp.StatusCode, body)
-	}
-	if m := metrics(t, ts); m["accserve_checkpoints_evictions_total"] == 0 {
-		t.Skip("eviction did not occur (B settled without checkpointing)")
-	}
+	// A's suspension (a coverage-tagged partial or a zero-progress 504 —
+	// both checkpoint) fills the capacity-1 store; B's, on fingerprints A
+	// never used, evicts it.
+	reqA := suspend(4, "accserve_checkpoints_size")
+	suspend(100, "accserve_checkpoints_evictions_total")
+	resumes := metrics(t, ts)["accserve_anytime_resumes_total"]
 
 	// A again, roomy budget: its checkpoint is gone, so this is a fresh
 	// full run — it must land the exact verdict with honest coverage.
 	reqA.Budget = "30s"
-	resp, body = postJSON(t, ts.URL+"/v1/check", reqA)
+	resp, body := postJSON(t, ts.URL+"/v1/check", reqA)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-eviction rerun: status %d: %s", resp.StatusCode, body)
 	}
@@ -141,5 +133,8 @@ func TestServerShardedCheckpointEvictedMidSequence(t *testing.T) {
 	}
 	if final.Coverage != 1 {
 		t.Errorf("post-eviction rerun coverage %v, want 1", final.Coverage)
+	}
+	if got := metrics(t, ts)["accserve_anytime_resumes_total"]; got != resumes {
+		t.Errorf("post-eviction rerun resumed a frontier (resumes %d -> %d); want a fresh run", resumes, got)
 	}
 }

@@ -442,6 +442,12 @@ func TestOversizedBodyRejected(t *testing.T) {
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s: oversized batch body: status %d, want 413: %s", rl.name, resp.StatusCode, body)
 		}
+		// The role's own route (the worker's /v1/shard, the coordinator's
+		// /v1/join) reads its body under the same cap.
+		resp, body = postJSON(t, rl.url+rl.own, req)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized %s body: status %d, want 413: %s", rl.name, rl.own, resp.StatusCode, body)
+		}
 	}
 }
 

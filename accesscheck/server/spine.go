@@ -74,25 +74,36 @@ func newSpine(cfg Config, prefix string, be backend, roleMetrics func(io.Writer)
 // ServeHTTP dispatches to the shared routes and the role's own.
 func (sp *spine) ServeHTTP(w http.ResponseWriter, r *http.Request) { sp.mux.ServeHTTP(w, r) }
 
-// decode reads a JSON body under the size cap. Oversized bodies are
-// rejected with 413 before they can exhaust memory, and unknown fields
-// with 400: a typo'd option name must fail loudly instead of being
-// silently ignored (a misspelled "grounded" would otherwise run the wrong
-// check).
+// decode reads a JSON body under the size cap. Unknown fields are
+// rejected with 400: a typo'd option name must fail loudly instead of
+// being silently ignored (a misspelled "grounded" would otherwise run the
+// wrong check).
 func (sp *spine) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, sp.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(sp.body(w, r))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return false
-		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	return sp.decoded(w, dec.Decode(v))
+}
+
+// body is the request body under the size cap.
+func (sp *spine) body(w http.ResponseWriter, r *http.Request) io.Reader {
+	return http.MaxBytesReader(w, r.Body, sp.cfg.MaxBodyBytes)
+}
+
+// decoded answers a failed read or decode of body: 413 when the body
+// outgrew the size cap, so it cannot exhaust memory, and 400 otherwise. It
+// reports whether err is nil.
+func (sp *spine) decoded(w http.ResponseWriter, err error) bool {
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
 		return false
 	}
-	return true
+	writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	return false
 }
 
 // resolveBudget picks a request's deadline: its own budget field, then the

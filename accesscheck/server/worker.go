@@ -69,19 +69,17 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	var sh fabric.Shard
-	if !s.decode(w, r, &sh) {
-		return
-	}
-	if err := sh.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	// The wire decoder itself (strict fields, version, slice invariants),
+	// over the spine's size-capped body.
+	sh, err := fabric.ReadShard(s.body(w, r))
+	if !s.decoded(w, err) {
 		return
 	}
 	// The shard budget is coordinator-imposed (shipped in the wire shard),
 	// not this request's own: its expiry gets its own cause so worker
 	// metrics and error bodies can tell the two apart.
 	s.serve(w, r, sh.Budget, errShardBudgetExhausted, func(ctx context.Context) (any, error) {
-		return s.doShard(ctx, &sh)
+		return s.doShard(ctx, sh)
 	})
 }
 

@@ -45,24 +45,24 @@ type SolveOptions struct {
 	MaxPaths int
 	// Parallelism is the number of concurrent exploration walkers (0 or 1 =
 	// one walker, on the calling goroutine). The search is sharded over the
-	// root branching (lts.Plan.Explore) in the deterministic sorted shard
-	// order, with the solver's tables shared across walkers behind striped
-	// locks keyed by the instances' incremental Hash. Verdicts on searches
-	// that run to exhaustion are identical for every W. A satisfiable
-	// search at one walker returns the witness of the lowest shard that has
-	// one; at W > 1 it prefers that witness but can vary with scheduling,
-	// and PathsExplored on early-stopped or capped searches is
-	// schedule-dependent.
+	// root branching (lts.Plan.Explore) in the schema's shard order, with
+	// the solver's tables shared across walkers behind striped locks keyed
+	// by the instances' incremental Hash. Verdicts on searches that run to
+	// exhaustion are identical for every W. A satisfiable search at one
+	// walker returns the first witness in lts.Explore's order, the witness
+	// of the lowest shard that has one; at W > 1 it prefers that witness but
+	// can vary with scheduling, and PathsExplored on early-stopped or capped
+	// searches is schedule-dependent.
 	Parallelism int
 	// Shards, when non-nil, restricts the search to the listed root shards
-	// of the canonical partition PlanShards enumerates (lts.Options.Shards
-	// semantics: indexes are canonical positions in the sorted shard order,
-	// duplicates collapse, out-of-range indexes error, and a non-nil empty
-	// slice searches only the root). A subset search is a partial search:
-	// "satisfiable" verdicts are exact, "unsatisfiable" verdicts cover only
-	// the selected shards and must be merged across a full cover of the
-	// partition — the contract the distributed check fabric's workers build
-	// on.
+	// of the canonical partition PlanShards enumerates (lts.Plan.Explore
+	// semantics: indexes are canonical positions in the schema's shard
+	// order, duplicates collapse, out-of-range indexes error, and a non-nil
+	// empty slice searches only the root). A subset search is a partial
+	// search: "satisfiable" verdicts are exact, "unsatisfiable" verdicts
+	// cover only the selected shards and must be merged across a full cover
+	// of the partition — the contract the distributed check fabric's
+	// workers build on.
 	Shards []int
 	// Memo, when non-nil, carries the solver's shared tables (obligation
 	// interner, progression cache, dominance memo) across calls so a
@@ -101,7 +101,9 @@ type SolveResult struct {
 	// ResponsesCapped reports that some subset-response fan-out was cut to
 	// MaxResponseChoices during the search, so possible worlds exist that
 	// were never examined: like Truncated, it demotes an unsatisfiable
-	// verdict from exact to cap-relative.
+	// verdict from exact to cap-relative. It is set on every return
+	// without a witness, error returns included, so a resumed search
+	// carries forward the caps of the shards it skips.
 	ResponsesCapped bool
 	// CompletedShards lists, ascending, the canonical root shards whose
 	// walk ran to completion; TotalShards is the partition size the indexes
@@ -262,12 +264,13 @@ func searchSetup(f Formula, opts SolveOptions) (*lts.Setup, int, error) {
 }
 
 // PlanShards enumerates the root shards a bounded search of f under opts
-// would partition into, in the canonical sorted order SolveOptions.Shards
-// indexes. The plan is a pure function of (schema, formula, options):
-// Parallelism and Shards themselves do not affect it, so a coordinator and
-// its workers given the same check derive identical plans. The bool result
-// reports whether root response fan-out was truncated to
-// MaxResponseChoices during enumeration.
+// would partition into, in the canonical order SolveOptions.Shards indexes
+// (the schema's: method, then binding, then response). The plan is a pure
+// function of (schema, formula, options): Parallelism and Shards themselves
+// do not affect it, so a coordinator and its workers given the same check
+// derive identical plans. The bool result reports whether some root
+// response fan-out was truncated to MaxResponseChoices during enumeration
+// (lts.Plan.ResponsesCapped).
 //
 // With opts.Memo set, the plan is the memo's: enumerated by the first plan
 // or sharded search through the memo and reused by every later one.
@@ -382,11 +385,13 @@ func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, e
 		}
 		return res, nil
 	}
+	// A cap met before an error is reported too: a resumed search skips
+	// the shards this one completed, so it would never meet the cap again.
+	res.ResponsesCapped = rep.ResponsesCapped
 	if err != nil {
 		return res, err
 	}
 	res.Truncated = rep.PathsCapped
-	res.ResponsesCapped = rep.ResponsesCapped
 	return res, nil
 }
 

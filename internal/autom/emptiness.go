@@ -39,8 +39,8 @@ type EmptinessOptions struct {
 	Universe *instance.Instance
 	// Parallelism is the number of concurrent exploration walkers (0 or 1 =
 	// one walker, on the calling goroutine). The product search is sharded
-	// over the root branching (lts.Plan.Explore) in the deterministic sorted
-	// shard order, with the (configuration, state-set) memo shared across
+	// over the root branching (lts.Plan.Explore) in the schema's shard
+	// order, with the (configuration, state-set) memo shared across
 	// walkers behind striped locks keyed by the configuration Hash. Verdicts
 	// of searches that run to exhaustion are identical for every W; witness
 	// choice and PathsExplored follow the solver's rules (see
@@ -81,7 +81,8 @@ type EmptinessResult struct {
 	// with exactly MaxPaths prefixes visited does not set it.
 	Truncated bool
 	// ResponsesCapped reports that some subset-response fan-out was cut to
-	// MaxResponseChoices, so an "empty" verdict may have missed worlds.
+	// MaxResponseChoices, so an "empty" verdict may have missed worlds. It
+	// is set on every return without a witness, error returns included.
 	ResponsesCapped bool
 	// CompletedShards lists, ascending, the canonical root shards whose
 	// walk ran to completion; TotalShards is the partition size the indexes
@@ -163,11 +164,12 @@ func (a *Automaton) IsEmpty(opts EmptinessOptions) (EmptinessResult, error) {
 		}
 		return res, nil
 	}
+	// Reported on an error return too (see accltl's boundedSearch).
+	res.ResponsesCapped = rep.ResponsesCapped
 	if err != nil {
 		return res, err
 	}
 	res.Truncated = rep.PathsCapped
-	res.ResponsesCapped = rep.ResponsesCapped
 	return res, nil
 }
 
@@ -220,11 +222,12 @@ func (a *Automaton) searchSetup(opts EmptinessOptions) (*lts.Setup, int, error) 
 }
 
 // PlanShards enumerates the root shards an emptiness search of a under opts
-// would partition into, in the canonical sorted order
-// EmptinessOptions.Shards indexes. Pure in (automaton, options) —
-// Parallelism and Shards themselves do not affect it — so independent
-// processes derive identical plans. The bool result reports whether root
-// response fan-out was truncated during enumeration.
+// would partition into, in the canonical order EmptinessOptions.Shards
+// indexes (the schema's: method, then binding, then response). Pure in
+// (automaton, options) — Parallelism and Shards themselves do not affect
+// it — so independent processes derive identical plans. The bool result
+// reports whether some root response fan-out was truncated during
+// enumeration (lts.Plan.ResponsesCapped).
 //
 // With opts.Memo set, the plan is the memo's: enumerated by the first plan
 // or sharded search through the memo and reused by every later one.

@@ -10,16 +10,23 @@
 // direct semantics accepts, and "unsatisfiable" verdicts are cross-checked
 // by exhaustive enumeration up to the bound.
 //
-// The search core is mutate-and-undo: one reusable path and one pair of
-// configurations (post, and pre lagging one step behind) are threaded
-// through the whole depth-first walk, with each step recording exactly what
-// it added — tuples via Instance.Add's newness report, binding-pool values —
-// and removing it again on backtrack. Response fan-out is enumerated lazily
-// (subset masks over the matching tuples, never a materialized 2^n slice of
-// slices), bindings are cached per (method, binding-pool version), and
-// configuration identity uses the instances' O(1) incremental Hash. Nothing
-// is cloned per visited node; see Visitor for the borrowing contract this
-// imposes on callers.
+// Every exploration is one walk, the plan walk (parallel.go): the root
+// branching is partitioned into shards in the schema's order — method, then
+// binding, then response — and walkers run the shards depth-first. One
+// walker visits every prefix in the schema's depth-first order, the order
+// Explore, EnumeratePaths, BuildTree and the product search's witness
+// preference share.
+//
+// The walk is mutate-and-undo: one reusable path and one pair of
+// configurations (post, and pre lagging one step behind) per walker are
+// threaded through its whole depth-first walk, with each step recording
+// exactly what it added — tuples via Instance.Add's newness report,
+// binding-pool values — and removing it again on backtrack. Response
+// fan-out is enumerated lazily (subset masks over the matching tuples,
+// never a materialized 2^n slice of slices), bindings are cached per
+// (method, binding-pool version), and configuration identity uses the
+// instances' O(1) incremental Hash. Nothing is cloned per visited node; see
+// Visitor for the borrowing contract this imposes on callers.
 package lts
 
 import (
@@ -28,6 +35,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"accltl/internal/access"
 	"accltl/internal/instance"
@@ -71,34 +79,19 @@ type Options struct {
 	// MaxPaths aborts exploration after visiting this many path prefixes
 	// (0 = unlimited). The empty root prefix counts as the first, so
 	// MaxPaths=n visits the root plus at most n-1 proper paths; when the
-	// cap actually cuts the search short, Report.PathsCapped is set. Under
-	// parallel exploration the cap is a single shared budget: walkers claim
-	// prefixes from one atomic counter, so the global count and the exact
-	// PathsCapped semantics are preserved for every Parallelism.
+	// cap actually cuts the search short, Report.PathsCapped is set. The
+	// cap is one budget shared by all walkers: they claim prefixes from one
+	// atomic counter, so the global count and the exact PathsCapped
+	// semantics hold for every Parallelism.
 	MaxPaths int
-	// Parallelism is the number of concurrent walkers exploration may use.
-	// 0 and 1 select the serial mutate-and-undo engine unchanged; W > 1
-	// partitions the root branching (first access × response) into shards,
-	// sorted by access fingerprint, and runs up to W independent walkers
-	// over them (see ExploreSharded). Explore with W > 1 calls the visitor
-	// concurrently — the visitor must be safe for concurrent use; visitors
-	// that carry per-DFS state should go through ExploreSharded instead.
-	// Successors, EnumeratePaths and BuildTree are order-sensitive,
-	// one-shot enumerations and ignore the knob.
+	// Parallelism is the number of walkers Explore and Collect run over
+	// the root partition (see Plan). 0 and 1 run one walker on the calling
+	// goroutine, in the schema's depth-first order; W > 1 runs up to W
+	// walkers concurrently, and Explore then calls the visitor concurrently
+	// — it must be safe for concurrent use. Successors, EnumeratePaths and
+	// BuildTree are order-sensitive, one-shot enumerations and ignore the
+	// knob.
 	Parallelism int
-	// Shards, when non-nil, restricts a sharded exploration to the root
-	// shards with these canonical indexes (see Shards and ShardID for the
-	// enumeration the indexes refer to). The root prefix is still visited
-	// exactly once; Report.Paths then counts the root plus the visits inside
-	// the selected shards only, while ResponsesCapped still reflects the
-	// full root enumeration (every process executing a subset reports the
-	// same root-level truncation, so a distributed OR over subsets matches a
-	// single full run). Indexes out of range are an error; duplicates are
-	// collapsed. An empty non-nil slice visits only the root. Explore routes
-	// through the sharded engine whenever Shards is non-nil, even at
-	// Parallelism ≤ 1. Successors, EnumeratePaths and BuildTree ignore the
-	// field like they ignore Parallelism.
-	Shards []int
 }
 
 func (o *Options) withDefaults() Options {
@@ -107,6 +100,21 @@ func (o *Options) withDefaults() Options {
 		opts.MaxResponseChoices = 3
 	}
 	return opts
+}
+
+// prepare is withDefaults for an exploration entry point: it refuses
+// options without a universe, and a context that is already dead.
+func (o *Options) prepare(caller string) (Options, error) {
+	opts := o.withDefaults()
+	if opts.Universe == nil {
+		return Options{}, fmt.Errorf("lts: %s requires a Universe instance", caller)
+	}
+	if opts.Context != nil {
+		if err := opts.Context.Err(); err != nil {
+			return Options{}, err
+		}
+	}
+	return opts, nil
 }
 
 // Visitor receives each explored path prefix together with the
@@ -138,15 +146,16 @@ type Report struct {
 	// to MaxDepth was exhausted. It is exact: completing the exploration
 	// with exactly MaxPaths prefixes visited does not set it.
 	PathsCapped bool
-	// ResponsesCapped reports that at least one subset-response fan-out was
-	// truncated to MaxResponseChoices, so some well-formed responses were
-	// never considered.
+	// ResponsesCapped reports that at least one subset-response fan-out a
+	// walker reached was truncated to MaxResponseChoices, so some
+	// well-formed responses were never considered. It is meaningful on an
+	// error return too: a cap met before the error stays reported.
 	ResponsesCapped bool
 	// CompletedShards lists, in ascending canonical order, the root shards
-	// whose subtree walk ran to completion. Populated only by the sharded
-	// engine (ExploreSharded); a shard aborted by the early-cancel broadcast,
-	// a budget denial or a context kill is not listed, so on an error return
-	// the listed shards are exactly the ones a resumed run may skip.
+	// whose subtree walk ran to completion. A shard aborted by the
+	// early-cancel broadcast, a budget denial or a context kill is not
+	// listed, so on an error return the listed shards are exactly the ones a
+	// resumed run may skip.
 	CompletedShards []int
 	// TotalShards is the size of the canonical root partition the indexes in
 	// CompletedShards refer to (zero when the exploration never reached the
@@ -154,49 +163,23 @@ type Report struct {
 	TotalShards int
 }
 
-// Explore enumerates access paths of the schema against opts.Universe in
-// depth-first order, calling visit on every path (including the empty one).
-// The Report is meaningful even when an error is returned.
+// Explore enumerates access paths of the schema against opts.Universe,
+// calling visit on every path (including the empty one). The Report is
+// meaningful even when an error is returned.
 //
-// With opts.Parallelism > 1 the exploration is sharded over the root
-// branching (see ExploreSharded) and visit is called concurrently from up
-// to Parallelism walkers; it must be safe for concurrent use. Each walker
-// still performs a strict depth-first mutate-and-undo walk over its shards,
-// so the borrowed-argument contract of Visitor is unchanged.
+// The exploration is the plan walk over the root partition (see Plan). At
+// Parallelism ≤ 1 one walker visits every prefix in the schema's
+// depth-first order. At W > 1 visit is called concurrently from up to W
+// walkers and must be safe for concurrent use; each walker still performs
+// a strict depth-first mutate-and-undo walk over its shards, so the
+// borrowed-argument contract of Visitor is unchanged.
 func Explore(sch *schema.Schema, opts Options, visit Visitor) (Report, error) {
-	o := opts.withDefaults()
-	if o.Universe == nil {
-		return Report{}, fmt.Errorf("lts: Explore requires a Universe instance")
+	o, err := opts.prepare("Explore")
+	if err != nil {
+		return Report{}, err
 	}
-	if o.Context != nil {
-		if err := o.Context.Err(); err != nil {
-			return Report{}, err
-		}
-	}
-	if o.Parallelism > 1 || o.Shards != nil {
-		shardVisit := func(_ int, p *access.Path, pre, conf *instance.Instance) (bool, error) { return visit(p, pre, conf) }
-		return exploreSharded(sch, o, nil, visit, func() ShardVisitor { return shardVisit })
-	}
-	init := o.Initial
-	if init == nil {
-		init = instance.NewInstance(sch)
-	}
-	e := newExplorer(sch, o)
-	e.visit = visit
-	e.path = access.NewPath(sch)
-	// The only two clones of the whole exploration: the mutate-and-undo
-	// post configuration and its one-step-lagging pre twin.
-	e.post = init.Clone()
-	e.pre = init.Clone()
-	for _, v := range init.ActiveDomain() {
-		e.known[v] = true
-	}
-	err := e.rec(0, nil, nil, "")
-	rep := Report{Paths: e.paths, PathsCapped: e.pathsCapped, ResponsesCapped: e.respCapped}
-	if err == ErrStop {
-		return rep, nil
-	}
-	return rep, err
+	walker := func(_ int, p *access.Path, pre, conf *instance.Instance) (bool, error) { return visit(p, pre, conf) }
+	return exploreSharded(sch, o, nil, nil, visit, func() ShardVisitor { return walker })
 }
 
 // boundAccess is a cache-owned access with its canonical key precomputed
@@ -238,16 +221,14 @@ type explorer struct {
 	opts  Options
 	visit Visitor
 
-	paths       int
-	pathsCapped bool
-	respCapped  bool
+	// paths counts this walker's visits; respCapped records that a
+	// response fan-out it reached was cut to MaxResponseChoices.
+	paths      int
+	respCapped bool
 
-	// shared, when non-nil, marks this explorer as one walker of a sharded
-	// parallel exploration: the path budget and the early-cancel broadcast
-	// live on the coordinator, and localPaths drives this walker's bounded
-	// context-poll cadence (the serial engine polls on the global count).
-	shared     *shardCoord
-	localPaths int
+	// shared is the walk this explorer is one walker of: the path budget
+	// and the early-cancel broadcast live there.
+	shared *shardCoord
 
 	// Mutate-and-undo state: the single reusable path, the configuration
 	// after it (post), the configuration before its last step (pre), and
@@ -320,64 +301,42 @@ func (e *explorer) exact(m *schema.AccessMethod) bool {
 // configuration, the "before" side of every child transition) and pops it
 // once before returning — per node, not per child.
 func (e *explorer) rec(depth int, delta []instance.Tuple, deltaKeys []string, deltaRel string) error {
-	if c := e.shared; c != nil {
-		// Walker of a sharded exploration. The stop flag is the early-cancel
-		// broadcast: checked once per node (a read-only atomic load, which
-		// scales), it bounds how long any walker keeps going after a
-		// witness, an error or the cap elsewhere.
-		if c.stop.Load() {
+	c := e.shared
+	// The stop flag is the early-cancel broadcast: checked once per node (a
+	// read-only atomic load, which scales), it bounds how long any walker
+	// keeps going after a witness, an error or the cap elsewhere.
+	if c.stop.Load() {
+		return ErrStop
+	}
+	capped := e.opts.MaxPaths > 0
+	if capped {
+		// Capped search: the budget is one atomic counter shared by all
+		// walkers, claimed immediately before each visit, so MaxPaths is a
+		// global cap that fires only when an (n+1)-th prefix is actually
+		// reached: PathsCapped exactly means "there was more space to
+		// search". The shared claim costs a contended atomic per node, paid
+		// only when a cap is set. Denied claims are refunded like
+		// context-killed ones below, so the counter always joins at the
+		// exact global visit count. Uncapped walkers count locally and flush
+		// when they retire: no shared cache line in the hot loop.
+		if c.paths.Add(1) > int64(e.opts.MaxPaths) {
+			c.paths.Add(-1)
+			c.capped.Store(true)
+			c.stop.Store(true)
 			return ErrStop
 		}
-		if e.opts.MaxPaths > 0 {
-			// Capped search: the budget is one atomic counter shared by all
-			// walkers, claimed immediately before each visit, so MaxPaths
-			// stays a global cap with the exact PathsCapped semantics of the
-			// serial engine (the cap fires only when an (n+1)-th prefix is
-			// actually reached). The shared claim costs a contended atomic
-			// per node — the price of exactness, paid only when a cap is set.
-			// Denied claims are refunded like context-killed ones below, so
-			// the counter always joins at the exact global visit count.
-			n := c.paths.Add(1)
-			if n > int64(e.opts.MaxPaths) {
+	}
+	e.paths++
+	// Poll the context on a bounded per-walker cadence: every walker checks
+	// its own deadline once per 64 of its own nodes. A visit the context
+	// kills is handed back, so Report.Paths stays the exact visit count.
+	if e.opts.Context != nil && e.paths&0x3f == 0 {
+		if err := e.opts.Context.Err(); err != nil {
+			e.paths--
+			if capped {
 				c.paths.Add(-1)
-				c.capped.Store(true)
-				c.stop.Store(true)
-				return ErrStop
 			}
-		} else {
-			// Uncapped search: count locally and flush into the coordinator
-			// when the walker retires — no shared cache line in the hot loop.
-			e.paths++
-		}
-		// Poll the context on a bounded per-walker cadence: every walker
-		// checks its own deadline at least once per 64 of its own nodes. A
-		// claim whose visit is killed by the context is handed back, so
-		// Report.Paths stays the exact global visit count.
-		e.localPaths++
-		if e.opts.Context != nil && e.localPaths&0x3f == 0 {
-			if err := e.opts.Context.Err(); err != nil {
-				if e.opts.MaxPaths > 0 {
-					c.paths.Add(-1)
-				} else {
-					e.paths--
-				}
-				return err
-			}
-		}
-	} else {
-		if e.opts.MaxPaths > 0 && e.paths >= e.opts.MaxPaths {
-			// The cap fires only when an (n+1)-th prefix is actually reached,
-			// so PathsCapped exactly means "there was more space to search".
-			e.pathsCapped = true
-			return ErrStop
-		}
-		e.paths++
-		// Poll the context periodically rather than per node: Err is cheap
-		// but not free, and the hot loop visits millions of prefixes.
-		if e.opts.Context != nil && e.paths&0x3f == 0 {
-			if err := e.opts.Context.Err(); err != nil {
-				return err
-			}
+			return err
 		}
 	}
 	expand, err := e.visit(e.path, e.pre, e.post)
@@ -425,9 +384,10 @@ func (e *explorer) expandChildren(depth int) error {
 }
 
 // responses returns the lazy response iterator for an access: the single
-// source of truth — shared by Explore and Successors — for exact responses,
-// the MaxResponseChoices cap with its ResponsesCapped flag, and the
-// subset-mask fan-out order (mask 0, the empty response, first). The
+// source of truth — shared by the walk, its root enumeration and
+// Successors — for exact responses, the MaxResponseChoices cap with its
+// ResponsesCapped flag, and the subset-mask fan-out order (mask 0, the
+// empty response, first). The
 // iterator is a plain value and builds each response into the frame's
 // reusable buffers: no closure, no materialized 2^n slice of slices.
 func (e *explorer) responses(fr *frame, acc access.Access, exact bool) respIter {
@@ -740,10 +700,10 @@ func sortValues(vs []instance.Value) {
 // EnumeratePaths collects every path up to the options' depth bound. Each
 // path is a retained clone (the explorer's own path is borrowed, see
 // Visitor). Intended for small universes (tests, oracles, Figure 1); the
-// output order is the serial DFS order, so Parallelism is ignored.
+// output order is one walker's, the schema's depth-first order, so
+// Parallelism is ignored.
 func EnumeratePaths(sch *schema.Schema, opts Options) ([]*access.Path, error) {
 	opts.Parallelism = 0
-	opts.Shards = nil
 	var out []*access.Path
 	_, err := Explore(sch, opts, func(p *access.Path, _, _ *instance.Instance) (bool, error) {
 		out = append(out, p.Clone())
@@ -765,38 +725,81 @@ type Stats struct {
 
 // Collect runs an exploration and gathers statistics. Per-depth
 // configuration dedup keys on the instances' incremental Hash, so no
-// canonical strings are built per node. With opts.Parallelism > 1 the
-// exploration runs sharded (see ExploreSharded) with private per-walker
-// tallies — counts summed and config sets unioned on join, nothing shared
-// in the hot loop; the resulting Stats are identical to the serial
-// engine's for every Parallelism whenever the search is not cut by
-// MaxPaths (per-depth counts are set cardinalities, insensitive to visit
-// order).
+// canonical strings are built per node. Each walker keeps a private tally
+// (counts summed and config sets unioned on join, nothing shared in the hot
+// loop), so the Stats are identical for every Parallelism whenever the
+// search is not cut by MaxPaths (per-depth counts are set cardinalities,
+// insensitive to visit order); under a cap only TotalPaths and PathsCapped
+// are schedule-independent.
 func Collect(sch *schema.Schema, opts Options) (Stats, error) {
-	if opts.Parallelism > 1 || opts.Shards != nil {
-		return collectParallel(sch, opts)
+	o, err := opts.prepare("Collect")
+	if err != nil {
+		return Stats{}, err
 	}
-	var st Stats
-	seen := make([]map[instance.Hash]bool, opts.MaxDepth+1)
-	for i := range seen {
-		seen[i] = make(map[instance.Hash]bool)
+	depths := o.MaxDepth + 1
+	var mu sync.Mutex
+	var all []*collectStats
+	newStats := func() *collectStats {
+		ss := &collectStats{paths: make([]int, depths), seen: make([]map[instance.Hash]bool, depths)}
+		mu.Lock()
+		all = append(all, ss)
+		mu.Unlock()
+		return ss
 	}
-	rep, err := Explore(sch, opts, func(p *access.Path, _, conf *instance.Instance) (bool, error) {
-		d := p.Len()
-		for len(st.PathsPerDepth) <= d {
-			st.PathsPerDepth = append(st.PathsPerDepth, 0)
-			st.ConfigsPerDepth = append(st.ConfigsPerDepth, 0)
+	rootStats := newStats()
+	rep, err := exploreSharded(sch, o, nil, nil,
+		func(p *access.Path, _, conf *instance.Instance) (bool, error) {
+			rootStats.visit(p, conf)
+			return true, nil
+		},
+		func() ShardVisitor {
+			ss := newStats()
+			return func(_ int, p *access.Path, _, conf *instance.Instance) (bool, error) {
+				ss.visit(p, conf)
+				return true, nil
+			}
+		})
+	// Merge: sum the per-walker visit counts, union the per-walker config
+	// sets (into the first non-empty one: the walkers have joined), and
+	// grow the slices only as deep as paths were actually visited.
+	st := Stats{PathsCapped: rep.PathsCapped, ResponsesCapped: rep.ResponsesCapped}
+	for d := 0; d < depths; d++ {
+		paths := 0
+		var union map[instance.Hash]bool
+		for _, ss := range all {
+			paths += ss.paths[d]
+			if union == nil {
+				union = ss.seen[d]
+				continue
+			}
+			for h := range ss.seen[d] {
+				union[h] = true
+			}
 		}
-		st.PathsPerDepth[d]++
-		st.TotalPaths++
-		fp := conf.Hash()
-		if !seen[d][fp] {
-			seen[d][fp] = true
-			st.ConfigsPerDepth[d]++
+		if paths == 0 {
+			break
 		}
-		return true, nil
-	})
-	st.PathsCapped = rep.PathsCapped
-	st.ResponsesCapped = rep.ResponsesCapped
+		st.PathsPerDepth = append(st.PathsPerDepth, paths)
+		st.ConfigsPerDepth = append(st.ConfigsPerDepth, len(union))
+		st.TotalPaths += paths
+	}
 	return st, err
+}
+
+// collectStats is one walker's private Collect tally: per-depth visit
+// counts and per-depth distinct-configuration sets.
+type collectStats struct {
+	paths []int
+	seen  []map[instance.Hash]bool
+}
+
+func (ss *collectStats) visit(p *access.Path, conf *instance.Instance) {
+	d := p.Len()
+	ss.paths[d]++
+	m := ss.seen[d]
+	if m == nil {
+		m = make(map[instance.Hash]bool)
+		ss.seen[d] = m
+	}
+	m[conf.Hash()] = true
 }

@@ -1,18 +1,17 @@
 package lts
 
-// Parallel sharded exploration: the scale-out of the zero-clone
-// mutate-and-undo engine. The full search space is partitioned at the root
-// branching — every path of length ≥ 1 starts with exactly one (first
-// access, first response) pair, so those pairs are a true partition of the
-// space below the root — and up to Parallelism walkers claim shards from a
-// shared queue, each running the ordinary serial depth-first walk over its
-// shard with its own borrowed path/pre/post state, undo buffers and binding
-// caches. Nothing in the hot loop is shared except three atomics on the
-// coordinator:
+// The plan walk, which every exploration runs. The full search space is
+// partitioned at the root branching — every path of length ≥ 1 starts with
+// exactly one (first access, first response) pair, so those pairs are a
+// true partition of the space below the root — and up to Parallelism
+// walkers claim shards from a shared queue, each running a depth-first
+// mutate-and-undo walk over its shard with its own borrowed path/pre/post
+// state, undo buffers and binding caches. Nothing in the hot loop is shared
+// except three atomics on the coordinator:
 //
 //   - paths, the global path budget: claimed once per visit, so MaxPaths
-//     keeps its exact serial semantics (Report.Paths and PathsCapped are
-//     identical for every Parallelism);
+//     has exact semantics (Report.Paths and PathsCapped are identical for
+//     every Parallelism);
 //   - stop, the early-cancel broadcast: set on the first ErrStop (the
 //     witness signal) or budget exhaustion anywhere, checked by every
 //     walker once per node. Real errors deliberately do NOT broadcast:
@@ -22,19 +21,18 @@ package lts
 //     bounded poll instead);
 //   - capped, whether the budget actually cut the search.
 //
-// Shards are sorted by access fingerprint (access key, then response
-// fingerprint) before assignment, so the shard order — and with it the
-// witness preference of solvers built on shard indexes — is deterministic
-// across runs. Which shard a given walker executes still depends on
-// scheduling, and so does the exact moment the early-cancel broadcast lands,
-// which is why early-stopped runs (witness found, context expired) report
-// timing-dependent path counts; exhaustive runs do not.
+// Shards are enumerated in the schema's order — method, then binding, then
+// response mask, the order a node's children are walked in — and dispatched
+// in that order, so one walker visits every prefix in the schema's
+// depth-first order, and the shard order, and with it the witness
+// preference of searches built on shard indexes, is deterministic across
+// runs. Which shard a given walker executes at W > 1 depends on scheduling,
+// and so does the exact moment the early-cancel broadcast lands, which is
+// why early-stopped runs (witness found, context expired) report
+// timing-dependent path counts at W > 1; exhaustive runs do not.
 
 import (
-	"fmt"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -72,9 +70,8 @@ type rootShard struct {
 	ba          *boundAccess
 	mask        int
 	wholeAccess bool
-	// key is the canonical key ShardID.Key carries and the shards are
-	// sorted by: the access key, joined for a per-response shard to the
-	// response fingerprint by 0x1e.
+	// key is the canonical key ShardID.Key carries: the access key, joined
+	// for a per-response shard to the response fingerprint by 0x1e.
 	key string
 }
 
@@ -86,70 +83,31 @@ type rootShard struct {
 // caps. More shards than a few× the walker count buy no extra balance.
 const maxShardMasksPerAccess = 256
 
-// ShardVisitor is the visitor of one walker of a sharded exploration. It
-// receives, with the canonical index of the shard each belongs to, every
-// prefix of every shard its walker runs. The walker runs its shards one
-// after another, each in strict depth-first order from depth 1, so a
-// shard's visits end before the next shard's begin, and state that mirrors
-// the DFS can live per walker. The borrowed-argument contract of Visitor
-// applies.
+// ShardVisitor is the visitor of one walker of a plan walk. It receives,
+// with the canonical index of the shard each belongs to, every prefix of
+// every shard its walker runs. The walker runs its shards one after
+// another, each in strict depth-first order from depth 1, so a shard's
+// visits end before the next shard's begin, and state that mirrors the DFS
+// can live per walker. A shard is normally one (first access, first
+// response) pair; a first access whose subset fan-out exceeds an internal
+// bound is a single shard covering all its responses, enumerated lazily
+// (see maxShardMasksPerAccess), so its visits see several first responses
+// of the same access. The borrowed-argument contract of Visitor applies.
 type ShardVisitor func(shard int, p *access.Path, pre, conf *instance.Instance) (expand bool, err error)
 
-// ExploreSharded is the parallel counterpart of Explore for visitors that
-// carry per-DFS state (solver obligation stacks, automaton state sets). The
-// root prefix is visited exactly once, by root, on the calling goroutine
-// before any walker starts. Every other prefix is visited by the
-// ShardVisitor of the walker that runs its shard: walker is called once per
-// walker, possibly concurrently, before that walker claims its first
-// shard. A shard is normally one (first access, first response) pair; a
-// first access whose subset fan-out exceeds an internal bound becomes a
-// single shard covering all its responses, enumerated lazily (see
-// maxShardMasksPerAccess), so its visits see several first responses of
-// the same access. Shard indexes follow the deterministic sorted shard
-// order, so callers can use them as a stable tie-break between concurrent
-// results.
+// exploreSharded runs the plan walk; o has defaults applied and a live
+// context. The root prefix is visited exactly once, by root, on the
+// calling goroutine before any walker starts; the partition is then
+// plan's, or enumerated here when plan is nil. Every other prefix is
+// visited by the ShardVisitor of the walker that runs its shard: walker is
+// called once per walker, possibly concurrently, before that walker claims
+// its first shard. shards, when non-nil, restricts the walk to the shards
+// with those canonical indexes (see Plan.Explore).
 //
 // Reports are merged across walkers: Paths counts every visit globally,
 // MaxPaths is one shared budget with exact PathsCapped semantics, and
-// ResponsesCapped is the OR over the root enumeration and every walker.
-// Note one deliberate divergence from Explore's serial walk: the whole root
-// fan-out is enumerated up front, so a run cut short by MaxPaths may report
-// ResponsesCapped for root responses the serial walk would never have
-// reached. Exhaustive runs agree exactly.
-//
-// Parallelism ≤ 1 runs one walker, on the calling goroutine, over the
-// shards in the sorted shard order; it is the search the solvers run at
-// Parallelism ≤ 1, and it visits the same prefixes as Explore but in a
-// different order. Explore with Parallelism ≤ 1 keeps the unsharded
-// depth-first walk in schema method order, which EnumeratePaths,
-// BuildTree and Collect depend on.
-//
-// Options.Shards restricts execution to a subset of the partition while
-// keeping the canonical indexes: visitors still receive each shard's global
-// index, so subset runs on different machines can be merged with the same
-// lowest-shard witness preference as one full in-process run (see Shards
-// and ShardID for the enumeration the indexes refer to).
-//
-// ExploreSharded enumerates the partition after visiting the root; a
-// caller executing one partition more than once enumerates it once with
-// NewPlan and runs Plan.Explore instead.
-func ExploreSharded(sch *schema.Schema, opts Options, root Visitor, walker func() ShardVisitor) (Report, error) {
-	o := opts.withDefaults()
-	if o.Universe == nil {
-		return Report{}, fmt.Errorf("lts: ExploreSharded requires a Universe instance")
-	}
-	if o.Context != nil {
-		if err := o.Context.Err(); err != nil {
-			return Report{}, err
-		}
-	}
-	return exploreSharded(sch, o, nil, root, walker)
-}
-
-// exploreSharded runs the sharded exploration; o has defaults applied and a
-// live context. The root is visited first; the partition is then plan's,
-// or enumerated here when plan is nil.
-func exploreSharded(sch *schema.Schema, o Options, plan *Plan, root Visitor, walker func() ShardVisitor) (Report, error) {
+// ResponsesCapped is the OR over every walker, on error returns too.
+func exploreSharded(sch *schema.Schema, o Options, plan *Plan, shards []int, root Visitor, walker func() ShardVisitor) (Report, error) {
 	init := initialOf(sch, o)
 	rootPath, rootPre, rootPost := access.NewPath(sch), init.Clone(), init.Clone()
 	expand, err := root(rootPath, rootPre, rootPost)
@@ -169,15 +127,12 @@ func exploreSharded(sch *schema.Schema, o Options, plan *Plan, root Visitor, wal
 			return rep, err
 		}
 	}
-	rep.ResponsesCapped = plan.respCapped
-	// Options.Shards restricts execution to a subset of the canonical
-	// partition: the full enumeration above still fixes the indexes (and the
-	// root-level ResponsesCapped), only dispatch is filtered. order holds
-	// the canonical indexes to execute, ascending, so the deterministic
+	// A shard subset keeps the canonical indexes of the full enumeration;
+	// order holds the indexes to execute, ascending, so the deterministic
 	// shard-order semantics survive subsetting.
 	var order []int
-	if o.Shards != nil {
-		if order, err = shardSubset(o.Shards, len(plan.shards)); err != nil {
+	if shards != nil {
+		if order, err = shardSubset(shards, len(plan.shards)); err != nil {
 			return rep, err
 		}
 	} else {
@@ -191,14 +146,8 @@ func exploreSharded(sch *schema.Schema, o Options, plan *Plan, root Visitor, wal
 		return rep, nil
 	}
 
-	w := o.Parallelism
-	if w < 1 {
-		w = 1
-	}
-	if w > len(order) {
-		w = len(order)
-	}
-	r := &shardRun{o: o, plan: plan, init: init, order: order, walker: walker, errShard: -1, respCap: plan.respCapped, completed: make([]int, 0, len(order))}
+	w := min(max(o.Parallelism, 1), len(order))
+	r := &shardRun{o: o, plan: plan, init: init, order: order, walker: walker, errShard: -1, completed: make([]int, 0, len(order))}
 	r.paths.Add(1) // the root prefix
 	// The calling goroutine runs the last walker itself, on the root
 	// visit's state (the root visitor has returned, so nothing borrows it
@@ -286,7 +235,7 @@ func (r *shardRun) walk(path *access.Path, pre, post *instance.Instance) {
 		}
 		// Real error (including context expiry): record it with the lowest
 		// shard index winning, and stop handing out further shards —
-		// dispatch is monotonic over the sorted order, so every shard below
+		// dispatch is monotonic over the canonical order, so every shard below
 		// the errored one is already running and is deliberately left to
 		// finish. A witness one of them offers outranks the error at the
 		// solvers' join (the deterministic resolution: an error only wins
@@ -299,10 +248,11 @@ func (r *shardRun) walk(path *access.Path, pre, post *instance.Instance) {
 		r.dispatchStop.Store(true)
 		break
 	}
-	// Flush the walker-local visit count (uncapped searches count locally;
-	// capped ones claimed from the shared budget directly, leaving e.paths
-	// at zero).
-	r.paths.Add(int64(e.paths))
+	// Flush the walker-local visit count (capped searches claimed every
+	// visit from the shared budget already).
+	if r.o.MaxPaths == 0 {
+		r.paths.Add(int64(e.paths))
+	}
 	r.mu.Lock()
 	r.respCap = r.respCap || e.respCapped
 	r.mu.Unlock()
@@ -310,9 +260,10 @@ func (r *shardRun) walk(path *access.Path, pre, post *instance.Instance) {
 
 // stepShard explores a shard's subtree from the root: the edge of its one
 // first response, or for a wholeAccess shard every response edge of its
-// first access, streamed by the same respIter Explore's expandChildren
-// uses. A per-response shard's response is rebuilt from its mask, exactly
-// as the enumeration drew it.
+// first access, streamed by the same respIter expandChildren uses. A
+// per-response shard's response is rebuilt from its mask, exactly as the
+// enumeration drew it; rebuilding it through responses also records the
+// root fan-out's response cap on the walker that reaches it.
 func (e *explorer) stepShard(sh *rootShard) error {
 	fr := e.frame(0)
 	it := e.responses(fr, sh.ba.acc, e.exact(sh.ba.acc.Method))
@@ -334,13 +285,14 @@ func (e *explorer) stepShard(sh *rootShard) error {
 
 // enumerateRootShards materializes the root branching — every (first
 // access, first response) pair reachable from the initial configuration —
-// in the canonical order: sorted by access key, then response fingerprint.
-// The sort makes shard indexes (and so the shard→walker assignment and any
-// index-based witness preference) deterministic across runs, independent of
-// schema method insertion order. e stands at the root (see
-// Plan.rootExplorer); its respCapped reports afterwards whether the root
-// subset-response fan-out was truncated to MaxResponseChoices, and its
-// binding cache holds every method's root bindings.
+// in the canonical order, the schema's: method, then binding, then
+// response mask, exactly the order expandChildren walks a node's children
+// in. So shard indexes (and with them any index-based witness preference)
+// are deterministic across runs, and one walker dispatching the shards in
+// index order visits in the schema's depth-first order. e stands at the
+// root (see Plan.rootExplorer); its respCapped reports afterwards whether
+// the root subset-response fan-out was truncated to MaxResponseChoices, and
+// its binding cache holds every method's root bindings.
 func enumerateRootShards(e *explorer) ([]rootShard, error) {
 	fr := &frame{}
 	methods := e.sch.Methods()
@@ -390,7 +342,6 @@ func enumerateRootShards(e *explorer) ([]rootShard, error) {
 			}
 		}
 	}
-	slices.SortFunc(shards, func(a, b rootShard) int { return strings.Compare(a.key, b.key) })
 	return shards, nil
 }
 
@@ -412,101 +363,4 @@ func universeCaches(sch *schema.Schema, u *instance.Instance) (map[string]*relCa
 		dom = []instance.Value{}
 	}
 	return uTuples, dom
-}
-
-// collectShardStats is one walker's private tally: per-depth visit counts
-// and per-depth distinct-configuration sets keyed by the instances'
-// incremental Hash. Nothing is shared in the hot loop — the global counts
-// come from summing the tallies and unioning the sets on join ("per-walker
-// tables merged on join"), which is exact because per-depth path counts are
-// additive over the shard partition and distinct-config counts are set
-// cardinalities.
-type collectShardStats struct {
-	paths []int
-	seen  []map[instance.Hash]bool
-}
-
-func newCollectShardStats(depths int) *collectShardStats {
-	return &collectShardStats{paths: make([]int, depths), seen: make([]map[instance.Hash]bool, depths)}
-}
-
-func (ss *collectShardStats) visit(p *access.Path, conf *instance.Instance) {
-	d := p.Len()
-	ss.paths[d]++
-	m := ss.seen[d]
-	if m == nil {
-		m = make(map[instance.Hash]bool)
-		ss.seen[d] = m
-	}
-	m[conf.Hash()] = true
-}
-
-// collectParallel is Collect over the sharded engine. The resulting Stats
-// are identical to the serial engine's for every Parallelism on exhaustive
-// runs (counts are order-insensitive); under a MaxPaths cap only the budget
-// semantics — TotalPaths and PathsCapped — are schedule-independent.
-func collectParallel(sch *schema.Schema, opts Options) (Stats, error) {
-	o := opts.withDefaults()
-	if o.Universe == nil {
-		return Stats{}, fmt.Errorf("lts: Collect requires a Universe instance")
-	}
-	if o.Context != nil {
-		if err := o.Context.Err(); err != nil {
-			return Stats{}, err
-		}
-	}
-	depths := o.MaxDepth + 1
-	var mu sync.Mutex
-	var all []*collectShardStats
-	newStats := func() *collectShardStats {
-		ss := newCollectShardStats(depths)
-		mu.Lock()
-		all = append(all, ss)
-		mu.Unlock()
-		return ss
-	}
-	rootStats := newStats()
-	rep, err := exploreSharded(sch, o, nil,
-		func(p *access.Path, _, conf *instance.Instance) (bool, error) {
-			rootStats.visit(p, conf)
-			return true, nil
-		},
-		func() ShardVisitor {
-			ss := newStats()
-			return func(_ int, p *access.Path, _, conf *instance.Instance) (bool, error) {
-				ss.visit(p, conf)
-				return true, nil
-			}
-		})
-	// Merge: sum the per-walker visit counts, union the per-walker config
-	// sets, and match the serial engine's slice shape (grown only as deep
-	// as paths were actually visited).
-	paths := make([]int, depths)
-	union := make([]map[instance.Hash]bool, depths)
-	for d := range union {
-		union[d] = make(map[instance.Hash]bool)
-	}
-	for _, ss := range all {
-		for d := 0; d < depths; d++ {
-			paths[d] += ss.paths[d]
-			for h := range ss.seen[d] {
-				union[d][h] = true
-			}
-		}
-	}
-	var st Stats
-	maxD := 0
-	for d := 0; d < depths; d++ {
-		if paths[d] > 0 {
-			maxD = d
-		}
-	}
-	for d := 0; d <= maxD; d++ {
-		st.PathsPerDepth = append(st.PathsPerDepth, paths[d])
-		st.ConfigsPerDepth = append(st.ConfigsPerDepth, len(union[d]))
-		st.TotalPaths += paths[d]
-	}
-	st.PathsCapped = rep.PathsCapped
-	st.ResponsesCapped = rep.ResponsesCapped
-	return st, err
 }

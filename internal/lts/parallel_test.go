@@ -146,14 +146,18 @@ func TestParallelExploreVisitSetMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestExploreShardedContract pins the walker visitor contract: the root
-// visitor sees exactly the empty path; at most Parallelism walkers start;
-// each walker visits its shards one after another; every shard's visits are
-// paths opening with one fixed (access, response) pair, starting at depth
-// 1; and shard indexes follow the sorted canonical order.
+// TestExploreShardedContract pins the walker visitor contract of the plan
+// walk: the root visitor sees exactly the empty path; at most Parallelism
+// walkers start; each walker visits its shards one after another; every
+// shard's visits are paths opening with one fixed (access, response) pair,
+// starting at depth 1; and shard indexes are the contiguous canonical ones.
 func TestExploreShardedContract(t *testing.T) {
 	s := tinySchema(t)
 	u := tinyUniverse(t, s)
+	plan, err := NewPlan(s, Options{Universe: u, MaxDepth: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var rootVisits atomic.Int64
 	type shardTrace struct {
 		mu    sync.Mutex
@@ -163,7 +167,7 @@ func TestExploreShardedContract(t *testing.T) {
 	var mu sync.Mutex
 	var walkers atomic.Int64
 	traces := map[int]*shardTrace{}
-	rep, err := ExploreSharded(s, Options{Universe: u, MaxDepth: 3, Parallelism: 4},
+	rep, err := plan.Explore(nil, 4, nil,
 		func(p *access.Path, pre, conf *instance.Instance) (bool, error) {
 			rootVisits.Add(1)
 			if p.Len() != 0 {
@@ -230,7 +234,7 @@ func TestExploreShardedContract(t *testing.T) {
 	if total != rep.Paths {
 		t.Errorf("visits %d != Report.Paths %d", total, rep.Paths)
 	}
-	// Shard indexes follow the canonical sorted order of their sort keys.
+	// Shard indexes are the canonical ones, 0 to the plan size.
 	idx := make([]int, 0, len(traces))
 	for i := range traces {
 		idx = append(idx, i)
@@ -406,11 +410,15 @@ func TestParallelWholeAccessShardsMatchSerial(t *testing.T) {
 }
 
 // TestExploreShardedEdgeCases: depth 0 means a root-only report; a root
-// visitor that declines expansion stops before any shard is enumerated.
+// visitor that declines expansion stops before any walker starts.
 func TestExploreShardedEdgeCases(t *testing.T) {
 	s := tinySchema(t)
 	u := tinyUniverse(t, s)
-	rep, err := ExploreSharded(s, Options{Universe: u, MaxDepth: 0, Parallelism: 4},
+	shallow, err := NewPlan(s, Options{Universe: u, MaxDepth: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := shallow.Explore(nil, 4, nil,
 		func(p *access.Path, _, _ *instance.Instance) (bool, error) { return true, nil },
 		func() ShardVisitor {
 			t.Error("walker started at depth 0")
@@ -419,7 +427,11 @@ func TestExploreShardedEdgeCases(t *testing.T) {
 	if err != nil || rep.Paths != 1 || rep.PathsCapped {
 		t.Fatalf("depth 0: rep=%+v err=%v", rep, err)
 	}
-	rep, err = ExploreSharded(s, Options{Universe: u, MaxDepth: 3, Parallelism: 4},
+	plan, err := NewPlan(s, Options{Universe: u, MaxDepth: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err = plan.Explore(nil, 4, nil,
 		func(p *access.Path, _, _ *instance.Instance) (bool, error) { return false, nil },
 		func() ShardVisitor {
 			t.Error("walker started after root declined")
@@ -428,7 +440,7 @@ func TestExploreShardedEdgeCases(t *testing.T) {
 	if err != nil || rep.Paths != 1 {
 		t.Fatalf("root decline: rep=%+v err=%v", rep, err)
 	}
-	if _, err := ExploreSharded(s, Options{MaxDepth: 1}, nil, nil); err == nil {
+	if _, err := NewPlan(s, Options{MaxDepth: 1}); err == nil {
 		t.Error("nil universe accepted")
 	}
 }

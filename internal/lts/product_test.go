@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"accltl/internal/access"
+	"accltl/internal/instance"
 )
 
 // TestProductSearchShardedScrubsCutWalks pins the scrub rule of a
@@ -104,4 +105,56 @@ func TestProductSearchShardedScrubsCutWalks(t *testing.T) {
 		check(1, k)
 	}
 	check(4, steps/2)
+}
+
+// TestProductSearchOneWalkerMatchesExplore: a one-walker product search
+// visits exactly Explore's sequence of (path, configuration) pairs, in
+// Explore's order, with the same report, on every cell of the option grid.
+// The control never accepts or prunes and the memo is off, so the search
+// walks what Explore walks; a witness preference built on shard indexes is
+// then the first witness in Explore's order.
+func TestProductSearchOneWalkerMatchesExplore(t *testing.T) {
+	s := tinySchema(t)
+	for _, c := range equivalenceGrid(t, s) {
+		t.Run(c.name, func(t *testing.T) {
+			var want []visitRecord
+			wantRep, err := Explore(s, c.opts, func(p *access.Path, _, conf *instance.Instance) (bool, error) {
+				if p.Len() > 0 {
+					want = append(want, visitRecord{path: p.String(), conf: conf.Fingerprint()})
+				}
+				return true, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := NewPlan(s, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []visitRecord
+			pr := &Product[int, int]{
+				Step: func(_ int, p *access.Path, last access.Transition) (int, Move, error) {
+					got = append(got, visitRecord{path: p.String(), conf: last.After.Fingerprint()})
+					return 0, Expand, nil
+				},
+				Memo:  NewProductMemo[int](),
+				Depth: c.opts.MaxDepth,
+			}
+			gotRep, witness, err := pr.Search(context.Background(), plan, 1, nil)
+			if err != nil || witness != nil {
+				t.Fatalf("search: witness %v, err %v", witness, err)
+			}
+			if !sameReportCore(wantRep, gotRep) {
+				t.Errorf("report mismatch: Explore %+v, search %+v", wantRep, gotRep)
+			}
+			if len(want) != len(got) {
+				t.Fatalf("visit counts differ: Explore %d, search %d", len(want), len(got))
+			}
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("visit %d differs:\nExplore: %+v\nsearch:  %+v", i, want[i], got[i])
+				}
+			}
+		})
+	}
 }

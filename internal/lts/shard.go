@@ -1,15 +1,14 @@
 package lts
 
-// First-class shard descriptors: the refactor that takes the PR 4 root-
-// branching partition out of process. enumerateRootShards already
-// materializes the partition in a canonical deterministic order; this file
-// exposes that order as serializable descriptors (ShardID) and lets a
-// caller execute any subset of it (Options.Shards), so a distributed
-// coordinator can enumerate the partition once, ship each piece to a remote
-// worker as data, and have the worker re-derive the identical partition and
-// run exactly the assigned slice. Everything identifying a shard is derived
-// deterministically from (schema, options, initial, universe): identical
-// inputs enumerate identical descriptors on every machine.
+// Plans and shard descriptors: the root partition as a value. A Plan is the
+// partition enumerated once, in its canonical order; it describes itself as
+// serializable descriptors (ShardID) and executes any subset of itself
+// (Plan.Explore), so a distributed coordinator can enumerate the partition
+// once, ship each piece to a remote worker as data, and have the worker
+// re-derive the identical partition and run exactly the assigned slice.
+// Everything identifying a shard is derived deterministically from
+// (schema, options, initial, universe): identical inputs enumerate
+// identical descriptors on every machine.
 
 import (
 	"context"
@@ -21,30 +20,30 @@ import (
 	"accltl/internal/schema"
 )
 
-// ShardID identifies one root shard of a sharded exploration: its position
-// in the canonical sorted order and its canonical key. The key is the
-// access key (method name plus binding) for whole-access shards, or the
-// access key joined to the response fingerprint (0x1e-separated) for
-// per-response shards — exactly the key enumerateRootShards orders the
-// shards by, so Index and Key always agree between two enumerations over
-// the same inputs. WholeAccess marks a lazy-range shard: one covering
-// every response of its access, enumerated lazily by the walker that
-// executes it (see maxShardMasksPerAccess).
+// ShardID identifies one root shard of a plan: its position in the
+// canonical order (the schema's: method, then binding, then response mask)
+// and its canonical key. The key is the access key (method name plus
+// binding) for whole-access shards, or the access key joined to the
+// response fingerprint (0x1e-separated) for per-response shards; keys are
+// distinct within a plan, and Index and Key always agree between two
+// enumerations over the same inputs. WholeAccess marks a lazy-range shard:
+// one covering every response of its access, enumerated lazily by the
+// walker that executes it (see maxShardMasksPerAccess).
 type ShardID struct {
 	Index       int
 	Key         string
 	WholeAccess bool
 }
 
-// Plan is the enumerated root partition of a sharded exploration: what
-// Shards describes and ExploreSharded executes, kept so that one
-// enumeration serves any number of executions. A check that plans its
-// partition and then searches it, or resumes it subset by subset, pays for
-// the root fan-out (every first access × response, over the whole binding
-// pool) once. A Plan holds the exploration options it was enumerated under
-// — Context, Parallelism and Shards excepted, which are per execution —
-// and the read-only universe caches its walkers share. It is immutable and
-// safe for concurrent use.
+// Plan is the enumerated root partition of an exploration, kept so that
+// one enumeration serves any number of executions (Explore and Collect
+// enumerate a throwaway one per call). A check that plans its partition and
+// then searches it, or resumes it subset by subset, pays for the root
+// fan-out (every first access × response, over the whole binding pool)
+// once. A Plan holds the exploration options it was enumerated under —
+// Context and Parallelism excepted, which are per execution — and the
+// read-only universe caches its walkers share. It is immutable and safe
+// for concurrent use.
 type Plan struct {
 	sch        *schema.Schema
 	opts       Options
@@ -58,18 +57,18 @@ type Plan struct {
 	rootBindings map[bindKey][]boundAccess
 }
 
-// NewPlan enumerates the root partition of a sharded exploration of sch
-// under opts, polling opts.Context while it does; opts.Parallelism and
-// opts.Shards are ignored. The partition is the one Shards describes.
+// NewPlan enumerates the root partition of an exploration of sch under
+// opts, polling opts.Context while it does; opts.Parallelism is ignored.
+//
+// Determinism contract: the partition is a pure function of the schema,
+// the universe, the initial instance and the path-restriction options, so
+// two processes given the same inputs agree on every Index and Key of
+// Plan.IDs — the property the distributed check fabric's wire shards rely
+// on.
 func NewPlan(sch *schema.Schema, opts Options) (*Plan, error) {
-	o := opts.withDefaults()
-	if o.Universe == nil {
-		return nil, fmt.Errorf("lts: NewPlan requires a Universe instance")
-	}
-	if o.Context != nil {
-		if err := o.Context.Err(); err != nil {
-			return nil, err
-		}
+	o, err := opts.prepare("NewPlan")
+	if err != nil {
+		return nil, err
 	}
 	return newPlan(sch, o, initialOf(sch, o))
 }
@@ -83,7 +82,7 @@ func newPlan(sch *schema.Schema, o Options, init *instance.Instance) (*Plan, err
 	if err != nil {
 		return nil, err
 	}
-	o.Context, o.Parallelism, o.Shards = nil, 0, nil
+	o.Context, o.Parallelism = nil, 0
 	p.opts, p.shards, p.respCapped, p.rootBindings = o, shards, e.respCapped, e.bindCache
 	return p, nil
 }
@@ -124,23 +123,39 @@ func (p *Plan) IDs() []ShardID {
 	return ids
 }
 
-// ResponsesCapped reports whether the root subset-response fan-out was
-// truncated to MaxResponseChoices during enumeration.
+// ResponsesCapped reports whether some root subset-response fan-out was
+// truncated to MaxResponseChoices during enumeration. An exploration of the
+// plan reports such a cap only if one of its walkers reaches that fan-out's
+// shards.
 func (p *Plan) ResponsesCapped() bool { return p.respCapped }
 
-// Explore executes the plan exactly as ExploreSharded would execute the
-// partition it enumerates, with ctx, parallelism and shards in the roles
-// of Options.Context, Parallelism and Shards, and without enumerating the
-// root fan-out again.
+// Explore runs the plan walk over the plan, with ctx and parallelism in the
+// roles of Options.Context and Parallelism. The root prefix is visited
+// exactly once, by root, on the calling goroutine before any walker starts;
+// every other prefix is visited by the ShardVisitor of the walker that runs
+// its shard, and walker is called once per walker, possibly concurrently,
+// before that walker claims its first shard. At parallelism ≤ 1 one walker
+// runs the shards in index order on the calling goroutine, so the visits
+// are Explore's, in Explore's order.
+//
+// shards, when non-nil, restricts the walk to the shards with these
+// canonical indexes, which the visitors still receive, so subset runs on
+// different machines merge with the same lowest-shard witness preference as
+// one full run. The root prefix is still visited exactly once;
+// Report.Paths then counts the root plus the visits inside the selected
+// shards, and ResponsesCapped reports the caps the selected shards' walks
+// met, so an OR over a cover of the partition is a full run's. Indexes out
+// of range are an error; duplicates are collapsed. An empty non-nil slice
+// visits only the root.
 func (p *Plan) Explore(ctx context.Context, parallelism int, shards []int, root Visitor, walker func() ShardVisitor) (Report, error) {
 	o := p.opts
-	o.Context, o.Parallelism, o.Shards = ctx, parallelism, shards
+	o.Context, o.Parallelism = ctx, parallelism
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return Report{}, err
 		}
 	}
-	return exploreSharded(p.sch, o, p, root, walker)
+	return exploreSharded(p.sch, o, p, shards, root, walker)
 }
 
 // Setup is the derived setup of one bounded search: the exploration
@@ -205,26 +220,7 @@ func (s *Setup) Plan(ctx context.Context, sch *schema.Schema) (*Plan, error) {
 	return s.plan, nil
 }
 
-// Shards enumerates the root shards a sharded exploration of sch under opts
-// would partition the search into, in the canonical sorted order (the same
-// order ExploreSharded assigns indexes in). The bool result reports whether
-// the root subset-response fan-out was truncated to MaxResponseChoices
-// during enumeration. Options.Shards and Parallelism are ignored here: the
-// enumeration always describes the full partition.
-//
-// Determinism contract: the descriptors are a pure function of the schema,
-// the universe, the initial instance and the path-restriction options, so
-// two processes given the same inputs agree on every Index and Key — the
-// property the distributed check fabric's wire shards rely on.
-func Shards(sch *schema.Schema, opts Options) ([]ShardID, bool, error) {
-	p, err := NewPlan(sch, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	return p.IDs(), p.respCapped, nil
-}
-
-// shardSubset validates and canonicalizes Options.Shards against an
+// shardSubset validates and canonicalizes a shard subset against an
 // enumeration of n shards: sorted ascending, deduplicated, every index in
 // [0, n). The dispatch order over the subset is the canonical ascending
 // order, preserving the deterministic shard-order semantics (witness
@@ -236,7 +232,7 @@ func shardSubset(sel []int, n int) ([]int, error) {
 	w := 0
 	for i, idx := range out {
 		if idx < 0 || idx >= n {
-			return nil, fmt.Errorf("lts: Options.Shards index %d out of range [0,%d)", idx, n)
+			return nil, fmt.Errorf("lts: shard index %d out of range [0,%d)", idx, n)
 		}
 		if i > 0 && idx == out[w-1] {
 			continue

@@ -11,25 +11,67 @@ import (
 
 	"accltl/internal/access"
 	"accltl/internal/instance"
+	"accltl/internal/schema"
 )
 
+// planIDs enumerates a plan and returns its descriptors and root cap.
+func planIDs(t *testing.T, s *schema.Schema, opts Options) ([]ShardID, bool) {
+	t.Helper()
+	plan, err := NewPlan(s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan.IDs(), plan.ResponsesCapped()
+}
+
+// walkPlan runs a plan walk restricted to shards at w walkers with one
+// Visitor for the root and every walker.
+func walkPlan(plan *Plan, w int, shards []int, visit Visitor) (Report, error) {
+	walker := func(_ int, p *access.Path, pre, conf *instance.Instance) (bool, error) { return visit(p, pre, conf) }
+	return plan.Explore(nil, w, shards, visit, func() ShardVisitor { return walker })
+}
+
+// planStats is Collect over a plan walk restricted to shards at w walkers.
+func planStats(t *testing.T, plan *Plan, w int, shards []int) (Stats, error) {
+	t.Helper()
+	var mu sync.Mutex
+	var st Stats
+	var seen []map[instance.Hash]bool
+	rep, err := walkPlan(plan, w, shards, func(p *access.Path, _, conf *instance.Instance) (bool, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		d := p.Len()
+		for len(st.PathsPerDepth) <= d {
+			st.PathsPerDepth = append(st.PathsPerDepth, 0)
+			seen = append(seen, map[instance.Hash]bool{})
+		}
+		st.PathsPerDepth[d]++
+		st.TotalPaths++
+		seen[d][conf.Hash()] = true
+		return true, nil
+	})
+	for _, m := range seen {
+		st.ConfigsPerDepth = append(st.ConfigsPerDepth, len(m))
+	}
+	st.PathsCapped, st.ResponsesCapped = rep.PathsCapped, rep.ResponsesCapped
+	return st, err
+}
+
 // TestShardsEnumerationDeterministic: two enumerations over the same inputs
-// must agree on every index and key — the wire-shard contract.
+// must agree on every index and key — the wire-shard contract — and the
+// canonical order is the schema's: shard i opens with the i-th distinct
+// first step of Explore's visit order (a whole-access shard spans the run
+// of first steps of its access), and keys are distinct.
 func TestShardsEnumerationDeterministic(t *testing.T) {
 	s := tinySchema(t)
 	for _, c := range equivalenceGrid(t, s) {
 		t.Run(c.name, func(t *testing.T) {
-			a, aCap, err := Shards(s, c.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, bCap, err := Shards(s, c.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			a, aCap := planIDs(t, s, c.opts)
+			b, bCap := planIDs(t, s, c.opts)
 			if aCap != bCap || len(a) != len(b) {
 				t.Fatalf("enumerations diverged: %d/%v vs %d/%v", len(a), aCap, len(b), bCap)
 			}
+			keys := map[string]int{}
 			for i := range a {
 				if a[i] != b[i] {
 					t.Fatalf("shard %d diverged: %+v vs %+v", i, a[i], b[i])
@@ -37,9 +79,47 @@ func TestShardsEnumerationDeterministic(t *testing.T) {
 				if a[i].Index != i {
 					t.Fatalf("shard %d carries index %d", i, a[i].Index)
 				}
-				if i > 0 && a[i].Key <= a[i-1].Key {
-					t.Fatalf("shard keys not strictly sorted at %d: %q <= %q", i, a[i].Key, a[i-1].Key)
+				if prev, dup := keys[a[i].Key]; dup {
+					t.Fatalf("shards %d and %d share key %q", prev, i, a[i].Key)
 				}
+				keys[a[i].Key] = i
+			}
+			// Explore's first steps, in visit order: the access key, and the
+			// shard key of the (access, response) pair.
+			type first struct{ acc, key string }
+			var firsts []first
+			_, err := Explore(s, c.opts, func(p *access.Path, _, _ *instance.Instance) (bool, error) {
+				if p.Len() == 1 {
+					st := p.Step(0)
+					acc := st.Access.Key()
+					firsts = append(firsts, first{acc, acc + "\x1e" + access.ResponseFingerprint(st.Response)})
+				}
+				return true, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			i, j := 0, 0
+			for ; i < len(a) && j < len(firsts); i++ {
+				if !a[i].WholeAccess {
+					if firsts[j].key != a[i].Key {
+						t.Fatalf("shard %d is %q, but Explore's first step %d is %q", i, a[i].Key, j, firsts[j].key)
+					}
+					j++
+					continue
+				}
+				if firsts[j].acc != a[i].Key {
+					t.Fatalf("whole-access shard %d is %q, but Explore's first step %d is %q", i, a[i].Key, j, firsts[j].acc)
+				}
+				for j < len(firsts) && firsts[j].acc == a[i].Key {
+					j++
+				}
+			}
+			if j != len(firsts) {
+				t.Fatalf("%d of Explore's %d first steps open no shard", len(firsts)-j, len(firsts))
+			}
+			if c.opts.MaxPaths == 0 && i != len(a) {
+				t.Fatalf("%d of %d shards open none of an exhaustive Explore's first steps", len(a)-i, len(a))
 			}
 		})
 	}
@@ -60,10 +140,11 @@ func TestShardSubsetPartitionExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids, _, err := Shards(s, c.opts)
+			plan, err := NewPlan(s, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			ids := plan.IDs()
 			if len(ids) == 0 {
 				// Root with no successors: the serial run is root-only.
 				if serial.TotalPaths != 1 {
@@ -75,9 +156,7 @@ func TestShardSubsetPartitionExact(t *testing.T) {
 			orResp := false
 			merged := Stats{}
 			for _, id := range ids {
-				o := c.opts
-				o.Shards = []int{id.Index}
-				st, err := Collect(s, o)
+				st, err := planStats(t, plan, 1, []int{id.Index})
 				if err != nil {
 					t.Fatalf("shard %d: %v", id.Index, err)
 				}
@@ -123,15 +202,13 @@ func TestShardSubsetVisitsOnlyItsShard(t *testing.T) {
 	s := tinySchema(t)
 	u := tinyUniverse(t, s)
 	opts := Options{Universe: u, MaxDepth: 2}
-	ids, _, err := Shards(s, opts)
+	plan, err := NewPlan(s, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]int{} // non-root path → shard that visited it
-	for _, id := range ids {
-		o := opts
-		o.Shards = []int{id.Index}
-		_, err := Explore(s, o, func(p *access.Path, _, _ *instance.Instance) (bool, error) {
+	for _, id := range plan.IDs() {
+		_, err := walkPlan(plan, 1, []int{id.Index}, func(p *access.Path, _, _ *instance.Instance) (bool, error) {
 			if p.Len() == 0 {
 				return true, nil
 			}
@@ -171,24 +248,18 @@ func TestShardSubsetVisitsOnlyItsShard(t *testing.T) {
 func TestShardSubsetValidation(t *testing.T) {
 	s := tinySchema(t)
 	u := tinyUniverse(t, s)
-	opts := Options{Universe: u, MaxDepth: 2}
-	ids, _, err := Shards(s, opts)
+	plan, err := NewPlan(s, Options{Universe: u, MaxDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(ids)
+	n := len(plan.IDs())
+	all := func(*access.Path, *instance.Instance, *instance.Instance) (bool, error) { return true, nil }
 
-	bad := opts
-	bad.Shards = []int{n}
-	if _, err := Explore(s, bad, func(*access.Path, *instance.Instance, *instance.Instance) (bool, error) {
-		return true, nil
-	}); err == nil {
+	if _, err := walkPlan(plan, 1, []int{n}, all); err == nil {
 		t.Error("out-of-range shard index accepted")
 	}
 
-	empty := opts
-	empty.Shards = []int{}
-	rep, err := Explore(s, empty, func(p *access.Path, _, _ *instance.Instance) (bool, error) {
+	rep, err := walkPlan(plan, 1, []int{}, func(p *access.Path, _, _ *instance.Instance) (bool, error) {
 		if p.Len() > 0 {
 			t.Errorf("empty subset visited %q", p.String())
 		}
@@ -201,19 +272,11 @@ func TestShardSubsetValidation(t *testing.T) {
 		t.Errorf("empty subset visited %d prefixes, want 1 (root)", rep.Paths)
 	}
 
-	dup := opts
-	dup.Shards = []int{1, 1, 0, 0}
-	dupRep, err := Explore(s, dup, func(*access.Path, *instance.Instance, *instance.Instance) (bool, error) {
-		return true, nil
-	})
+	dupRep, err := walkPlan(plan, 1, []int{1, 1, 0, 0}, all)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := opts
-	one.Shards = []int{0, 1}
-	oneRep, err := Explore(s, one, func(*access.Path, *instance.Instance, *instance.Instance) (bool, error) {
-		return true, nil
-	})
+	oneRep, err := walkPlan(plan, 1, []int{0, 1}, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +288,8 @@ func TestShardSubsetValidation(t *testing.T) {
 
 	// Visitors receive global indexes even under a subset.
 	want := []int{n - 1}
-	sub := opts
-	sub.Shards = want
 	seen := map[int]bool{}
-	_, err = ExploreSharded(s, sub,
-		func(*access.Path, *instance.Instance, *instance.Instance) (bool, error) { return true, nil },
+	_, err = plan.Explore(nil, 1, want, all,
 		func() ShardVisitor {
 			return func(shard int, _ *access.Path, _, _ *instance.Instance) (bool, error) {
 				seen[shard] = true
@@ -249,25 +309,21 @@ func TestShardSubsetValidation(t *testing.T) {
 func TestShardSubsetParallelMatches(t *testing.T) {
 	s := tinySchema(t)
 	u := tinyUniverse(t, s)
-	opts := Options{Universe: u, MaxDepth: 3}
-	ids, _, err := Shards(s, opts)
+	plan, err := NewPlan(s, Options{Universe: u, MaxDepth: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ids := plan.IDs()
 	half := make([]int, 0, len(ids)/2+1)
 	for i := 0; i < len(ids); i += 2 {
 		half = append(half, i)
 	}
-	base := opts
-	base.Shards = half
-	want, err := Collect(s, base)
+	want, err := planStats(t, plan, 1, half)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range parallelGrid {
-		par := base
-		par.Parallelism = w
-		got, err := Collect(s, par)
+		got, err := planStats(t, plan, w, half)
 		if err != nil {
 			t.Fatalf("w=%d: %v", w, err)
 		}
@@ -279,8 +335,8 @@ func TestShardSubsetParallelMatches(t *testing.T) {
 
 // TestPlanExecutesLikeExploreSharded: one enumerated Plan, executed again
 // and again — whole, on shard subsets and at several walker counts —
-// visits exactly what ExploreSharded visits over its own enumeration, with
-// identical reports, and describes the partition Shards returns.
+// visits exactly what the plan walk visits over a fresh enumeration, with
+// identical reports, and describes the same partition.
 func TestPlanExecutesLikeExploreSharded(t *testing.T) {
 	s := tinySchema(t)
 	type run func(root Visitor, walker func() ShardVisitor) (Report, error)
@@ -312,12 +368,9 @@ func TestPlanExecutesLikeExploreSharded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids, capped, err := Shards(s, c.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ids, capped := planIDs(t, s, c.opts)
 			if !reflect.DeepEqual(plan.IDs(), ids) || plan.ResponsesCapped() != capped {
-				t.Fatalf("plan describes %v (capped %v), Shards %v (capped %v)", plan.IDs(), plan.ResponsesCapped(), ids, capped)
+				t.Fatalf("plan describes %v (capped %v), a fresh plan %v (capped %v)", plan.IDs(), plan.ResponsesCapped(), ids, capped)
 			}
 			var evens []int
 			for i := 0; i < len(ids); i += 2 {
@@ -325,17 +378,19 @@ func TestPlanExecutesLikeExploreSharded(t *testing.T) {
 			}
 			for _, sub := range [][]int{nil, {}, evens} {
 				for _, w := range []int{1, 3} {
-					o := c.opts
-					o.Shards, o.Parallelism = sub, w
 					want, wantRep := trace(t, func(root Visitor, walker func() ShardVisitor) (Report, error) {
-						return ExploreSharded(s, o, root, walker)
+						fresh, err := NewPlan(s, c.opts)
+						if err != nil {
+							return Report{}, err
+						}
+						return fresh.Explore(nil, w, sub, root, walker)
 					})
 					for i := 0; i < 2; i++ {
 						got, gotRep := trace(t, func(root Visitor, walker func() ShardVisitor) (Report, error) {
 							return plan.Explore(nil, w, sub, root, walker)
 						})
 						if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotRep, wantRep) {
-							t.Fatalf("shards %v W=%d run %d: plan visited %d (%+v), ExploreSharded %d (%+v)",
+							t.Fatalf("shards %v W=%d run %d: plan visited %d (%+v), a fresh plan %d (%+v)",
 								sub, w, i, len(got), gotRep, len(want), wantRep)
 						}
 					}
@@ -382,9 +437,8 @@ func TestSetupDerivesAndPlansOnce(t *testing.T) {
 	if err != nil || p2 != p1 {
 		t.Errorf("second Plan = %p, %v; first %p", p2, err, p1)
 	}
-	ids, _, err := Shards(s, Options{Universe: u, MaxDepth: 2})
-	if err != nil || !reflect.DeepEqual(p1.IDs(), ids) {
-		t.Errorf("plan IDs %v, Shards %v (%v)", p1.IDs(), ids, err)
+	if ids, _ := planIDs(t, s, Options{Universe: u, MaxDepth: 2}); !reflect.DeepEqual(p1.IDs(), ids) {
+		t.Errorf("plan IDs %v, a fresh plan's %v", p1.IDs(), ids)
 	}
 }
 

@@ -111,10 +111,11 @@ func (t *DominanceMemo[K]) Remove(k K) {
 }
 
 // WitnessBox collects candidate witnesses from concurrent walkers,
-// preferring the lowest shard index: ExploreSharded's shards are sorted
-// canonically, so the preference keeps the reported witness stable whenever
-// scheduling lets the low shards finish (the residual nondeterminism is
-// documented on the solvers' Parallelism options).
+// preferring the lowest shard index. Shards are indexed in the schema's
+// canonical order, so at one walker the kept witness is the first one in
+// Explore's order, and at W > 1 the preference keeps the reported witness
+// stable whenever scheduling lets the low shards finish (the residual
+// nondeterminism is documented on the solvers' Parallelism options).
 type WitnessBox[T any] struct {
 	mu    sync.Mutex
 	has   bool

@@ -1,8 +1,6 @@
 package lts
 
 import (
-	"fmt"
-
 	"accltl/internal/access"
 	"accltl/internal/instance"
 	"accltl/internal/schema"
@@ -25,14 +23,9 @@ import (
 // masks as Explore, so no 2^n slice of slices is materialized along the
 // way.
 func Successors(sch *schema.Schema, opts Options, conf *instance.Instance) ([]access.Transition, Report, error) {
-	o := opts.withDefaults()
-	if o.Universe == nil {
-		return nil, Report{}, fmt.Errorf("lts: Successors requires a Universe instance")
-	}
-	if o.Context != nil {
-		if err := o.Context.Err(); err != nil {
-			return nil, Report{}, err
-		}
+	o, err := opts.prepare("Successors")
+	if err != nil {
+		return nil, Report{}, err
 	}
 	e := newExplorer(sch, o)
 	for _, v := range conf.ActiveDomain() {

@@ -26,11 +26,11 @@ type TreeNode struct {
 // BuildTree materializes the tree of possible paths up to the options'
 // depth bound. The visitor's arguments are borrowed (see Visitor), and tree
 // nodes outlive the exploration, so configurations and responses are cloned
-// into the nodes here. The construction depends on the serial DFS order (a
-// parent is attached before its children), so Parallelism is ignored.
+// into the nodes here. The construction depends on one walker's
+// depth-first order (a parent is attached before its children), so
+// Parallelism is ignored.
 func BuildTree(sch *schema.Schema, opts Options) (*TreeNode, error) {
 	opts.Parallelism = 0
-	opts.Shards = nil
 	root := &TreeNode{}
 	// Map from path fingerprint to node so we can attach children. We rely
 	// on Explore's DFS order: a path's parent prefix is visited before it.

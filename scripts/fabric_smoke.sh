@@ -24,7 +24,10 @@
 # batch, then a SIGTERM of one worker (graceful drain flushes its exact
 # results to the disk tier) and a restart over the SAME directory —
 # asserting the restarted process answers the repeat batch with identical
-# verdicts, zero solves, and counted disk-tier hits.
+# verdicts, zero solves, and counted disk-tier hits. A fresh coordinator
+# over the same two workers (empty merged cache, same ring) then sends the
+# batch again: its shard groups must reach the restarted worker's disk tier
+# with zero shard solves.
 #
 # Exits non-zero on any non-200 answer or verdict mismatch. Requires only
 # the go toolchain and python3 (for JSON comparison); picks free ports
@@ -362,6 +365,44 @@ EOF
     echo "restarted worker recovered no disk records" >&2; exit 1; }
   grep -q '^accserve_checks_total 0' <<<"$metrics" || {
     echo "restarted worker re-solved instead of serving the disk tier" >&2; exit 1; }
+
+  disk_hits() { sed -n 's/^accserve_cache_tier_hits_total{tier="disk"} //p' <<<"$1"; }
+  direct_hits=$(disk_hits "$metrics")
+  C2_PORT=$(pick_port); C2="http://127.0.0.1:$C2_PORT"
+  echo "== warm-restart: fresh coordinator $C2 over the same workers sends the batch as shard groups"
+  "$workdir/accserve" -coordinator -fabric-workers "$W1,$W2" -addr "127.0.0.1:$C2_PORT" &
+  pids+=($!)
+  wait_up "$C2"
+  curl -fsS -X POST "$C2/v1/batch" -H 'Content-Type: application/json' \
+    -d "$batch" > "$workdir/regrouped.json"
+
+  python3 - "$workdir/warm.json" "$workdir/regrouped.json" <<'EOF'
+import json, sys
+warm = json.load(open(sys.argv[1]))["results"]
+regrouped = json.load(open(sys.argv[2]))["results"]
+if len(warm) != len(regrouped):
+    sys.exit(f"item counts differ: {len(warm)} vs {len(regrouped)}")
+fields = ["satisfiable", "fragment", "in_fragment", "decidable",
+          "engine", "truncated", "depth"]
+for i, (w, r) in enumerate(zip(warm, regrouped)):
+    if "error" in w or "error" in r:
+        sys.exit(f"item {i} errored: direct {w} via fresh coordinator {r}")
+    for k in fields:
+        if w["result"].get(k) != r["result"].get(k):
+            sys.exit(f"item {i}: {k} = {r['result'].get(k)!r} via fresh coordinator, {w['result'].get(k)!r} direct")
+print(f"fresh coordinator: all {len(regrouped)} verdicts identical")
+EOF
+
+  metrics=$(curl -fsS "$W1/metrics")
+  grep -q '^accserve_shard_checks_total 0' <<<"$metrics" || {
+    echo "restarted worker re-solved a shard group instead of serving the disk tier" >&2; exit 1; }
+  grep -q '^accserve_shard_plan_mismatches_total 0' <<<"$metrics" || {
+    echo "restarted worker refused a shard group's plan" >&2; exit 1; }
+  group_hits=$(disk_hits "$metrics")
+  if (( group_hits <= direct_hits )); then
+    echo "no shard group reached the restarted worker's disk tier (disk hits $direct_hits -> $group_hits)" >&2; exit 1
+  fi
+  echo "restart: shard groups served from disk (disk hits $direct_hits -> $group_hits), zero shard solves"
   echo "fabric smoke (warm-restart): OK"
   exit 0
 fi

@@ -491,3 +491,38 @@ func TestShadowedQuantifierVerdict(t *testing.T) {
 		}
 	}
 }
+
+// TestSeparatorBytesInStringsVerdict: string constants holding the tuple
+// key's separator (0x1f) and escape (0x1e) bytes keep distinct tuples
+// distinct through the whole pipeline. The two facts below collided under
+// a key that escaped only the separator, so the witness universe held one
+// tuple for both and the check answered an exact unsat. Revealing the
+// first fact alone satisfies the formula.
+func TestSeparatorBytesInStringsVerdict(t *testing.T) {
+	sch, err := accesscheck.ParseSchema([]string{"R:string,string"}, []string{"scanR:R"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, src string
+	}{
+		{"adversarial", "(F [post R(\"a\x1e\",\"b\x1fsc\")]) & (G ![post R(\"a\x1fsb\x1e\",\"c\")])"},
+		{"plain", `(F [post R("a","bsc")]) & (G ![post R("asb","c")])`},
+	}
+	for _, tc := range cases {
+		f, err := accesscheck.ParseFormula(tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, engine := range []accesscheck.Engine{accesscheck.EngineAuto, accesscheck.EngineBounded} {
+			res, err := accesscheck.Check(context.Background(), sch, f,
+				accesscheck.WithEngine(engine), accesscheck.WithMaxDepth(2))
+			if err != nil {
+				t.Fatalf("%s %v: %v", tc.name, engine, err)
+			}
+			if !res.Satisfiable || res.Truncated {
+				t.Errorf("%s %v: satisfiable=%v truncated=%v, want an exact satisfiable verdict", tc.name, engine, res.Satisfiable, res.Truncated)
+			}
+		}
+	}
+}

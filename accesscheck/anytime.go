@@ -34,7 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -60,7 +60,7 @@ type Checkpoint struct {
 	key       string
 	engine    Engine
 	planSize  int
-	completed map[int]bool
+	completed shardSet
 
 	rounds          int
 	paths           int
@@ -77,11 +77,7 @@ type Checkpoint struct {
 // with an empty memo for the engine. Each round's search stripes the memo
 // for its own walkers.
 func (c *Checker) newCheckpoint(key string, engine Engine) *Checkpoint {
-	cp := &Checkpoint{
-		key:       key,
-		engine:    engine,
-		completed: make(map[int]bool),
-	}
+	cp := &Checkpoint{key: key, engine: engine}
 	if engine == EngineAutomaton {
 		cp.emptinessMemo = autom.NewEmptinessMemo()
 	} else {
@@ -117,12 +113,7 @@ func (cp *Checkpoint) PlanSize() int {
 func (cp *Checkpoint) Completed() []int {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	out := make([]int, 0, len(cp.completed))
-	for s := range cp.completed {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
+	return cp.completed.members()
 }
 
 // CompletedWithin returns, ascending, the subset of the given canonical
@@ -135,16 +126,13 @@ func (cp *Checkpoint) CompletedWithin(indexes []int) []int {
 }
 
 func (cp *Checkpoint) completedWithinLocked(indexes []int) []int {
-	seen := make(map[int]bool, len(indexes))
-	var out []int
+	within := shardSet{words: make([]uint64, len(cp.completed.words))}
 	for _, i := range indexes {
-		if !seen[i] && cp.completed[i] {
-			out = append(out, i)
+		if cp.completed.has(i) {
+			within.add(i)
 		}
-		seen[i] = true
 	}
-	sort.Ints(out)
-	return out
+	return within.members()
 }
 
 // Coverage is the fraction of the plan's shards fully explored so far
@@ -155,7 +143,42 @@ func (cp *Checkpoint) Coverage() float64 {
 	if cp.planSize == 0 {
 		return 0
 	}
-	return float64(len(cp.completed)) / float64(cp.planSize)
+	return float64(cp.completed.n) / float64(cp.planSize)
+}
+
+// shardSet is a set of canonical shard indexes, a bitset: a checkpoint's
+// frontier is a dense prefix-heavy subset of [0, plan size).
+type shardSet struct {
+	words []uint64
+	n     int // members
+}
+
+func (s *shardSet) has(i int) bool {
+	return i >= 0 && i/64 < len(s.words) && s.words[i/64]&(1<<(i%64)) != 0
+}
+
+// add inserts an index, growing the set as needed; a negative index names
+// no shard and is ignored.
+func (s *shardSet) add(i int) {
+	if i < 0 || s.has(i) {
+		return
+	}
+	for i/64 >= len(s.words) {
+		s.words = append(s.words, 0)
+	}
+	s.words[i/64] |= 1 << (i % 64)
+	s.n++
+}
+
+// members returns the indexes in the set, ascending.
+func (s *shardSet) members() []int {
+	out := make([]int, 0, s.n)
+	for w, word := range s.words {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w*64+bits.TrailingZeros64(word))
+		}
+	}
+	return out
 }
 
 // CheckpointStore is a bounded LRU of suspended checks keyed by their
@@ -383,7 +406,7 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 
 	remaining := make([]int, 0, len(target))
 	for _, s := range target {
-		if !cp.completed[s] {
+		if !cp.completed.has(s) {
 			remaining = append(remaining, s)
 		}
 	}
@@ -425,11 +448,11 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 		// settled the space before the shard walk began (the engine then
 		// reports no per-shard completions at all).
 		for _, s := range attempt {
-			cp.completed[s] = true
+			cp.completed.add(s)
 		}
 	} else {
 		for _, s := range sr.CompletedShards {
-			cp.completed[s] = true
+			cp.completed.add(s)
 		}
 	}
 

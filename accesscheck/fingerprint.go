@@ -15,7 +15,15 @@ import (
 // the scheme they were minted under and discard — loudly — any log carrying
 // another stamp, because serving old entries under new keys (or vice
 // versa) would be silent corruption rather than a mere miss.
-const FingerprintSchemeVersion = "fp-v1"
+//
+// fp-v2: the stamp is the only provenance a disk tier checks, so it also
+// moves when stored verdicts were wrong. Under fp-v1 the tuple key escaped
+// the 0x1f separator inside strings but not its escape byte 0x1e, so two
+// distinct tuples could share a key and a check whose string constants
+// held both bytes could be stored as an exact unsat it is not. Logs
+// written under fp-v1 are discarded; keys of strings without those bytes
+// did not change.
+const FingerprintSchemeVersion = "fp-v2"
 
 // Fingerprint returns a canonical key identifying what a Check on (sch, f)
 // under this checker's configuration computes: the schema's declaration

@@ -13,7 +13,33 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"accltl/accesscheck/cachetier"
 )
+
+// TestServerDiscardsFpV1Log: a cache directory written under the fp-v1
+// scheme, whose tuple keys could collide and so may hold a wrong exact
+// unsat, is discarded at boot instead of served.
+func TestServerDiscardsFpV1Log(t *testing.T) {
+	dir := t.TempDir()
+	old, err := cachetier.OpenDiskTier(cachetier.DiskConfig{Dir: dir, Scheme: "fp-v1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.Put("check-key", []byte("minted under fp-v1"))
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{CacheSize: 8, CacheDir: dir})
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() { s.Close() })
+	m := metrics(t, ts)
+	if m["accserve_cache_disk_scheme_discards_total"] != 1 || m["accserve_cache_disk_records"] != 0 {
+		t.Errorf("scheme discards %d, records %d; want the fp-v1 log discarded (1, 0)",
+			m["accserve_cache_disk_scheme_discards_total"], m["accserve_cache_disk_records"])
+	}
+}
 
 // TestServerShardedWarmRestartServesFromDisk: solve an exact check, shut
 // the server down (flushing residents through to the disk tier), build a

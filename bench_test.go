@@ -581,7 +581,7 @@ func BenchmarkSolverParallelUnsat(b *testing.B) {
 // conjunction that names every binary relation (the first two twice). Its
 // bounded depth-4 search visits every path and splits into many root
 // shards, so per-node letter evaluation and root planning dominate.
-func wideCheck(b *testing.B, k int) (*accesscheck.Schema, accesscheck.Formula) {
+func wideCheck(b testing.TB, k int) (*accesscheck.Schema, accesscheck.Formula) {
 	rels := []string{"Mobile#:string,string,string,int", "Address:string,string,string,int"}
 	methods := []string{"AcM1:Mobile#:0", "AcM2:Address:0,1"}
 	mobile := "[exists n,p,s,ph. pre Mobile#(n,p,s,ph)]"

@@ -16,9 +16,9 @@ import (
 )
 
 // ErrTypeMismatch marks a NewAccess rejection caused by a binding value of
-// the wrong datatype for its input position. Enumeration loops that pair
-// candidate values with methods (package lts) treat this as an expected
-// skip; every other NewAccess error is a real fault and must propagate.
+// the wrong datatype for its input position, so a loop that pairs candidate
+// values with methods can skip it as expected; every other NewAccess error
+// is a real fault and must propagate.
 var ErrTypeMismatch = errors.New("binding value type mismatch")
 
 // Access is an access method together with a binding for its input
@@ -73,9 +73,17 @@ func (a Access) String() string {
 }
 
 // Key returns a canonical identity for the access (method + binding),
-// used for idempotence checks.
+// used for idempotence checks: the bytes AppendKey writes.
 func (a Access) Key() string {
-	return a.Method.Name() + "|" + a.Binding.Key()
+	var buf [64]byte
+	return string(a.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the access's canonical key to b: the method name, '|',
+// and the binding's instance.Tuple key.
+func (a Access) AppendKey(b []byte) []byte {
+	b = append(b, a.Method.Name()...)
+	return a.Binding.AppendKey(append(b, '|'))
 }
 
 // WellFormedResponse reports whether the set of tuples is a well-formed
@@ -182,14 +190,27 @@ func (p *Path) Truncate(n int) {
 
 // Clone returns a copy sharing no mutable state. Response slices are
 // deep-copied (the originals may be explorer-borrowed buffers, see
-// AppendBorrowed); the tuples and accesses inside are immutable and shared.
+// AppendBorrowed); the tuples inside are immutable and shared. Bindings are
+// copied into one array of the clone's own: the LTS explorer's bindings
+// are slices of one array per method and pool, which a retained clone (a
+// cached witness) would otherwise keep alive whole.
 func (p *Path) Clone() *Path {
 	cp := NewPath(p.sch)
 	cp.steps = make([]Step, len(p.steps))
 	copy(cp.steps, p.steps)
+	n := 0
+	for _, s := range p.steps {
+		n += len(s.Access.Binding)
+	}
+	vals := make(instance.Tuple, 0, n)
 	for i := range cp.steps {
-		if r := cp.steps[i].Response; len(r) > 0 {
-			cp.steps[i].Response = append([]instance.Tuple(nil), r...)
+		st := &cp.steps[i]
+		if r := st.Response; len(r) > 0 {
+			st.Response = append([]instance.Tuple(nil), r...)
+		}
+		if b := st.Access.Binding; b != nil {
+			vals = append(vals, b...)
+			st.Access.Binding = vals[len(vals)-len(b) : len(vals) : len(vals)]
 		}
 	}
 	return cp

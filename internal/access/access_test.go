@@ -317,3 +317,23 @@ func TestPathCloneIndependence(t *testing.T) {
 		t.Error("clone shares steps")
 	}
 }
+
+// TestPathCloneCopiesBindings: a clone's bindings live in an array of its
+// own, so a retained clone does not keep alive an array its bindings were
+// sliced from (the LTS explorer slices every candidate of a method out of
+// one array), and rewriting that array leaves the clone intact.
+func TestPathCloneCopiesBindings(t *testing.T) {
+	s := phoneSchema(t)
+	shared := instance.Tuple{instance.Str("Smith"), instance.Str("Jones"), instance.Str("OX1")}
+	p := NewPath(s)
+	p.AppendBorrowed(Access{Method: acm(t, s, "AcM1"), Binding: shared[0:1:1]}, nil)
+	p.AppendBorrowed(Access{Method: acm(t, s, "AcM2"), Binding: shared[1:3:3]}, nil)
+	want := p.String()
+	q := p.Clone()
+	for i := range shared {
+		shared[i] = instance.Str("overwritten")
+	}
+	if got := q.String(); got != want {
+		t.Errorf("clone reads its source's binding array: %s, want %s", got, want)
+	}
+}

@@ -164,11 +164,11 @@ type search struct {
 // step is the search's lts.Product step: it progresses the obligation over
 // the letter of the last transition, accepts when progression does, and
 // prunes a dead (false) obligation.
-func (s *search) step(top obligation, p *access.Path, last access.Transition) (obligation, lts.Move, error) {
+func (s *search) step(top obligation, p *access.Path, last *access.TransitionStructure) (obligation, lts.Move, error) {
 	var next obligation
 	var accept bool
 	if s.useMask {
-		mask := evalLetterMask(s.letters, last, s.voc)
+		mask := evalLetterMask(s.letters, last)
 		pk := progKey{ob: top.id, letter: mask}
 		pv, ok := s.tables.prog.get(pk)
 		if !ok {
@@ -179,7 +179,7 @@ func (s *search) step(top obligation, p *access.Path, last access.Transition) (o
 		next, accept = pv.next, pv.accept
 	} else {
 		var n ltl.Formula
-		n, accept = ltl.Step(top.ob, evalLetter(s.letters, last, s.voc))
+		n, accept = ltl.Step(top.ob, evalLetter(s.letters, last))
 		next = s.tables.in.intern(n)
 	}
 	if accept {

@@ -350,6 +350,7 @@ func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, e
 	pr := &lts.Product[obligation, int]{
 		Init:       tables.in.intern(ltl.NNF(skeleton)),
 		Step:       srch.step,
+		ZeroAcc:    voc == ZeroAcc,
 		Memo:       tables.memo,
 		Depth:      depth,
 		Persistent: opts.Memo != nil,
@@ -512,18 +513,9 @@ type letterEntry struct {
 	prop     ltl.Prop
 }
 
-// letterStructure is the structure M(t) the letters are evaluated on.
-func letterStructure(t access.Transition, voc Vocabulary) fo.Structure {
-	if voc == ZeroAcc {
-		return access.ZeroAccStructureOf(t)
-	}
-	return access.StructureOf(t)
-}
-
-// evalLetter evaluates every sentence on the transition and returns the
-// corresponding propositional letter.
-func evalLetter(letters []letterEntry, t access.Transition, voc Vocabulary) ltl.Letter {
-	st := letterStructure(t, voc)
+// evalLetter evaluates every sentence on the structure M(t) of a
+// transition and returns the corresponding propositional letter.
+func evalLetter(letters []letterEntry, st fo.Structure) ltl.Letter {
 	l := make(ltl.Letter, len(letters))
 	for _, e := range letters {
 		if e.sentence.Eval(st) {
@@ -536,8 +528,7 @@ func evalLetter(letters []letterEntry, t access.Transition, voc Vocabulary) ltl.
 // evalLetterMask is evalLetter packed into a bitmask (bit i ⇔ sentence i
 // holds): the allocation-free letter the progression cache keys on. Only
 // valid for ≤ 64 sentences; boundedSearch falls back to evalLetter beyond.
-func evalLetterMask(letters []letterEntry, t access.Transition, voc Vocabulary) uint64 {
-	st := letterStructure(t, voc)
+func evalLetterMask(letters []letterEntry, st fo.Structure) uint64 {
 	var mask uint64
 	for i, e := range letters {
 		if e.sentence.Eval(st) {

@@ -84,8 +84,8 @@ type search struct {
 // step is the search's lts.Product step: it steps the state set over the
 // structure of the last transition, prunes an empty set and accepts a set
 // holding an accepting state.
-func (s *search) step(cur map[int]bool, _ *access.Path, last access.Transition) (map[int]bool, lts.Move, error) {
-	next, err := s.a.step(cur, access.StructureOf(last), s.guards)
+func (s *search) step(cur map[int]bool, _ *access.Path, last *access.TransitionStructure) (map[int]bool, lts.Move, error) {
+	next, err := s.a.step(cur, last, s.guards)
 	if err != nil || len(next) == 0 {
 		return nil, lts.Prune, err
 	}

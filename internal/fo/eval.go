@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 
 	"accltl/internal/instance"
 	"accltl/internal/schema"
@@ -179,7 +180,10 @@ func EvalWith(f Formula, st Structure, env map[string]instance.Value) (bool, err
 // at most once per evaluation and only when such a variable is reached, so
 // generator-bound sentences never ask the structure for its domain.
 //
-// A Prepared is immutable and safe for concurrent use.
+// A Prepared is immutable and safe for concurrent use. Each evaluation
+// takes its slot environment and tuple buffer from a package-level pool
+// and clears them before returning them, so evaluating a generator-bound
+// sentence on a structure that does not allocate allocates nothing.
 type Prepared struct {
 	root   node
 	nslots int
@@ -205,12 +209,28 @@ func Prepare(f Formula) (*Prepared, error) {
 // Eval decides whether the prepared sentence holds in st.
 func (p *Prepared) Eval(st Structure) bool { return p.eval(st, nil) }
 
+// evaluators recycles evaluation state across calls and goroutines, so an
+// evaluation that never needs the quantification domain allocates nothing.
+var evaluators = sync.Pool{New: func() any { return new(evaluator) }}
+
 // eval runs one evaluation with slots 0..len(free)-1 pre-bound.
 func (p *Prepared) eval(st Structure, free []instance.Value) bool {
-	buf := make([]instance.Value, p.nslots+p.arity)
-	ev := evaluator{p: p, st: st, env: buf[:p.nslots], tup: instance.Tuple(buf[p.nslots:])}
+	ev := evaluators.Get().(*evaluator)
+	n := p.nslots + p.arity
+	if cap(ev.buf) < n {
+		ev.buf = make([]instance.Value, n)
+	}
+	buf := ev.buf[:n]
+	ev.p, ev.st = p, st
+	ev.env, ev.tup = buf[:p.nslots], instance.Tuple(buf[p.nslots:])
 	copy(ev.env, free)
-	return ev.holds(p.root)
+	ok := ev.holds(p.root)
+	// Values hold strings: clear everything the evaluation touched so the
+	// pool pins neither the structure nor its payloads.
+	clear(buf)
+	ev.p, ev.st, ev.env, ev.tup, ev.dom, ev.domBuilt = nil, nil, nil, nil, nil, false
+	evaluators.Put(ev)
+	return ok
 }
 
 // Compiled formula nodes. Variables are slots into the evaluation's
@@ -431,7 +451,8 @@ func generators(n node, out []*atomNode) []*atomNode {
 }
 
 // evaluator is the state of one evaluation: the slot environment, the
-// tuple buffer atoms are checked through, and the lazily built domain.
+// tuple buffer atoms are checked through, and the lazily built domain. env
+// and tup are carved out of buf, which outlives the evaluation in the pool.
 type evaluator struct {
 	p        *Prepared
 	st       Structure
@@ -439,6 +460,7 @@ type evaluator struct {
 	tup      instance.Tuple
 	dom      []instance.Value
 	domBuilt bool
+	buf      []instance.Value
 }
 
 func (ev *evaluator) value(t term) instance.Value {

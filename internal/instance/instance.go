@@ -3,6 +3,7 @@ package instance
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"accltl/internal/schema"
@@ -11,24 +12,43 @@ import (
 // Tuple is an ordered list of values: one tuple of a relation.
 type Tuple []Value
 
-// Key returns a canonical string key for the tuple, usable in map keys.
-// Values are separated by a byte that cannot appear in value keys' kind
-// prefixes ambiguity-free because each component starts with its kind tag
-// and we escape the separator inside string payloads.
+// Key returns a canonical string key for the tuple, usable in map keys: the
+// bytes AppendKey writes.
 func (t Tuple) Key() string {
-	var b strings.Builder
+	var buf [64]byte
+	return string(t.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the tuple's canonical key to b and returns the extended
+// buffer. The key is injective: each component is its value's kind tag and
+// payload (see Value.Key), components are separated by 0x1f, and inside a
+// string payload both 0x1f and the escape byte 0x1e are preceded by 0x1e,
+// so a reader can always tell a separator from payload. Strings holding
+// neither byte are copied verbatim.
+func (t Tuple) AppendKey(b []byte) []byte {
 	for i, v := range t {
 		if i > 0 {
-			b.WriteByte(0x1f)
+			b = append(b, 0x1f)
 		}
-		k := v.Key()
-		// Escape the separator inside string payloads.
-		if strings.IndexByte(k, 0x1f) >= 0 {
-			k = strings.ReplaceAll(k, "\x1f", "\x1e\x1f")
+		switch v.kind {
+		case schema.TypeInt:
+			b = strconv.AppendInt(append(b, 'i'), v.i, 10)
+		case schema.TypeString:
+			b = append(b, 's')
+			s := v.s
+			for j := 0; j < len(s); j++ {
+				if c := s[j]; c == 0x1e || c == 0x1f {
+					b = append(b, s[:j]...)
+					b = append(b, 0x1e, c)
+					s, j = s[j+1:], -1
+				}
+			}
+			b = append(b, s...)
+		default:
+			b = append(b, v.Key()...)
 		}
-		b.WriteString(k)
 	}
-	return b.String()
+	return b
 }
 
 // Equal reports component-wise equality.

@@ -83,6 +83,57 @@ func TestTupleKeyEscaping(t *testing.T) {
 	}
 }
 
+// TestTupleKeyInjectiveOnSeparatorBytes: distinct tuples of one arity get
+// distinct keys even when their string payloads hold the separator (0x1f)
+// and the escape byte (0x1e) next to kind tags. It covers every pair of
+// strings of length at most 3 over those two bytes and the tags 's' and
+// 'i', plus the pair that collided when only 0x1f was escaped.
+func TestTupleKeyInjectiveOnSeparatorBytes(t *testing.T) {
+	a := Tuple{Str("a\x1e"), Str("b\x1fsc")}
+	b := Tuple{Str("a\x1fsb\x1e"), Str("c")}
+	if a.Key() == b.Key() {
+		t.Fatalf("%q and %q share the key %q", a, b, a.Key())
+	}
+	strs := []string{""}
+	for n, prev := 0, []string{""}; n < 3; n++ {
+		var next []string
+		for _, p := range prev {
+			for _, c := range []string{"s", "i", "\x1e", "\x1f"} {
+				next = append(next, p+c)
+			}
+		}
+		strs, prev = append(strs, next...), next
+	}
+	vals := []Value{Int(0), Int(-1), Bool(true)}
+	for _, s := range strs {
+		vals = append(vals, Str(s))
+	}
+	seen := make(map[string]Tuple, len(vals)*len(vals))
+	for _, x := range vals {
+		for _, y := range vals {
+			tu := Tuple{x, y}
+			k := tu.Key()
+			if prev, dup := seen[k]; dup {
+				t.Fatalf("%q and %q share the key %q", prev, tu, k)
+			}
+			seen[k] = tu
+			if got := string(tu.AppendKey([]byte("pre"))); got != "pre"+k {
+				t.Fatalf("AppendKey(%q) = %q, want the prefix then Key %q", tu, got, k)
+			}
+		}
+	}
+}
+
+// TestTupleKeyPlainBytesUnchanged pins the key of tuples without 0x1e or
+// 0x1f in any string: shard keys, view digests and disk-tier keys are built
+// from these bytes.
+func TestTupleKeyPlainBytesUnchanged(t *testing.T) {
+	got := Tuple{Int(-3), Str("x|y"), Bool(true), Bool(false), Str("")}.Key()
+	if want := "i-3\x1fsx|y\x1fbT\x1fbF\x1fs"; got != want {
+		t.Errorf("Key = %q, want %q", got, want)
+	}
+}
+
 func TestTupleEqualCloneLess(t *testing.T) {
 	a := Tuple{Int(1), Str("a")}
 	b := a.Clone()

@@ -31,8 +31,8 @@ package lts
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -183,10 +183,12 @@ func Explore(sch *schema.Schema, opts Options, visit Visitor) (Report, error) {
 }
 
 // boundAccess is a cache-owned access with its canonical key precomputed
-// (the key is needed on every idempotence check).
+// (the key is needed on every idempotence check) and its method's input
+// positions, which matching reads at every node.
 type boundAccess struct {
-	acc access.Access
-	key string
+	acc    access.Access
+	key    string
+	inputs []int
 }
 
 // bindKey keys the binding cache: one entry per access method per
@@ -255,6 +257,14 @@ type explorer struct {
 	// walkers of a sharded exploration share read-only: the first entry
 	// this explorer adds copies the map (see cacheBindings).
 	bindShared bool
+	// splits caches the binding pool of each version split by datatype, so
+	// the pool is built once per version, not once per method. Every split
+	// version is also the version of a bindLog entry, so eviction drops the
+	// splits with the bindings. keyBuf and keyEnds are bindings' scratch
+	// for the access keys of one method.
+	splits  map[uint64]*poolSplit
+	keyBuf  []byte
+	keyEnds []int
 
 	// Universe caches: relation contents in canonical order with their
 	// canonical keys, and the active domain, each computed once per
@@ -361,14 +371,11 @@ func (e *explorer) rec(depth int, delta []instance.Tuple, deltaKeys []string, de
 func (e *explorer) expandChildren(depth int) error {
 	fr := e.frame(depth)
 	for _, m := range e.sch.Methods() {
-		bas, err := e.bindings(m)
-		if err != nil {
-			return err
-		}
+		bas := e.bindings(m)
 		exact := e.exact(m)
 		for i := range bas {
 			ba := &bas[i]
-			it := e.responses(fr, ba.acc, exact)
+			it := e.responses(fr, ba, exact)
 			for {
 				resp, keys, ok := it.next(fr)
 				if !ok {
@@ -390,8 +397,8 @@ func (e *explorer) expandChildren(depth int) error {
 // empty response, first). The
 // iterator is a plain value and builds each response into the frame's
 // reusable buffers: no closure, no materialized 2^n slice of slices.
-func (e *explorer) responses(fr *frame, acc access.Access, exact bool) respIter {
-	matching, keys := e.matching(fr, acc)
+func (e *explorer) responses(fr *frame, ba *boundAccess, exact bool) respIter {
+	matching, keys := e.matching(fr, ba)
 	if exact {
 		return respIter{matching: matching, keys: keys, exact: true}
 	}
@@ -500,11 +507,12 @@ func (e *explorer) step(depth int, fr *frame, ba *boundAccess, resp []instance.T
 	if bumped {
 		// Every binding-cache entry created inside the subtree carries a
 		// version newer than savedVersion (versions only move forward and
-		// are restored on exit), so its pool is dead now: evict, keeping
-		// the cache bounded by the live branch instead of the whole
-		// exploration history.
+		// are restored on exit), so its pool is dead now: evict it and its
+		// version's split, keeping the caches bounded by the live branch
+		// instead of the whole exploration history.
 		for _, k := range e.bindLog[logMark:] {
 			delete(e.bindCache, k)
+			delete(e.splits, k.version)
 		}
 		e.bindLog = e.bindLog[:logMark]
 	}
@@ -522,76 +530,106 @@ func (e *explorer) step(depth int, fr *frame, ba *boundAccess, resp []instance.T
 	return err
 }
 
-// respFingerprintKeyed is respFingerprint over precomputed keys, sorting in
-// the frame's scratch buffer.
+// respFingerprintKeyed is access.ResponseFingerprint over precomputed keys,
+// sorting in the frame's scratch buffer.
 func (e *explorer) respFingerprintKeyed(fr *frame, keys []string) string {
 	fr.fpKeys = append(fr.fpKeys[:0], keys...)
 	sort.Strings(fr.fpKeys)
 	return strings.Join(fr.fpKeys, "\x1f")
 }
 
+// appendRespFingerprint appends respFingerprintKeyed's bytes to b: the
+// sorted keys joined by 0x1f.
+func appendRespFingerprint(fr *frame, keys []string, b []byte) []byte {
+	fr.fpKeys = append(fr.fpKeys[:0], keys...)
+	sort.Strings(fr.fpKeys)
+	for i, k := range fr.fpKeys {
+		if i > 0 {
+			b = append(b, 0x1f)
+		}
+		b = append(b, k...)
+	}
+	return b
+}
+
 // bindings returns the candidate accesses of a method over the current
 // binding pool, cached per (method, pool version): the typed cartesian
-// product is built — and each access validated and keyed — once per pool,
-// not once per node.
-func (e *explorer) bindings(m *schema.AccessMethod) ([]boundAccess, error) {
+// product is built — and each access keyed — once per pool, not once per
+// node. Candidates come in the order of nested loops over the input
+// positions, the last one innermost, each over the pool's values of that
+// position's type in pool order. Position i only ever draws values of
+// InputTypes()[i], so every candidate is a well-typed access by
+// construction.
+func (e *explorer) bindings(m *schema.AccessMethod) []boundAccess {
 	key := bindKey{m: m, version: e.poolVersion}
 	if bas, ok := e.bindCache[key]; ok {
-		return bas, nil
+		return bas
 	}
 	if e.opts.GroundedOnly {
 		e.bindLog = append(e.bindLog, key)
 	}
-	pool := e.bindingPool()
+	split := e.typedPool()
 	types := m.InputTypes()
-	var bas []boundAccess
-	add := func(b instance.Tuple) error {
-		acc, err := access.NewAccess(m, b)
-		if err != nil {
-			// The binding pool is typed, so a mismatch only means this
-			// candidate cannot feed this method; anything else is a real
-			// fault that must not be silently dropped.
-			if errors.Is(err, access.ErrTypeMismatch) {
-				return nil
-			}
-			return err
-		}
-		bas = append(bas, boundAccess{acc: acc, key: acc.Key()})
-		return nil
+	n := 1
+	for _, ty := range types {
+		n *= len(split[ty])
 	}
-	if len(types) == 0 {
-		if err := add(instance.Tuple{}); err != nil {
-			return nil, err
+	// One backing array holds every binding, and one string every key; the
+	// candidates slice both. The product is read off in mixed radix, the
+	// last position's digit varying fastest.
+	k := len(types)
+	vals := make(instance.Tuple, n*k)
+	bas := make([]boundAccess, n)
+	inputs := m.Inputs()
+	e.keyBuf, e.keyEnds = e.keyBuf[:0], e.keyEnds[:0]
+	for i := range bas {
+		b := vals[i*k : (i+1)*k : (i+1)*k]
+		r := i
+		for j := k - 1; j >= 0; j-- {
+			vs := split[types[j]]
+			b[j] = vs[r%len(vs)]
+			r /= len(vs)
 		}
-		e.cacheBindings(key, bas)
-		return bas, nil
+		bas[i] = boundAccess{acc: access.Access{Method: m, Binding: b}, inputs: inputs}
+		e.keyBuf = bas[i].acc.AppendKey(e.keyBuf)
+		e.keyEnds = append(e.keyEnds, len(e.keyBuf))
 	}
-	byType := make(map[schema.Type][]instance.Value)
-	for _, v := range pool {
-		byType[v.Kind()] = append(byType[v.Kind()], v)
-	}
-	cur := make(instance.Tuple, len(types))
-	var buildErr error
-	var build func(i int)
-	build = func(i int) {
-		if buildErr != nil {
-			return
-		}
-		if i == len(types) {
-			buildErr = add(cur)
-			return
-		}
-		for _, v := range byType[types[i]] {
-			cur[i] = v
-			build(i + 1)
-		}
-	}
-	build(0)
-	if buildErr != nil {
-		return nil, buildErr
+	keys, start := string(e.keyBuf), 0
+	for i, end := range e.keyEnds {
+		bas[i].key, start = keys[start:end], end
 	}
 	e.cacheBindings(key, bas)
-	return bas, nil
+	return bas
+}
+
+// poolSplit is a binding pool split by datatype, each list in pool order.
+type poolSplit [schema.TypeBool + 1][]instance.Value
+
+// typedPool returns the current binding pool split by datatype, building
+// it on the version's first use.
+func (e *explorer) typedPool() *poolSplit {
+	if sp, ok := e.splits[e.poolVersion]; ok {
+		return sp
+	}
+	pool := e.bindingPool()
+	sp := new(poolSplit)
+	var counts [len(poolSplit{})]int
+	for _, v := range pool {
+		counts[v.Kind()]++
+	}
+	backing, off := make([]instance.Value, len(pool)), 0
+	for ty, c := range counts {
+		sp[ty] = backing[off : off : off+c]
+		off += c
+	}
+	for _, v := range pool {
+		sp[v.Kind()] = append(sp[v.Kind()], v)
+	}
+	if e.splits == nil {
+		e.splits = make(map[uint64]*poolSplit)
+	}
+	e.splits[e.poolVersion] = sp
+	return sp
 }
 
 // cacheBindings records a binding list in the cache, first copying a
@@ -660,7 +698,8 @@ func (e *explorer) universeDomain() []instance.Value {
 // matches (the exact well-formed response) and their canonical keys.
 // Relation contents come from the per-exploration cache in canonical order,
 // so no per-node sort or key build happens.
-func (e *explorer) matching(fr *frame, acc access.Access) ([]instance.Tuple, []string) {
+func (e *explorer) matching(fr *frame, ba *boundAccess) ([]instance.Tuple, []string) {
+	acc := ba.acc
 	rel := acc.Method.Relation().Name()
 	rc, ok := e.uTuples[rel]
 	if !ok {
@@ -674,12 +713,11 @@ func (e *explorer) matching(fr *frame, acc access.Access) ([]instance.Tuple, []s
 		}
 		e.uTuples[rel] = rc
 	}
-	inputs := acc.Method.Inputs()
 	fr.matching = fr.matching[:0]
 	fr.matchKeys = fr.matchKeys[:0]
 	for i, t := range rc.tuples {
 		match := true
-		for bi, p := range inputs {
+		for bi, p := range ba.inputs {
 			if t[p] != acc.Binding[bi] {
 				match = false
 				break
@@ -694,7 +732,15 @@ func (e *explorer) matching(fr *frame, acc access.Access) ([]instance.Tuple, []s
 }
 
 func sortValues(vs []instance.Value) {
-	sort.Slice(vs, func(i, j int) bool { return vs[i].Less(vs[j]) })
+	slices.SortFunc(vs, func(a, b instance.Value) int {
+		switch {
+		case a.Less(b):
+			return -1
+		case b.Less(a):
+			return 1
+		}
+		return 0
+	})
 }
 
 // EnumeratePaths collects every path up to the options' depth bound. Each

@@ -266,7 +266,7 @@ func (r *shardRun) walk(path *access.Path, pre, post *instance.Instance) {
 // root fan-out's response cap on the walker that reaches it.
 func (e *explorer) stepShard(sh *rootShard) error {
 	fr := e.frame(0)
-	it := e.responses(fr, sh.ba.acc, e.exact(sh.ba.acc.Method))
+	it := e.responses(fr, sh.ba, e.exact(sh.ba.acc.Method))
 	if !sh.wholeAccess {
 		it.mask = sh.mask
 		resp, keys, _ := it.next(fr)
@@ -299,19 +299,16 @@ func enumerateRootShards(e *explorer) ([]rootShard, error) {
 	// Every binding opens at least one shard, and exact ones exactly one.
 	n := 0
 	for _, m := range methods {
-		bas, err := e.bindings(m)
-		if err != nil {
-			return nil, err
-		}
-		n += len(bas)
+		n += len(e.bindings(m))
 	}
 	shards := make([]rootShard, 0, n)
+	// Shard keys are written into one buffer and cut out of one string
+	// afterwards; ends holds each shard's key end.
+	var keyBuf []byte
+	ends := make([]int, 0, n)
 	polled := 0
 	for _, m := range methods {
-		bas, err := e.bindings(m)
-		if err != nil {
-			return nil, err
-		}
+		bas := e.bindings(m)
 		exact := e.exact(m)
 		for i := range bas {
 			// Poll the context every few bindings, like Successors does for
@@ -325,11 +322,13 @@ func enumerateRootShards(e *explorer) ([]rootShard, error) {
 				}
 			}
 			ba := &bas[i]
-			it := e.responses(fr, ba.acc, exact)
+			it := e.responses(fr, ba, exact)
 			if n := len(it.matching); !exact && (n > 8 || 1<<n > maxShardMasksPerAccess) {
 				// A subset fan-out beyond the per-access limit becomes one
 				// lazy whole-access shard instead of 2^n materialized ones.
-				shards = append(shards, rootShard{ba: ba, wholeAccess: true, key: ba.key})
+				keyBuf = append(keyBuf, ba.key...)
+				shards = append(shards, rootShard{ba: ba, wholeAccess: true})
+				ends = append(ends, len(keyBuf))
 				continue
 			}
 			for {
@@ -338,9 +337,16 @@ func enumerateRootShards(e *explorer) ([]rootShard, error) {
 				if !ok {
 					break
 				}
-				shards = append(shards, rootShard{ba: ba, mask: mask, key: ba.key + "\x1e" + e.respFingerprintKeyed(fr, keys)})
+				keyBuf = append(append(keyBuf, ba.key...), 0x1e)
+				keyBuf = appendRespFingerprint(fr, keys, keyBuf)
+				shards = append(shards, rootShard{ba: ba, mask: mask})
+				ends = append(ends, len(keyBuf))
 			}
 		}
+	}
+	all, start := string(keyBuf), 0
+	for i, end := range ends {
+		shards[i].key, start = all[start:end], end
 	}
 	return shards, nil
 }

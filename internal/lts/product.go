@@ -56,9 +56,13 @@ func NewProductMemo[C comparable]() *DominanceMemo[ProductKey[C]] {
 type Product[S any, C comparable] struct {
 	// Init is the control state at the root prefix.
 	Init S
-	// Step moves the control from cur over last, the last transition of p.
-	// Walkers call it concurrently.
-	Step func(cur S, p *access.Path, last access.Transition) (S, Move, error)
+	// Step moves the control from cur over last, the structure M(t) of the
+	// last transition t of p, in the Sch_0-Acc vocabulary when ZeroAcc is
+	// set. Walkers call it concurrently. last is the walker's own, rewritten
+	// at every prefix: Step must not retain it.
+	Step func(cur S, p *access.Path, last *access.TransitionStructure) (S, Move, error)
+	// ZeroAcc selects the vocabulary of the structure Step receives.
+	ZeroAcc bool
 	// Key, when non-nil, keys an expanded prefix's control in Memo: whether
 	// some extension is accepted depends only on the configuration and the
 	// control, so a prefix whose pair was committed to with at least its
@@ -100,6 +104,7 @@ func (pr *Product[S, C]) Search(ctx context.Context, plan *Plan, parallelism int
 // walker starts one walker: its control stack holds Init at the root.
 func (pr *Product[S, C]) walker() ShardVisitor {
 	w := &productWalker[S, C]{pr: pr, shard: -1}
+	w.last.ZeroAcc = pr.ZeroAcc
 	w.stack = append(w.buf[:0], productFrame[S, C]{state: pr.Init})
 	if pr.Persistent {
 		pr.mu.Lock()
@@ -137,6 +142,9 @@ type productWalker[S any, C comparable] struct {
 	pr    *Product[S, C]
 	shard int
 	stack []productFrame[S, C]
+	// last is the structure of the visited prefix's last transition, which
+	// Step reads; one per walker, so no prefix allocates it.
+	last access.TransitionStructure
 	// buf backs the stack until a walk goes deeper than it.
 	buf [8]productFrame[S, C]
 }
@@ -162,8 +170,8 @@ func (w *productWalker[S, C]) visit(shard int, p *access.Path, pre, conf *instan
 	}
 	// The last transition is assembled from the configurations the explorer
 	// maintains incrementally: no per-node rebuild of the path's transitions.
-	last := access.Transition{Before: pre, Access: p.Step(p.Len() - 1).Access, After: conf}
-	next, move, err := pr.Step(w.stack[len(w.stack)-1].state, p, last)
+	w.last.T = access.Transition{Before: pre, Access: p.Step(p.Len() - 1).Access, After: conf}
+	next, move, err := pr.Step(w.stack[len(w.stack)-1].state, p, &w.last)
 	if err != nil || move == Prune {
 		return false, err
 	}

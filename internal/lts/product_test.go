@@ -40,7 +40,7 @@ func TestProductSearchShardedScrubsCutWalks(t *testing.T) {
 			visited = map[string]bool{}
 		)
 		pr := &Product[string, string]{
-			Step: func(_ string, p *access.Path, _ access.Transition) (string, Move, error) {
+			Step: func(_ string, p *access.Path, _ *access.TransitionStructure) (string, Move, error) {
 				if int(calls.Add(1)) == k {
 					return "", Prune, errCut
 				}
@@ -133,8 +133,8 @@ func TestProductSearchOneWalkerMatchesExplore(t *testing.T) {
 			}
 			var got []visitRecord
 			pr := &Product[int, int]{
-				Step: func(_ int, p *access.Path, last access.Transition) (int, Move, error) {
-					got = append(got, visitRecord{path: p.String(), conf: last.After.Fingerprint()})
+				Step: func(_ int, p *access.Path, last *access.TransitionStructure) (int, Move, error) {
+					got = append(got, visitRecord{path: p.String(), conf: last.T.After.Fingerprint()})
 					return 0, Expand, nil
 				},
 				Memo:  NewProductMemo[int](),

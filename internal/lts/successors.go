@@ -46,10 +46,7 @@ func Successors(sch *schema.Schema, opts Options, conf *instance.Instance) ([]ac
 		return nil
 	}
 	for _, m := range sch.Methods() {
-		bas, err := e.bindings(m)
-		if err != nil {
-			return nil, Report{ResponsesCapped: e.respCapped}, err
-		}
+		bas := e.bindings(m)
 		exact := e.exact(m)
 		for i := range bas {
 			// Poll every few bindings, not just on entry: the product can
@@ -63,7 +60,7 @@ func Successors(sch *schema.Schema, opts Options, conf *instance.Instance) ([]ac
 			acc := bas[i].acc
 			// Same lazy enumerator as Explore: one source of truth for
 			// exactness, the response cap and the fan-out order.
-			it := e.responses(fr, acc, exact)
+			it := e.responses(fr, &bas[i], exact)
 			for {
 				resp, _, ok := it.next(fr)
 				if !ok {

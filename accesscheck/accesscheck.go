@@ -167,13 +167,6 @@ type Checker struct {
 	// anytimeChunk bounds how many not-yet-completed shards one
 	// CheckAnytime round attempts (0 = all remaining); see WithAnytimeChunk.
 	anytimeChunk int
-	// solverMemo/emptinessMemo are never set on user-constructed checkers:
-	// CheckAnytime and ShardPlanAnytime set them on a derived copy (see on)
-	// so planning and the engines reuse a checkpoint's derived search
-	// setup, compiled automaton and warm tables. They are execution detail,
-	// excluded from Fingerprint like parallelism.
-	solverMemo    *accltl.SolverMemo
-	emptinessMemo *autom.EmptinessMemo
 }
 
 // Option configures a Checker; invalid settings surface as errors from
@@ -488,37 +481,48 @@ type Result struct {
 // past its deadline returns ctx's error before the search loop is entered,
 // and expiry mid-search aborts promptly.
 func (c *Checker) Check(ctx context.Context, sch *Schema, f Formula) (*Result, error) {
+	ctx, err := entry("Check", ctx, sch, f)
+	if err != nil {
+		return nil, err
+	}
+	return c.checkOn(ctx, sch, f, accltl.Classify(f), nil)
+}
+
+// entry checks the arguments of the entry point op: a schema and a formula
+// are required, and a nil ctx stands for context.Background.
+func entry(op string, ctx context.Context, sch *Schema, f Formula) (context.Context, error) {
 	if sch == nil {
-		return nil, fmt.Errorf("accesscheck: Check: nil schema")
+		return nil, fmt.Errorf("accesscheck: %s: nil schema", op)
 	}
 	if f == nil {
-		return nil, fmt.Errorf("accesscheck: Check: nil formula")
+		return nil, fmt.Errorf("accesscheck: %s: nil formula", op)
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	return ctx, nil
+}
+
+// checkOn is Check of f, whose features are info, on p, the search prepared
+// for it, or on a search it prepares when p is nil.
+func (c *Checker) checkOn(ctx context.Context, sch *Schema, f Formula, info Info, p *prepared) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("accesscheck: Check: %w", err)
 	}
-
-	info := accltl.Classify(f)
-	frag, inFragment := info.Fragment()
-	res := &Result{
-		Info:       info,
-		Fragment:   frag,
-		InFragment: inFragment,
-		Decidable:  inFragment && frag.Decidable(),
-	}
-	engine := c.resolveEngine(f)
-	res.Engine = engine
-
+	res := newResult(info, c.engineFor(info))
 	start := time.Now()
-	sr, automStates, err := c.runSolve(ctx, sch, f, engine)
-	res.AutomatonStates = automStates
+	if p == nil {
+		var err error
+		if p, err = c.prepare(ctx, sch, f, res.Engine, info, gated); err != nil {
+			return nil, err
+		}
+	}
+	sr, err := p.run(ctx, c.parallelism, c.shards)
 	res.Elapsed = time.Since(start)
 	if err != nil {
 		return nil, err
 	}
+	res.AutomatonStates = p.states()
 	res.Satisfiable = sr.Satisfiable
 	res.Witness = sr.Witness
 	res.PathsExplored = sr.PathsExplored
@@ -530,56 +534,146 @@ func (c *Checker) Check(ctx context.Context, sch *Schema, f Formula) (*Result, e
 	res.Truncated = sr.Truncated || sr.ResponsesCapped
 	if len(c.shards) > 0 {
 		// Shard-subset run: tag the verdict with its coverage so a partial
-		// answer is honest on its face. The sharded engines report the
-		// partition size they executed against, so no second enumeration.
+		// answer is honest on its face. The search reports the partition
+		// size it executed against, so no second enumeration.
 		res.ShardsCompleted = len(c.shards)
 		res.ShardsTotal = sr.TotalShards
 	}
 	return res, nil
 }
 
-// runSolve dispatches the engine and runs the search: the engine-switch
-// core of Check, shared with CheckAnytime (which runs it on derived
-// per-round copies carrying shard subsets and warm memo tables). The
-// returned SolveResult is meaningful even when err is non-nil — in
-// particular CompletedShards/TotalShards survive a deadline expiry, which
-// is what checkpoint capture reads. The int result is the compiled state
-// count for EngineAutomaton (zero otherwise).
-func (c *Checker) runSolve(ctx context.Context, sch *Schema, f Formula, engine Engine) (accltl.SolveResult, int, error) {
-	opts := c.solveOptions(ctx, sch)
-	switch engine {
-	case EngineX:
-		sr, err := accltl.SolveX(f, opts)
-		return sr, 0, err
-	case EngineZeroAcc:
-		sr, err := accltl.SolveZeroAcc(f, opts)
-		return sr, 0, err
-	case EnginePlus:
-		sr, err := accltl.SolvePlusDirect(f, opts)
-		return sr, 0, err
-	case EngineBounded:
-		sr, err := accltl.SolveBounded(f, opts)
-		return sr, 0, err
-	case EngineAutomaton:
-		a, err := c.emptinessMemo.Compile(sch, f)
-		if err != nil {
-			return accltl.SolveResult{}, 0, err
-		}
-		er, err := a.IsEmpty(c.emptinessOptions(ctx))
-		sr := accltl.SolveResult{
-			Satisfiable:     !er.Empty,
-			Witness:         er.Witness,
-			PathsExplored:   er.PathsExplored,
-			Depth:           er.Depth,
-			Truncated:       er.Truncated,
-			ResponsesCapped: er.ResponsesCapped,
-			CompletedShards: er.CompletedShards,
-			TotalShards:     er.TotalShards,
-		}
-		return sr, a.NumStates, err
-	default:
-		return accltl.SolveResult{}, 0, fmt.Errorf("accesscheck: Check: unknown engine %v", engine)
+// newResult is the classification scaffold of a Result: the formula's
+// features, its Table 1 fragment and the engine that runs it.
+func newResult(info Info, engine Engine) *Result {
+	frag, inFragment := info.Fragment()
+	return &Result{
+		Info:       info,
+		Fragment:   frag,
+		InFragment: inFragment,
+		Decidable:  inFragment && frag.Decidable(),
+		Engine:     engine,
 	}
+}
+
+// prepared is one check's prepared search on its engine — an
+// accltl.Prepared or an autom.Prepared behind one shape — derived once from
+// the checker's configuration, the schema and the formula, and run any
+// number of times over one plan: Check runs it once, a CheckAnytime
+// checkpoint once per round.
+type prepared struct {
+	plan *lts.Plan
+	// a is the compiled automaton of EngineAutomaton, nil otherwise.
+	a *autom.Automaton
+	// admit is the fragment error the engine's entry point (accltl.SolveX
+	// and its siblings) gives the formula, nil when it is admitted. A
+	// search prepared without the gate (for a plan: ShardPlan does not
+	// gate) returns it from every run.
+	admit error
+	// search runs the engine's search; nil when only the plan was derived.
+	search func(ctx context.Context, parallelism int, shards []int) (accltl.SolveResult, error)
+}
+
+// run searches the shards subset of the plan with parallelism walkers. The
+// result is meaningful even when err is non-nil: CompletedShards and
+// TotalShards survive a deadline expiry, which checkpoint capture reads.
+func (p *prepared) run(ctx context.Context, parallelism int, shards []int) (accltl.SolveResult, error) {
+	if p.admit != nil {
+		return accltl.SolveResult{}, p.admit
+	}
+	return p.search(ctx, parallelism, shards)
+}
+
+// states is the compiled automaton's state count (zero off EngineAutomaton,
+// or with nothing prepared).
+func (p *prepared) states() int {
+	if p == nil || p.a == nil {
+		return 0
+	}
+	return p.a.NumStates
+}
+
+// prepareMode is what prepare derives, and whether behind the engine's
+// fragment gate.
+type prepareMode int
+
+const (
+	// planOnly derives the plan alone, ungated: ShardPlan's, which a
+	// fabric coordinator asks for every check it fans out.
+	planOnly prepareMode = iota
+	// ungated derives the whole search without the gate, so a plan exists
+	// for a formula outside the engine's fragment: a checkpoint's planning.
+	ungated
+	// gated returns the gate's error for a formula outside the engine's
+	// fragment before anything is derived, as the engine's entry point
+	// does: Check, and a round that prepares.
+	gated
+)
+
+// prepare is the facade's one engine switch: it derives, as mode says, the
+// search of f on engine, whose features are info — the compiled
+// automaton's emptiness search, or the bounded search of the engine's
+// accltl procedure — under the checker's configuration, enumerating its
+// plan under ctx.
+func (c *Checker) prepare(ctx context.Context, sch *Schema, f Formula, engine Engine, info Info, mode prepareMode) (*prepared, error) {
+	var proc accltl.Procedure
+	switch engine {
+	case EngineAutomaton:
+		a, err := autom.CompileAccLTLPlus(sch, f)
+		if err != nil {
+			return nil, err
+		}
+		if mode == planOnly {
+			plan, err := a.Plan(c.emptinessOptions(ctx))
+			if err != nil {
+				return nil, err
+			}
+			return &prepared{plan: plan, a: a}, nil
+		}
+		ep, err := a.Prepare(c.emptinessOptions(ctx))
+		if err != nil {
+			return nil, err
+		}
+		search := func(ctx context.Context, parallelism int, shards []int) (accltl.SolveResult, error) {
+			er, err := ep.Search(ctx, parallelism, shards)
+			return accltl.SolveResult{
+				Satisfiable:     !er.Empty,
+				Witness:         er.Witness,
+				PathsExplored:   er.PathsExplored,
+				Depth:           er.Depth,
+				Truncated:       er.Truncated,
+				ResponsesCapped: er.ResponsesCapped,
+				CompletedShards: er.CompletedShards,
+				TotalShards:     er.TotalShards,
+			}, err
+		}
+		return &prepared{plan: ep.Plan(), a: a, search: search}, nil
+	case EngineX:
+		proc = accltl.ProcX
+	case EngineZeroAcc:
+		proc = accltl.ProcZeroAcc
+	case EnginePlus:
+		proc = accltl.ProcPlusDirect
+	case EngineBounded:
+		proc = accltl.ProcBounded
+	default:
+		return nil, fmt.Errorf("accesscheck: Check: unknown engine %v", engine)
+	}
+	if mode == planOnly {
+		plan, err := accltl.Plan(proc, f, c.solveOptions(ctx, sch))
+		if err != nil {
+			return nil, err
+		}
+		return &prepared{plan: plan}, nil
+	}
+	admit := proc.Admit(info)
+	if admit != nil && mode == gated {
+		return nil, admit
+	}
+	bp, err := accltl.Prepare(proc, f, c.solveOptions(ctx, sch))
+	if err != nil {
+		return nil, err
+	}
+	return &prepared{plan: bp.Plan(), admit: admit, search: bp.Search}, nil
 }
 
 // ShardPlan enumerates the root shards a Check on (sch, f) under this
@@ -600,40 +694,23 @@ func (c *Checker) runSolve(ctx context.Context, sch *Schema, f Formula, engine E
 // formula the dispatched engine would reject, and the rejection then
 // surfaces from Check itself.
 func (c *Checker) ShardPlan(ctx context.Context, sch *Schema, f Formula) ([]ShardID, bool, error) {
-	if sch == nil {
-		return nil, false, fmt.Errorf("accesscheck: ShardPlan: nil schema")
-	}
-	if f == nil {
-		return nil, false, fmt.Errorf("accesscheck: ShardPlan: nil formula")
-	}
-	if ctx == nil {
-		ctx = context.Background()
+	ctx, err := entry("ShardPlan", ctx, sch, f)
+	if err != nil {
+		return nil, false, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, false, fmt.Errorf("accesscheck: ShardPlan: %w", err)
 	}
-
-	engine := c.resolveEngine(f)
-	if engine == EngineAutomaton {
-		a, err := c.emptinessMemo.Compile(sch, f)
-		if err != nil {
-			return nil, false, err
-		}
-		return a.PlanShards(c.emptinessOptions(ctx))
+	info := accltl.Classify(f)
+	p, err := c.prepare(ctx, sch, f, c.engineFor(info), info, planOnly)
+	if err != nil {
+		return nil, false, err
 	}
-	opts := c.solveOptions(ctx, sch)
-	// SolveX tightens the default depth bound to the X-nesting depth plus
-	// one before searching; the plan must use the same bound the search
-	// will.
-	if engine == EngineX && opts.MaxDepth == 0 {
-		opts.MaxDepth = accltl.TemporalDepth(f) + 1
-	}
-	return accltl.PlanShards(f, opts)
+	return p.plan.IDs(), p.plan.ResponsesCapped(), nil
 }
 
-// solveOptions is the checker's configuration as the solvers' options.
-// PlanShards ignores Parallelism and Shards, so the one form serves both
-// planning and solving.
+// solveOptions is the checker's configuration as the solvers' options; the
+// prepared search takes parallelism and shards per run.
 func (c *Checker) solveOptions(ctx context.Context, sch *Schema) accltl.SolveOptions {
 	return accltl.SolveOptions{
 		Context:            ctx,
@@ -647,14 +724,11 @@ func (c *Checker) solveOptions(ctx context.Context, sch *Schema) accltl.SolveOpt
 		Universe:           c.universe,
 		MaxResponseChoices: c.maxResponseChoices,
 		MaxPaths:           c.maxPaths,
-		Parallelism:        c.parallelism,
-		Shards:             c.shards,
-		Memo:               c.solverMemo,
 	}
 }
 
 // emptinessOptions is the checker's configuration as the emptiness check's
-// options, for planning and solving alike, like solveOptions.
+// options, like solveOptions.
 func (c *Checker) emptinessOptions(ctx context.Context) autom.EmptinessOptions {
 	return autom.EmptinessOptions{
 		Context:            ctx,
@@ -667,19 +741,16 @@ func (c *Checker) emptinessOptions(ctx context.Context) autom.EmptinessOptions {
 		MaxResponseChoices: c.maxResponseChoices,
 		MaxPaths:           c.maxPaths,
 		Universe:           c.universe,
-		Parallelism:        c.parallelism,
-		Shards:             c.shards,
-		Memo:               c.emptinessMemo,
 	}
 }
 
-// resolveEngine is Check's engine dispatch as a function: the forced engine
-// if one was configured, otherwise the fragment-directed choice.
-func (c *Checker) resolveEngine(f Formula) Engine {
+// engineFor is Check's engine dispatch for a formula with the features
+// info: the forced engine if one was configured, otherwise the
+// fragment-directed choice.
+func (c *Checker) engineFor(info Info) Engine {
 	if c.engine != EngineAuto {
 		return c.engine
 	}
-	info := accltl.Classify(f)
 	frag, inFragment := info.Fragment()
 	switch {
 	case !inFragment:

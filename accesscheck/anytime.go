@@ -17,11 +17,11 @@ package accesscheck
 //     returned without a witness, an error, a cap denial or a cancel
 //     (lts.Report.CompletedShards), so skipping it in a later round can
 //     never hide a witness;
-//   - the persistent dominance memos (accltl.SolverMemo /
-//     autom.EmptinessMemo) lose the commitments of walks that were cut
-//     short before every search returns (lts.Product's scrub), so an entry
-//     a resumed round prunes against was always fully searched by some
-//     earlier round;
+//   - the dominance memo of the checkpoint's prepared search
+//     (accltl.Prepared / autom.Prepared) loses the commitments of walks
+//     that were cut short before every search returns (lts.Product's
+//     scrub), so an entry a resumed round prunes against was always fully
+//     searched by some earlier round;
 //   - the engines report the response caps a search met on every return
 //     without a witness, an expired round's included, so a cap met in a
 //     shard later rounds skip still marks the settled answer truncated.
@@ -40,15 +40,14 @@ import (
 
 	"accltl/accesscheck/cache"
 	"accltl/internal/accltl"
-	"accltl/internal/autom"
 )
 
 // Checkpoint is the suspended state of one check: which canonical root
 // shards have been fully explored so far, the cumulative search statistics,
-// and the engines' warm memo tables. It is keyed by the shard-less
-// fingerprint of the check (see Checker.Fingerprint — the same key a fabric
-// coordinator routes by), so partial progress made by different shard
-// subsets of the same check composes into one frontier.
+// and the check's prepared search with its warm tables. It is keyed by the
+// shard-less fingerprint of the check (see Checker.Fingerprint — the same
+// key a fabric coordinator routes by), so partial progress made by
+// different shard subsets of the same check composes into one frontier.
 //
 // A Checkpoint serializes the rounds that use it: CheckAnytime holds an
 // internal lock for the duration of a round, so concurrent identical
@@ -57,7 +56,6 @@ import (
 // concurrent use.
 type Checkpoint struct {
 	mu        sync.Mutex
-	key       string
 	engine    Engine
 	planSize  int
 	completed shardSet
@@ -67,29 +65,28 @@ type Checkpoint struct {
 	elapsed         time.Duration
 	responsesCapped bool
 	depth           int
-	automStates     int
 
-	solverMemo    *accltl.SolverMemo
-	emptinessMemo *autom.EmptinessMemo
-}
+	// search is the check's prepared search: built under mu by the first
+	// plan or round on the checkpoint, and run by every later round.
+	search *prepared
 
-// newCheckpoint builds the suspended-search state for one fingerprint,
-// with an empty memo for the engine. Each round's search stripes the memo
-// for its own walkers.
-func (c *Checker) newCheckpoint(key string, engine Engine) *Checkpoint {
-	cp := &Checkpoint{key: key, engine: engine}
-	if engine == EngineAutomaton {
-		cp.emptinessMemo = autom.NewEmptinessMemo()
-	} else {
-		cp.solverMemo = accltl.NewSolverMemo()
-	}
-	return cp
+	// key is the shard-less fingerprint of the check the checkpoint was
+	// created for — by chk, on sch and f — computed when Key is first asked
+	// or a resume verifies it, so a check that settles in its first round
+	// never computes it.
+	key string
+	chk *Checker
+	sch *Schema
+	f   Formula
 }
 
 // Key returns the shard-less fingerprint the checkpoint belongs to.
 func (cp *Checkpoint) Key() string {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
+	if cp.key == "" {
+		cp.key = cp.chk.anytimeKey(cp.sch, cp.f)
+	}
 	return cp.key
 }
 
@@ -251,60 +248,59 @@ func (c *Checker) anytimeKey(sch *Schema, f Formula) string {
 // checkpointFor returns prev once it is checked to belong to this check
 // (the same shard-less fingerprint), or a fresh checkpoint when prev is nil.
 func (c *Checker) checkpointFor(sch *Schema, f Formula, engine Engine, prev *Checkpoint) (*Checkpoint, error) {
-	key := c.anytimeKey(sch, f)
 	if prev == nil {
-		return c.newCheckpoint(key, engine), nil
+		return &Checkpoint{engine: engine, chk: c, sch: sch, f: f}, nil
 	}
-	if pk := prev.Key(); pk != key {
+	if key, pk := c.anytimeKey(sch, f), prev.Key(); pk != key {
 		return nil, fmt.Errorf("accesscheck: checkpoint belongs to a different check (key %q, want %q)", pk, key)
 	}
 	return prev, nil
 }
 
-// on returns a copy of the checker that runs on cp's memos: the engines'
-// warm tables, the compiled automaton, and the search setup (witness
-// universe, depth bound, root partition) the first plan or search through
-// cp derives and every later one reuses.
-func (c *Checker) on(cp *Checkpoint) *Checker {
-	round := *c
-	round.solverMemo = cp.solverMemo
-	round.emptinessMemo = cp.emptinessMemo
-	return &round
-}
-
-// planOn enumerates the check's root partition through cp's memos, so every
-// later round on cp searches this plan, and records its size once it is
+// prepareOn returns cp's prepared search, preparing it as mode says if no
+// plan or round on cp has yet, and then records the plan's size once it is
 // shardable. Called with cp.mu held.
-func (c *Checker) planOn(ctx context.Context, sch *Schema, f Formula, cp *Checkpoint) ([]ShardID, error) {
-	plan, _, err := c.on(cp).ShardPlan(ctx, sch, f)
-	if err == nil && len(plan) >= 2 {
-		cp.planSize = len(plan)
+func (c *Checker) prepareOn(ctx context.Context, sch *Schema, f Formula, info Info, cp *Checkpoint, mode prepareMode) (*prepared, error) {
+	if cp.search == nil {
+		p, err := c.prepare(ctx, sch, f, cp.engine, info, mode)
+		if err != nil {
+			return nil, err
+		}
+		cp.search = p
+		if n := p.plan.Len(); n >= 2 {
+			cp.planSize = n
+		}
 	}
-	return plan, err
+	return cp.search, nil
 }
 
 // ShardPlanAnytime is ShardPlan through a checkpoint, as CheckAnytime is
-// Check through one: it enumerates the plan on prev's memos (a fresh
-// checkpoint's when prev is nil, with prev under CheckAnytime's contract)
-// and returns that checkpoint. A CheckAnytime handed the checkpoint
-// searches the partition this call enumerated instead of enumerating it
-// again — how a fabric worker verifies a shard's plan and then runs it with
-// one enumeration.
+// Check through one: it prepares the check's search on prev (a fresh
+// checkpoint when prev is nil, with prev under CheckAnytime's contract)
+// and returns that checkpoint with the search's plan. A CheckAnytime handed
+// the checkpoint searches the partition this call enumerated instead of
+// enumerating it again — how a fabric worker verifies a shard's plan and
+// then runs it with one enumeration.
 func (c *Checker) ShardPlanAnytime(ctx context.Context, sch *Schema, f Formula, prev *Checkpoint) ([]ShardID, *Checkpoint, error) {
-	if f == nil {
-		return nil, nil, fmt.Errorf("accesscheck: ShardPlanAnytime: nil formula")
+	ctx, err := entry("ShardPlanAnytime", ctx, sch, f)
+	if err != nil {
+		return nil, nil, err
 	}
-	cp, err := c.checkpointFor(sch, f, c.resolveEngine(f), prev)
+	if err := ctx.Err(); err != nil {
+		return nil, nil, fmt.Errorf("accesscheck: ShardPlanAnytime: %w", err)
+	}
+	info := accltl.Classify(f)
+	cp, err := c.checkpointFor(sch, f, c.engineFor(info), prev)
 	if err != nil {
 		return nil, nil, err
 	}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	plan, err := c.planOn(ctx, sch, f, cp)
+	p, err := c.prepareOn(ctx, sch, f, info, cp, ungated)
 	if err != nil {
 		return nil, nil, err
 	}
-	return plan, cp, nil
+	return p.plan.IDs(), cp, nil
 }
 
 // CheckAnytime is Check with suspend/resume: it runs (a slice of) the check
@@ -328,15 +324,16 @@ func (c *Checker) ShardPlanAnytime(ctx context.Context, sch *Schema, f Formula, 
 //     checkpoint capturing the remaining frontier. Re-invoking with that
 //     checkpoint executes only the unfinished shards.
 //   - An expiry with no completed shard returns (nil, checkpoint, ctx
-//     error): no honest coverage to report, but the checkpoint's warm memo
-//     still accelerates a retry.
+//     error): no honest coverage to report, but a retry on the checkpoint
+//     reuses its prepared search and warm memo (none if the expiry came
+//     while planning: the retry then prepares the search again).
 //   - A search whose round hit the path cap (WithMaxPaths) is a final
 //     truncated answer, not a resumable one — the cap is a per-search
 //     budget whose exact semantics do not compose across rounds — and the
 //     returned checkpoint is nil.
 //   - Unshardable checks (the plan has fewer than two shards, or planning
-//     failed for a reason other than ctx) run as one plain Check over the
-//     setup planning derived: exact or error, nothing to resume, and the
+//     failed for a reason other than ctx) run as one plain Check on the
+//     search planning prepared: exact or error, nothing to resume, and the
 //     verdict and witness Check itself returns. PathsExplored is Check's
 //     too, unless an earlier fallback on the same checkpoint left its
 //     memo warm; the checkpoint's lock keeps the two searches apart.
@@ -346,26 +343,20 @@ func (c *Checker) ShardPlanAnytime(ctx context.Context, sch *Schema, f Formula, 
 // checkpoint serializes its rounds: concurrent identical requests resume
 // one at a time.
 func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev *Checkpoint) (*Result, *Checkpoint, error) {
-	if sch == nil {
-		return nil, nil, fmt.Errorf("accesscheck: CheckAnytime: nil schema")
-	}
-	if f == nil {
-		return nil, nil, fmt.Errorf("accesscheck: CheckAnytime: nil formula")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
-	engine := c.resolveEngine(f)
-	cp, err := c.checkpointFor(sch, f, engine, prev)
+	ctx, err := entry("CheckAnytime", ctx, sch, f)
 	if err != nil {
 		return nil, nil, err
 	}
-	round := c.on(cp)
+	info := accltl.Classify(f)
+	cp, err := c.checkpointFor(sch, f, c.engineFor(info), prev)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	// The round holds the checkpoint from planning on: every search on its
-	// memo, the one-shard fallback included, runs alone (the dominance
-	// memo is sound across rounds, never across concurrent searches).
+	// prepared search, the one-shard fallback included, runs alone (the
+	// dominance memo is sound across rounds, never across concurrent
+	// searches).
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 
@@ -378,19 +369,18 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 	target := c.shards
 	if target == nil {
 		if cp.planSize == 0 {
-			plan, err := c.planOn(ctx, sch, f, cp)
+			p, err := c.prepareOn(ctx, sch, f, info, cp, ungated)
 			if err != nil && ctx.Err() != nil {
-				// The budget died while planning: nothing is covered, but
-				// the checkpoint keeps whatever setup was derived for the
-				// retry, like any other zero-progress expiry.
+				// The budget died while planning: nothing is covered and
+				// nothing was prepared; a retry prepares the search again.
 				return nil, cp, err
 			}
-			if err != nil || len(plan) < 2 {
+			if err != nil || cp.planSize == 0 {
 				// Unshardable (or planning failed): there is no frontier to
-				// slice, so anytime degenerates to the plain check. It runs
-				// on round, so the search reuses the setup and partition
-				// planning just derived through the checkpoint's memo.
-				res, cerr := round.Check(ctx, sch, f)
+				// slice, so anytime degenerates to the plain check, on the
+				// search planning just prepared (or, if planning failed, a
+				// fresh one that reports Check's error).
+				res, cerr := c.checkOn(ctx, sch, f, info, p)
 				if cerr != nil {
 					return nil, nil, cerr
 				}
@@ -413,11 +403,11 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 	if len(remaining) == 0 {
 		// Prior rounds already explored every targeted shard without a
 		// witness: synthesize the exact-for-target answer from the frontier.
-		return c.anytimeExact(f, engine, cp, target, nil), cp, nil
+		return c.anytimeExact(info, cp, target, nil), cp, nil
 	}
 	if err := ctx.Err(); err != nil {
 		// Budget already blown before this round could start.
-		return c.anytimeAfterExpiry(f, engine, cp, target, err)
+		return c.anytimeAfterExpiry(info, cp, target, err)
 	}
 
 	attempt := remaining
@@ -425,10 +415,12 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 		attempt = attempt[:c.anytimeChunk]
 	}
 
-	round.shards = attempt
-
 	start := time.Now()
-	sr, automStates, err := round.runSolve(ctx, sch, f, engine)
+	var sr accltl.SolveResult
+	p, err := c.prepareOn(ctx, sch, f, info, cp, gated)
+	if err == nil {
+		sr, err = p.run(ctx, c.parallelism, attempt)
+	}
 	if cp.planSize == 0 {
 		cp.planSize = sr.TotalShards
 	}
@@ -438,9 +430,6 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 	cp.responsesCapped = cp.responsesCapped || sr.ResponsesCapped
 	if sr.Depth > 0 {
 		cp.depth = sr.Depth
-	}
-	if automStates > 0 {
-		cp.automStates = automStates
 	}
 	if err == nil && !sr.Satisfiable && !sr.Truncated {
 		// The round ran to completion: every attempted shard was fully
@@ -461,9 +450,9 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 		// Real failure: nothing to answer, nothing worth resuming.
 		return nil, nil, err
 	case err != nil:
-		return c.anytimeAfterExpiry(f, engine, cp, target, err)
+		return c.anytimeAfterExpiry(info, cp, target, err)
 	case sr.Satisfiable:
-		res := c.anytimeBase(f, engine, cp)
+		res := c.anytimeBase(info, cp)
 		res.Satisfiable = true
 		res.Witness = sr.Witness
 		res.Depth = sr.Depth
@@ -475,7 +464,7 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 		// compose across rounds, so this is a final truncated answer — and
 		// the checkpoint dies with it (its frontier would misrepresent a
 		// search the cap, not the shard set, cut short).
-		res := c.anytimeBase(f, engine, cp)
+		res := c.anytimeBase(info, cp)
 		res.Truncated = true
 		res.Depth = sr.Depth
 		res.Coverage = 1
@@ -484,10 +473,10 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 	default:
 		done := cp.completedWithinLocked(target)
 		if len(done) == len(target) {
-			return c.anytimeExact(f, engine, cp, target, &sr), cp, nil
+			return c.anytimeExact(info, cp, target, &sr), cp, nil
 		}
 		// Chunked round: more frontier remains by construction.
-		return c.anytimePartial(f, engine, cp, target, len(done)), cp, nil
+		return c.anytimePartial(info, cp, target, len(done)), cp, nil
 	}
 }
 
@@ -495,7 +484,7 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 // resumable partial when at least one targeted shard is covered, the bare
 // context error (plus the warm checkpoint) when none is. Called with cp.mu
 // held.
-func (c *Checker) anytimeAfterExpiry(f Formula, engine Engine, cp *Checkpoint, target []int, err error) (*Result, *Checkpoint, error) {
+func (c *Checker) anytimeAfterExpiry(info Info, cp *Checkpoint, target []int, err error) (*Result, *Checkpoint, error) {
 	done := cp.completedWithinLocked(target)
 	if len(done) == 0 {
 		return nil, cp, err
@@ -503,34 +492,27 @@ func (c *Checker) anytimeAfterExpiry(f Formula, engine Engine, cp *Checkpoint, t
 	if len(done) == len(target) {
 		// The expiry hit after the frontier was already complete (a resume
 		// whose prior rounds covered everything): still an exact answer.
-		return c.anytimeExact(f, engine, cp, target, nil), cp, nil
+		return c.anytimeExact(info, cp, target, nil), cp, nil
 	}
-	return c.anytimePartial(f, engine, cp, target, len(done)), cp, nil
+	return c.anytimePartial(info, cp, target, len(done)), cp, nil
 }
 
 // anytimeBase builds the classification scaffold of a Result with the
 // cumulative round statistics folded in. Called with cp.mu held.
-func (c *Checker) anytimeBase(f Formula, engine Engine, cp *Checkpoint) *Result {
-	info := accltl.Classify(f)
-	frag, inFragment := info.Fragment()
-	return &Result{
-		Info:            info,
-		Fragment:        frag,
-		InFragment:      inFragment,
-		Decidable:       inFragment && frag.Decidable(),
-		Engine:          engine,
-		PathsExplored:   cp.paths,
-		Depth:           cp.depth,
-		AutomatonStates: cp.automStates,
-		Elapsed:         cp.elapsed,
-	}
+func (c *Checker) anytimeBase(info Info, cp *Checkpoint) *Result {
+	res := newResult(info, cp.engine)
+	res.PathsExplored = cp.paths
+	res.Depth = cp.depth
+	res.AutomatonStates = cp.search.states()
+	res.Elapsed = cp.elapsed
+	return res
 }
 
 // anytimeExact is the exact-for-target unsatisfiable answer synthesized
 // from a complete frontier. sr, when non-nil, is the round that completed
 // the cover (its Depth is the freshest bound). Called with cp.mu held.
-func (c *Checker) anytimeExact(f Formula, engine Engine, cp *Checkpoint, target []int, sr *accltl.SolveResult) *Result {
-	res := c.anytimeBase(f, engine, cp)
+func (c *Checker) anytimeExact(info Info, cp *Checkpoint, target []int, sr *accltl.SolveResult) *Result {
+	res := c.anytimeBase(info, cp)
 	if sr != nil && sr.Depth > 0 {
 		res.Depth = sr.Depth
 	}
@@ -544,8 +526,8 @@ func (c *Checker) anytimeExact(f Formula, engine Engine, cp *Checkpoint, target 
 // anytimePartial is the resumable coverage-tagged partial answer: no
 // witness in the explored region, nothing claimed about the rest. Called
 // with cp.mu held.
-func (c *Checker) anytimePartial(f Formula, engine Engine, cp *Checkpoint, target []int, done int) *Result {
-	res := c.anytimeBase(f, engine, cp)
+func (c *Checker) anytimePartial(info Info, cp *Checkpoint, target []int, done int) *Result {
+	res := c.anytimeBase(info, cp)
 	res.Truncated = true
 	res.ResponsesCapped = cp.responsesCapped
 	res.Resumable = true

@@ -8,44 +8,29 @@ import (
 	"accltl/internal/lts"
 )
 
-// checkpointPlan is the root partition the checkpoint's memo carries.
-func checkpointPlan(t *testing.T, cp *Checkpoint, sch *Schema) *lts.Plan {
+// checkpointPlan is the root partition of the checkpoint's prepared search.
+func checkpointPlan(t *testing.T, cp *Checkpoint, _ *Schema) *lts.Plan {
 	t.Helper()
-	var setup *lts.Setup
-	if cp.emptinessMemo != nil {
-		setup = cp.emptinessMemo.Setup()
-	} else {
-		setup = cp.solverMemo.Setup()
+	if cp.search == nil {
+		t.Fatal("checkpoint carries no prepared search")
 	}
-	plan, err := setup.Plan(context.Background(), sch)
-	if err != nil {
-		t.Fatalf("checkpoint carries no plan: %v", err)
-	}
-	return plan
+	return cp.search.plan
 }
 
-// checkpointAutomaton is the compiled automaton the checkpoint's memo
-// carries (nil for the solver engines).
+// checkpointAutomaton is the compiled automaton the checkpoint's prepared
+// search holds (nil for the solver engines).
 func checkpointAutomaton(t *testing.T, cp *Checkpoint) *autom.Automaton {
 	t.Helper()
-	if cp.emptinessMemo == nil {
-		return nil
-	}
-	// Compiled already by the planning call: this only reads it back.
-	a, err := cp.emptinessMemo.Compile(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
+	return cp.search.a
 }
 
 // TestShardPlanAnytimeCarriesPlan: the checkpoint ShardPlanAnytime returns
 // carries the plan it enumerated, and every CheckAnytime round handed that
 // checkpoint runs on it — the same checkpoint, the same plan pointer and,
-// on the automaton engine, the same compiled automaton (a memo refuses to
-// search any other, so a round that compiled again would fail) — for a
-// whole check sliced into one-shard rounds and for a fabric worker's
-// shard-restricted group. The rounds end on the verdict Check gives.
+// on the automaton engine, the same compiled automaton, so no round
+// prepared or compiled again — for a whole check sliced into one-shard
+// rounds and for a fabric worker's shard-restricted group. The rounds end
+// on the verdict Check gives.
 func TestShardPlanAnytimeCarriesPlan(t *testing.T) {
 	sch, err := ParseSchema(
 		[]string{"Mobile#:string,string,string,int", "Address:string,string,string,int"},

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"accltl/accesscheck"
+	"accltl/internal/pollctx"
 )
 
 // anytimeFixture parses the shared parallel-test schema and formula and
@@ -448,22 +449,6 @@ func TestAnytimeOneShardExpiredCheckpointConcurrentResume(t *testing.T) {
 	}
 }
 
-// pollLimitCtx is a live context whose Err fails from its limit-th call on:
-// it expires a search at a chosen poll instead of at a chosen time. The
-// searches under it run one walker, so the count needs no lock.
-type pollLimitCtx struct {
-	context.Context
-	limit, calls int
-}
-
-func (c *pollLimitCtx) Err() error {
-	c.calls++
-	if c.calls >= c.limit {
-		return context.DeadlineExceeded
-	}
-	return nil
-}
-
 // TestAnytimeShardedResumeKeepsResponseCaps: a round that times out after
 // completing shards whose walks met a response cap must carry the cap
 // forward. The resume skips those shards and never meets the cap again, so
@@ -529,7 +514,7 @@ func TestAnytimeShardedResumeKeepsResponseCaps(t *testing.T) {
 					t.Fatalf("uninterrupted check: sat=%v truncated=%v capped=%v, want a response-capped unsat", full.Satisfiable, full.Truncated, full.ResponsesCapped)
 				}
 				for limit := 1; ; limit++ {
-					ctx := &pollLimitCtx{Context: context.Background(), limit: limit}
+					ctx := pollctx.New(limit, context.DeadlineExceeded)
 					res, cp, err := chk.CheckAnytime(ctx, sch, f, nil)
 					if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 						t.Fatalf("limit %d: %v", limit, err)

@@ -235,28 +235,14 @@ func (cc *coordCheckpoint) snapshot() []fabric.ShardResult {
 
 // check plans, fans out, and merges one check.
 func (c *Coordinator) check(ctx context.Context, req CheckRequest) (*CheckResponse, error) {
-	if req.Formula == "" {
-		return nil, badRequest("missing formula")
-	}
-	if len(req.Relations) == 0 {
-		return nil, badRequest("missing relations")
-	}
 	// The shard-less checker: its fingerprint is the affinity key every
 	// slice of this check shares, and its plan is the partition. Request
 	// parallelism is a worker-side execution knob, irrelevant to both.
-	chk, err := checkerFor(req.Options, 1)
+	pc, err := parseCheck(req, 1)
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return nil, err
 	}
-	sch, err := accesscheck.ParseSchema(req.Relations, req.Methods)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	f, err := accesscheck.ParseFormula(req.Formula)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	fp := chk.Fingerprint(sch, f)
+	chk, sch, f, fp := pc.chk, pc.sch, pc.f, pc.fp
 
 	// Merged-result cache: an exact verdict already assembled for this
 	// check answers without touching the fabric at all.

@@ -506,30 +506,51 @@ func checkerFor(o *CheckOptions, parallelism int, extra ...accesscheck.Option) (
 	return accesscheck.NewChecker(opts...)
 }
 
-// check runs one check end to end: parse, cache probe (memory, then
-// disk), anytime solve. ctx carries the request's budget.
-func (s *Server) check(ctx context.Context, req CheckRequest) (*CheckResponse, error) {
+// parsedCheck is a check request as the facade takes it: the checker for
+// its options, its schema and formula, and the checker's fingerprint of
+// them.
+type parsedCheck struct {
+	chk *accesscheck.Checker
+	sch *accesscheck.Schema
+	f   accesscheck.Formula
+	fp  string
+}
+
+// parseCheck is the prologue every role runs on a check: the required
+// fields, the checker for the wire options at the given parallelism (extra
+// options appended), the schema and the formula — each failure a 400 — and
+// then the fingerprint.
+func parseCheck(req CheckRequest, parallelism int, extra ...accesscheck.Option) (parsedCheck, error) {
 	if req.Formula == "" {
-		return nil, badRequest("missing formula")
+		return parsedCheck{}, badRequest("missing formula")
 	}
 	if len(req.Relations) == 0 {
-		return nil, badRequest("missing relations")
+		return parsedCheck{}, badRequest("missing relations")
 	}
-	par := s.parallelismFor(req.Options)
-	chk, err := checkerFor(req.Options, par)
+	chk, err := checkerFor(req.Options, parallelism, extra...)
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return parsedCheck{}, badRequest("%v", err)
 	}
 	sch, err := accesscheck.ParseSchema(req.Relations, req.Methods)
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return parsedCheck{}, badRequest("%v", err)
 	}
 	f, err := accesscheck.ParseFormula(req.Formula)
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return parsedCheck{}, badRequest("%v", err)
 	}
+	return parsedCheck{chk: chk, sch: sch, f: f, fp: chk.Fingerprint(sch, f)}, nil
+}
 
-	fp := chk.Fingerprint(sch, f)
+// check runs one check end to end: parse, cache probe (memory, then
+// disk), anytime solve. ctx carries the request's budget.
+func (s *Server) check(ctx context.Context, req CheckRequest) (*CheckResponse, error) {
+	par := s.parallelismFor(req.Options)
+	pc, err := parseCheck(req, par)
+	if err != nil {
+		return nil, err
+	}
+	fp := pc.fp
 	if tr, ok := s.cache.Get(fp); ok && tr.Check != nil {
 		s.taskCacheHits[accesscheck.TaskCheck].Add(1)
 		return wireResult(tr.Check, true), nil
@@ -544,7 +565,7 @@ func (s *Server) check(ctx context.Context, req CheckRequest) (*CheckResponse, e
 	}
 	s.taskCacheMisses[accesscheck.TaskCheck].Add(1)
 
-	res, _, err := s.solveCheck(ctx, chk, sch, f, fp, par, s.resumeFrom(fp))
+	res, _, err := s.solveCheck(ctx, pc.chk, pc.sch, pc.f, fp, par, s.resumeFrom(fp))
 	if err != nil {
 		return nil, err
 	}

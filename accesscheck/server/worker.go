@@ -88,18 +88,12 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardResult, error) {
 	wireOpts := shardCheckOptions(sh.Options)
 	par := s.parallelismFor(wireOpts)
-	sch, err := accesscheck.ParseSchema(sh.Relations, sh.Methods)
+	pc, err := parseCheck(CheckRequest{Relations: sh.Relations, Methods: sh.Methods, Formula: sh.Formula, Options: wireOpts},
+		par, accesscheck.WithShards(sh.Indexes()...))
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return nil, err
 	}
-	f, err := accesscheck.ParseFormula(sh.Formula)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	chk, err := checkerFor(wireOpts, par, accesscheck.WithShards(sh.Indexes()...))
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
+	chk, sch, f := pc.chk, pc.sch, pc.f
 
 	// Only a result whose plan view passed verification below is ever
 	// admitted under this key, so a hit — memory, then the disk tier, where
@@ -107,7 +101,7 @@ func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardRe
 	// against the same view and answers without planning. The stored wire
 	// response carries the check fields; the shard frame (indexes, plan
 	// size) is rebuilt from the request, which the key pins to that view.
-	key := chk.Fingerprint(sch, f) + "/" + sh.ViewDigest()
+	key := pc.fp + "/" + sh.ViewDigest()
 	if tr, ok := s.cache.Get(key); ok && tr.Check != nil {
 		return shardResult(sh, tr.Check, true), nil
 	}

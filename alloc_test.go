@@ -12,15 +12,15 @@ import (
 // TestWideCheckAnytimeAllocs guards the allocation cost of a fresh check
 // as the server runs it (BenchmarkWideCheckAnytime's setup): planning the
 // root partition and searching it with every embedded sentence evaluated
-// at every prefix. The budgets are the counts of the current engine
-// (1,001, 1,159, 1,322 and 1,481 for wide4–7) plus about 10%. A buffer per
-// letter evaluation, a structure wrapper per prefix, or a binding pool
-// rebuilt per method puts wide7 back near its earlier 11,500.
+// at every prefix. The budgets are the counts of the current engine (626,
+// 725, 829 and 928 for wide4–7) plus about 10%. A buffer per letter
+// evaluation, a structure wrapper per prefix, or a binding pool rebuilt
+// per method puts wide7 back near its earlier 11,500.
 func TestWideCheckAnytimeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
-	budgets := map[int]float64{4: 1100, 5: 1280, 6: 1450, 7: 1630}
+	budgets := map[int]float64{4: 690, 5: 800, 6: 910, 7: 1020}
 	for k := 4; k <= 7; k++ {
 		t.Run(fmt.Sprintf("wide%d", k), func(t *testing.T) {
 			sch, f := wideCheck(t, k)

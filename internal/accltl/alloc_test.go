@@ -23,7 +23,7 @@ func TestSolveZeroAccAllocsOneWalker(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocs per search", avg)
-	const budget = 360
+	const budget = 295
 	if avg > budget {
 		t.Errorf("a one-walker search allocates %.0f times (budget %d): a fixed cost is back in the search setup", avg, budget)
 	}

@@ -158,8 +158,11 @@ func (i Info) Fragment() (Fragment, bool) {
 
 // CheckSentences validates every embedded formula is a sentence (no free
 // variables); solvers call this up front.
-func CheckSentences(f Formula) error {
-	for _, s := range Sentences(f) {
+func CheckSentences(f Formula) error { return checkSentences(Sentences(f)) }
+
+// checkSentences is CheckSentences over f's distinct sentences.
+func checkSentences(sentences []fo.Formula) error {
+	for _, s := range sentences {
 		if fv := fo.FreeVars(s); len(fv) != 0 {
 			return fmt.Errorf("accltl: embedded formula %s has free variables %v", s, fv)
 		}

@@ -1,8 +1,8 @@
 package accltl
 
-// The bounded search's control and tables. The search is an lts.Product
-// search whose control is the obligation: the residual LTL skeleton,
-// progressed over the letter the embedded sentences spell on each
+// The prepared bounded search: its control and tables. The search is an
+// lts.Product search whose control is the obligation: the residual LTL
+// skeleton, progressed over the letter the embedded sentences spell on each
 // transition. The walk itself (walkers, control stacks, dominance memo,
 // scrub of unfinished walks, witness) is lts's; the two tables below are
 // the solver's own, shared by all walkers:
@@ -16,9 +16,13 @@ package accltl
 // once per node.
 
 import (
+	"context"
+	"fmt"
 	"sync"
 
 	"accltl/internal/access"
+	"accltl/internal/fo"
+	"accltl/internal/instance"
 	"accltl/internal/ltl"
 	"accltl/internal/lts"
 )
@@ -119,78 +123,241 @@ type obligation struct {
 	id int
 }
 
-// SolverMemo carries the solver's shared tables across calls, so a
-// budget-sliced search resumes warm: the obligation interner and progression
-// cache are pure (always reusable), and the dominance memo is kept sound
-// across rounds by the product search's scrub of unfinished walks (an entry
-// that survives means some round finished that subtree without finding a
-// witness, so pruning against it later is sound). It also carries the
-// search setup, so a check plans its partition and runs every round over
-// one witness universe and one root enumeration. A memo is tied to one
-// (formula, options) pair; callers key it accordingly.
-type SolverMemo struct {
-	in    *obInterner
-	prog  *progTable
-	memo  *lts.DominanceMemo[lts.ProductKey[int]]
-	setup lts.Setup
-}
-
-// NewSolverMemo builds an empty reusable table set. Its tables have one
-// lock stripe until a search with more walkers widens them.
-func NewSolverMemo() *SolverMemo {
-	return &SolverMemo{
-		in:   newObInterner(),
-		prog: &progTable{stripes: make([]progStripe, 1)},
-		memo: lts.NewProductMemo[int](),
-	}
-}
-
-// Setup returns the search setup the memo carries.
-func (m *SolverMemo) Setup() *lts.Setup { return &m.setup }
-
-// search is the state one bounded search shares across its walkers.
-type search struct {
+// Prepared is a prepared bounded search: everything a search of one
+// formula under one configuration derives from them, derived once — the
+// distinct embedded sentences, prepared as the letters the search
+// evaluates, the LTL skeleton over them, the depth bound and the plan (the
+// exploration options: witness universe, binding pool, caps; the root
+// partition) — and the solver's tables (obligation interner, progression
+// cache, dominance memo), which every Search on it warms. A search that
+// ends early (witness, cap, error) scrubs the commitments of its unfinished
+// shard walks before returning (lts.Product), so a later search prunes only
+// against subtrees some search finished: the rounds of a budget-sliced
+// check run on one Prepared, one after another. Searches of one Prepared
+// must not overlap.
+type Prepared struct {
 	f       Formula
 	voc     Vocabulary
-	opts    *SolveOptions
+	initial *instance.Instance
+	// keyed turns the dominance memo on. Satisfiability below a node
+	// depends only on the revealed configuration and the obligation, not on
+	// the history — except under idempotence, where the responses seen so
+	// far constrain the future, so the memo would be unsound there. The
+	// pruning ablation runs without it.
+	keyed   bool
+	ablate  bool // SolveOptions.DisableLTLPruning
 	letters []letterEntry
 	// useMask selects the bitmask letter the progression cache keys on: one
 	// bit per sentence, so only for ≤ 64 sentences; larger formulas step on
 	// the map letter directly (still correct, just per-node work).
 	useMask bool
-	tables  *SolverMemo
+	// init is the interned NNF skeleton, the obligation at the root. A
+	// formula the skeleton cannot abstract (a past operator) still gets a
+	// plan, which ShardPlan reports without gating fragments; its searches
+	// fail with skeletonErr.
+	init        obligation
+	skeletonErr error
+	depth       int
+	plan        *lts.Plan
+
+	in   *obInterner
+	prog *progTable
+	memo *lts.DominanceMemo[lts.ProductKey[int]]
+}
+
+// Prepare derives the bounded search of f under opts for proc, whose depth
+// rule it applies: with opts.MaxDepth zero, ProcX bounds witnesses by the
+// X-nesting depth plus one and the other procedures by defaultDepth. It does
+// not check f against proc's fragment (Procedure.Admit does). It enumerates
+// the root partition under opts.Context; an expired context returns its
+// error before any derivation. Parallelism and Shards are the searches'.
+func Prepare(proc Procedure, f Formula, opts SolveOptions) (*Prepared, error) {
+	if err := preflight(opts); err != nil {
+		return nil, err
+	}
+	// One walk abstracts the temporal skeleton and collects the distinct
+	// sentences, each of which becomes a proposition, laid out once with its
+	// prepared sentence: the search evaluates the flat letter table instead
+	// of re-rendering, re-checking or re-planning any sentence at every
+	// visited node.
+	abs := newAbstraction()
+	skeleton, skeletonErr := abs.abstract(f)
+	sentences, props := abs.sentences, abs.order
+	if skeletonErr != nil {
+		// A past operator has no skeleton, and the walk stopped at it. The
+		// plan still covers every sentence (ShardPlan does not gate
+		// fragments); the searches fail.
+		sentences = Sentences(f)
+		props = make([]ltl.Prop, len(sentences))
+	}
+	if err := checkSentences(sentences); err != nil {
+		return nil, err
+	}
+	p := &Prepared{
+		f:           f,
+		voc:         FullAcc,
+		initial:     opts.Initial,
+		keyed:       !opts.IdempotentOnly && !opts.DisableLTLPruning,
+		ablate:      opts.DisableLTLPruning,
+		letters:     make([]letterEntry, len(sentences)),
+		useMask:     len(sentences) <= 64,
+		skeletonErr: skeletonErr,
+		in:          newObInterner(),
+		prog:        &progTable{stripes: make([]progStripe, 1)},
+		memo:        lts.NewProductMemo[int](),
+	}
+	if proc == ProcX || proc == ProcZeroAcc {
+		p.voc = ZeroAcc
+	}
+	for i, s := range sentences {
+		prepared, err := fo.Prepare(s)
+		if err != nil {
+			return nil, err
+		}
+		p.letters[i] = letterEntry{sentence: prepared, prop: props[i]}
+	}
+	if skeletonErr == nil {
+		p.init = p.in.intern(ltl.NNF(skeleton))
+	}
+	var err error
+	if p.plan, p.depth, err = plan(proc, f, sentences, opts); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Plan derives the root partition Prepare(proc, f, opts) searches, and
+// nothing else: a caller that only plans (a fabric coordinator) prepares no
+// letters, skeleton or tables.
+func Plan(proc Procedure, f Formula, opts SolveOptions) (*lts.Plan, error) {
+	if err := preflight(opts); err != nil {
+		return nil, err
+	}
+	sentences := Sentences(f)
+	if err := checkSentences(sentences); err != nil {
+		return nil, err
+	}
+	p, _, err := plan(proc, f, sentences, opts)
+	return p, err
+}
+
+// preflight is what Prepare and Plan check first: a schema is required, and
+// an expired context returns its error before any derivation.
+func preflight(opts SolveOptions) error {
+	if opts.Schema == nil {
+		return fmt.Errorf("accltl: SolveOptions.Schema is required")
+	}
+	if opts.Context != nil {
+		return opts.Context.Err()
+	}
+	return nil
+}
+
+// plan enumerates, under opts.Context, the root partition of a search of f
+// whose distinct sentences are sentences, with the depth bound of proc's
+// rule, which it returns too.
+func plan(proc Procedure, f Formula, sentences []fo.Formula, opts SolveOptions) (*lts.Plan, int, error) {
+	if proc == ProcX && opts.MaxDepth == 0 {
+		opts.MaxDepth = TemporalDepth(f) + 1
+	}
+	o, depth, err := searchOptions(f, sentences, opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	o.Context = opts.Context
+	p, err := lts.NewPlan(opts.Schema, o)
+	return p, depth, err
+}
+
+// Plan returns the search's root partition.
+func (p *Prepared) Plan() *lts.Plan { return p.plan }
+
+// Search runs the search over the shards subset of its plan with
+// parallelism walkers (lts.Plan.Explore's arguments: nil shards is the
+// whole partition). A context that has already expired returns its error
+// before the search loop is entered (lts.Plan.Explore); the walk polls it,
+// so an expiry mid-search stops it promptly with that error and a result
+// whose CompletedShards and ResponsesCapped say what the search covered. The
+// tables are widened for the walker count first, so rounds of one Prepared
+// may use different walker counts.
+func (p *Prepared) Search(ctx context.Context, parallelism int, shards []int) (SolveResult, error) {
+	if p.skeletonErr != nil {
+		return SolveResult{}, p.skeletonErr
+	}
+	p.prog.widen(parallelism)
+	pr := &lts.Product[obligation, int]{
+		Init:    p.init,
+		Step:    p.step,
+		ZeroAcc: p.voc == ZeroAcc,
+		Memo:    p.memo,
+		Depth:   p.depth,
+	}
+	if p.keyed {
+		pr.Key = func(o obligation) int { return o.id }
+	}
+	rep, witness, err := pr.Search(ctx, p.plan, parallelism, shards)
+	res := SolveResult{
+		Depth:           p.depth,
+		PathsExplored:   rep.Paths,
+		CompletedShards: rep.CompletedShards,
+		TotalShards:     rep.TotalShards,
+	}
+	if witness != nil {
+		res.Satisfiable = true
+		res.Witness = witness
+		ts, err := witness.Transitions(p.initial)
+		if err != nil {
+			return res, err
+		}
+		ok, err := Satisfied(p.f, ts, p.voc)
+		if err != nil {
+			return res, err
+		}
+		if !ok {
+			return res, fmt.Errorf("accltl: internal error: witness rejected by direct semantics")
+		}
+		return res, nil
+	}
+	// A cap met before an error is reported too: a resumed search skips
+	// the shards this one completed, so it would never meet the cap again.
+	res.ResponsesCapped = rep.ResponsesCapped
+	if err != nil {
+		return res, err
+	}
+	res.Truncated = rep.PathsCapped
+	return res, nil
 }
 
 // step is the search's lts.Product step: it progresses the obligation over
 // the letter of the last transition, accepts when progression does, and
 // prunes a dead (false) obligation.
-func (s *search) step(top obligation, p *access.Path, last *access.TransitionStructure) (obligation, lts.Move, error) {
+func (s *Prepared) step(top obligation, p *access.Path, last *access.TransitionStructure) (obligation, lts.Move, error) {
 	var next obligation
 	var accept bool
 	if s.useMask {
 		mask := evalLetterMask(s.letters, last)
 		pk := progKey{ob: top.id, letter: mask}
-		pv, ok := s.tables.prog.get(pk)
+		pv, ok := s.prog.get(pk)
 		if !ok {
 			n, acc := ltl.Step(top.ob, letterFromMask(s.letters, mask))
-			pv = progVal{next: s.tables.in.intern(n), accept: acc}
-			s.tables.prog.put(pk, pv)
+			pv = progVal{next: s.in.intern(n), accept: acc}
+			s.prog.put(pk, pv)
 		}
 		next, accept = pv.next, pv.accept
 	} else {
 		var n ltl.Formula
 		n, accept = ltl.Step(top.ob, evalLetter(s.letters, last))
-		next = s.tables.in.intern(n)
+		next = s.in.intern(n)
 	}
 	if accept {
 		return next, lts.Accept, nil
 	}
-	if s.opts.DisableLTLPruning {
+	if s.ablate {
 		// Ablation: ignore the dead-obligation signal; re-check the whole
 		// formula directly at every prefix instead (this is the one place
 		// the full transition list is still materialized — deliberately, it
 		// is the slow baseline).
-		ts, err := p.Transitions(s.opts.Initial)
+		ts, err := p.Transitions(s.initial)
 		if err != nil {
 			return next, lts.Prune, err
 		}

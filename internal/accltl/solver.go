@@ -55,7 +55,7 @@ type SolveOptions struct {
 	// searches is schedule-dependent.
 	Parallelism int
 	// Shards, when non-nil, restricts the search to the listed root shards
-	// of the canonical partition PlanShards enumerates (lts.Plan.Explore
+	// of the canonical partition Prepared.Plan holds (lts.Plan.Explore
 	// semantics: indexes are canonical positions in the schema's shard
 	// order, duplicates collapse, out-of-range indexes error, and a non-nil
 	// empty slice searches only the root). A subset search is a partial
@@ -64,20 +64,6 @@ type SolveOptions struct {
 	// of the partition — the contract the distributed check fabric's
 	// workers build on.
 	Shards []int
-	// Memo, when non-nil, carries the solver's shared tables (obligation
-	// interner, progression cache, dominance memo) across calls so a
-	// resumed search starts warm instead of cold (progressive deepening),
-	// together with the search setup derived from the formula and options:
-	// exploration options, witness universe, depth bound and root
-	// partition, derived once and reused by every later search or
-	// PlanShards through the memo. Without one, each search builds fresh
-	// tables and a fresh setup. The tables and the setup are only valid for
-	// repeat searches of the *same* formula under the same options — reuse
-	// across different checks is unsound and unchecked. A search that ends
-	// early (witness, cap, error) scrubs the commitments of its unfinished
-	// shard walks before returning (lts.Product), so the surviving entries
-	// are safe to prune against in a later round.
-	Memo *SolverMemo
 }
 
 // SolveResult reports a satisfiability verdict.
@@ -114,23 +100,70 @@ type SolveResult struct {
 	TotalShards     int
 }
 
+// Procedure is one of the bounded-search decision procedures: the fragment
+// its entry point admits, the vocabulary its letters are read in and its
+// depth rule.
+type Procedure int
+
+const (
+	// ProcX is SolveX's procedure.
+	ProcX Procedure = iota
+	// ProcZeroAcc is SolveZeroAcc's.
+	ProcZeroAcc
+	// ProcPlusDirect is SolvePlusDirect's.
+	ProcPlusDirect
+	// ProcBounded is SolveBounded's.
+	ProcBounded
+)
+
+// Admit returns the error the procedure's entry point gives a formula with
+// the features info outside its fragment, or nil when it admits it.
+func (p Procedure) Admit(info Info) error {
+	switch p {
+	case ProcX:
+		switch {
+		case !info.OnlyNext:
+			return fmt.Errorf("accltl: formula uses temporal operators beyond X")
+		case !info.ZeroAcc:
+			return fmt.Errorf("accltl: formula not in the 0-Acc fragment")
+		case !info.EmbeddedPositive:
+			return fmt.Errorf("accltl: embedded sentences must be positive existential")
+		}
+	case ProcZeroAcc:
+		switch {
+		case !info.ZeroAcc:
+			return fmt.Errorf("accltl: formula not in the 0-Acc fragment (an IsBind atom carries arguments)")
+		case !info.EmbeddedPositive:
+			return fmt.Errorf("accltl: embedded sentences must be positive existential")
+		case info.HasPast:
+			return fmt.Errorf("accltl: past operators unsupported by the 0-Acc solver")
+		}
+	case ProcPlusDirect:
+		switch {
+		case !info.BindingPositive:
+			return fmt.Errorf("accltl: formula is not binding-positive (Definition 4.1)")
+		case !info.EmbeddedPositive:
+			return fmt.Errorf("accltl: embedded sentences must be positive existential")
+		case info.HasInequality:
+			return fmt.Errorf("accltl: AccLTL+ with inequalities is undecidable (Theorem 5.2); use SolveBounded for a semi-decision")
+		case info.HasPast:
+			return fmt.Errorf("accltl: past operators unsupported")
+		}
+	case ProcBounded:
+		if info.HasPast {
+			return fmt.Errorf("accltl: past operators unsupported")
+		}
+	}
+	return nil
+}
+
 // SolveZeroAcc decides satisfiability of an AccLTL(FO∃+_0-Acc) or
 // AccLTL(FO∃+,≠_0-Acc) formula (Theorems 4.12 and 5.1) by the Boundedness
 // Lemma 4.13 bounded-model search: witnesses are sought over a universe
 // assembled from the canonical databases of the formula's positive
 // sentences, with path length bounded by a function of the formula.
 func SolveZeroAcc(f Formula, opts SolveOptions) (SolveResult, error) {
-	info := Classify(f)
-	if !info.ZeroAcc {
-		return SolveResult{}, fmt.Errorf("accltl: formula not in the 0-Acc fragment (an IsBind atom carries arguments)")
-	}
-	if !info.EmbeddedPositive {
-		return SolveResult{}, fmt.Errorf("accltl: embedded sentences must be positive existential")
-	}
-	if info.HasPast {
-		return SolveResult{}, fmt.Errorf("accltl: past operators unsupported by the 0-Acc solver")
-	}
-	return boundedSearch(f, opts, ZeroAcc)
+	return solve(ProcZeroAcc, f, opts)
 }
 
 // SolveX decides satisfiability of an AccLTL(X)(FO∃+,≠_0-Acc) formula
@@ -138,20 +171,7 @@ func SolveZeroAcc(f Formula, opts SolveOptions) (SolveResult, error) {
 // X-nesting depth plus one, so the search bound is tight rather than
 // heuristic.
 func SolveX(f Formula, opts SolveOptions) (SolveResult, error) {
-	info := Classify(f)
-	if !info.OnlyNext {
-		return SolveResult{}, fmt.Errorf("accltl: formula uses temporal operators beyond X")
-	}
-	if !info.ZeroAcc {
-		return SolveResult{}, fmt.Errorf("accltl: formula not in the 0-Acc fragment")
-	}
-	if !info.EmbeddedPositive {
-		return SolveResult{}, fmt.Errorf("accltl: embedded sentences must be positive existential")
-	}
-	if opts.MaxDepth == 0 {
-		opts.MaxDepth = TemporalDepth(f) + 1
-	}
-	return boundedSearch(f, opts, ZeroAcc)
+	return solve(ProcX, f, opts)
 }
 
 // SolvePlusDirect is the direct bounded search for AccLTL+ (design decision
@@ -159,20 +179,7 @@ func SolveX(f Formula, opts SolveOptions) (SolveResult, error) {
 // verdicts are exact up to the depth bound; the autom package provides the
 // paper's compilation route, and tests cross-check the two.
 func SolvePlusDirect(f Formula, opts SolveOptions) (SolveResult, error) {
-	info := Classify(f)
-	if !info.BindingPositive {
-		return SolveResult{}, fmt.Errorf("accltl: formula is not binding-positive (Definition 4.1)")
-	}
-	if !info.EmbeddedPositive {
-		return SolveResult{}, fmt.Errorf("accltl: embedded sentences must be positive existential")
-	}
-	if info.HasInequality {
-		return SolveResult{}, fmt.Errorf("accltl: AccLTL+ with inequalities is undecidable (Theorem 5.2); use SolveBounded for a semi-decision")
-	}
-	if info.HasPast {
-		return SolveResult{}, fmt.Errorf("accltl: past operators unsupported")
-	}
-	return boundedSearch(f, opts, FullAcc)
+	return solve(ProcPlusDirect, f, opts)
 }
 
 // SolveBounded is the unrestricted bounded semi-decision: complete for
@@ -180,11 +187,20 @@ func SolvePlusDirect(f Formula, opts SolveOptions) (SolveResult, error) {
 // incomplete for "unsatisfiable" on the undecidable fragments. The
 // undecidability reductions in package deps use it to exhibit models.
 func SolveBounded(f Formula, opts SolveOptions) (SolveResult, error) {
-	info := Classify(f)
-	if info.HasPast {
-		return SolveResult{}, fmt.Errorf("accltl: past operators unsupported")
+	return solve(ProcBounded, f, opts)
+}
+
+// solve is every Solve entry point: admit f, prepare its search and run it
+// once, on opts.Shards with opts.Parallelism walkers.
+func solve(proc Procedure, f Formula, opts SolveOptions) (SolveResult, error) {
+	if err := proc.Admit(Classify(f)); err != nil {
+		return SolveResult{}, err
 	}
-	return boundedSearch(f, opts, FullAcc)
+	p, err := Prepare(proc, f, opts)
+	if err != nil {
+		return SolveResult{}, err
+	}
+	return p.Search(opts.Context, opts.Parallelism, opts.Shards)
 }
 
 // Valid decides validity over access paths within the bound: ϕ is valid
@@ -205,34 +221,35 @@ func Valid(f Formula, opts SolveOptions) (valid bool, counterexample *access.Pat
 	return true, nil, nil
 }
 
-// defaultDepth derives the witness-length bound: at least one position per
-// until obligation and per distinct sentence (each may need a fresh
-// transition to flip), plus the X-nesting depth.
-func defaultDepth(f Formula) int {
-	d := TemporalDepth(f) + CountUntils(f) + len(Sentences(f)) + 1
+// defaultDepth derives the witness-length bound from f and its number of
+// distinct sentences: at least one position per until obligation and per
+// sentence (each may need a fresh transition to flip), plus the X-nesting
+// depth.
+func defaultDepth(f Formula, sentences int) int {
+	d := TemporalDepth(f) + CountUntils(f) + sentences + 1
 	if d < 2 {
 		d = 2
 	}
 	return d
 }
 
-// searchLTSOptions assembles the exploration options a bounded search of f
-// under opts uses: the depth bound, the witness universe (formula-derived
-// unless overridden) and the formula's constants in the binding pool,
-// completed by lts.ProductOptions. It is the single prep path shared by
-// boundedSearch and PlanShards, so the shard partition a plan describes is
-// exactly the partition the search executes — the determinism the
-// distributed check fabric relies on when coordinator and workers derive
-// plans independently.
-func searchLTSOptions(f Formula, opts SolveOptions) (lts.Options, int, error) {
+// searchOptions assembles the exploration options a bounded search of f,
+// whose distinct sentences are sentences, uses under opts: the depth bound
+// (opts.MaxDepth, else defaultDepth), the witness universe (derived from
+// the sentences unless overridden) and the sentences' constants in the
+// binding pool, completed by lts.ProductOptions. Prepare plans with it, so
+// the partition a plan describes is the partition the search executes: the
+// determinism the distributed check fabric relies on when coordinator and
+// workers derive plans independently.
+func searchOptions(f Formula, sentences []fo.Formula, opts SolveOptions) (lts.Options, int, error) {
 	depth := opts.MaxDepth
 	if depth == 0 {
-		depth = defaultDepth(f)
+		depth = defaultDepth(f, len(sentences))
 	}
 	universe := opts.Universe
 	if universe == nil {
 		var err error
-		if universe, err = WitnessUniverse(opts.Schema, f); err != nil {
+		if universe, err = UniverseForSentences(opts.Schema, sentences); err != nil {
 			return lts.Options{}, 0, err
 		}
 	}
@@ -246,154 +263,14 @@ func searchLTSOptions(f Formula, opts SolveOptions) (lts.Options, int, error) {
 		AllExact:           opts.AllExact,
 		MaxResponseChoices: opts.MaxResponseChoices,
 		MaxPaths:           opts.MaxPaths,
-		ExtraBindingValues: fo.Constants(sentenceConj(Sentences(f))),
+		ExtraBindingValues: fo.Constants(sentenceConj(sentences)),
 	})
 	return o, depth, err
 }
 
-// searchSetup returns the search's setup — opts.Memo's, or a fresh one for
-// a memo-less search — with its exploration options and depth bound
-// derived.
-func searchSetup(f Formula, opts SolveOptions) (*lts.Setup, int, error) {
-	setup := &lts.Setup{}
-	if opts.Memo != nil {
-		setup = &opts.Memo.setup
-	}
-	_, depth, err := setup.Options(opts.Context, func() (lts.Options, int, error) { return searchLTSOptions(f, opts) })
-	return setup, depth, err
-}
-
-// PlanShards enumerates the root shards a bounded search of f under opts
-// would partition into, in the canonical order SolveOptions.Shards indexes
-// (the schema's: method, then binding, then response). The plan is a pure
-// function of (schema, formula, options): Parallelism and Shards themselves
-// do not affect it, so a coordinator and its workers given the same check
-// derive identical plans. The bool result reports whether some root
-// response fan-out was truncated to MaxResponseChoices during enumeration
-// (lts.Plan.ResponsesCapped).
-//
-// With opts.Memo set, the plan is the memo's: enumerated by the first plan
-// or sharded search through the memo and reused by every later one.
-func PlanShards(f Formula, opts SolveOptions) ([]lts.ShardID, bool, error) {
-	if opts.Schema == nil {
-		return nil, false, fmt.Errorf("accltl: SolveOptions.Schema is required")
-	}
-	if err := CheckSentences(f); err != nil {
-		return nil, false, err
-	}
-	setup, _, err := searchSetup(f, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	plan, err := setup.Plan(opts.Context, opts.Schema)
-	if err != nil {
-		return nil, false, err
-	}
-	return plan.IDs(), plan.ResponsesCapped(), nil
-}
-
-// boundedSearch runs the bounded-model search: an lts.Product search over
-// the search's plan (the opts.Shards subset) whose control is the
-// obligation (see search.go).
-func boundedSearch(f Formula, opts SolveOptions, voc Vocabulary) (SolveResult, error) {
-	if opts.Schema == nil {
-		return SolveResult{}, fmt.Errorf("accltl: SolveOptions.Schema is required")
-	}
-	if opts.Context != nil {
-		if err := opts.Context.Err(); err != nil {
-			return SolveResult{}, err
-		}
-	}
-	if err := CheckSentences(f); err != nil {
-		return SolveResult{}, err
-	}
-
-	// Abstract the temporal skeleton: each distinct sentence becomes a
-	// proposition; progression over the letters of evaluated sentences
-	// decides the formula, and dead obligations prune the search. The
-	// sentence→proposition table is laid out once here, with every
-	// sentence prepared — evalLetter walks the flat table instead of
-	// re-rendering, re-checking or re-planning any sentence at every
-	// visited node.
-	sentences := Sentences(f)
-	props := make(map[string]ltl.Prop, len(sentences))
-	letters := make([]letterEntry, len(sentences))
-	for i, s := range sentences {
-		p := ltl.Prop(fmt.Sprintf("q%d", i))
-		props[s.String()] = p
-		prepared, err := fo.Prepare(s)
-		if err != nil {
-			return SolveResult{}, err
-		}
-		letters[i] = letterEntry{sentence: prepared, prop: p}
-	}
-	skeleton, err := abstract(f, props)
-	if err != nil {
-		return SolveResult{}, err
-	}
-
-	setup, depth, err := searchSetup(f, opts)
-	if err != nil {
-		return SolveResult{}, err
-	}
-	plan, err := setup.Plan(opts.Context, opts.Schema)
-	if err != nil {
-		return SolveResult{}, err
-	}
-
-	tables := opts.Memo
-	if tables == nil {
-		tables = NewSolverMemo()
-	}
-	tables.prog.widen(opts.Parallelism)
-	srch := &search{f: f, voc: voc, opts: &opts, letters: letters, useMask: len(letters) <= 64, tables: tables}
-	pr := &lts.Product[obligation, int]{
-		Init:       tables.in.intern(ltl.NNF(skeleton)),
-		Step:       srch.step,
-		ZeroAcc:    voc == ZeroAcc,
-		Memo:       tables.memo,
-		Depth:      depth,
-		Persistent: opts.Memo != nil,
-	}
-	// Satisfiability below a node depends only on the revealed configuration
-	// and the obligation, not on the history — except under idempotence,
-	// where the responses seen so far constrain the future, so the memo
-	// would be unsound there. The pruning ablation runs without it.
-	if !opts.IdempotentOnly && !opts.DisableLTLPruning {
-		pr.Key = func(o obligation) int { return o.id }
-	}
-
-	rep, witness, err := pr.Search(opts.Context, plan, opts.Parallelism, opts.Shards)
-	res := SolveResult{
-		Depth:           depth,
-		PathsExplored:   rep.Paths,
-		CompletedShards: rep.CompletedShards,
-		TotalShards:     rep.TotalShards,
-	}
-	if witness != nil {
-		res.Satisfiable = true
-		res.Witness = witness
-		ts, err := witness.Transitions(opts.Initial)
-		if err != nil {
-			return res, err
-		}
-		ok, err := Satisfied(f, ts, voc)
-		if err != nil {
-			return res, err
-		}
-		if !ok {
-			return res, fmt.Errorf("accltl: internal error: witness rejected by direct semantics")
-		}
-		return res, nil
-	}
-	// A cap met before an error is reported too: a resumed search skips
-	// the shards this one completed, so it would never meet the cap again.
-	res.ResponsesCapped = rep.ResponsesCapped
-	if err != nil {
-		return res, err
-	}
-	res.Truncated = rep.PathsCapped
-	return res, nil
+// searchLTSOptions is searchOptions over f's own sentences.
+func searchLTSOptions(f Formula, opts SolveOptions) (lts.Options, int, error) {
+	return searchOptions(f, Sentences(f), opts)
 }
 
 func sentenceConj(ss []fo.Formula) fo.Formula {
@@ -418,39 +295,44 @@ type Abstraction struct {
 // Abstract computes the propositional abstraction of f. It fails on past
 // operators.
 func Abstract(f Formula) (Abstraction, error) {
-	sentences := Sentences(f)
-	props := make(map[string]ltl.Prop, len(sentences))
-	for i, s := range sentences {
-		props[s.String()] = ltl.Prop(fmt.Sprintf("q%d", i))
-	}
-	skeleton, err := abstract(f, props)
+	a := newAbstraction()
+	skeleton, err := a.abstract(f)
 	if err != nil {
 		return Abstraction{}, err
 	}
-	return Abstraction{Skeleton: skeleton, Sentences: sentences, Props: props}, nil
+	return Abstraction{Skeleton: skeleton, Sentences: a.sentences, Props: a.props}, nil
 }
 
-// SentenceOf returns the sentence a proposition stands for.
-func (a Abstraction) SentenceOf(p ltl.Prop) (fo.Formula, bool) {
-	for i, s := range a.Sentences {
-		if a.Props[s.String()] == p {
-			return a.Sentences[i], true
-		}
-	}
-	return nil, false
+// abstraction is an Abstraction in the making: one walk over a formula
+// gives each distinct embedded sentence (by rendering, as Sentences dedups)
+// the next proposition q0, q1, … at its first occurrence, so sentences
+// lists them in Sentences' order, and order their propositions.
+type abstraction struct {
+	props     map[string]ltl.Prop
+	sentences []fo.Formula
+	order     []ltl.Prop
 }
 
-// abstract replaces each embedded sentence by its proposition.
-func abstract(f Formula, props map[string]ltl.Prop) (ltl.Formula, error) {
+func newAbstraction() *abstraction {
+	return &abstraction{props: make(map[string]ltl.Prop)}
+}
+
+// abstract replaces each embedded sentence by its proposition. It stops at
+// a past operator, which has no propositional counterpart.
+func (a *abstraction) abstract(f Formula) (ltl.Formula, error) {
 	switch g := f.(type) {
 	case Atom:
-		p, ok := props[g.Sentence.String()]
+		k := g.Sentence.String()
+		p, ok := a.props[k]
 		if !ok {
-			return nil, fmt.Errorf("accltl: sentence %s missing from proposition table", g.Sentence)
+			p = ltl.Prop(fmt.Sprintf("q%d", len(a.sentences)))
+			a.props[k] = p
+			a.sentences = append(a.sentences, g.Sentence)
+			a.order = append(a.order, p)
 		}
 		return p, nil
 	case Not:
-		x, err := abstract(g.F, props)
+		x, err := a.abstract(g.F)
 		if err != nil {
 			return nil, err
 		}
@@ -458,7 +340,7 @@ func abstract(f Formula, props map[string]ltl.Prop) (ltl.Formula, error) {
 	case And:
 		out := ltl.Formula(ltl.Truth(true))
 		for i, c := range g.Conj {
-			x, err := abstract(c, props)
+			x, err := a.abstract(c)
 			if err != nil {
 				return nil, err
 			}
@@ -472,7 +354,7 @@ func abstract(f Formula, props map[string]ltl.Prop) (ltl.Formula, error) {
 	case Or:
 		out := ltl.Formula(ltl.Truth(false))
 		for i, d := range g.Disj {
-			x, err := abstract(d, props)
+			x, err := a.abstract(d)
 			if err != nil {
 				return nil, err
 			}
@@ -484,17 +366,17 @@ func abstract(f Formula, props map[string]ltl.Prop) (ltl.Formula, error) {
 		}
 		return out, nil
 	case Next:
-		x, err := abstract(g.F, props)
+		x, err := a.abstract(g.F)
 		if err != nil {
 			return nil, err
 		}
 		return ltl.Next{F: x}, nil
 	case Until:
-		l, err := abstract(g.L, props)
+		l, err := a.abstract(g.L)
 		if err != nil {
 			return nil, err
 		}
-		r, err := abstract(g.R, props)
+		r, err := a.abstract(g.R)
 		if err != nil {
 			return nil, err
 		}
@@ -505,9 +387,9 @@ func abstract(f Formula, props map[string]ltl.Prop) (ltl.Formula, error) {
 }
 
 // letterEntry pairs a prepared embedded sentence with its proposition.
-// boundedSearch lays the table out once per solve and every shard visitor
-// shares it: evalLetter never re-renders a sentence's canonical string to
-// find its proposition, and never re-prepares it.
+// Prepare lays the table out once per search and every walker shares it:
+// evalLetter never re-renders a sentence's canonical string to find its
+// proposition, and never re-prepares it.
 type letterEntry struct {
 	sentence *fo.Prepared
 	prop     ltl.Prop
@@ -527,7 +409,7 @@ func evalLetter(letters []letterEntry, st fo.Structure) ltl.Letter {
 
 // evalLetterMask is evalLetter packed into a bitmask (bit i ⇔ sentence i
 // holds): the allocation-free letter the progression cache keys on. Only
-// valid for ≤ 64 sentences; boundedSearch falls back to evalLetter beyond.
+// valid for ≤ 64 sentences; the search falls back to evalLetter beyond.
 func evalLetterMask(letters []letterEntry, st fo.Structure) uint64 {
 	var mask uint64
 	for i, e := range letters {

@@ -7,7 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"accltl/internal/fo"
+	"accltl/internal/instance"
 	"accltl/internal/lts"
+	"accltl/internal/pollctx"
 )
 
 // TestSolveParallelMatchesSerialAcrossGrid is the solver-level golden test
@@ -168,23 +171,30 @@ func TestSolveParallelOtherEntryPoints(t *testing.T) {
 	}
 }
 
-// TestSolveParallelContextCancellation: an expiring budget stops all
-// walkers promptly with the context's error, never a wrong verdict.
+// TestSolveParallelContextCancellation: a context that expires while four
+// walkers search stops them with the context's error, never a verdict. The
+// context fails from its tenth poll on: past the entry checks, so the
+// expiry lands inside the walk, which polls over a hundred times when it
+// runs to the end (no value of the universe is in both R0 and R1, so the
+// formula is unsatisfiable and the search is exhaustive).
 func TestSolveParallelContextCancellation(t *testing.T) {
 	s := chainSchema(t)
-	// Unsatisfiable and deep: the search would exhaust a large space.
-	f := Conj(F(postNonEmpty("R0")), G(Not{F: postNonEmpty("R0")}))
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := SolveZeroAcc(f, SolveOptions{Schema: s, MaxDepth: 8, Parallelism: 4, Context: ctx})
-	if err == nil {
-		// A machine fast enough to finish depth 8 in a millisecond is
-		// acceptable; anything else must surface the deadline.
-		t.Skip("search completed inside the budget")
+	u := instance.NewInstance(s)
+	for i := 0; i < 6; i++ {
+		u.MustAdd("R0", instance.Int(int64(i)))
+		u.MustAdd("R1", instance.Int(int64(100+i)))
 	}
+	f := F(Atom{Sentence: fo.Ex([]string{"x"}, fo.Conj(
+		fo.Atom{Pred: fo.PostPred("R0"), Args: []fo.Term{fo.Var("x")}},
+		fo.Atom{Pred: fo.PostPred("R1"), Args: []fo.Term{fo.Var("x")}}))})
+	ctx := pollctx.New(10, context.DeadlineExceeded)
+	start := time.Now()
+	res, err := SolveZeroAcc(f, SolveOptions{Schema: s, Universe: u, MaxDepth: 4, Parallelism: 4, Context: ctx})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
+	}
+	if res.PathsExplored == 0 {
+		t.Errorf("the search expired before its walk (%d polls)", ctx.Polls())
 	}
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Errorf("cancellation took %s", elapsed)
@@ -193,8 +203,8 @@ func TestSolveParallelContextCancellation(t *testing.T) {
 
 // TestSolveParallelWitnessRepeatable: repeated parallel runs of the same
 // satisfiable instance must each return a valid witness (stability of the
-// *choice* is best-effort via the sorted shard order and deliberately not
-// asserted — see SolveOptions.Parallelism).
+// *choice* is best-effort via the lowest-shard preference and deliberately
+// not asserted — see SolveOptions.Parallelism).
 func TestSolveParallelWitnessRepeatable(t *testing.T) {
 	s := chainSchema(t)
 	f := F(Conj(postNonEmpty("R0"), F(postNonEmpty("R1"))))
@@ -214,60 +224,64 @@ func TestSolveParallelWitnessRepeatable(t *testing.T) {
 	}
 }
 
-// TestSolverMemoCarriesPlan: planning through a memo and then searching
-// the partition shard by shard through it enumerates the partition once —
-// every round runs on the plan PlanShards built — and the rounds agree
-// with the memo-less plan and the memo-less verdict.
+// TestSolverMemoCarriesPlan: a prepared search's plan is the one its
+// tables are searched over — searching the partition shard by shard through
+// one Prepared enumerates it once, and every round runs on the plan the
+// preparation built — and the rounds agree with a fresh plan and with the
+// one-shot verdict.
 func TestSolverMemoCarriesPlan(t *testing.T) {
 	s := chainSchema(t)
 	f := Conj(F(postNonEmpty("R0")), G(Not{F: postNonEmpty("R0")}))
 	opts := SolveOptions{Schema: s, MaxDepth: 3}
 	full, err := SolveZeroAcc(f, opts)
 	if err != nil || full.Satisfiable {
-		t.Fatalf("memo-less: %+v, %v", full, err)
+		t.Fatalf("one-shot: %+v, %v", full, err)
 	}
-	want, _, err := PlanShards(f, opts)
+	o, _, err := searchLTSOptions(f, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo := NewSolverMemo()
-	mopts := opts
-	mopts.Memo = memo
-	ids, _, err := PlanShards(f, mopts)
-	if err != nil || !reflect.DeepEqual(ids, want) {
-		t.Fatalf("memo plan %v (%v), fresh plan %v", ids, err, want)
-	}
-	plan, err := memo.setup.Plan(nil, s)
+	fresh, err := lts.NewPlan(s, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range ids {
-		o := mopts
-		o.Shards = []int{id.Index}
-		res, err := SolveZeroAcc(f, o)
-		if err != nil || res.Satisfiable || res.TotalShards != len(ids) {
+	want := fresh.IDs()
+	p, err := Prepare(ProcZeroAcc, f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := p.Plan()
+	if ids := plan.IDs(); !reflect.DeepEqual(ids, want) {
+		t.Fatalf("prepared plan %v, fresh plan %v", ids, want)
+	}
+	for _, id := range want {
+		res, err := p.Search(nil, 1, []int{id.Index})
+		if err != nil || res.Satisfiable || res.TotalShards != len(want) {
 			t.Fatalf("shard %d: %+v, %v", id.Index, res, err)
 		}
 	}
-	if again, err := memo.setup.Plan(nil, s); err != nil || again != plan {
-		t.Errorf("rounds re-planned: %p, %v; planned %p", again, err, plan)
+	if again := p.Plan(); again != plan {
+		t.Errorf("rounds re-planned: %p; planned %p", again, plan)
 	}
 }
 
-// TestSolverMemoWidensForLaterWalkers: a memo first searched at one walker
-// (one lock stripe) is widened by a later search with more walkers, as a
-// checkpoint created by a one-walker request and resumed by wider ones is,
-// and the wider search's verdict stays the memo-less one.
+// TestSolverMemoWidensForLaterWalkers: a prepared search first searched at
+// one walker (one lock stripe) is widened by a later search with more
+// walkers, as a checkpoint created by a one-walker request and resumed by
+// wider ones is, and the wider search's verdict stays the one-shot one.
 func TestSolverMemoWidensForLaterWalkers(t *testing.T) {
 	s := chainSchema(t)
 	f := Conj(F(postNonEmpty("R0")), G(Not{F: postNonEmpty("R0")}))
-	memo := NewSolverMemo()
+	p, err := Prepare(ProcZeroAcc, f, SolveOptions{Schema: s, MaxDepth: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, w := range []int{1, 4} {
-		res, err := SolveZeroAcc(f, SolveOptions{Schema: s, MaxDepth: 3, Parallelism: w, Memo: memo})
+		res, err := p.Search(nil, w, nil)
 		if err != nil || res.Satisfiable {
 			t.Fatalf("W=%d: %+v, %v", w, res, err)
 		}
-		if got, want := len(memo.prog.stripes), lts.Stripes(w); got != want {
+		if got, want := len(p.prog.stripes), lts.Stripes(w); got != want {
 			t.Errorf("W=%d: progression cache has %d stripes, want %d", w, got, want)
 		}
 	}

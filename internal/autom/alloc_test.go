@@ -32,7 +32,7 @@ func TestIsEmptyAllocsOneWalker(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocs per search", avg)
-	const budget = 174
+	const budget = 165
 	if avg > budget {
 		t.Errorf("a one-walker emptiness search allocates %.0f times (budget %d): a fixed cost is back in the search setup", avg, budget)
 	}

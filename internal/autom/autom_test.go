@@ -371,46 +371,46 @@ func TestCompiledEmptinessMatchesSolver(t *testing.T) {
 	}
 }
 
-// TestEmptinessMemoCarriesAutomaton: a memo compiles its check's automaton
-// once — every later Compile through it returns the same *Automaton, which
-// plans and searches through the memo to the memo-less verdict — and
-// refuses to plan or search any other automaton, even one compiled from the
-// same formula. A nil memo compiles afresh.
+// TestEmptinessMemoCarriesAutomaton: a prepared search holds its
+// automaton's plan and memo — planning it and searching it shard by shard
+// enumerates the partition once, every round runs on the plan the
+// preparation built — and reaches IsEmpty's verdict, with IsEmpty's
+// PathsExplored for a whole search on a fresh Prepared.
 func TestEmptinessMemoCarriesAutomaton(t *testing.T) {
 	s := twoRelSchema(t)
 	f := accltl.Conj(
 		accltl.F(accltl.Atom{Sentence: postNE("R0")}),
 		accltl.G(accltl.Not{F: accltl.Atom{Sentence: postNE("R0")}}),
 	)
-	memo := NewEmptinessMemo()
-	a, err := memo.Compile(s, f)
+	a, err := CompileAccLTLPlus(s, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again, err := memo.Compile(s, f); err != nil || again != a {
-		t.Fatalf("second Compile: %p, %v; first %p", again, err, a)
+	want, err := a.IsEmpty(EmptinessOptions{})
+	if err != nil || !want.Empty {
+		t.Fatalf("IsEmpty: %+v, %v", want, err)
 	}
-	opts := EmptinessOptions{Memo: memo}
-	if _, _, err := a.PlanShards(opts); err != nil {
-		t.Fatal(err)
-	}
-	other, err := (*EmptinessMemo)(nil).Compile(s, f)
-	if err != nil || other == a {
-		t.Fatalf("nil memo compiled %p, %v; memo's %p", other, err, a)
-	}
-	if _, err := other.IsEmpty(opts); err == nil {
-		t.Error("memo searched an automaton it does not belong to")
-	}
-	if _, _, err := other.PlanShards(opts); err == nil {
-		t.Error("memo planned an automaton it does not belong to")
-	}
-	want, err := other.IsEmpty(EmptinessOptions{})
+	p, err := a.Prepare(EmptinessOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.IsEmpty(opts)
+	got, err := p.Search(nil, 1, nil)
 	if err != nil || got.Empty != want.Empty || got.PathsExplored != want.PathsExplored {
-		t.Errorf("through the memo: %+v, %v; memo-less %+v", got, err, want)
+		t.Errorf("prepared search: %+v, %v; IsEmpty %+v", got, err, want)
+	}
+	p, err = a.Prepare(EmptinessOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := p.Plan()
+	for i := 0; i < plan.Len(); i++ {
+		res, err := p.Search(nil, 1, []int{i})
+		if err != nil || !res.Empty || res.TotalShards != plan.Len() {
+			t.Fatalf("shard %d: %+v, %v", i, res, err)
+		}
+	}
+	if again := p.Plan(); again != plan {
+		t.Errorf("rounds re-planned: %p; planned %p", again, plan)
 	}
 }
 

@@ -2,7 +2,6 @@ package autom
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"accltl/internal/access"
@@ -47,21 +46,11 @@ type EmptinessOptions struct {
 	// accltl.SolveOptions.Parallelism).
 	Parallelism int
 	// Shards, when non-nil, restricts the product search to the listed root
-	// shards of the canonical partition PlanShards enumerates (see
+	// shards of the canonical partition Prepared.Plan holds (see
 	// accltl.SolveOptions.Shards for the subset-search contract: "non-empty"
 	// verdicts stay exact, "empty" verdicts cover only the selected shards
 	// and must be merged across a full cover).
 	Shards []int
-	// Memo, when non-nil, carries the product search's dominance memo
-	// across calls so a resumed search starts warm (progressive deepening),
-	// together with the search setup (exploration options, witness
-	// universe, depth bound, root partition) that every later search or
-	// PlanShards through the memo reuses. Without one, each search builds a
-	// fresh memo and setup. The memo is only valid for repeat searches of
-	// the same automaton under the same options (a search of another
-	// automaton through it is refused), and searches that end early scrub
-	// their unfinished walks' commitments before returning (lts.Product).
-	Memo *EmptinessMemo
 }
 
 // EmptinessResult reports an emptiness verdict.
@@ -102,83 +91,22 @@ type EmptinessResult struct {
 // obligations each need at most one revealing access — in particular for
 // every automaton compiled from AccLTL+ by this repository.
 //
-// The search is an lts.Product search over its plan (the opts.Shards
-// subset) whose control is the automaton's state set (see search.go).
+// It prepares the search (Prepare) and runs it once, on opts.Shards with
+// opts.Parallelism walkers: an lts.Product search whose control is the
+// automaton's state set (see search.go).
 func (a *Automaton) IsEmpty(opts EmptinessOptions) (EmptinessResult, error) {
-	if err := a.Validate(); err != nil {
-		return EmptinessResult{}, err
-	}
-	if opts.Context != nil {
-		if err := opts.Context.Err(); err != nil {
-			return EmptinessResult{}, err
-		}
-	}
-	setup, depth, err := a.searchSetup(opts)
+	p, err := a.Prepare(opts)
 	if err != nil {
 		return EmptinessResult{}, err
 	}
-
-	res := EmptinessResult{Empty: true, Depth: depth}
-	if a.AcceptEmpty && a.Accepting[a.Init] {
-		res.Empty = false
-		res.Witness = access.NewPath(a.Schema)
-		return res, nil
-	}
-	plan, err := setup.Plan(opts.Context, a.Schema)
-	if err != nil {
-		return res, err
-	}
-
-	tables := opts.Memo
-	if tables == nil {
-		tables = NewEmptinessMemo()
-	}
-	srch := &search{a: a, guards: a.prepareGuards()}
-	pr := &lts.Product[map[int]bool, string]{
-		Init:       map[int]bool{a.Init: true},
-		Step:       srch.step,
-		Memo:       tables.memo,
-		Depth:      depth,
-		Persistent: opts.Memo != nil,
-	}
-	// Emptiness below a node depends only on the revealed configuration and
-	// the state set — except under idempotence, where the responses seen so
-	// far constrain the future, so the memo stays off there.
-	if !opts.IdempotentOnly {
-		pr.Key = stateSetKey
-	}
-
-	rep, witness, err := pr.Search(opts.Context, plan, opts.Parallelism, opts.Shards)
-	res.PathsExplored = rep.Paths
-	res.CompletedShards = rep.CompletedShards
-	res.TotalShards = rep.TotalShards
-	if witness != nil {
-		res.Empty = false
-		res.Witness = witness
-		ok, err := a.Accepts(witness)
-		if err != nil {
-			return res, err
-		}
-		if !ok {
-			return res, fmt.Errorf("autom: internal error: witness rejected by run semantics")
-		}
-		return res, nil
-	}
-	// Reported on an error return too (see accltl's boundedSearch).
-	res.ResponsesCapped = rep.ResponsesCapped
-	if err != nil {
-		return res, err
-	}
-	res.Truncated = rep.PathsCapped
-	return res, nil
+	return p.Search(opts.Context, opts.Parallelism, opts.Shards)
 }
 
 // emptinessLTSOptions assembles the exploration options the product search
 // uses: the depth bound (states + guards + 2 unless overridden), the
 // guard-derived witness universe and the guards' constants in the binding
-// pool, completed by lts.ProductOptions. The single prep path shared by
-// IsEmpty and PlanShards, so a plan always describes the partition the
-// search executes.
+// pool, completed by lts.ProductOptions. Prepare plans with it, so a plan
+// always describes the partition the search executes.
 func (a *Automaton) emptinessLTSOptions(opts EmptinessOptions) (lts.Options, int, error) {
 	depth := opts.MaxDepth
 	if depth == 0 {
@@ -204,46 +132,6 @@ func (a *Automaton) emptinessLTSOptions(opts EmptinessOptions) (lts.Options, int
 		ExtraBindingValues: guardConstants(a),
 	})
 	return o, depth, err
-}
-
-// searchSetup returns the search's setup — opts.Memo's, or a fresh one for
-// a memo-less search — with its exploration options and depth bound
-// derived.
-func (a *Automaton) searchSetup(opts EmptinessOptions) (*lts.Setup, int, error) {
-	setup := &lts.Setup{}
-	if opts.Memo != nil {
-		if err := opts.Memo.tie(a); err != nil {
-			return nil, 0, err
-		}
-		setup = &opts.Memo.setup
-	}
-	_, depth, err := setup.Options(opts.Context, func() (lts.Options, int, error) { return a.emptinessLTSOptions(opts) })
-	return setup, depth, err
-}
-
-// PlanShards enumerates the root shards an emptiness search of a under opts
-// would partition into, in the canonical order EmptinessOptions.Shards
-// indexes (the schema's: method, then binding, then response). Pure in
-// (automaton, options) — Parallelism and Shards themselves do not affect
-// it — so independent processes derive identical plans. The bool result
-// reports whether some root response fan-out was truncated during
-// enumeration (lts.Plan.ResponsesCapped).
-//
-// With opts.Memo set, the plan is the memo's: enumerated by the first plan
-// or sharded search through the memo and reused by every later one.
-func (a *Automaton) PlanShards(opts EmptinessOptions) ([]lts.ShardID, bool, error) {
-	if err := a.Validate(); err != nil {
-		return nil, false, err
-	}
-	setup, _, err := a.searchSetup(opts)
-	if err != nil {
-		return nil, false, err
-	}
-	plan, err := setup.Plan(opts.Context, a.Schema)
-	if err != nil {
-		return nil, false, err
-	}
-	return plan.IDs(), plan.ResponsesCapped(), nil
 }
 
 // stateSetKey renders a state set canonically.

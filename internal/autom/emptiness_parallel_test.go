@@ -7,7 +7,10 @@ import (
 	"time"
 
 	"accltl/internal/accltl"
+	"accltl/internal/fo"
+	"accltl/internal/instance"
 	"accltl/internal/lts"
+	"accltl/internal/pollctx"
 )
 
 // TestIsEmptyParallelMatchesSerial pins the product search across the W
@@ -116,27 +119,33 @@ func oracleEmpty(t *testing.T, a *Automaton, opts EmptinessOptions) bool {
 	return true
 }
 
-// TestIsEmptyParallelContextCancellation: a tight deadline surfaces as the
-// context's error from all walkers, promptly.
+// TestIsEmptyParallelContextCancellation: a context that expires while four
+// walkers search surfaces as the context's error from the search, never a
+// verdict. As in the solver's test, the context fails from its tenth poll
+// on, inside the walk of an exhaustive search over a universe where no
+// value is in both R0 and R1.
 func TestIsEmptyParallelContextCancellation(t *testing.T) {
 	s := twoRelSchema(t)
-	f := accltl.Conj(
-		accltl.F(accltl.Atom{Sentence: postNE("R0")}),
-		accltl.G(accltl.Not{F: accltl.Atom{Sentence: postNE("R0")}}),
-	)
+	u := instance.NewInstance(s)
+	for i := 0; i < 6; i++ {
+		u.MustAdd("R0", instance.Int(int64(i)))
+		u.MustAdd("R1", instance.Int(int64(100+i)))
+	}
+	f := accltl.F(accltl.Atom{Sentence: fo.Ex([]string{"x"}, fo.Conj(
+		fo.Atom{Pred: fo.PostPred("R0"), Args: []fo.Term{fo.Var("x")}},
+		fo.Atom{Pred: fo.PostPred("R1"), Args: []fo.Term{fo.Var("x")}}))})
 	a, err := CompileAccLTLPlus(s, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
+	ctx := pollctx.New(10, context.DeadlineExceeded)
 	start := time.Now()
-	_, err = a.IsEmpty(EmptinessOptions{Context: ctx, MaxDepth: 9, Parallelism: 4})
-	if err == nil {
-		t.Skip("search completed inside the budget")
-	}
+	res, err := a.IsEmpty(EmptinessOptions{Context: ctx, Universe: u, MaxDepth: 4, Parallelism: 4})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
+	}
+	if res.PathsExplored == 0 {
+		t.Errorf("the search expired before its walk (%d polls)", ctx.Polls())
 	}
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Errorf("cancellation took %s", elapsed)

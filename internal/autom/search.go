@@ -1,96 +1,153 @@
 package autom
 
-// The emptiness search's control and memo. The search is an lts.Product
-// search whose control is the automaton's state set, stepped over the
-// guards each transition satisfies; the walk itself (walkers, control
-// stacks, the shared (configuration, state-set) dominance memo, scrub of
-// unfinished walks, witness) is lts's.
+// The prepared emptiness search: its control and memo. The search is an
+// lts.Product search whose control is the automaton's state set, stepped
+// over the guards each transition satisfies; the walk itself (walkers,
+// control stacks, the shared (configuration, state-set) dominance memo,
+// scrub of unfinished walks, witness) is lts's.
 
 import (
+	"context"
 	"fmt"
-	"sync"
 
 	"accltl/internal/access"
-	"accltl/internal/accltl"
 	"accltl/internal/lts"
-	"accltl/internal/schema"
 )
 
-// EmptinessMemo carries the product search's dominance memo across calls so
-// a budget-sliced emptiness check resumes warm: commitments of walks that
-// were cut short are scrubbed before every search returns (lts.Product),
-// so a surviving entry means some round finished that subtree without
-// reaching an accepting state. Like the solver's, it also carries the search setup
-// (exploration options, witness universe, depth bound, root partition), and
-// the automaton itself. A memo is tied to one (automaton, options) pair:
-// the first automaton planned or searched through it is its own, and any
-// other is refused.
-type EmptinessMemo struct {
-	memo  *lts.DominanceMemo[lts.ProductKey[string]]
-	setup lts.Setup
-
-	mu sync.Mutex
-	a  *Automaton
-}
-
-// NewEmptinessMemo builds an empty reusable memo. It has one lock stripe
-// until a search with more walkers widens it (see lts.DominanceMemo.Widen).
-func NewEmptinessMemo() *EmptinessMemo {
-	return &EmptinessMemo{memo: lts.NewProductMemo[string]()}
-}
-
-// Compile returns the memo's automaton, compiling f over sch on first use,
-// so a check's plan and every round through its memo share one
-// compilation. A nil memo compiles afresh.
-func (m *EmptinessMemo) Compile(sch *schema.Schema, f accltl.Formula) (*Automaton, error) {
-	if m == nil {
-		return CompileAccLTLPlus(sch, f)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.a == nil {
-		a, err := CompileAccLTLPlus(sch, f)
-		if err != nil {
-			return nil, err
-		}
-		m.a = a
-	}
-	return m.a, nil
-}
-
-// Setup returns the search setup the memo carries.
-func (m *EmptinessMemo) Setup() *lts.Setup { return &m.setup }
-
-// tie binds the memo to a on first use and refuses any other automaton:
-// the memo's setup and dominance entries are a's (its guards, its states).
-func (m *EmptinessMemo) tie(a *Automaton) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.a == nil {
-		m.a = a
-	}
-	if m.a != a {
-		return fmt.Errorf("autom: emptiness memo belongs to another automaton")
-	}
-	return nil
-}
-
-// search is the state one emptiness search shares across its walkers.
-type search struct {
+// Prepared is a prepared emptiness search of its automaton: the prepared
+// guards, the depth bound and the plan (exploration options over the
+// guard-derived witness universe, root partition) derived once, and the
+// product search's dominance memo, which every Search on it warms. As with
+// accltl.Prepared, a search that ends early scrubs the commitments of its
+// unfinished shard walks (lts.Product), so the rounds of a budget-sliced
+// check run on one Prepared, one after another; searches of one Prepared
+// must not overlap. It holds its own automaton, so its memo only ever
+// holds that automaton's state sets.
+type Prepared struct {
 	a      *Automaton
 	guards *guardTable
+	depth  int
+	plan   *lts.Plan
+	memo   *lts.DominanceMemo[lts.ProductKey[string]]
+	// keyed turns the memo on. Emptiness below a node depends only on the
+	// revealed configuration and the state set — except under idempotence,
+	// where the responses seen so far constrain the future, so the memo
+	// stays off there.
+	keyed bool
+}
+
+// Prepare validates a and derives its emptiness search under opts,
+// enumerating the root partition under opts.Context; an expired context
+// returns its error before any derivation. Parallelism and Shards are the
+// searches'.
+func (a *Automaton) Prepare(opts EmptinessOptions) (*Prepared, error) {
+	plan, depth, err := a.plan(opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Prepared{
+		a:      a,
+		guards: a.prepareGuards(),
+		depth:  depth,
+		plan:   plan,
+		memo:   lts.NewProductMemo[string](),
+		keyed:  !opts.IdempotentOnly,
+	}, nil
+}
+
+// Plan derives the root partition Prepare(opts) searches, and nothing else:
+// a caller that only plans prepares no guards or memo.
+func (a *Automaton) Plan(opts EmptinessOptions) (*lts.Plan, error) {
+	p, _, err := a.plan(opts)
+	return p, err
+}
+
+// plan validates a and enumerates its search's root partition under
+// opts.Context, with the depth bound, which it returns too.
+func (a *Automaton) plan(opts EmptinessOptions) (*lts.Plan, int, error) {
+	if err := a.Validate(); err != nil {
+		return nil, 0, err
+	}
+	if opts.Context != nil {
+		if err := opts.Context.Err(); err != nil {
+			return nil, 0, err
+		}
+	}
+	o, depth, err := a.emptinessLTSOptions(opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	o.Context = opts.Context
+	p, err := lts.NewPlan(a.Schema, o)
+	return p, depth, err
+}
+
+// Plan returns the search's root partition.
+func (p *Prepared) Plan() *lts.Plan { return p.plan }
+
+// Search runs the search over the shards subset of its plan with
+// parallelism walkers (lts.Plan.Explore's arguments: nil shards is the
+// whole partition). A context that has already expired returns its error
+// first; an automaton accepting the empty path then answers non-empty
+// before any search; otherwise the walk polls the context, as
+// accltl.Prepared.Search's does.
+func (p *Prepared) Search(ctx context.Context, parallelism int, shards []int) (EmptinessResult, error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return EmptinessResult{}, err
+		}
+	}
+	a := p.a
+	res := EmptinessResult{Empty: true, Depth: p.depth}
+	if a.AcceptEmpty && a.Accepting[a.Init] {
+		res.Empty = false
+		res.Witness = access.NewPath(a.Schema)
+		return res, nil
+	}
+	pr := &lts.Product[map[int]bool, string]{
+		Init:  map[int]bool{a.Init: true},
+		Step:  p.step,
+		Memo:  p.memo,
+		Depth: p.depth,
+	}
+	if p.keyed {
+		pr.Key = stateSetKey
+	}
+	rep, witness, err := pr.Search(ctx, p.plan, parallelism, shards)
+	res.PathsExplored = rep.Paths
+	res.CompletedShards = rep.CompletedShards
+	res.TotalShards = rep.TotalShards
+	if witness != nil {
+		res.Empty = false
+		res.Witness = witness
+		ok, err := a.Accepts(witness)
+		if err != nil {
+			return res, err
+		}
+		if !ok {
+			return res, fmt.Errorf("autom: internal error: witness rejected by run semantics")
+		}
+		return res, nil
+	}
+	// Reported on an error return too (see accltl.Prepared.Search).
+	res.ResponsesCapped = rep.ResponsesCapped
+	if err != nil {
+		return res, err
+	}
+	res.Truncated = rep.PathsCapped
+	return res, nil
 }
 
 // step is the search's lts.Product step: it steps the state set over the
 // structure of the last transition, prunes an empty set and accepts a set
 // holding an accepting state.
-func (s *search) step(cur map[int]bool, _ *access.Path, last *access.TransitionStructure) (map[int]bool, lts.Move, error) {
-	next, err := s.a.step(cur, last, s.guards)
+func (p *Prepared) step(cur map[int]bool, _ *access.Path, last *access.TransitionStructure) (map[int]bool, lts.Move, error) {
+	next, err := p.a.step(cur, last, p.guards)
 	if err != nil || len(next) == 0 {
 		return nil, lts.Prune, err
 	}
 	for st := range next {
-		if s.a.Accepting[st] {
+		if p.a.Accepting[st] {
 			return next, lts.Accept, nil
 		}
 	}

@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"accltl/internal/fo"
 	"accltl/internal/instance"
 	"accltl/internal/lts"
+	"accltl/internal/pollctx"
 	"accltl/internal/schema"
 )
 
@@ -80,7 +82,12 @@ func TestSatisfiableParallelResponsesCapped(t *testing.T) {
 }
 
 // TestSatisfiableParallelContextCancellation: a caller deadline mid-check
-// surfaces as the caller context's error, not as an internal cancellation.
+// surfaces as the caller context's error, not as an internal cancellation
+// and not as a verdict. The workers poll a context derived from the
+// caller's, which a poll-counting context cannot expire; the caller's own
+// context is polled on entry (lts.Successors) and at the join, and fails
+// from its second poll on, so the unsatisfiable check (no value is in both
+// R and S) expires at the join.
 func TestSatisfiableParallelContextCancellation(t *testing.T) {
 	r := schema.MustRelation("R", schema.TypeInt)
 	s2 := schema.MustRelation("S", schema.TypeInt)
@@ -97,19 +104,15 @@ func TestSatisfiableParallelContextCancellation(t *testing.T) {
 	u := instance.NewInstance(s)
 	for i := 1; i <= 6; i++ {
 		u.MustAdd("R", instance.Int(int64(i)))
-		u.MustAdd("S", instance.Int(int64(i)))
+		u.MustAdd("S", instance.Int(int64(100+i)))
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
+	ctx := pollctx.New(2, context.DeadlineExceeded)
 	c := &Checker{Schema: s, Opts: lts.Options{Universe: u, Parallelism: 4, Context: ctx}}
-	// A deep EX tower over a wide universe: enough work that the 1ms budget
-	// expires inside the workers.
-	f := EX{F: EX{F: EX{F: EX{F: Conj(postNE("R"), postNE("S"))}}}}
+	both := Atom{Sentence: fo.Ex([]string{"x"}, fo.Conj(
+		fo.Atom{Pred: fo.PostPred("R"), Args: []fo.Term{fo.Var("x")}},
+		fo.Atom{Pred: fo.PostPred("S"), Args: []fo.Term{fo.Var("x")}}))}
 	start := time.Now()
-	_, _, err := c.Satisfiable(f, nil)
-	if err == nil {
-		t.Skip("check completed inside the budget")
-	}
+	_, _, err := c.Satisfiable(EX{F: EX{F: both}}, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}

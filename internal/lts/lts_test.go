@@ -9,6 +9,7 @@ import (
 
 	"accltl/internal/access"
 	"accltl/internal/instance"
+	"accltl/internal/pollctx"
 	"accltl/internal/schema"
 )
 
@@ -315,22 +316,6 @@ func TestBuildTreeAndRender(t *testing.T) {
 	}
 }
 
-// pollCountCtx is a context whose Err starts failing after a fixed number
-// of polls: it makes "the loop polls the context" testable without timing.
-type pollCountCtx struct {
-	context.Context
-	allowed int
-	polls   int
-}
-
-func (c *pollCountCtx) Err() error {
-	c.polls++
-	if c.polls > c.allowed {
-		return context.Canceled
-	}
-	return nil
-}
-
 // TestSuccessorsPollsContextInLoop: a context that expires after the entry
 // check must still abort a large method × binding enumeration — Successors
 // may not collect the full product first.
@@ -340,13 +325,13 @@ func TestSuccessorsPollsContextInLoop(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		u.MustAdd("R", instance.Int(int64(i)))
 	}
-	ctx := &pollCountCtx{Context: context.Background(), allowed: 2}
+	ctx := pollctx.New(3, context.Canceled)
 	_, _, err := Successors(s, Options{Universe: u, Context: ctx, MaxDepth: 1}, instance.NewInstance(s))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Successors over a 400-binding pool with an expiring context: err = %v, want context.Canceled", err)
 	}
-	if ctx.polls <= 2 {
-		t.Errorf("context polled only %d times — entry check only, not inside the loop", ctx.polls)
+	if ctx.Polls() <= 2 {
+		t.Errorf("context polled only %d times — entry check only, not inside the loop", ctx.Polls())
 	}
 }
 
@@ -372,7 +357,7 @@ func TestSuccessorsCancelledPromptly(t *testing.T) {
 func TestExplorePollsContextInLoop(t *testing.T) {
 	s := tinySchema(t)
 	u := tinyUniverse(t, s)
-	ctx := &pollCountCtx{Context: context.Background(), allowed: 1}
+	ctx := pollctx.New(2, context.Canceled)
 	_, err := Explore(s, Options{Universe: u, Context: ctx, MaxDepth: 4},
 		func(_ *access.Path, _, _ *instance.Instance) (bool, error) { return true, nil })
 	if !errors.Is(err, context.Canceled) {

@@ -70,18 +70,17 @@ type Product[S any, C comparable] struct {
 	// searches whose future also depends on the history.
 	Key func(S) C
 	// Memo is the dominance memo, and Depth the depth bound: a prefix of
-	// length n commits Depth-n.
+	// length n commits Depth-n. The memo may outlive the search (the next
+	// round of a budget-sliced check prunes against it), so the search
+	// removes the commitments of walks that were cut short before it
+	// returns: a surviving entry always stands for a subtree some search
+	// finished (see scrub).
 	Memo  *DominanceMemo[ProductKey[C]]
 	Depth int
-	// Persistent marks a memo that outlives the search (a checkpoint's).
-	// The search then removes the commitments of walks that were cut short
-	// before it returns, so a surviving entry always stands for a subtree
-	// some search finished (see scrub).
-	Persistent bool
 
 	wit     WitnessBox[*access.Path]
 	mu      sync.Mutex
-	walkers []*productWalker[S, C] // a persistent memo's walkers, for scrub
+	walkers []*productWalker[S, C] // for scrub
 }
 
 // Search runs the product search over plan with parallelism walkers on the
@@ -106,11 +105,9 @@ func (pr *Product[S, C]) walker() ShardVisitor {
 	w := &productWalker[S, C]{pr: pr, shard: -1}
 	w.last.ZeroAcc = pr.ZeroAcc
 	w.stack = append(w.buf[:0], productFrame[S, C]{state: pr.Init})
-	if pr.Persistent {
-		pr.mu.Lock()
-		pr.walkers = append(pr.walkers, w)
-		pr.mu.Unlock()
-	}
+	pr.mu.Lock()
+	pr.walkers = append(pr.walkers, w)
+	pr.mu.Unlock()
 	return w.visit
 }
 

@@ -50,10 +50,9 @@ func TestProductSearchShardedScrubsCutWalks(t *testing.T) {
 				mu.Unlock()
 				return node, Expand, nil
 			},
-			Key:        func(node string) string { return node },
-			Memo:       NewProductMemo[string](),
-			Depth:      o.MaxDepth,
-			Persistent: true,
+			Key:   func(node string) string { return node },
+			Memo:  NewProductMemo[string](),
+			Depth: o.MaxDepth,
 		}
 		_, _, err := pr.Search(context.Background(), plan, walkers, nil)
 		return visited, pr.Memo, err

@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"accltl/internal/instance"
 	"accltl/internal/schema"
@@ -123,6 +122,9 @@ func (p *Plan) IDs() []ShardID {
 	return ids
 }
 
+// Len returns the number of shards in the plan.
+func (p *Plan) Len() int { return len(p.shards) }
+
 // ResponsesCapped reports whether some root subset-response fan-out was
 // truncated to MaxResponseChoices during enumeration. An exploration of the
 // plan reports such a cap only if one of its walkers reaches that fan-out's
@@ -156,68 +158,6 @@ func (p *Plan) Explore(ctx context.Context, parallelism int, shards []int, root 
 		}
 	}
 	return exploreSharded(p.sch, o, p, shards, root, walker)
-}
-
-// Setup is the derived setup of one bounded search: the exploration
-// options a check derives from its formula and configuration (witness
-// universe, binding pool, caps), its depth bound and, once a sharded search
-// or a plan asks for it, its root partition. The per-check memos
-// (accltl.SolverMemo, autom.EmptinessMemo) each carry one, so a check
-// derives its setup and enumerates its partition once however many rounds
-// it runs. The zero value is empty; a Setup is safe for concurrent use.
-type Setup struct {
-	mu    sync.Mutex
-	ready bool
-	opts  Options
-	depth int
-	plan  *Plan
-}
-
-// Options returns the exploration options, carrying ctx, and the depth
-// bound, calling derive on first use. derive runs outside the lock; when
-// two first uses race, both derive the same setup and the first to finish
-// is kept.
-func (s *Setup) Options(ctx context.Context, derive func() (Options, int, error)) (Options, int, error) {
-	s.mu.Lock()
-	ready := s.ready
-	s.mu.Unlock()
-	if !ready {
-		o, depth, err := derive()
-		if err != nil {
-			return Options{}, 0, err
-		}
-		o.Context = nil
-		s.mu.Lock()
-		if !s.ready {
-			s.opts, s.depth, s.ready = o, depth, true
-		}
-		s.mu.Unlock()
-	}
-	s.mu.Lock()
-	o, depth := s.opts, s.depth
-	s.mu.Unlock()
-	o.Context = ctx
-	return o, depth, nil
-}
-
-// Plan returns the root partition of the options Options derived,
-// enumerating it under ctx on first use.
-func (s *Setup) Plan(ctx context.Context, sch *schema.Schema) (*Plan, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.ready {
-		return nil, fmt.Errorf("lts: Setup.Plan before Setup.Options")
-	}
-	if s.plan == nil {
-		o := s.opts
-		o.Context = ctx
-		p, err := NewPlan(sch, o)
-		if err != nil {
-			return nil, err
-		}
-		s.plan = p
-	}
-	return s.plan, nil
 }
 
 // shardSubset validates and canonicalizes a shard subset against an

@@ -1,8 +1,6 @@
 package lts
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -397,80 +395,6 @@ func TestPlanExecutesLikeExploreSharded(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSetupDerivesAndPlansOnce: a Setup derives its options once, hands
-// them out with the caller's context, enumerates its partition once, and
-// caches nothing from a failed derivation.
-func TestSetupDerivesAndPlansOnce(t *testing.T) {
-	s := tinySchema(t)
-	u := tinyUniverse(t, s)
-	var setup Setup
-	if _, err := setup.Plan(nil, s); err == nil {
-		t.Error("Plan before Options succeeded")
-	}
-	if _, _, err := setup.Options(nil, func() (Options, int, error) { return Options{}, 0, errors.New("no universe") }); err == nil {
-		t.Fatal("failed derivation reported success")
-	}
-	derives := 0
-	derive := func() (Options, int, error) {
-		derives++
-		return Options{Context: context.Background(), Universe: u, MaxDepth: 2}, 2, nil
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	for i := 0; i < 3; i++ {
-		o, depth, err := setup.Options(ctx, derive)
-		if err != nil || depth != 2 || o.Context != ctx || o.Universe != u {
-			t.Fatalf("Options = %+v, %d, %v", o, depth, err)
-		}
-	}
-	if derives != 1 {
-		t.Errorf("derived %d times", derives)
-	}
-	p1, err := setup.Plan(ctx, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := setup.Plan(nil, s)
-	if err != nil || p2 != p1 {
-		t.Errorf("second Plan = %p, %v; first %p", p2, err, p1)
-	}
-	if ids, _ := planIDs(t, s, Options{Universe: u, MaxDepth: 2}); !reflect.DeepEqual(p1.IDs(), ids) {
-		t.Errorf("plan IDs %v, a fresh plan's %v", p1.IDs(), ids)
-	}
-}
-
-// TestSetupConcurrentUse: rounds racing on one fresh Setup all get the same
-// options and the same plan — the memo-sharing contract under -race.
-func TestSetupConcurrentUse(t *testing.T) {
-	s := tinySchema(t)
-	u := tinyUniverse(t, s)
-	var setup Setup
-	derive := func() (Options, int, error) { return Options{Universe: u, MaxDepth: 2}, 2, nil }
-	plans := make([]*Plan, 8)
-	var wg sync.WaitGroup
-	for i := range plans {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, depth, err := setup.Options(nil, derive); err != nil || depth != 2 {
-				t.Errorf("Options: depth %d, %v", depth, err)
-				return
-			}
-			p, err := setup.Plan(nil, s)
-			if err != nil {
-				t.Errorf("Plan: %v", err)
-			}
-			plans[i] = p
-		}(i)
-	}
-	wg.Wait()
-	for i, p := range plans {
-		if p == nil || p != plans[0] {
-			t.Fatalf("goroutine %d got plan %p, goroutine 0 %p", i, p, plans[0])
-		}
 	}
 }
 

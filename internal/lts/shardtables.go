@@ -2,7 +2,7 @@ package lts
 
 // The concurrent tables of the product search (product.go): the striped
 // dominance memo and the lowest-shard witness box. The walkers of one search
-// share them, and a persistent memo outlives the search.
+// share them, and a memo outlives the search when its search is run again.
 
 import "sync"
 
@@ -10,9 +10,9 @@ import "sync"
 // of concurrent walkers uses: one for a single walker, whose lock is then
 // never contended and whose entries share one map, and 64 otherwise, so
 // that walkers rarely meet on a stripe. Always a power of two. A table
-// outlives its searches when it is persistent (a checkpoint's memo), so
-// each search widens it to its own walker count before the walkers start
-// (see DominanceMemo.Widen).
+// outlives its searches when a prepared search runs again (a checkpoint's
+// next round, maybe with more walkers), so each search widens it to its own
+// walker count before the walkers start (see DominanceMemo.Widen).
 func Stripes(walkers int) int {
 	if walkers <= 1 {
 		return 1

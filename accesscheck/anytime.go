@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"reflect"
 	"sync"
 	"time"
 
@@ -245,16 +246,52 @@ func (c *Checker) anytimeKey(sch *Schema, f Formula) string {
 	return shardless.Fingerprint(sch, f)
 }
 
-// checkpointFor returns prev once it is checked to belong to this check
-// (the same shard-less fingerprint), or a fresh checkpoint when prev is nil.
+// checkpointFor returns prev once it is checked to belong to this check,
+// or a fresh checkpoint when prev is nil. A checkpoint this checker
+// created for this very schema and formula value — a fabric worker's
+// ShardPlanAnytime, then its round — belongs to it by construction; any
+// other must carry the same shard-less fingerprint.
 func (c *Checker) checkpointFor(sch *Schema, f Formula, engine Engine, prev *Checkpoint) (*Checkpoint, error) {
 	if prev == nil {
 		return &Checkpoint{engine: engine, chk: c, sch: sch, f: f}, nil
+	}
+	if prev.chk == c && prev.sch == sch && identical(reflect.ValueOf(prev.f), reflect.ValueOf(f)) {
+		return prev, nil
 	}
 	if key, pk := c.anytimeKey(sch, f), prev.Key(); pk != key {
 		return nil, fmt.Errorf("accesscheck: checkpoint belongs to a different check (key %q, want %q)", pk, key)
 	}
 	return prev, nil
+}
+
+// identical reports whether a and b are one value handed on unchanged: the
+// same dynamic types throughout, equal scalars, and slices over the same
+// backing array. Formulas are immutable trees of such values (their slices
+// make == panic on them), so this proves a formula is the one a
+// checkpoint was created for without rendering either; false means only
+// "not proven".
+func identical(a, b reflect.Value) bool {
+	if !a.IsValid() || !b.IsValid() || a.Type() != b.Type() {
+		return false
+	}
+	switch a.Kind() {
+	case reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() && b.IsNil()
+		}
+		return identical(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := range a.NumField() {
+			if !identical(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice:
+		return a.Len() == b.Len() && a.Pointer() == b.Pointer()
+	default:
+		return a.Comparable() && a.Equal(b)
+	}
 }
 
 // prepareOn returns cp's prepared search, preparing it as mode says if no

@@ -98,3 +98,52 @@ func TestShardPlanAnytimeCarriesPlan(t *testing.T) {
 		}
 	}
 }
+
+// TestShardPlanThenCheckComputesNoKey: a fabric worker's fresh group plans
+// through ShardPlanAnytime and runs CheckAnytime on the checkpoint it got,
+// with the same checker, schema and formula value, so the checkpoint
+// belongs to the check by construction and neither call fingerprints it.
+// The formula is a conjunction, whose slice would make == panic. A formula
+// parsed again from the same text, or a distinct checker, still has the
+// checkpoint verified by its key.
+func TestShardPlanThenCheckComputesNoKey(t *testing.T) {
+	sch, err := ParseSchema(
+		[]string{"Mobile#:string,string,string,int", "Address:string,string,string,int"},
+		[]string{"AcM1:Mobile#:0", "AcM2:Address:0,1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const src = `[exists n,p,s,ph. pre Mobile#(n,p,s,ph)] & (![exists n,p,s,ph. pre Mobile#(n,p,s,ph)])`
+	f := MustParseFormula(src)
+	ctx := context.Background()
+	newChecker := func() *Checker {
+		chk, err := NewChecker(WithEngine(EngineBounded), WithShards(0, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return chk
+	}
+	chk := newChecker()
+	_, cp, err := chk.ShardPlanAnytime(ctx, sch, f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := chk.CheckAnytime(ctx, sch, f, cp); err != nil {
+		t.Fatal(err)
+	}
+	if cp.key != "" {
+		t.Fatalf("planning then checking one check computed the checkpoint's key %q", cp.key)
+	}
+	for name, run := range map[string]func() error{
+		"reparsed formula": func() error { _, _, err := chk.CheckAnytime(ctx, sch, MustParseFormula(src), cp); return err },
+		"distinct checker": func() error { _, _, err := newChecker().CheckAnytime(ctx, sch, f, cp); return err },
+	} {
+		cp.key = ""
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cp.key == "" {
+			t.Errorf("%s: the checkpoint was resumed without verifying its key", name)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -105,10 +106,10 @@ func TestShardValidation(t *testing.T) {
 }
 
 func part(shards []int, sat bool, witness string, trunc bool, paths int) ShardResult {
-	return ShardResult{
-		Version: WireVersion, Shards: shards, Satisfiable: sat, Witness: witness,
+	return ShardResult{Version: WireVersion, Shards: shards, Verdict: Verdict{
+		Satisfiable: sat, Witness: witness,
 		Truncated: trunc, PathsExplored: paths, Depth: 4, Engine: "bounded", Fragment: "AccLTL+",
-	}
+	}}
 }
 
 func TestMergeSemantics(t *testing.T) {
@@ -407,5 +408,50 @@ func TestDispatcherAllWorkersFail(t *testing.T) {
 	d := &Dispatcher{Retries: -1, Backoff: time.Millisecond, HedgeAfter: time.Millisecond}
 	if _, _, err := d.DoHedged(context.Background(), []string{dead.URL}, sampleShard()); err == nil {
 		t.Error("dispatch to a dead fabric succeeded")
+	}
+}
+
+// TestShardResultWireKeys pins the JSON keys of a fully populated
+// ShardResult and the wire version: a worker and a coordinator of one
+// WireVersion must read each other's parts.
+func TestShardResultWireKeys(t *testing.T) {
+	if WireVersion != 2 {
+		t.Fatalf("WireVersion = %d, want 2", WireVersion)
+	}
+	var r ShardResult
+	r.Version = WireVersion
+	r.Shards = []int{0, 1}
+	r.Satisfiable = true
+	r.Witness = "AcM1(a)"
+	r.Fragment = "AccLTL+"
+	r.InFragment = true
+	r.Decidable = true
+	r.Engine = "bounded"
+	r.Depth = 3
+	r.Truncated = true
+	r.ResponsesCapped = true
+	r.PathsExplored = 42
+	r.Cached = true
+	r.ElapsedMS = 1.5
+	r.ShardsCompleted = 2
+	r.ShardsTotal = 5
+	data, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range fields {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	want := []string{"cached", "decidable", "depth", "elapsed_ms", "engine", "fragment", "in_fragment",
+		"paths_explored", "responses_capped", "satisfiable", "shards", "shards_completed", "shards_total",
+		"truncated", "version", "witness"}
+	if !reflect.DeepEqual(keys, want) {
+		t.Errorf("ShardResult keys = %v, want %v", keys, want)
 	}
 }

@@ -5,6 +5,47 @@ import (
 	"sort"
 )
 
+// Verdict is the wire form of a check's answer: the verdict, the metadata
+// of the search that reached it and the qualifiers on its exactness. It is
+// declared once for every role: a worker's /v1/check answer
+// (server.CheckResponse) and its /v1/shard answer (ShardResult) embed it,
+// a coordinator's merge folds it, and a worker's disk tier stores the
+// check answer's JSON.
+type Verdict struct {
+	// Satisfiable / Witness: a witness is verified against the direct
+	// semantics by the engine before it reaches the wire, so a witness found
+	// inside any slice is a witness for the whole check.
+	Satisfiable bool `json:"satisfiable"`
+	// Fragment/engine metadata, identical across all shards of one check —
+	// Merge cross-checks that as another identity guard.
+	Fragment   string `json:"fragment"`
+	InFragment bool   `json:"in_fragment"`
+	Decidable  bool   `json:"decidable"`
+	Engine     string `json:"engine"`
+	// Truncated / ResponsesCapped qualify an unsatisfiable verdict exactly
+	// as on accesscheck.Result; on a shard part they are scoped to its
+	// executed slices.
+	Truncated       bool `json:"truncated"`
+	ResponsesCapped bool `json:"responses_capped,omitempty"`
+	// PathsExplored counts visited prefixes, including the one root visit
+	// every slice run makes.
+	PathsExplored int     `json:"paths_explored"`
+	Depth         int     `json:"depth"`
+	Witness       string  `json:"witness,omitempty"`
+	ElapsedMS     float64 `json:"elapsed_ms"`
+	Cached        bool    `json:"cached"`
+	// ShardsCompleted / ShardsTotal state coverage explicitly: how many of
+	// the plan's canonical shards this verdict actually executed, out of
+	// how many the plan holds. A worker answering for its assigned subset
+	// reports len(Shards) / PlanSize; a coordinator merge reports the
+	// union it collected. Completed == Total means a full-cover verdict;
+	// both are zero on a whole-space answer. Completed < Total with
+	// Truncated set and Satisfiable false reads as Unknown: no witness in
+	// the explored region, nothing claimed about the rest.
+	ShardsCompleted int `json:"shards_completed,omitempty"`
+	ShardsTotal     int `json:"shards_total,omitempty"`
+}
+
 // ShardResult is the wire form of one worker's partial verdict: the
 // outcome of executing a Shard's assigned partition slices. Shards echoes
 // the executed canonical indexes so the coordinator can verify coverage
@@ -13,34 +54,7 @@ import (
 type ShardResult struct {
 	Version int   `json:"version"`
 	Shards  []int `json:"shards"`
-	// Satisfiable / Witness: a witness found inside any slice is a witness
-	// for the whole check (verified against the direct semantics by the
-	// engine before it ever reaches the wire).
-	Satisfiable bool   `json:"satisfiable"`
-	Witness     string `json:"witness,omitempty"`
-	// Fragment/engine metadata, identical across all shards of one check —
-	// Merge cross-checks that as another identity guard.
-	Fragment   string `json:"fragment"`
-	InFragment bool   `json:"in_fragment"`
-	Decidable  bool   `json:"decidable"`
-	Engine     string `json:"engine"`
-	Depth      int    `json:"depth"`
-	// Truncated / ResponsesCapped qualify an unsatisfiable partial verdict
-	// exactly as on accesscheck.Result, scoped to the executed slices.
-	Truncated       bool `json:"truncated"`
-	ResponsesCapped bool `json:"responses_capped,omitempty"`
-	// PathsExplored counts visited prefixes in the executed slices,
-	// including the one root visit every slice run makes.
-	PathsExplored int     `json:"paths_explored"`
-	Cached        bool    `json:"cached"`
-	ElapsedMS     float64 `json:"elapsed_ms"`
-	// ShardsCompleted / ShardsTotal state coverage explicitly: how many of
-	// the plan's canonical shards this verdict actually executed, out of
-	// how many the plan holds. A worker answering for its assigned subset
-	// reports len(Shards) / PlanSize; a coordinator merge reports the
-	// union it collected. Completed == Total means a full-cover verdict.
-	ShardsCompleted int `json:"shards_completed,omitempty"`
-	ShardsTotal     int `json:"shards_total,omitempty"`
+	Verdict
 }
 
 // Merge folds the partial results of a full partition cover into one

@@ -16,6 +16,11 @@
 // the re-derived plan so a coordinator/worker disagreement (version skew,
 // diverging defaults) fails loudly instead of silently searching the
 // wrong slice.
+//
+// The package also declares a check's two wire forms once for every role:
+// CheckOptions, the options of a check request and of a shard alike, and
+// Verdict, the answer a worker's /v1/check response and a ShardResult
+// both embed and a coordinator merges.
 package fabric
 
 import (
@@ -48,10 +53,14 @@ type ShardRef struct {
 	WholeAccess bool   `json:"whole_access,omitempty"`
 }
 
-// CheckOptions is the option set of the check a shard belongs to, mirroring
-// the facade's verdict-affecting options (accesscheck/server's wire options
-// minus per-request parallelism, which is an execution knob each worker
-// resolves locally).
+// CheckOptions is the option set of one check, declared once for every
+// role: a check request's "options" (server.CheckOptions is this type) and
+// a shard's, which a coordinator ships as the request carried them. All but
+// Parallelism select what the check computes. Parallelism caps the check's
+// exploration walkers: 0 means the serving worker's configured per-check
+// parallelism; positive values below it lower the fan-out for this check;
+// values above it are clamped to it (a request cannot grab more of the
+// machine than the operator allotted per check).
 type CheckOptions struct {
 	Engine             string   `json:"engine,omitempty"`
 	Grounded           bool     `json:"grounded,omitempty"`
@@ -61,6 +70,7 @@ type CheckOptions struct {
 	MaxDepth           int      `json:"max_depth,omitempty"`
 	MaxPaths           int      `json:"max_paths,omitempty"`
 	MaxResponseChoices int      `json:"max_response_choices,omitempty"`
+	Parallelism        int      `json:"parallelism,omitempty"`
 }
 
 // Shard is the wire form of one unit of distributed work: the full check

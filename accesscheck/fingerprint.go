@@ -23,7 +23,17 @@ import (
 // held both bytes could be stored as an exact unsat it is not. Logs
 // written under fp-v1 are discarded; keys of strings without those bytes
 // did not change.
-const FingerprintSchemeVersion = "fp-v2"
+//
+// fp-v3: formulas and sentences render the way the parser reads them:
+// staged atoms as "pre R(x)", "post R(x)" and "bind M(x)", boolean
+// constants as #t and #f, string constants without escapes, and a
+// quantifier under a connective in parentheses. Under fp-v2 the post-stage
+// atom over R rendered as "Rpost(x)", exactly like a plain atom over a
+// relation named Rpost, so a containment or relevance task over one could
+// be answered with the other's cached verdict; a boolean constant rendered
+// like a variable named true or false. Every key of a formula with a
+// staged or binding atom moved; logs written under fp-v2 are discarded.
+const FingerprintSchemeVersion = "fp-v3"
 
 // Fingerprint returns a canonical key identifying what a Check on (sch, f)
 // under this checker's configuration computes: the schema's declaration

@@ -338,7 +338,7 @@ func (c *Coordinator) check(ctx context.Context, req CheckRequest) (*CheckRespon
 			Relations: req.Relations,
 			Methods:   req.Methods,
 			Formula:   req.Formula,
-			Options:   fabricOptions(req.Options),
+			Options:   req.Options,
 			Budget:    wireBudget.String(),
 			PlanSize:  len(plan),
 			Shards:    g.refs,
@@ -554,46 +554,13 @@ func (c *Coordinator) dispatchError(err error) error {
 	return &httpError{status: http.StatusBadGateway, err: err}
 }
 
-// fabricOptions converts the server's wire options into the fabric's
-// (dropping per-request parallelism, which each worker resolves locally).
-func fabricOptions(o *CheckOptions) *fabric.CheckOptions {
-	if o == nil {
-		return nil
-	}
-	return &fabric.CheckOptions{
-		Engine:             o.Engine,
-		Grounded:           o.Grounded,
-		IdempotentOnly:     o.IdempotentOnly,
-		AllExact:           o.AllExact,
-		ExactMethods:       o.ExactMethods,
-		MaxDepth:           o.MaxDepth,
-		MaxPaths:           o.MaxPaths,
-		MaxResponseChoices: o.MaxResponseChoices,
-	}
-}
-
 // wireShardMerge renders a merged partial verdict as the public
 // CheckResponse. Coverage/Resumable follow the anytime contract: a witness
 // or a full cover is exact (Coverage 1); anything less is a resumable
 // partial — the coordinator checkpoints its frontier, so the identical
 // request redispatches only the missing shards.
 func wireShardMerge(res fabric.ShardResult) *CheckResponse {
-	out := &CheckResponse{
-		Satisfiable:     res.Satisfiable,
-		Fragment:        res.Fragment,
-		InFragment:      res.InFragment,
-		Decidable:       res.Decidable,
-		Engine:          res.Engine,
-		Truncated:       res.Truncated,
-		ResponsesCapped: res.ResponsesCapped,
-		PathsExplored:   res.PathsExplored,
-		Depth:           res.Depth,
-		Witness:         res.Witness,
-		ElapsedMS:       res.ElapsedMS,
-		Cached:          res.Cached,
-		ShardsCompleted: res.ShardsCompleted,
-		ShardsTotal:     res.ShardsTotal,
-	}
+	out := &CheckResponse{Verdict: res.Verdict}
 	switch {
 	case res.Satisfiable || (res.ShardsTotal > 0 && res.ShardsCompleted == res.ShardsTotal):
 		out.Coverage = 1

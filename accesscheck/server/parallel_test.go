@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 )
@@ -115,5 +116,45 @@ func TestParallelismCacheSharedAcrossFanout(t *testing.T) {
 	}
 	if !out.Cached {
 		t.Error("identical check at a different parallelism missed the cache")
+	}
+}
+
+// TestFanOutHonoursRequestParallelism: a coordinator ships a fanned-out
+// check's options as the request carried them, so every worker solving a
+// shard group runs at the request's parallelism cap, as a worker answering
+// the whole check would.
+func TestFanOutHonoursRequestParallelism(t *testing.T) {
+	var urls []string
+	var workers []*httptest.Server
+	for range 2 {
+		w := newTestServer(t, Config{Parallelism: 4})
+		workers = append(workers, w)
+		urls = append(urls, w.URL)
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{Workers: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(coord)
+	t.Cleanup(ts.Close)
+
+	req := CheckRequest{Relations: wideRelations, Methods: wideMethods, Formula: wideUnsatFormula,
+		Options: &CheckOptions{MaxDepth: 4, Engine: "bounded", Parallelism: 1}}
+	resp, body := postJSON(t, ts.URL+"/v1/check", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if m := metrics(t, ts); m["accserve_coordinator_fanouts_total"] != 1 {
+		t.Fatalf("fanouts = %d, want 1: the check was not fanned out", m["accserve_coordinator_fanouts_total"])
+	}
+	for i, w := range workers {
+		m := metrics(t, w)
+		sum, count := m["accserve_request_parallelism_sum"], m["accserve_request_parallelism_count"]
+		if count == 0 {
+			t.Errorf("worker %d solved no shard group", i)
+		}
+		if sum != count {
+			t.Errorf("worker %d: request parallelism sum/count = %d/%d, want every solve at 1", i, sum, count)
+		}
 	}
 }

@@ -254,18 +254,6 @@ func encodeDiskCheck(_ string, tr accesscheck.TaskResult) ([]byte, bool) {
 	return b, err == nil
 }
 
-// decodeDiskCheck decodes a persisted check entry; nil on damage (served
-// as a miss — the record's CRC already screens torn writes, so this only
-// guards scheme drift the version stamp missed).
-func decodeDiskCheck(data []byte) *CheckResponse {
-	out := new(CheckResponse)
-	if err := json.Unmarshal(data, out); err != nil {
-		return nil
-	}
-	out.Cached = true
-	return out
-}
-
 // CheckRequest is the wire form of one check: a schema as textual
 // declarations (accesscheck.ParseSchema syntax), a formula
 // (accesscheck.ParseFormula syntax), solver options, and an optional
@@ -278,50 +266,19 @@ type CheckRequest struct {
 	Budget    string        `json:"budget,omitempty"`
 }
 
-// CheckOptions mirrors the facade's functional options on the wire.
-type CheckOptions struct {
-	Engine             string   `json:"engine,omitempty"`
-	Grounded           bool     `json:"grounded,omitempty"`
-	IdempotentOnly     bool     `json:"idempotent_only,omitempty"`
-	AllExact           bool     `json:"all_exact,omitempty"`
-	ExactMethods       []string `json:"exact_methods,omitempty"`
-	MaxDepth           int      `json:"max_depth,omitempty"`
-	MaxPaths           int      `json:"max_paths,omitempty"`
-	MaxResponseChoices int      `json:"max_response_choices,omitempty"`
-	// Parallelism caps this check's exploration walkers. 0 means the
-	// server's configured per-check parallelism; positive values below it
-	// lower the fan-out for this check; values above it are clamped to it
-	// (a request cannot grab more of the machine than the operator
-	// allotted per check).
-	Parallelism int `json:"parallelism,omitempty"`
-}
+// CheckOptions is a check request's "options": the facade's functional
+// options on the wire, declared once in the fabric package because a
+// coordinator ships them to its workers as they came.
+type CheckOptions = fabric.CheckOptions
 
-// CheckResponse is the wire form of an accesscheck.Result.
+// CheckResponse is the wire form of an accesscheck.Result: the verdict as
+// every role answers it, plus the anytime tags. Coverage / Resumable tag
+// anytime answers (see accesscheck.Result): a Resumable response is a
+// suspended partial whose frontier the server checkpointed — re-issuing the
+// identical request resumes it, and RetryAfter suggests when (mirrored in a
+// Retry-After header on single checks). Exact answers carry Coverage 1.
 type CheckResponse struct {
-	Satisfiable     bool    `json:"satisfiable"`
-	Fragment        string  `json:"fragment"`
-	InFragment      bool    `json:"in_fragment"`
-	Decidable       bool    `json:"decidable"`
-	Engine          string  `json:"engine"`
-	Truncated       bool    `json:"truncated"`
-	ResponsesCapped bool    `json:"responses_capped,omitempty"`
-	PathsExplored   int     `json:"paths_explored"`
-	Depth           int     `json:"depth"`
-	Witness         string  `json:"witness,omitempty"`
-	ElapsedMS       float64 `json:"elapsed_ms"`
-	Cached          bool    `json:"cached"`
-	// ShardsCompleted / ShardsTotal tag a fabric coordinator's partial
-	// verdict with its coverage (see accesscheck.Result); both zero on
-	// whole-space answers. Completed < Total with Truncated set and
-	// Satisfiable false reads as Unknown: no witness in the explored
-	// region, nothing claimed about the rest.
-	ShardsCompleted int `json:"shards_completed,omitempty"`
-	ShardsTotal     int `json:"shards_total,omitempty"`
-	// Coverage / Resumable tag anytime answers (see accesscheck.Result):
-	// a Resumable response is a suspended partial whose frontier the
-	// server checkpointed — re-issuing the identical request resumes it,
-	// and RetryAfter suggests when (mirrored in a Retry-After header on
-	// single checks). Exact answers carry Coverage 1.
+	fabric.Verdict
 	Coverage   float64 `json:"coverage,omitempty"`
 	Resumable  bool    `json:"resumable,omitempty"`
 	RetryAfter int     `json:"retry_after_seconds,omitempty"`
@@ -550,22 +507,13 @@ func (s *Server) check(ctx context.Context, req CheckRequest) (*CheckResponse, e
 	if err != nil {
 		return nil, err
 	}
-	fp := pc.fp
-	if tr, ok := s.cache.Get(fp); ok && tr.Check != nil {
+	if out, ok := s.settled(pc.fp); ok {
 		s.taskCacheHits[accesscheck.TaskCheck].Add(1)
-		return wireResult(tr.Check, true), nil
-	}
-	// Disk tier: a previous process's exact verdict for this fingerprint
-	// survives restarts; serve it verbatim without re-solving.
-	if data, ok := s.cache.Persisted(fp); ok {
-		if out := decodeDiskCheck(data); out != nil {
-			s.taskCacheHits[accesscheck.TaskCheck].Add(1)
-			return out, nil
-		}
+		return out, nil
 	}
 	s.taskCacheMisses[accesscheck.TaskCheck].Add(1)
 
-	res, _, err := s.solveCheck(ctx, pc.chk, pc.sch, pc.f, fp, par, s.resumeFrom(fp))
+	res, _, err := s.solveCheck(ctx, pc.chk, pc.sch, pc.f, pc.fp, par, s.resumeFrom(pc.fp))
 	if err != nil {
 		return nil, err
 	}
@@ -574,6 +522,25 @@ func (s *Server) check(ctx context.Context, req CheckRequest) (*CheckResponse, e
 		s.taskTruncations[accesscheck.TaskCheck].Add(1)
 	}
 	return wireResult(res, false), nil
+}
+
+// settled answers a check the cache tiers hold under key, marked cached:
+// memory first, then the disk tier, where a previous process's exact
+// verdicts survive restarts and are served verbatim without re-solving.
+func (s *Server) settled(key string) (*CheckResponse, bool) {
+	if tr, ok := s.cache.Get(key); ok && tr.Check != nil {
+		return wireResult(tr.Check, true), true
+	}
+	if data, ok := s.cache.Persisted(key); ok {
+		// The record's CRC already screens torn writes; a record that does
+		// not decode (scheme drift the version stamp missed) is a miss.
+		out := new(CheckResponse)
+		if json.Unmarshal(data, out) == nil {
+			out.Cached = true
+			return out, true
+		}
+	}
+	return nil, false
 }
 
 // resumeFrom returns the suspended frontier an identical request that blew
@@ -677,23 +644,26 @@ func checkTaskResult(res *accesscheck.Result) *accesscheck.TaskResult {
 	}
 }
 
+// wireResult is the one mapping of a facade Result onto the wire.
 func wireResult(res *accesscheck.Result, cached bool) *CheckResponse {
 	out := &CheckResponse{
-		Satisfiable:     res.Satisfiable,
-		Fragment:        res.Fragment.String(),
-		InFragment:      res.InFragment,
-		Decidable:       res.Decidable,
-		Engine:          res.Engine.String(),
-		Truncated:       res.Truncated,
-		ResponsesCapped: res.ResponsesCapped,
-		PathsExplored:   res.PathsExplored,
-		Depth:           res.Depth,
-		ElapsedMS:       float64(res.Elapsed) / float64(time.Millisecond),
-		Cached:          cached,
-		ShardsCompleted: res.ShardsCompleted,
-		ShardsTotal:     res.ShardsTotal,
-		Coverage:        res.Coverage,
-		Resumable:       res.Resumable,
+		Verdict: fabric.Verdict{
+			Satisfiable:     res.Satisfiable,
+			Fragment:        res.Fragment.String(),
+			InFragment:      res.InFragment,
+			Decidable:       res.Decidable,
+			Engine:          res.Engine.String(),
+			Truncated:       res.Truncated,
+			ResponsesCapped: res.ResponsesCapped,
+			PathsExplored:   res.PathsExplored,
+			Depth:           res.Depth,
+			ElapsedMS:       float64(res.Elapsed) / float64(time.Millisecond),
+			Cached:          cached,
+			ShardsCompleted: res.ShardsCompleted,
+			ShardsTotal:     res.ShardsTotal,
+		},
+		Coverage:  res.Coverage,
+		Resumable: res.Resumable,
 	}
 	if res.Witness != nil {
 		out.Witness = res.Witness.String()

@@ -314,3 +314,29 @@ func TestMixedBatchTasks(t *testing.T) {
 		t.Errorf("empty requests beside items: status %d, want 200: %s", resp.StatusCode, body)
 	}
 }
+
+// TestContainmentCacheSeparatesStagedFromPlainAtoms: a verdict cached for
+// q1 = q2 = "exists x. Rpost(x)" must not answer q1 = "exists x. post
+// R(x)", a different query that q2 does not contain.
+func TestContainmentCacheSeparatesStagedFromPlainAtoms(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	ask := func(q1, q2 string) ContainmentResponse {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/v1/containment", ContainmentRequest{Q1: q1, Q2: q2})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		var out ContainmentResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	const plain, staged = "exists x. Rpost(x)", "exists x. post R(x)"
+	if out := ask(plain, plain); !out.Contained || out.Cached {
+		t.Fatalf("q1 = q2: contained=%v cached=%v, want true/false", out.Contained, out.Cached)
+	}
+	if out := ask(staged, plain); out.Contained || out.Cached {
+		t.Errorf("post R against Rpost: contained=%v cached=%v, want false/false", out.Contained, out.Cached)
+	}
+}

@@ -26,28 +26,10 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"time"
 
 	"accltl/accesscheck"
 	"accltl/accesscheck/fabric"
 )
-
-// shardCheckOptions converts the fabric wire options into the server's.
-func shardCheckOptions(o *fabric.CheckOptions) *CheckOptions {
-	if o == nil {
-		return nil
-	}
-	return &CheckOptions{
-		Engine:             o.Engine,
-		Grounded:           o.Grounded,
-		IdempotentOnly:     o.IdempotentOnly,
-		AllExact:           o.AllExact,
-		ExactMethods:       o.ExactMethods,
-		MaxDepth:           o.MaxDepth,
-		MaxPaths:           o.MaxPaths,
-		MaxResponseChoices: o.MaxResponseChoices,
-	}
-}
 
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	if inj := s.cfg.Failpoints.Hit(fabric.FailWorkerShard); inj != nil {
@@ -86,9 +68,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 // doShard executes one wire shard end to end: parse, view-bound cache
 // probe, plan verification, bounded subset solve, cache admission.
 func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardResult, error) {
-	wireOpts := shardCheckOptions(sh.Options)
-	par := s.parallelismFor(wireOpts)
-	pc, err := parseCheck(CheckRequest{Relations: sh.Relations, Methods: sh.Methods, Formula: sh.Formula, Options: wireOpts},
+	par := s.parallelismFor(sh.Options)
+	pc, err := parseCheck(CheckRequest{Relations: sh.Relations, Methods: sh.Methods, Formula: sh.Formula, Options: sh.Options},
 		par, accesscheck.WithShards(sh.Indexes()...))
 	if err != nil {
 		return nil, err
@@ -96,19 +77,11 @@ func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardRe
 	chk, sch, f := pc.chk, pc.sch, pc.f
 
 	// Only a result whose plan view passed verification below is ever
-	// admitted under this key, so a hit — memory, then the disk tier, where
-	// a restarted worker's settled partial verdicts survive — was verified
-	// against the same view and answers without planning. The stored wire
-	// response carries the check fields; the shard frame (indexes, plan
-	// size) is rebuilt from the request, which the key pins to that view.
+	// admitted under this key, so a hit in either tier was verified against
+	// the same view and answers without planning.
 	key := pc.fp + "/" + sh.ViewDigest()
-	if tr, ok := s.cache.Get(key); ok && tr.Check != nil {
-		return shardResult(sh, tr.Check, true), nil
-	}
-	if data, ok := s.cache.Persisted(key); ok {
-		if cr := decodeDiskCheck(data); cr != nil {
-			return shardResultFromWire(sh, cr), nil
-		}
+	if out, ok := s.settled(key); ok {
+		return shardPart(sh, out.Verdict), nil
 	}
 
 	// Miss: re-derive the partition and verify the sender's view of it. A
@@ -150,7 +123,7 @@ func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardRe
 		return nil, err
 	}
 	s.shardChecks.Add(1)
-	out := shardResult(sh, res, false)
+	out := shardPart(sh, wireResult(res, false).Verdict)
 	if res.Resumable {
 		// Partial coverage of the assigned group: report exactly the slices
 		// that finished so the coordinator's merge counts honest coverage
@@ -167,51 +140,10 @@ func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardRe
 	return out, nil
 }
 
-// shardResultFromWire rebuilds a fabric partial verdict from a disk-tier
-// wire response: the check fields come off the log, the shard frame from
-// the request, whose view the entry's key pins.
-func shardResultFromWire(sh *fabric.Shard, cr *CheckResponse) *fabric.ShardResult {
-	return &fabric.ShardResult{
-		Version:         fabric.WireVersion,
-		Shards:          sh.Indexes(),
-		Satisfiable:     cr.Satisfiable,
-		Fragment:        cr.Fragment,
-		InFragment:      cr.InFragment,
-		Decidable:       cr.Decidable,
-		Engine:          cr.Engine,
-		Depth:           cr.Depth,
-		Truncated:       cr.Truncated,
-		ResponsesCapped: cr.ResponsesCapped,
-		PathsExplored:   cr.PathsExplored,
-		Witness:         cr.Witness,
-		Cached:          true,
-		ElapsedMS:       cr.ElapsedMS,
-		ShardsCompleted: len(sh.Indexes()),
-		ShardsTotal:     sh.PlanSize,
-	}
-}
-
-// shardResult wires a facade Result into the fabric's partial-verdict form.
-func shardResult(sh *fabric.Shard, res *accesscheck.Result, cached bool) *fabric.ShardResult {
-	out := &fabric.ShardResult{
-		Version:         fabric.WireVersion,
-		Shards:          sh.Indexes(),
-		Satisfiable:     res.Satisfiable,
-		Fragment:        res.Fragment.String(),
-		InFragment:      res.InFragment,
-		Decidable:       res.Decidable,
-		Engine:          res.Engine.String(),
-		Depth:           res.Depth,
-		Truncated:       res.Truncated,
-		ResponsesCapped: res.ResponsesCapped,
-		PathsExplored:   res.PathsExplored,
-		Cached:          cached,
-		ElapsedMS:       float64(res.Elapsed) / float64(time.Millisecond),
-		ShardsCompleted: len(sh.Indexes()),
-		ShardsTotal:     sh.PlanSize,
-	}
-	if res.Witness != nil {
-		out.Witness = res.Witness.String()
-	}
-	return out
+// shardPart frames a verdict as the shard group's partial verdict: the
+// executed indexes and the plan size come from the request, whose view the
+// cache key pins.
+func shardPart(sh *fabric.Shard, v fabric.Verdict) *fabric.ShardResult {
+	v.ShardsCompleted, v.ShardsTotal = len(sh.Shards), sh.PlanSize
+	return &fabric.ShardResult{Version: fabric.WireVersion, Shards: sh.Indexes(), Verdict: v}
 }

@@ -307,3 +307,34 @@ func TestDoBatchMixedKinds(t *testing.T) {
 		t.Errorf("invalid item error = %v, want nil-schema validation failure", items[4].Err)
 	}
 }
+
+// TestTaskFingerprintsSeparateStagedFromPlainAtoms: the post-stage atom
+// over R and the plain atom over a relation named Rpost are different
+// queries, so containment tasks that differ only there must not share a
+// key, or a cache would answer one with the other's verdict.
+func TestTaskFingerprintsSeparateStagedFromPlainAtoms(t *testing.T) {
+	chk, err := accesscheck.NewChecker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const plainText, stagedText = "exists x. Rpost(x)", "exists x. post R(x)"
+	plain, err := accesscheck.ParseSentence(plainText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged, err := accesscheck.ParseSentence(stagedText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, err := chk.FingerprintTask(accesscheck.NewUCQContainmentTask(plain, plain))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := chk.FingerprintTask(accesscheck.NewUCQContainmentTask(staged, plain))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same == mixed {
+		t.Errorf("q1 %q and q1 %q share containment fingerprint %s", plainText, stagedText, same)
+	}
+}

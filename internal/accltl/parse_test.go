@@ -22,7 +22,7 @@ func TestParseAtoms(t *testing.T) {
 	if !ok {
 		t.Fatalf("got %T", f)
 	}
-	if got := a.Sentence.String(); !strings.Contains(got, "Rpre(") {
+	if got := a.Sentence.String(); !strings.Contains(got, "pre R(") {
 		t.Errorf("sentence = %s", got)
 	}
 }

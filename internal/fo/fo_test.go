@@ -28,14 +28,60 @@ var (
 )
 
 func TestPredString(t *testing.T) {
-	if PrePred("Mobile#").String() != "Mobile#pre" {
-		t.Error(PrePred("Mobile#").String())
+	for _, c := range []struct {
+		p    Pred
+		want string
+	}{
+		{PrePred("Mobile#"), "pre Mobile#"},
+		{PostPred("R"), "post R"},
+		{IsBindPred("AcM1"), "bind AcM1"},
+		{PlainPred("Rpost"), "Rpost"},
+	} {
+		if got := c.p.String(); got != c.want {
+			t.Errorf("%#v renders %q, want %q", c.p, got, c.want)
+		}
 	}
-	if PostPred("R").String() != "Rpost" {
-		t.Error(PostPred("R").String())
+}
+
+// TestTermString: terms render as the formula parser reads them, so a
+// constant never renders like a variable and a string constant reads back
+// as itself.
+func TestTermString(t *testing.T) {
+	for _, c := range []struct {
+		term Term
+		want string
+	}{
+		{Var("true"), "true"},
+		{Const(instance.Bool(true)), "#t"},
+		{Const(instance.Bool(false)), "#f"},
+		{Const(instance.Int(-5)), "-5"},
+		{Const(instance.Str(`a\b`)), `"a\b"`},
+		{Const(instance.Str(`say "hi"`)), `"say \"hi\""`},
+	} {
+		if got := c.term.String(); got != c.want {
+			t.Errorf("%#v renders %s, want %s", c.term, got, c.want)
+		}
 	}
-	if !strings.Contains(IsBindPred("AcM1").String(), "AcM1") {
-		t.Error(IsBindPred("AcM1").String())
+}
+
+// TestQuantifierOperandString: a quantifier under a connective renders in
+// parentheses, since its body would otherwise swallow the operands after
+// it: (∃x R(x)) ∧ S(y) and ∃x (R(x) ∧ S(y)) render apart.
+func TestQuantifierOperandString(t *testing.T) {
+	rx := Ex([]string{"x"}, atom(rP, "x"))
+	sy := atom(PlainPred("S"), "y")
+	for _, c := range []struct {
+		f    Formula
+		want string
+	}{
+		{And{Conj: []Formula{rx, sy}}, "((exists x. R(x)) & S(y))"},
+		{Ex([]string{"x"}, And{Conj: []Formula{atom(rP, "x"), sy}}), "exists x. (R(x) & S(y))"},
+		{Or{Disj: []Formula{sy, rx}}, "(S(y) | (exists x. R(x)))"},
+		{Not{F: rx}, "!(exists x. R(x))"},
+	} {
+		if got := c.f.String(); got != c.want {
+			t.Errorf("renders %s, want %s", got, c.want)
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"accltl/internal/instance"
+	"accltl/internal/schema"
 )
 
 // Stage distinguishes the vocabularies a predicate can come from.
@@ -63,17 +64,21 @@ type Pred struct {
 	Stage Stage
 }
 
-// String renders the predicate, e.g. "Mobile#pre" or "IsBind[AcM1]".
+// String renders the predicate the way the formula parser reads it, e.g.
+// "pre Mobile#", "post R" or "bind AcM1", and a plain predicate as its bare
+// name. Distinct predicates render distinctly ("post R" is not the plain
+// "Rpost"), so a formula's rendering, which fingerprints hash, names its
+// atoms unambiguously.
 func (p Pred) String() string {
 	switch p.Stage {
 	case Plain:
 		return p.Name
 	case Pre:
-		return p.Name + "pre"
+		return "pre " + p.Name
 	case Post:
-		return p.Name + "post"
+		return "post " + p.Name
 	case IsBind:
-		return "IsBind[" + p.Name + "]"
+		return "bind " + p.Name
 	default:
 		return p.Name + "?" + p.Stage.String()
 	}
@@ -107,12 +112,25 @@ func (t Term) Name() string { return t.name }
 // Value returns the constant value (meaningful only when !IsVar).
 func (t Term) Value() instance.Value { return t.val }
 
-// String renders the term.
+// String renders the term the way the formula parser reads it: a
+// variable by its name, a boolean constant as #t or #f (a bare "true" in
+// term position reads as a variable), and a string constant between plain
+// quotes, since the parser reads string literals without escapes. A string
+// holding a quote, which no parsed formula carries, is Go-quoted instead,
+// so distinct constants still render distinctly.
 func (t Term) String() string {
-	if t.isVar {
+	switch {
+	case t.isVar:
 		return t.name
+	case t.val.Kind() == schema.TypeBool && t.val.AsBool():
+		return "#t"
+	case t.val.Kind() == schema.TypeBool:
+		return "#f"
+	case t.val.Kind() == schema.TypeString && !strings.Contains(t.val.AsString(), `"`):
+		return `"` + t.val.AsString() + `"`
+	default:
+		return t.val.String()
 	}
-	return t.val.String()
 }
 
 // Formula is a first-order formula over Sch_Acc. Implementations: Atom, Eq,
@@ -187,7 +205,7 @@ func (f And) String() string {
 	}
 	parts := make([]string, len(f.Conj))
 	for i, c := range f.Conj {
-		parts[i] = c.String()
+		parts[i] = operand(c)
 	}
 	return "(" + strings.Join(parts, " & ") + ")"
 }
@@ -198,15 +216,33 @@ func (f Or) String() string {
 	}
 	parts := make([]string, len(f.Disj))
 	for i, d := range f.Disj {
-		parts[i] = d.String()
+		parts[i] = operand(d)
 	}
 	return "(" + strings.Join(parts, " | ") + ")"
 }
 
-func (f Not) String() string { return "!" + f.F.String() }
+// String parenthesizes a negated quantifier, as operand does, in one
+// concatenation: automata render their negated guards on every search.
+func (f Not) String() string {
+	if _, ok := f.F.(Exists); ok {
+		return "!(" + f.F.String() + ")"
+	}
+	return "!" + f.F.String()
+}
 
 func (f Exists) String() string {
 	return "exists " + strings.Join(f.Vars, ",") + ". " + f.Body.String()
+}
+
+// operand renders f as the operand of a connective. A quantifier's body
+// reaches as far right as the parser reads, so a quantifier operand is
+// parenthesized: "(exists x. A) & B" is not "exists x. (A & B)", and
+// "!exists x. A" does not parse.
+func operand(f Formula) string {
+	if _, ok := f.(Exists); ok {
+		return "(" + f.String() + ")"
+	}
+	return f.String()
 }
 
 // Conj builds a conjunction, flattening nested Ands and dropping trivial

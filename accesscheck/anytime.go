@@ -39,16 +39,16 @@ import (
 	"sync"
 	"time"
 
-	"accltl/accesscheck/cache"
 	"accltl/internal/accltl"
 )
 
 // Checkpoint is the suspended state of one check: which canonical root
 // shards have been fully explored so far, the cumulative search statistics,
-// and the check's prepared search with its warm tables. It is keyed by the
-// shard-less fingerprint of the check (see Checker.Fingerprint — the same
-// key a fabric coordinator routes by), so partial progress made by
-// different shard subsets of the same check composes into one frontier.
+// and the check's prepared search with its warm tables. It belongs to the
+// check it was created for whatever the shard subset, so partial progress
+// made by different shard subsets of the same check composes into one
+// frontier. A resume matches it to its check by structure, or failing
+// that by the check's shard-less fingerprint (see Checker.Fingerprint).
 //
 // A Checkpoint serializes the rounds that use it: CheckAnytime holds an
 // internal lock for the duration of a round, so concurrent identical
@@ -71,18 +71,18 @@ type Checkpoint struct {
 	// plan or round on the checkpoint, and run by every later round.
 	search *prepared
 
-	// key is the shard-less fingerprint of the check the checkpoint was
-	// created for — by chk, on sch and f — computed when Key is first asked
-	// or a resume verifies it, so a check that settles in its first round
-	// never computes it.
+	// The check the checkpoint was created for: by chk, on sch and f. key
+	// is its shard-less fingerprint, computed only when a resume cannot
+	// match its check by structure.
 	key string
 	chk *Checker
 	sch *Schema
 	f   Formula
 }
 
-// Key returns the shard-less fingerprint the checkpoint belongs to.
-func (cp *Checkpoint) Key() string {
+// fingerprint returns the shard-less fingerprint of the check the
+// checkpoint was created for.
+func (cp *Checkpoint) fingerprint() string {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	if cp.key == "" {
@@ -179,60 +179,6 @@ func (s *shardSet) members() []int {
 	return out
 }
 
-// CheckpointStore is a bounded LRU of suspended checks keyed by their
-// shard-less fingerprint: the frontier persistence that turns a follow-up
-// identical request into a resume. It deliberately mirrors the exact-result
-// cache's shape but inverts its admission: only partial state lives here,
-// and entries are removed — never served — once the check settles. Eviction
-// under capacity pressure is safe: a resumed check that lost its checkpoint
-// merely starts from scratch, exactly as if the store had never existed.
-type CheckpointStore struct {
-	lru *cache.LRU[*Checkpoint]
-}
-
-// NewCheckpointStore builds a store holding at most capacity suspended
-// checks (capacity < 1 is treated as 1).
-func NewCheckpointStore(capacity int) *CheckpointStore {
-	return &CheckpointStore{lru: cache.New(capacity, func(cp *Checkpoint) bool { return cp != nil })}
-}
-
-// Get returns the suspended checkpoint for the fingerprint, if any.
-func (s *CheckpointStore) Get(key string) (*Checkpoint, bool) {
-	return s.lru.Get(key)
-}
-
-// Put stores the checkpoint under its own key.
-func (s *CheckpointStore) Put(cp *Checkpoint) {
-	if cp == nil {
-		return
-	}
-	s.PutAs(cp.Key(), cp)
-}
-
-// PutAs stores the checkpoint under an explicit key. Fabric workers use
-// this to scope frontiers per shard group — the shard-keyed fingerprint —
-// so sibling groups of one check never share a checkpoint's cumulative
-// statistics (each group's reported paths must cover exactly its own
-// slices for the coordinator's merge arithmetic to stay honest).
-func (s *CheckpointStore) PutAs(key string, cp *Checkpoint) {
-	if cp == nil {
-		return
-	}
-	s.lru.Add(key, cp)
-}
-
-// Remove drops the fingerprint's checkpoint, if any: called when the check
-// reaches a final answer so stale frontiers cannot be resumed.
-func (s *CheckpointStore) Remove(key string) bool {
-	return s.lru.Remove(key)
-}
-
-// Len reports the number of suspended checks.
-func (s *CheckpointStore) Len() int { return s.lru.Len() }
-
-// Stats snapshots the store counters.
-func (s *CheckpointStore) Stats() cache.Stats { return s.lru.Stats() }
-
 // anytimeKey is the checkpoint identity of a check under this checker: the
 // fingerprint with the shard subset stripped, so every shard slice of one
 // check shares a frontier. For checkers without WithShards it equals
@@ -247,51 +193,40 @@ func (c *Checker) anytimeKey(sch *Schema, f Formula) string {
 }
 
 // checkpointFor returns prev once it is checked to belong to this check,
-// or a fresh checkpoint when prev is nil. A checkpoint this checker
-// created for this very schema and formula value — a fabric worker's
-// ShardPlanAnytime, then its round — belongs to it by construction; any
-// other must carry the same shard-less fingerprint.
+// or a fresh checkpoint when prev is nil. A checkpoint created for a
+// structurally equal check belongs to it; any other must carry the same
+// shard-less fingerprint.
 func (c *Checker) checkpointFor(sch *Schema, f Formula, engine Engine, prev *Checkpoint) (*Checkpoint, error) {
 	if prev == nil {
 		return &Checkpoint{engine: engine, chk: c, sch: sch, f: f}, nil
 	}
-	if prev.chk == c && prev.sch == sch && identical(reflect.ValueOf(prev.f), reflect.ValueOf(f)) {
+	if prev.sameCheck(c, sch, f) {
 		return prev, nil
 	}
-	if key, pk := c.anytimeKey(sch, f), prev.Key(); pk != key {
+	if key, pk := c.anytimeKey(sch, f), prev.fingerprint(); pk != key {
 		return nil, fmt.Errorf("accesscheck: checkpoint belongs to a different check (key %q, want %q)", pk, key)
 	}
 	return prev, nil
 }
 
-// identical reports whether a and b are one value handed on unchanged: the
-// same dynamic types throughout, equal scalars, and slices over the same
-// backing array. Formulas are immutable trees of such values (their slices
-// make == panic on them), so this proves a formula is the one a
-// checkpoint was created for without rendering either; false means only
-// "not proven".
-func identical(a, b reflect.Value) bool {
-	if !a.IsValid() || !b.IsValid() || a.Type() != b.Type() {
-		return false
-	}
-	switch a.Kind() {
-	case reflect.Interface:
-		if a.IsNil() || b.IsNil() {
-			return a.IsNil() && b.IsNil()
-		}
-		return identical(a.Elem(), b.Elem())
-	case reflect.Struct:
-		for i := range a.NumField() {
-			if !identical(a.Field(i), b.Field(i)) {
-				return false
-			}
-		}
-		return true
-	case reflect.Slice:
-		return a.Len() == b.Len() && a.Pointer() == b.Pointer()
-	default:
-		return a.Comparable() && a.Equal(b)
-	}
+// sameCheck reports whether cp was created for the check c runs on sch and
+// f, by structure: the same verdict-affecting configuration and deeply
+// equal schemas and formulas. Each renders from its structure alone, so
+// equal structures share a fingerprint; false means only "not proven".
+// The fields compared are set at creation and never written again, so no
+// lock is needed.
+func (cp *Checkpoint) sameCheck(c *Checker, sch *Schema, f Formula) bool {
+	return reflect.DeepEqual(cp.chk.verdictConfig(), c.verdictConfig()) &&
+		reflect.DeepEqual(cp.sch, sch) && reflect.DeepEqual(cp.f, f)
+}
+
+// verdictConfig is the checker with what a resume may change zeroed: the
+// parallelism and anytime chunk, which do not change the verdict, and the
+// shard subset, because sibling slices share a frontier.
+func (c *Checker) verdictConfig() Checker {
+	v := *c
+	v.parallelism, v.anytimeChunk, v.shards = 0, 0, nil
+	return v
 }
 
 // prepareOn returns cp's prepared search, preparing it as mode says if no

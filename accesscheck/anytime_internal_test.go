@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"accltl/accesscheck/cache"
 	"accltl/internal/autom"
 	"accltl/internal/lts"
 )
@@ -104,8 +105,8 @@ func TestShardPlanAnytimeCarriesPlan(t *testing.T) {
 // with the same checker, schema and formula value, so the checkpoint
 // belongs to the check by construction and neither call fingerprints it.
 // The formula is a conjunction, whose slice would make == panic. A formula
-// parsed again from the same text, or a distinct checker, still has the
-// checkpoint verified by its key.
+// parsed again from the same text, or a distinct checker, matches the
+// checkpoint's check by structure and computes no key either.
 func TestShardPlanThenCheckComputesNoKey(t *testing.T) {
 	sch, err := ParseSchema(
 		[]string{"Mobile#:string,string,string,int", "Address:string,string,string,int"},
@@ -138,12 +139,76 @@ func TestShardPlanThenCheckComputesNoKey(t *testing.T) {
 		"reparsed formula": func() error { _, _, err := chk.CheckAnytime(ctx, sch, MustParseFormula(src), cp); return err },
 		"distinct checker": func() error { _, _, err := newChecker().CheckAnytime(ctx, sch, f, cp); return err },
 	} {
-		cp.key = ""
 		if err := run(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if cp.key == "" {
-			t.Errorf("%s: the checkpoint was resumed without verifying its key", name)
+		if cp.key != "" {
+			t.Errorf("%s: resuming a structurally equal check computed the checkpoint's key %q", name, cp.key)
 		}
+	}
+}
+
+// TestStoredCheckpointResumeComputesNoKey: a server stores a partial's
+// checkpoint in its LRU under the request's fingerprint, and the next
+// identical request resumes it with a checker, schema and formula of its
+// own: here freshly built and parsed, at another parallelism. The resume
+// matches the checkpoint's check by structure and computes no
+// fingerprint. A different check still computes the key and is refused.
+func TestStoredCheckpointResumeComputesNoKey(t *testing.T) {
+	ctx := context.Background()
+	request := func(par int, src string) (*Checker, *Schema, Formula) {
+		t.Helper()
+		chk, err := NewChecker(WithEngine(EngineBounded), WithParallelism(par), WithAnytimeChunk(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sch, err := ParseSchema(
+			[]string{"Mobile#:string,string,string,int", "Address:string,string,string,int"},
+			[]string{"AcM1:Mobile#:0", "AcM2:Address:0,1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := ParseFormula(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return chk, sch, f
+	}
+	const src = `[exists n,p,s,ph. pre Mobile#(n,p,s,ph)] & (![exists n,p,s,ph. pre Mobile#(n,p,s,ph)])`
+	store := cache.New(4, func(cp *Checkpoint) bool { return cp != nil })
+
+	chk, sch, f := request(1, src)
+	fp := chk.Fingerprint(sch, f)
+	res, cp, err := chk.CheckAnytime(ctx, sch, f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Resumable {
+		t.Fatalf("one-shard round settled (%+v); nothing to resume", res)
+	}
+	store.Add(fp, cp)
+
+	prev, ok := store.Get(fp)
+	if !ok {
+		t.Fatal("stored checkpoint not found under the request's fingerprint")
+	}
+	chk, sch, f = request(2, src)
+	again, next, err := chk.CheckAnytime(ctx, sch, f, prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next != prev || again.Coverage <= res.Coverage {
+		t.Fatalf("resume returned checkpoint %p (stored %p) at coverage %v after %v", next, prev, again.Coverage, res.Coverage)
+	}
+	if prev.key != "" {
+		t.Errorf("resuming a stored checkpoint computed its key %q", prev.key)
+	}
+
+	chk, sch, f = request(2, `[exists n,p,s,ph. pre Mobile#(n,p,s,ph)]`)
+	if _, _, err := chk.CheckAnytime(ctx, sch, f, prev); err == nil {
+		t.Error("a checkpoint of another check was resumed")
+	}
+	if prev.key == "" {
+		t.Error("a different check was refused without comparing keys")
 	}
 }

@@ -2,9 +2,9 @@ package accesscheck_test
 
 // Golden tests for the anytime checkpoint/resume spine: a check sliced
 // into budget-starved rounds must converge to exactly the answer the
-// uninterrupted check gives, coverage must grow monotonically, and the
-// checkpoint store must evict and serialize safely. Test names carry
-// "Sharded" so CI's race pass picks them up.
+// uninterrupted check gives, coverage must grow monotonically, and a
+// stored checkpoint must serialize concurrent resumes safely. Test names
+// carry "Sharded" so CI's race pass picks them up.
 
 import (
 	"context"
@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"accltl/accesscheck"
+	"accltl/accesscheck/cache"
 	"accltl/internal/pollctx"
 )
 
@@ -210,49 +211,14 @@ func TestAnytimePathCapIsFinal(t *testing.T) {
 	}
 }
 
-// TestCheckpointStoreEviction: the store is a bounded LRU — overflow evicts
-// the coldest entry, removal is explicit, and nil puts are ignored.
-func TestCheckpointStoreEviction(t *testing.T) {
-	sch, f, chk := anytimeFixture(t, parUnsatFormula, accesscheck.WithAnytimeChunk(1))
-	_, cp, err := chk.CheckAnytime(context.Background(), sch, f, nil)
-	if err != nil || cp == nil {
-		t.Fatalf("seed round: cp=%v err=%v", cp, err)
-	}
-	st := accesscheck.NewCheckpointStore(2)
-	st.Put(nil)
-	if st.Len() != 0 {
-		t.Fatalf("nil Put changed Len to %d", st.Len())
-	}
-	st.PutAs("a", cp)
-	st.PutAs("b", cp)
-	st.PutAs("c", cp)
-	if st.Len() != 2 {
-		t.Fatalf("Len = %d after overflowing capacity 2", st.Len())
-	}
-	if _, ok := st.Get("a"); ok {
-		t.Error("coldest entry survived eviction")
-	}
-	if _, ok := st.Get("c"); !ok {
-		t.Error("hottest entry evicted")
-	}
-	if s := st.Stats(); s.Evictions == 0 {
-		t.Error("eviction not counted")
-	}
-	if !st.Remove("b") || st.Len() != 1 {
-		t.Errorf("Remove(b) failed or Len = %d", st.Len())
-	}
-	if st.Remove("b") {
-		t.Error("second Remove(b) reported success")
-	}
-}
-
 // TestCheckpointStoreShardedConcurrentResume: several goroutines hammer the
-// same stored checkpoint with identical chunked requests; the per-checkpoint
-// round lock serializes them and every caller converges to the same exact
-// verdict. Run under -race in CI.
+// same stored checkpoint with identical chunked requests, through the plain
+// LRU a server keeps checkpoints in; the per-checkpoint round lock
+// serializes them and every caller converges to the same exact verdict.
+// Run under -race in CI.
 func TestCheckpointStoreShardedConcurrentResume(t *testing.T) {
 	sch, f, chk := anytimeFixture(t, parUnsatFormula, accesscheck.WithAnytimeChunk(1))
-	st := accesscheck.NewCheckpointStore(8)
+	st := cache.New(8, func(cp *accesscheck.Checkpoint) bool { return cp != nil })
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	finals := make(chan *accesscheck.Result, 8)
@@ -268,7 +234,7 @@ func TestCheckpointStoreShardedConcurrentResume(t *testing.T) {
 					errs <- err
 					return
 				}
-				st.Put(cp)
+				st.Add(key, cp)
 				if !res.Resumable {
 					finals <- res
 					return

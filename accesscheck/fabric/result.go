@@ -154,27 +154,35 @@ func Merge(parts []ShardResult) (ShardResult, error) {
 // never be cache-admitted (the exact-only admission rule handles that,
 // since partials are always Truncated).
 func MergeCover(parts []ShardResult, planSize int) (ShardResult, error) {
-	if planSize <= 0 {
-		return ShardResult{}, fmt.Errorf("fabric: merge against empty plan")
-	}
 	out, err := Merge(parts)
 	if err != nil {
 		return ShardResult{}, err
 	}
-	if len(out.Shards) > planSize {
-		return ShardResult{}, fmt.Errorf("fabric: merge covers %d shards but the plan holds %d", len(out.Shards), planSize)
+	return out.Cover(planSize)
+}
+
+// Cover is MergeCover's coverage step on a result Merge returned: it
+// checks the result's indexes against a plan of planSize canonical shards
+// and tags its coverage, marking an unsatisfiable incomplete cover
+// truncated. Merge's untagged result is what can join a later Merge.
+func (r ShardResult) Cover(planSize int) (ShardResult, error) {
+	if planSize <= 0 {
+		return ShardResult{}, fmt.Errorf("fabric: merge against empty plan")
 	}
-	for _, idx := range out.Shards {
+	if len(r.Shards) > planSize {
+		return ShardResult{}, fmt.Errorf("fabric: merge covers %d shards but the plan holds %d", len(r.Shards), planSize)
+	}
+	for _, idx := range r.Shards {
 		if idx < 0 || idx >= planSize {
 			return ShardResult{}, fmt.Errorf("fabric: merge part covers shard %d outside plan of %d", idx, planSize)
 		}
 	}
-	out.ShardsCompleted = len(out.Shards)
-	out.ShardsTotal = planSize
-	if out.ShardsCompleted < planSize && !out.Satisfiable {
+	r.ShardsCompleted = len(r.Shards)
+	r.ShardsTotal = planSize
+	if r.ShardsCompleted < planSize && !r.Satisfiable {
 		// The unexplored shards could hold a witness: the unsat claim is
 		// not exact, whatever the completed slices reported.
-		out.Truncated = true
+		r.Truncated = true
 	}
-	return out, nil
+	return r, nil
 }

@@ -33,7 +33,16 @@ import (
 // be answered with the other's cached verdict; a boolean constant rendered
 // like a variable named true or false. Every key of a formula with a
 // staged or binding atom moved; logs written under fp-v2 are discarded.
-const FingerprintSchemeVersion = "fp-v3"
+//
+// fp-v4: every relation and method name of a parsed schema is one formula
+// identifier, and chase inclusion dependencies render their positions
+// comma-separated, as ParseID reads them. Under fp-v3 ParseSchema took
+// any characters in a name, so the relations "R:int" and "S:int" and the
+// single relation "R(int); S:int" rendered alike and two schemas could
+// share every cache key; an fp-v3 log may hold a verdict under such a
+// shared key, so it is discarded. Keys of chase tasks with inclusion
+// dependencies moved; no other key did.
+const FingerprintSchemeVersion = "fp-v4"
 
 // Fingerprint returns a canonical key identifying what a Check on (sch, f)
 // under this checker's configuration computes: the schema's declaration

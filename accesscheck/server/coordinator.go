@@ -18,11 +18,12 @@ package server
 // check fingerprint. The merged-result cache holds exact assembled
 // verdicts only (witness-settled or full-cover un-truncated), so a repeat
 // check answers without touching the fabric. The checkpoint store holds
-// the opposite — shard-group frontiers of checks whose dispatch came back
-// incomplete (worker budgets expired with partial progress, or shard
-// groups lost to degradable failures) — and a follow-up identical request
-// redispatches only the canonical indexes no stored part covers, merging
-// old and new parts into a monotonically growing cover.
+// the opposite: for each check whose dispatch came back incomplete
+// (worker budgets expired with partial progress, or shard groups lost to
+// degradable failures), the union of the parts collected so far. A
+// follow-up identical request redispatches only the canonical indexes the
+// union lacks and merges the union with the new parts, so the cover grows
+// monotonically.
 //
 // Non-check tasks (/v1/containment, /v1/relevance, /v1/chase, and the
 // matching mixed-batch items) are never fanned out — shard planning is a
@@ -95,9 +96,10 @@ type Coordinator struct {
 	// and not cap-truncated) keyed by the shard-less fingerprint — the
 	// same key affinity routing uses. Partial merges never enter.
 	resCache *cache.LRU[fabric.ShardResult]
-	// ckpts holds shard-group frontiers of incomplete dispatches: the
-	// parts already collected plus the indexes they cover.
-	ckpts *cache.LRU[*coordCheckpoint]
+	// ckpts holds the frontiers of incomplete dispatches: the union
+	// fabric.Merge made of the parts collected so far, untagged by the
+	// cover, with ShardsTotal the plan size it was collected against.
+	ckpts *cache.LRU[fabric.ShardResult]
 
 	checks        atomic.Uint64
 	fanouts       atomic.Uint64
@@ -151,7 +153,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 				Planned:        r.ShardsTotal,
 			})
 		}),
-		ckpts: cache.New(scfg.CacheSize, func(cc *coordCheckpoint) bool { return cc != nil }),
+		ckpts: cache.New[fabric.ShardResult](scfg.CacheSize, nil),
 		disp: &fabric.Dispatcher{
 			Client:     client,
 			Retries:    cfg.Retries,
@@ -172,66 +174,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 
 // Registry exposes the worker registry (health probing, status snapshots).
 func (c *Coordinator) Registry() *fabric.Registry { return c.reg }
-
-// coordCheckpoint is the coordinator's resume unit: the partial verdicts
-// already collected for one check plus the canonical indexes they cover. A
-// follow-up identical request redispatches only the uncovered indexes and
-// merges old and new parts: anytime resume at shard-group granularity.
-type coordCheckpoint struct {
-	mu       sync.Mutex
-	planSize int
-	parts    []fabric.ShardResult
-	covered  map[int]bool
-}
-
-func newCoordCheckpoint(planSize int) *coordCheckpoint {
-	return &coordCheckpoint{planSize: planSize, covered: make(map[int]bool)}
-}
-
-// matches guards against plan drift: a frontier recorded against a
-// different partition size must not steer redispatch.
-func (cc *coordCheckpoint) matches(planSize int) bool {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return cc.planSize == planSize
-}
-
-// has reports whether a stored part already covers the index.
-func (cc *coordCheckpoint) has(idx int) bool {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return cc.covered[idx]
-}
-
-// absorb records a part's coverage. Parts overlapping what is already held
-// (a hedged duplicate, a concurrent identical request) are dropped whole —
-// Merge treats double coverage as an identity violation, so overlap
-// resolves here as first-wins.
-func (cc *coordCheckpoint) absorb(p fabric.ShardResult) {
-	if len(p.Shards) == 0 {
-		return
-	}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	for _, idx := range p.Shards {
-		if cc.covered[idx] {
-			return
-		}
-	}
-	for _, idx := range p.Shards {
-		cc.covered[idx] = true
-	}
-	cc.parts = append(cc.parts, p)
-}
-
-// snapshot copies the stored parts for merging.
-func (cc *coordCheckpoint) snapshot() []fabric.ShardResult {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	out := make([]fabric.ShardResult, len(cc.parts))
-	copy(out, cc.parts)
-	return out
-}
 
 // check plans, fans out, and merges one check.
 func (c *Coordinator) check(ctx context.Context, req CheckRequest) (*CheckResponse, error) {
@@ -274,20 +216,21 @@ func (c *Coordinator) check(ctx context.Context, req CheckRequest) (*CheckRespon
 	}
 	c.fanouts.Add(1)
 
-	// Resume: a stored frontier's covered indexes need no redispatch —
-	// only the shards no previous round completed go back on the wire.
-	var cc *coordCheckpoint
-	if v, ok := c.ckpts.Get(fp); ok && v.matches(len(plan)) {
-		cc = v
+	// Resume: the stored frontier's indexes need no redispatch — only the
+	// shards no previous round completed go back on the wire, and the
+	// frontier leads this round's parts into the merge. A frontier
+	// collected against another plan size is stale.
+	var merged []fabric.ShardResult
+	var covered []int
+	if union, ok := c.ckpts.Get(fp); ok && union.ShardsTotal == len(plan) {
+		merged, covered = append(merged, union), union.Shards
 		c.resumes.Add(1)
-	}
-	if cc == nil {
-		cc = newCoordCheckpoint(len(plan))
 	}
 
 	// Group the plan's not-yet-covered slices by their affinity owner,
 	// preserving canonical order inside each group; each group ships as one
 	// wire shard with the owner first in its hedge/failover candidate list.
+	// The plan and the frontier's indexes are both ascending.
 	type group struct {
 		refs []fabric.ShardRef
 		seq  []string
@@ -295,7 +238,8 @@ func (c *Coordinator) check(ctx context.Context, req CheckRequest) (*CheckRespon
 	groups := make(map[string]*group)
 	var order []string
 	for _, sh := range plan {
-		if cc.has(sh.Index) {
+		if len(covered) > 0 && covered[0] == sh.Index {
+			covered = covered[1:]
 			continue
 		}
 		key := fabric.RouteKey(fp, sh.Key)
@@ -352,9 +296,9 @@ func (c *Coordinator) check(ctx context.Context, req CheckRequest) (*CheckRespon
 	}
 	wg.Wait()
 
-	// Fold this round's successes into the frontier (overlap-safe), then
-	// merge the frontier as a whole: stored parts from suspended rounds and
-	// fresh parts participate identically.
+	// This round's successes join the frontier in one merge: the stored
+	// union and fresh parts participate identically, and Merge refuses an
+	// index covered twice or parts of different checks.
 	var firstErr error
 	for i, err := range errs {
 		if err != nil {
@@ -363,9 +307,8 @@ func (c *Coordinator) check(ctx context.Context, req CheckRequest) (*CheckRespon
 			}
 			continue
 		}
-		cc.absorb(*parts[i])
+		merged = append(merged, *parts[i])
 	}
-	merged := cc.snapshot()
 	if firstErr != nil {
 		// Graceful degradation: a shard group that exhausted its retries
 		// and failovers loses its slices, not the request. Whatever
@@ -381,11 +324,9 @@ func (c *Coordinator) check(ctx context.Context, req CheckRequest) (*CheckRespon
 		// means the request itself is wrong on every worker and fails
 		// outright.
 		if len(merged) > 0 && degradable(firstErr) {
-			res, err := fabric.MergeCover(merged, len(plan))
-			if err == nil {
-				return c.finishMerge(fp, cc, res), nil
+			if out, err := c.finishMerge(fp, merged, len(plan)); err == nil {
+				return out, nil
 			}
-			c.mergeFailures.Add(1)
 		}
 		// Non-degradable failure: a witness already in hand still settles
 		// the verdict (the in-process engine's witness-over-error
@@ -399,25 +340,38 @@ func (c *Coordinator) check(ctx context.Context, req CheckRequest) (*CheckRespon
 		}
 		return nil, c.dispatchError(firstErr)
 	}
-	res, err := fabric.MergeCover(merged, len(plan))
+	out, err := c.finishMerge(fp, merged, len(plan))
 	if err != nil {
-		c.mergeFailures.Add(1)
 		return nil, &httpError{status: http.StatusBadGateway, err: err}
 	}
-	return c.finishMerge(fp, cc, res), nil
+	return out, nil
 }
 
-// finishMerge settles a successful merge against the two stores: exact
-// verdicts (witness, or full cover) enter the merged-result cache and
-// retire any checkpoint; incomplete covers — workers whose own budgets
-// expired with partial progress, or shard groups lost to degradable
-// failures — checkpoint their frontier so the next identical request
-// redispatches only what is missing.
-func (c *Coordinator) finishMerge(fp string, cc *coordCheckpoint, res fabric.ShardResult) *CheckResponse {
+// finishMerge merges a round's parts against a plan of planSize shards and
+// settles the result against the two stores: exact verdicts (witness, or
+// full cover) enter the merged-result cache and retire any frontier;
+// incomplete covers — workers whose own budgets expired with partial
+// progress, or shard groups lost to degradable failures — store their
+// union as the frontier, so the next identical request redispatches only
+// what is missing.
+func (c *Coordinator) finishMerge(fp string, parts []fabric.ShardResult, planSize int) (*CheckResponse, error) {
+	union, err := fabric.Merge(parts)
+	var res fabric.ShardResult
+	if err == nil {
+		res, err = union.Cover(planSize)
+	}
+	if err != nil {
+		c.mergeFailures.Add(1)
+		return nil, err
+	}
 	c.checks.Add(1)
 	if !res.Satisfiable && res.ShardsCompleted < res.ShardsTotal {
 		c.partials.Add(1)
-		c.ckpts.Add(fp, cc)
+		// The union as Merge made it, not as Cover tagged it: the tag marks
+		// an incomplete cover truncated, and a stored tag would keep the
+		// full cover a later round completes truncated too.
+		union.ShardsTotal = planSize
+		c.ckpts.Add(fp, union)
 	} else {
 		// Final answer. Admission still applies: a full-cover verdict
 		// truncated by path caps is cap-relative and stays out of the
@@ -425,7 +379,7 @@ func (c *Coordinator) finishMerge(fp string, cc *coordCheckpoint, res fabric.Sha
 		c.resCache.Add(fp, res)
 		c.ckpts.Remove(fp)
 	}
-	return wireShardMerge(res)
+	return wireShardMerge(res), nil
 }
 
 // degradable reports whether a shard-group failure may be absorbed into a

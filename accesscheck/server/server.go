@@ -62,6 +62,7 @@ import (
 	"context"
 
 	"accltl/accesscheck"
+	"accltl/accesscheck/cache"
 	"accltl/accesscheck/cachetier"
 	"accltl/accesscheck/fabric"
 )
@@ -156,9 +157,10 @@ type Server struct {
 	cache *cachetier.Tiered[accesscheck.TaskResult]
 	// ckpts holds suspended anytime frontiers keyed by the fingerprint of
 	// the check or shard group they belong to: the opposite admission
-	// discipline of cache (partials only, never served as answers — see
-	// accesscheck.CheckpointStore).
-	ckpts *accesscheck.CheckpointStore
+	// discipline of cache. Only partials live here; they are resumed,
+	// never served as answers, and removed once the check settles.
+	// Eviction is safe: a check that lost its frontier starts afresh.
+	ckpts *cache.LRU[*accesscheck.Checkpoint]
 	sem   chan struct{}
 	// taskChk runs the non-check tasks. Their verdicts and fingerprints are
 	// canonical in the payload alone (checker options do not leak in), so
@@ -225,7 +227,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cache:   cachetier.NewTiered(mem, back, encodeDiskCheck),
-		ckpts:   accesscheck.NewCheckpointStore(cfg.CacheSize),
+		ckpts:   cache.New(cfg.CacheSize, func(cp *accesscheck.Checkpoint) bool { return cp != nil }),
 		sem:     make(chan struct{}, cfg.Workers),
 		taskChk: taskChk,
 	}
@@ -583,7 +585,7 @@ func (s *Server) solveCheck(ctx context.Context, chk *accesscheck.Checker, sch *
 			// Expired with no completed shard: no honest coverage to answer
 			// with, but the frontier's warm memo tables still accelerate a
 			// retry. (No frontier when the budget died waiting for a slot.)
-			s.ckpts.PutAs(fp, cp)
+			s.ckpts.Add(fp, cp)
 		}
 		return nil, nil, err
 	case tr.Check.Resumable:
@@ -591,7 +593,7 @@ func (s *Server) solveCheck(ctx context.Context, chk *accesscheck.Checker, sch *
 		// frontier the next identical request resumes. Resumable answers
 		// are always Truncated, so solve kept them out of the cache.
 		s.anytimePartials.Add(1)
-		s.ckpts.PutAs(fp, cp)
+		s.ckpts.Add(fp, cp)
 	default:
 		// Settled: the frontier is spent. Dropping it keeps a later
 		// identical request from resuming stale cumulative statistics.

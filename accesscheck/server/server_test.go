@@ -133,6 +133,33 @@ func TestCheckEndpointBadRequests(t *testing.T) {
 	}
 }
 
+// TestCheckEndpointSchemaNames: a relation or method name must lex as one
+// formula identifier. "R(int); S:int" used to declare one relation that
+// rendered like the two relations R and S, sharing their cache keys; it is
+// refused with a 400 now. A name with a non-ASCII letter checks end to
+// end, formula and all.
+func TestCheckEndpointSchemaNames(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	odd := CheckRequest{Relations: []string{"R(int); S:int", "T:int"}, Methods: []string{"scanT:T"}, Formula: "F [bind scanT]"}
+	resp, body := postJSON(t, ts.URL+"/v1/check", odd)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "not an identifier") {
+		t.Errorf("relation named %q: status %d, want 400 naming the identifier rule: %s", "R(int); S", resp.StatusCode, body)
+	}
+
+	cafe := CheckRequest{Relations: []string{"Café:int"}, Methods: []string{"scanCafé:Café"}, Formula: "F [exists x. post Café(x)]"}
+	resp, body = postJSON(t, ts.URL+"/v1/check", cafe)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("Café check: status %d: %s", resp.StatusCode, body)
+	}
+	var out CheckResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !out.Satisfiable || !strings.Contains(out.Witness, "scanCafé") {
+		t.Errorf("Café check: satisfiable %v, witness %q; want a witness scanning Café", out.Satisfiable, out.Witness)
+	}
+}
+
 // role is one front of the request spine: a standalone server or a
 // coordinator over two workers. prefix starts the role's shared metric
 // names; own is a POST route only this role serves.

@@ -22,7 +22,10 @@ func (m *MultiFlag) Set(v string) error { *m = append(*m, v); return nil }
 // ParseSchema builds a schema from textual declarations: relations as
 // "Name:type,type,..." (types int, string, bool) and access methods as
 // "Name:Relation:pos,pos,..." where an empty position list declares a free
-// scan ("Name:Relation" and "Name:Relation:" are equivalent).
+// scan ("Name:Relation" and "Name:Relation:" are equivalent). Every name
+// must be one formula identifier (see ParseFormula): a letter, '_' or '#',
+// then letters, digits, '_' or '#'. A formula can then name each relation
+// and method, and no two parsed schemas render alike.
 func ParseSchema(rels, methods []string) (*Schema, error) {
 	if len(rels) == 0 {
 		return nil, fmt.Errorf("accesscheck: ParseSchema: at least one relation declaration is required")
@@ -50,6 +53,9 @@ func AddRelation(sch *Schema, decl string) (*Relation, error) {
 	parts := strings.SplitN(decl, ":", 2)
 	if len(parts) != 2 {
 		return nil, fmt.Errorf("accesscheck: bad relation declaration %q (want Name:type,...)", decl)
+	}
+	if !accltl.IsIdent(parts[0]) {
+		return nil, fmt.Errorf("accesscheck: relation name %q in declaration %q is not an identifier", parts[0], decl)
 	}
 	var types []schema.Type
 	for _, t := range strings.Split(parts[1], ",") {
@@ -83,6 +89,9 @@ func AddMethod(sch *Schema, decl string) (*AccessMethod, error) {
 	parts := strings.Split(decl, ":")
 	if len(parts) != 2 && len(parts) != 3 {
 		return nil, fmt.Errorf("accesscheck: bad method declaration %q (want Name:Relation:pos,...)", decl)
+	}
+	if !accltl.IsIdent(parts[0]) {
+		return nil, fmt.Errorf("accesscheck: method name %q in declaration %q is not an identifier", parts[0], decl)
 	}
 	rel, ok := sch.Relation(parts[1])
 	if !ok {

@@ -34,14 +34,32 @@ func FuzzParseFormula(f *testing.F) {
 
 // FuzzParseSchema: ParseSchema reads the relation and method declarations
 // of every check request. Each input holds one declaration per line;
-// whatever they say, parsing must not panic. Seeds live in
-// testdata/fuzz/FuzzParseSchema.
+// whatever they say, parsing must not panic, and every name an accepted
+// schema holds must read as one identifier in a formula — so a formula
+// can name it, and the schema's rendering (what fingerprints hash) cannot
+// be another schema's. Seeds live in testdata/fuzz/FuzzParseSchema.
 func FuzzParseSchema(f *testing.F) {
 	f.Add("Mobile#:string,string,string,int\nAddress:string,string,string,int", "AcM1:Mobile#:0\nAcM2:Address:0,1")
 	f.Fuzz(func(t *testing.T, rels, methods string) {
 		sch, err := accesscheck.ParseSchema(strings.Split(rels, "\n"), strings.Split(methods, "\n"))
-		if err == nil {
-			_ = sch.String()
+		if err != nil {
+			return
+		}
+		var atoms []string
+		for _, r := range sch.Relations() {
+			atoms = append(atoms, "pre "+r.Name()+"(x)")
+		}
+		for _, m := range sch.Methods() {
+			atoms = append(atoms, "bind "+m.Name()+"(x)")
+		}
+		for _, atom := range atoms {
+			g, err := accesscheck.ParseFormula("[exists x. " + atom + "]")
+			if err != nil {
+				t.Fatalf("schema %s: %q does not parse: %v", sch, atom, err)
+			}
+			if !strings.Contains(g.String(), atom) {
+				t.Fatalf("schema %s: %q parses as %s", sch, atom, g)
+			}
 		}
 	})
 }

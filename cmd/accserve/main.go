@@ -87,7 +87,7 @@ func main() {
 	workers := flag.Int("workers", 0, "max concurrent solves (0 = GOMAXPROCS)")
 	parallelism := flag.Int("parallelism", 0,
 		"exploration walkers per solve; peak exploration concurrency is workers x parallelism (0 = auto: capped so the product stays <= GOMAXPROCS)")
-	cacheSize := flag.Int("cache-size", 1024, "LRU result cache capacity (entries)")
+	cacheSize := flag.Int("cache-size", 1024, "LRU result cache capacity (entries); a coordinator sizes its merged-result cache and its checkpoint store with it")
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent result-cache tier; exact check results survive restarts (empty = memory-only)")
 	defaultBudget := flag.Duration("default-budget", 5*time.Second, "per-request deadline when the request names none")
 	worker := flag.Bool("worker", false, "run as a fabric worker (the default standalone role; the flag only names it)")
@@ -143,6 +143,7 @@ func main() {
 		coord, err := server.NewCoordinator(server.CoordinatorConfig{
 			Workers: workerList,
 			Server: server.Config{
+				CacheSize:     *cacheSize,
 				DefaultBudget: *defaultBudget,
 				Failpoints:    failpoints,
 			},
@@ -182,8 +183,8 @@ func main() {
 
 	log.Printf("accserve %s starting: role=%s addr=%s", buildVersion(), role, *addr)
 	if role == "coordinator" {
-		log.Printf("accserve coordinator: workers=%s hedge-after=%s retries=%d default-budget=%s breaker=%d/%s lease-ttl=%s",
-			strings.Join(workerList, ","), *hedgeAfter, *retries, *defaultBudget, *breakerThreshold, *breakerCooldown, *leaseTTL)
+		log.Printf("accserve coordinator: workers=%s hedge-after=%s retries=%d cache=%d default-budget=%s breaker=%d/%s lease-ttl=%s",
+			strings.Join(workerList, ","), *hedgeAfter, *retries, *cacheSize, *defaultBudget, *breakerThreshold, *breakerCooldown, *leaseTTL)
 	} else {
 		log.Printf("accserve worker: workers=%d parallelism=%d cache=%d default-budget=%s",
 			*workers, *parallelism, *cacheSize, *defaultBudget)

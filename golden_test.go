@@ -23,10 +23,12 @@ import (
 // exact unsat. Their fix has to bump FingerprintSchemeVersion.
 //
 // fp-v3 moved keys, not verdicts (atoms render as the parser reads them),
-// so its digest is fp-v2's.
+// so its digest is fp-v2's. So did fp-v4 (schema names are identifiers,
+// inclusion dependencies render as ParseID reads them).
 var goldenVerdictDigest = map[string]string{
 	"fp-v2": "d56c20492be4d8dcd079aebe10f53f08a70b4a69cf1938540648d337c7a4db46",
 	"fp-v3": "d56c20492be4d8dcd079aebe10f53f08a70b4a69cf1938540648d337c7a4db46",
+	"fp-v4": "d56c20492be4d8dcd079aebe10f53f08a70b4a69cf1938540648d337c7a4db46",
 }
 
 // goldenCase is one formula of the golden corpus over its schema, with

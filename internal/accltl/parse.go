@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"accltl/internal/fo"
 	"accltl/internal/instance"
@@ -29,9 +30,10 @@ import (
 //	           |  'bind' Meth ['(' terms ')'] | term ('='|'!=') term
 //	term      :=  ident | "string" | integer | 'true' | 'false'
 //
-// Identifiers may contain letters, digits, '_' and '#'. Unquoted
-// identifiers in term position are variables; constants are quoted strings,
-// integers, or the booleans #t/#f (since bare true/false read as formulas).
+// The input is UTF-8. An identifier is a letter, '_' or '#', then letters,
+// digits, '_' and '#' (IsIdent). Unquoted identifiers in term position are
+// variables; constants are quoted strings, integers, or the booleans #t/#f
+// (since bare true/false read as formulas).
 //
 // Example (the introduction's query):
 //
@@ -82,14 +84,40 @@ type token struct {
 	pos  int
 }
 
+// IsIdent reports whether s lexes as exactly one identifier. Every
+// relation and method name a parsed schema holds obeys it, so a formula
+// can name each of them.
+func IsIdent(s string) bool { return s != "" && identEnd(s, 0) == len(s) }
+
+// identEnd returns the end of the identifier starting at s[i], or i if
+// none starts there: a letter, '_' or '#', then letters, digits, '_' or
+// '#'.
+func identEnd(s string, i int) int {
+	j := i
+	for j < len(s) {
+		r, n := rune(s[j]), 1
+		if r >= utf8.RuneSelf {
+			r, n = utf8.DecodeRuneInString(s[j:])
+		}
+		if !unicode.IsLetter(r) && r != '_' && r != '#' && (j == i || !unicode.IsDigit(r)) {
+			break
+		}
+		j += n
+	}
+	return j
+}
+
 func lex(s string) []token {
 	var toks []token
 	i := 0
 	for i < len(s) {
-		c := rune(s[i])
+		c, size := rune(s[i]), 1
+		if c >= utf8.RuneSelf {
+			c, size = utf8.DecodeRuneInString(s[i:])
+		}
 		switch {
 		case unicode.IsSpace(c):
-			i++
+			i += size
 		case c == '"':
 			j := i + 1
 			var b strings.Builder
@@ -105,23 +133,21 @@ func lex(s string) []token {
 		case strings.ContainsRune("()[],.=!&|", c):
 			toks = append(toks, token{kind: tokPunct, text: string(c), pos: i})
 			i++
-		case c == '-' || unicode.IsDigit(c):
+		case c == '-' || '0' <= c && c <= '9':
 			j := i + 1
-			for j < len(s) && unicode.IsDigit(rune(s[j])) {
+			for j < len(s) && '0' <= s[j] && s[j] <= '9' {
 				j++
 			}
 			toks = append(toks, token{kind: tokInt, text: s[i:j], pos: i})
 			i = j
-		case unicode.IsLetter(c) || c == '_' || c == '#':
-			j := i
-			for j < len(s) && (unicode.IsLetter(rune(s[j])) || unicode.IsDigit(rune(s[j])) || s[j] == '_' || s[j] == '#') {
-				j++
-			}
-			toks = append(toks, token{kind: tokIdent, text: s[i:j], pos: i})
-			i = j
 		default:
-			toks = append(toks, token{kind: tokPunct, text: string(c), pos: i})
-			i++
+			if j := identEnd(s, i); j > i {
+				toks = append(toks, token{kind: tokIdent, text: s[i:j], pos: i})
+				i = j
+			} else {
+				toks = append(toks, token{kind: tokPunct, text: s[i : i+size], pos: i})
+				i += size
+			}
 		}
 	}
 	toks = append(toks, token{kind: tokEOF, pos: len(s)})

@@ -27,6 +27,26 @@ func TestParseAtoms(t *testing.T) {
 	}
 }
 
+// TestIdentifiers: the lexer decodes UTF-8, so a name with a non-ASCII
+// letter is one identifier, and IsIdent accepts exactly the names the
+// lexer reads as one identifier token.
+func TestIdentifiers(t *testing.T) {
+	for _, name := range []string{"R", "Café", "Mobile#", "_r2", "#t", "Été٣"} {
+		if !IsIdent(name) {
+			t.Errorf("IsIdent(%q) = false", name)
+		}
+		f := mustParse(t, "[exists x. pre "+name+"(x)]")
+		if got := f.String(); !strings.Contains(got, "pre "+name+"(x)") {
+			t.Errorf("%q parses as %s", name, got)
+		}
+	}
+	for _, name := range []string{"", "2R", "R(int); S", "R S", "a-b", "x.y", "R\xe9", "\u00a0R"} {
+		if IsIdent(name) {
+			t.Errorf("IsIdent(%q) = true", name)
+		}
+	}
+}
+
 func TestParseIntroFormula(t *testing.T) {
 	src := `(![exists n,p,s,ph. pre Mobile#(n,p,s,ph)]) U [exists n,s,pc,h. bind AcM1(n) & pre Address(s,pc,n,h)]`
 	f := mustParse(t, src)

@@ -8,6 +8,7 @@ package deps
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"accltl/internal/fo"
@@ -24,11 +25,17 @@ type FD struct {
 
 // String renders the FD.
 func (d FD) String() string {
-	src := make([]string, len(d.Source))
-	for i, p := range d.Source {
-		src[i] = fmt.Sprint(p)
+	return fmt.Sprintf("%s: %s -> %d", d.Rel, positions(d.Source), d.Target)
+}
+
+// positions renders a position list comma-separated, the way the task
+// front-ends read it.
+func positions(ps []int) string {
+	out := make([]string, len(ps))
+	for i, p := range ps {
+		out[i] = strconv.Itoa(p)
 	}
-	return fmt.Sprintf("%s: %s -> %d", d.Rel, strings.Join(src, ","), d.Target)
+	return strings.Join(out, ",")
 }
 
 // Validate checks positions against the schema.
@@ -109,9 +116,10 @@ type ID struct {
 	DstPos []int
 }
 
-// String renders the ID.
+// String renders the ID as "R[0,1] ⊆ S[2,3]", which accesscheck.ParseID
+// reads back.
 func (d ID) String() string {
-	return fmt.Sprintf("%s%v ⊆ %s%v", d.SrcRel, d.SrcPos, d.DstRel, d.DstPos)
+	return fmt.Sprintf("%s[%s] ⊆ %s[%s]", d.SrcRel, positions(d.SrcPos), d.DstRel, positions(d.DstPos))
 }
 
 // Validate checks shape against the schema.

@@ -416,8 +416,11 @@ pids+=($!)
 "$workdir/accserve" -worker -addr "127.0.0.1:$W2_PORT" &
 pids+=($!)
 
+# A one-entry merged-result cache: the batch's fanned-out checks settle
+# exactly one after another, so each displaces the last, and the eviction
+# counter below shows the coordinator honours -cache-size.
 echo "== starting coordinator on $C"
-"$workdir/accserve" -coordinator -fabric-workers "$W1,$W2" -addr "127.0.0.1:$C_PORT" &
+"$workdir/accserve" -coordinator -fabric-workers "$W1,$W2" -addr "127.0.0.1:$C_PORT" -cache-size 1 &
 pids+=($!)
 
 wait_up "$W1"; wait_up "$W2"; wait_up "$C"
@@ -478,5 +481,7 @@ echo "== coordinator health and metrics"
 curl -fsS "$C/healthz" | grep -q '"status":"ok"' || { echo "coordinator not healthy" >&2; exit 1; }
 curl -fsS "$C/metrics" | grep -q '^accserve_fabric_shards_dispatched_total [1-9]' || {
   echo "coordinator dispatched no shards" >&2; exit 1; }
+curl -fsS "$C/metrics" | grep -q '^accserve_coordinator_cache_evictions_total [1-9]' || {
+  echo "coordinator merged-result cache never evicted under -cache-size 1" >&2; exit 1; }
 
 echo "fabric smoke: OK"

@@ -5,12 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // WorkerStatus is one member's view in the registry: its base URL, its
@@ -137,17 +140,45 @@ func (r *Registry) newBreaker() *Breaker {
 	return NewBreaker(r.cfg.Breaker, r.cfg.Clock, func() { r.opens.Add(1) })
 }
 
-// normalizeWorkerURL trims and validates a worker base URL.
+// normalizeWorkerURL validates a worker base URL and returns its canonical
+// form, the member's identity and so its place on the ring: an http or
+// https scheme and an ASCII host[:port], lower-cased. Anything else is
+// refused: userinfo, a path, a query or a fragment (dispatches append
+// their route to the base URL, so a stray path answers 404 to every shard
+// the member is given), and a host and port spelled otherwise than
+// net.JoinHostPort writes them (an empty or zero-padded port, an
+// unbracketed IPv6 address). Surrounding space and trailing slashes are
+// trimmed; a canonical URL comes back byte-identical.
 func normalizeWorkerURL(raw string) (string, error) {
 	w := strings.TrimRight(strings.TrimSpace(raw), "/")
-	if w == "" {
-		return "", fmt.Errorf("fabric: empty worker URL")
+	if canon, ok := canonicalWorkerURL(w); ok {
+		return canon, nil
+	}
+	return "", fmt.Errorf("fabric: bad worker URL %q (need http[s]://host[:port])", raw)
+}
+
+func canonicalWorkerURL(w string) (string, bool) {
+	for i := 0; i < len(w); i++ {
+		if w[i] >= utf8.RuneSelf {
+			return "", false
+		}
 	}
 	u, err := url.Parse(w)
-	if err != nil || u.Scheme == "" || u.Host == "" {
-		return "", fmt.Errorf("fabric: bad worker URL %q (need scheme://host[:port])", raw)
+	if err != nil || u.Scheme != "http" && u.Scheme != "https" || u.Hostname() == "" {
+		return "", false
 	}
-	return w, nil
+	host := strings.ToLower(u.Hostname())
+	if u.Port() != "" {
+		port, err := strconv.ParseUint(u.Port(), 10, 16)
+		if err != nil {
+			return "", false
+		}
+		host = net.JoinHostPort(host, strconv.FormatUint(port, 10))
+	} else if strings.Contains(host, ":") {
+		host = "[" + host + "]"
+	}
+	canon := u.Scheme + "://" + host
+	return canon, strings.EqualFold(w, canon)
 }
 
 // sweepLocked evicts leased members whose lease has expired; callers hold

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -477,6 +478,47 @@ func TestLeaseExpiryEvictsWorker(t *testing.T) {
 	resp, _ := postJSON(t, ts.URL+"/v1/join", fabric.JoinRequest{URL: w.URL, TTL: "soonish"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad ttl: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestJoinRefusesURLsItCannotDispatchTo: POST /v1/join takes a worker's
+// base URL, http[s]://host[:port], and nothing else. A member joined with
+// a stray path answered 404 to every shard (a 4xx neither trips its
+// breaker nor degrades the answer), so every fanned-out check that gave it
+// a shard failed; a case variant of a member's URL joined as a second
+// member, a second place on the ring for one worker.
+func TestJoinRefusesURLsItCannotDispatchTo(t *testing.T) {
+	coordURL, workers, _ := newFabric(t, 2, CoordinatorConfig{})
+	hostPort := strings.TrimPrefix(workers[0].URL, "http://")
+	for _, bad := range []string{
+		workers[0].URL + "/typo",
+		"ftp://" + hostPort,
+		"http://u:p@" + hostPort,
+		workers[0].URL + "?q=1",
+	} {
+		resp, body := postJSON(t, coordURL+"/v1/join", fabric.JoinRequest{URL: bad})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("join %q: status %d, want 400: %s", bad, resp.StatusCode, body)
+		}
+	}
+	if jr := joinWorker(t, coordURL, "HTTP://"+strings.ToUpper(hostPort), "1m"); jr.Worker.URL != workers[0].URL {
+		t.Errorf("upper-case join named member %q, want %q", jr.Worker.URL, workers[0].URL)
+	}
+	if view := workersView(t, coordURL); view.Members != 2 {
+		t.Fatalf("members after the joins = %d, want the 2 workers", view.Members)
+	}
+	// Fresh wide checks fan out over both members and settle exactly.
+	for depth := 2; depth < 6; depth++ {
+		req := CheckRequest{Relations: wideRelations, Methods: wideMethods, Formula: wideUnsatFormula, Options: &CheckOptions{MaxDepth: depth}}
+		resp, body := postJSON(t, coordURL+"/v1/check", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("depth %d: status %d: %s", depth, resp.StatusCode, body)
+		}
+		var out CheckResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		assertEquivalent(t, fmt.Sprintf("depth %d", depth), out, referenceResult(t, req))
 	}
 }
 

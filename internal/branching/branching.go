@@ -9,11 +9,7 @@
 package branching
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"accltl/internal/access"
 	"accltl/internal/deps"
@@ -125,13 +121,11 @@ func EXDepth(f Formula) int {
 type Checker struct {
 	Schema *schema.Schema
 	// Opts configures successor enumeration (universe, exactness,
-	// grounded bindings, response fan-out). Opts.Parallelism > 1 makes
-	// Satisfiable evaluate the candidate initial transitions concurrently
-	// with up to that many workers (first-level fan-out only; the EX
-	// recursion inside each candidate stays serial, and lts.Successors is
-	// an order-sensitive enumeration that ignores the knob). The returned
-	// transition prefers the lowest successor index, but which candidate
-	// wins can vary with scheduling when several satisfy ϕ.
+	// grounded bindings, response fan-out). Opts.Parallelism is ignored:
+	// Satisfiable tries the candidate initial transitions one at a time in
+	// lts.Successors' order, an order-sensitive enumeration that ignores
+	// it too, so the witness is always the lowest-index satisfying
+	// candidate.
 	Opts lts.Options
 	// ResponsesCapped is set (sticky) when any successor enumeration
 	// during Holds or Satisfiable had its subset-response fan-out cut to
@@ -222,9 +216,6 @@ func (c *Checker) Satisfiable(f Formula, initial *instance.Instance) (bool, acce
 	if err != nil {
 		return false, access.Transition{}, err
 	}
-	if c.Opts.Parallelism > 1 && len(succs) > 1 {
-		return c.satisfiableParallel(f, succs)
-	}
 	for _, t := range succs {
 		v, err := c.Holds(f, t)
 		if err != nil {
@@ -233,103 +224,6 @@ func (c *Checker) Satisfiable(f Formula, initial *instance.Instance) (bool, acce
 		if v {
 			return true, t, nil
 		}
-	}
-	return false, access.Transition{}, nil
-}
-
-// satisfiableParallel evaluates ϕ on the candidate initial transitions with
-// up to Opts.Parallelism workers. Each worker runs Holds on a private
-// Checker copy whose context is cancelled as soon as any worker finds a
-// satisfying candidate (the early-cancel broadcast); the sticky
-// ResponsesCapped signals are merged back afterwards.
-//
-// Errors do NOT cancel the pool: candidates are dispatched in index order,
-// so when index i errors, every index below i is already claimed and must
-// be allowed to finish — one of them may be a witness the serial loop
-// would have returned without ever reaching i. Dispatch just stops handing
-// out indexes above the lowest error, since the serial loop would never
-// evaluate those. At join the serial order decides: a witness below the
-// lowest error wins, otherwise the error surfaces.
-func (c *Checker) satisfiableParallel(f Formula, succs []access.Transition) (bool, access.Transition, error) {
-	base := c.Opts.Context
-	if base == nil {
-		base = context.Background()
-	}
-	ctx, cancel := context.WithCancel(base)
-	defer cancel()
-	w := c.Opts.Parallelism
-	if w > len(succs) {
-		w = len(succs)
-	}
-	var (
-		next     atomic.Int64
-		errAt    atomic.Int64 // lowest errored index + 1 (0 = none)
-		mu       sync.Mutex
-		best     = -1
-		errIdx   = -1
-		firstErr error
-		respCap  bool
-		wg       sync.WaitGroup
-	)
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sub := &Checker{Schema: c.Schema, Opts: c.Opts}
-			sub.Opts.Context = ctx
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(succs) {
-					break
-				}
-				if e := errAt.Load(); e != 0 && i > int(e)-1 {
-					break // the serial loop would never reach this candidate
-				}
-				v, err := sub.Holds(f, succs[i])
-				if err != nil {
-					// Cancellations of our own ctx are collateral of another
-					// worker's witness, not root causes; the caller's own
-					// context surfaces via base.Err() at join.
-					if !errors.Is(err, context.Canceled) || base.Err() != nil {
-						mu.Lock()
-						if errIdx == -1 || i < errIdx {
-							errIdx, firstErr = i, err
-							errAt.Store(int64(i) + 1)
-						}
-						mu.Unlock()
-					}
-					continue
-				}
-				if v {
-					mu.Lock()
-					if best == -1 || i < best {
-						best = i
-					}
-					mu.Unlock()
-					cancel()
-					break
-				}
-			}
-			mu.Lock()
-			respCap = respCap || sub.ResponsesCapped
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	if respCap {
-		c.ResponsesCapped = true
-	}
-	if best != -1 && (errIdx == -1 || best < errIdx) {
-		// The witness precedes any error in the serial evaluation order, so
-		// it settles the question; collateral errors from workers whose
-		// contexts the witness cancelled are expected.
-		return true, succs[best], nil
-	}
-	if err := base.Err(); err != nil {
-		return false, access.Transition{}, err
-	}
-	if firstErr != nil {
-		return false, access.Transition{}, firstErr
 	}
 	return false, access.Transition{}, nil
 }

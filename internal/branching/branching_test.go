@@ -1,6 +1,8 @@
 package branching
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"accltl/internal/fo"
 	"accltl/internal/instance"
 	"accltl/internal/lts"
+	"accltl/internal/pollctx"
 	"accltl/internal/schema"
 )
 
@@ -123,6 +126,62 @@ func TestSatisfiable(t *testing.T) {
 	}
 	if ok {
 		t.Error("grounded S-first satisfiable")
+	}
+}
+
+// TestSatisfiableResponsesCapped: a subset-response fan-out cut inside the
+// EX recursion raises the checker's sticky cap signal.
+func TestSatisfiableResponsesCapped(t *testing.T) {
+	s := tinySchema(t)
+	wide := instance.NewInstance(s)
+	for i := 1; i <= 5; i++ {
+		wide.MustAdd("R", instance.Int(int64(i)))
+		wide.MustAdd("S", instance.Int(int64(i)))
+	}
+	c := &Checker{Schema: s, Opts: lts.Options{Universe: wide, MaxResponseChoices: 2}}
+	// Unsatisfiable (one access reveals R or S, never both), so every
+	// candidate's fan-out is enumerated, and capped.
+	ok, _, err := c.Satisfiable(Conj(postNE("R"), postNE("S"), EX{F: Conj(postNE("R"), postNE("S"))}), nil)
+	if err != nil || ok {
+		t.Fatalf("satisfiable = %v, %v; want an unsat verdict", ok, err)
+	}
+	if !c.ResponsesCapped {
+		t.Error("capped successor fan-out did not set ResponsesCapped")
+	}
+}
+
+// TestSatisfiableContextCancellation: a caller deadline inside the EX
+// recursion surfaces as the context's error, not as a verdict, and the
+// search stops at the poll that reported it. The context expires at a
+// chosen poll, so the deadline is reached on any machine. lts.Successors
+// polls once per call here (fewer than 64 bindings), and Satisfiable calls
+// it once plus once per candidate's EX; the deadline lies past those polls,
+// so only Holds' own poll on each call reaches it. The check is
+// unsatisfiable (no value is in both R and S): without the deadline it
+// would run every candidate to the end.
+func TestSatisfiableContextCancellation(t *testing.T) {
+	s := tinySchema(t)
+	u := instance.NewInstance(s)
+	for i := 1; i <= 6; i++ {
+		u.MustAdd("R", instance.Int(int64(i)))
+		u.MustAdd("S", instance.Int(int64(100+i)))
+	}
+	both := Atom{Sentence: fo.Ex([]string{"x"}, fo.Conj(
+		fo.Atom{Pred: fo.PostPred("R"), Args: []fo.Term{fo.Var("x")}},
+		fo.Atom{Pred: fo.PostPred("S"), Args: []fo.Term{fo.Var("x")}}))}
+	candidates, _, err := lts.Successors(s, lts.Options{Universe: u}, instance.NewInstance(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	expireAt := len(candidates) + 2
+	ctx := pollctx.New(expireAt, context.DeadlineExceeded)
+	c := &Checker{Schema: s, Opts: lts.Options{Universe: u, Context: ctx}}
+	ok, _, err := c.Satisfiable(EX{F: both}, nil)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("satisfiable = %v, %v; want the deadline at poll %d", ok, err, expireAt)
+	}
+	if got := ctx.Polls(); got != expireAt {
+		t.Errorf("context polled %d times, want the search to stop at poll %d", got, expireAt)
 	}
 }
 

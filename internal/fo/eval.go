@@ -152,22 +152,6 @@ func Eval(f Formula, st Structure) (bool, error) {
 	return p.Eval(st), nil
 }
 
-// EvalWith decides f under an environment binding its free variables. A
-// quantifier inside f that reuses a name the environment binds shadows it.
-func EvalWith(f Formula, st Structure, env map[string]instance.Value) (bool, error) {
-	free := FreeVars(f)
-	vals := make([]instance.Value, len(free))
-	for i, v := range free {
-		val, ok := env[v]
-		if !ok {
-			return false, fmt.Errorf("fo: EvalWith: free variable %s unbound", v)
-		}
-		vals[i] = val
-	}
-	p, _ := compile(f, free) // every free variable is pre-bound: none is left unresolved
-	return p.eval(st, vals), nil
-}
-
 // Prepared is a sentence compiled for repeated evaluation. Closedness is
 // checked once; every variable occurrence is resolved to a slot owned by
 // its binding quantifier, so a nested quantifier that reuses a name ranges
@@ -199,22 +183,19 @@ type Prepared struct {
 // Prepare compiles the sentence f for repeated evaluation. It returns an
 // error when f has free variables.
 func Prepare(f Formula) (*Prepared, error) {
-	p, free := compile(f, nil)
+	p, free := compile(f)
 	if len(free) != 0 {
 		return nil, fmt.Errorf("fo: Eval of open formula %s (free vars %v)", f, free)
 	}
 	return p, nil
 }
 
-// Eval decides whether the prepared sentence holds in st.
-func (p *Prepared) Eval(st Structure) bool { return p.eval(st, nil) }
-
 // evaluators recycles evaluation state across calls and goroutines, so an
 // evaluation that never needs the quantification domain allocates nothing.
 var evaluators = sync.Pool{New: func() any { return new(evaluator) }}
 
-// eval runs one evaluation with slots 0..len(free)-1 pre-bound.
-func (p *Prepared) eval(st Structure, free []instance.Value) bool {
+// Eval decides whether the prepared sentence holds in st.
+func (p *Prepared) Eval(st Structure) bool {
 	ev := evaluators.Get().(*evaluator)
 	n := p.nslots + p.arity
 	if cap(ev.buf) < n {
@@ -223,7 +204,6 @@ func (p *Prepared) eval(st Structure, free []instance.Value) bool {
 	buf := ev.buf[:n]
 	ev.p, ev.st = p, st
 	ev.env, ev.tup = buf[:p.nslots], instance.Tuple(buf[p.nslots:])
-	copy(ev.env, free)
 	ok := ev.holds(p.root)
 	// Values hold strings: clear everything the evaluation touched so the
 	// pool pins neither the structure nor its payloads.
@@ -294,14 +274,10 @@ type compiler struct {
 	unbound []string
 }
 
-// compile prepares f with the names in free pre-bound to slots
-// 0..len(free)-1, and returns the names it could not resolve, sorted and
-// deduplicated.
-func compile(f Formula, free []string) (*Prepared, []string) {
-	c := compiler{p: &Prepared{nslots: len(free)}, scope: make(map[string]int, len(free))}
-	for i, v := range free {
-		c.scope[v] = i
-	}
+// compile prepares f and returns the names it could not resolve, sorted
+// and deduplicated: f's free variables.
+func compile(f Formula) (*Prepared, []string) {
+	c := compiler{p: &Prepared{}, scope: make(map[string]int)}
 	c.p.root = c.node(f)
 	slices.Sort(c.unbound)
 	return c.p, slices.Compact(c.unbound)

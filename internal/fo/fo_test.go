@@ -302,18 +302,6 @@ func TestEvalOpenFormulaError(t *testing.T) {
 	}
 }
 
-func TestEvalWith(t *testing.T) {
-	st := testStructure()
-	f := atom(rP, "x", "y")
-	res, err := EvalWith(f, st, map[string]instance.Value{"x": instance.Int(1), "y": instance.Int(2)})
-	if err != nil || !res {
-		t.Errorf("EvalWith = %v, %v", res, err)
-	}
-	if _, err := EvalWith(f, st, map[string]instance.Value{"x": instance.Int(1)}); err == nil {
-		t.Error("partial env accepted")
-	}
-}
-
 func TestToUCQ(t *testing.T) {
 	// (∃x R(x,y)) ∨ (S(z) ∧ ∃x S(x))  with free y, z.
 	f := Disj(
@@ -434,6 +422,44 @@ func TestUCQContains(t *testing.T) {
 	// {edge, S} ⊄ {edge}
 	if got, _ := UCQContains([]CQ{edge, sAtom}, []CQ{edge}); got {
 		t.Error("union containment over-approved")
+	}
+}
+
+// TestContainmentRefusesNeqAndOpenCQs: containment decides boolean CQs
+// without inequalities only; anything else is an error, never a verdict,
+// and an open CQ does not hold anywhere (Eval refuses an open formula).
+func TestContainmentRefusesNeqAndOpenCQs(t *testing.T) {
+	edge := CQ{Atoms: []Atom{atom(rP, "x", "y")}}
+	open := CQ{Free: []string{"x"}, Atoms: []Atom{atom(rP, "x", "y")}}
+	neq := CQ{Atoms: []Atom{atom(rP, "x", "y")}, Neqs: []Neq{{Var("x"), Var("y")}}}
+	unsat := CQ{Eqs: []Eq{{Const(instance.Int(1)), Const(instance.Int(2))}}}
+	for _, tc := range []struct {
+		name string
+		q, p CQ
+	}{
+		{name: "open left", q: open, p: edge},
+		{name: "open right", q: edge, p: open},
+		{name: "neq left", q: neq, p: edge},
+		{name: "neq right", q: edge, p: neq},
+	} {
+		if got, err := tc.q.ContainedIn(tc.p); err == nil {
+			t.Errorf("%s: ContainedIn = %v, want an error", tc.name, got)
+		}
+		if got, err := UCQContains([]CQ{tc.q}, []CQ{tc.p}); err == nil {
+			t.Errorf("%s: UCQContains = %v, want an error", tc.name, got)
+		}
+	}
+	for _, p := range []CQ{open, neq} {
+		if got, err := unsat.ContainedIn(p); err == nil {
+			t.Errorf("unsat ⊆ %s = %v, want an error", p, got)
+		}
+	}
+	st, _, _ := edge.CanonicalDB()
+	if open.Holds(st) {
+		t.Errorf("open CQ %s holds", open)
+	}
+	if _, err := Contains(neq.Formula(), edge.Formula()); err == nil {
+		t.Error("Contains accepted a ≠ sentence")
 	}
 }
 

@@ -32,11 +32,6 @@ func TestEvalShadowedQuantifier(t *testing.T) {
 	if mustEval(t, join, st) {
 		t.Errorf("%s = true, but no value is in both R and S", join)
 	}
-	// A quantifier shadows an environment binding too.
-	got, err := EvalWith(Conj(atom(rP, "x"), Ex([]string{"x"}, atom(sP, "x"))), st, map[string]instance.Value{"x": instance.Str("a")})
-	if err != nil || !got {
-		t.Errorf("EvalWith with shadowed x = %v, %v", got, err)
-	}
 }
 
 // countingStructure counts Domain calls on the structure it wraps.

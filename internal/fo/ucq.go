@@ -290,8 +290,8 @@ func (q CQ) CanonicalDB() (st *MapStructure, frozen map[string]instance.Value, o
 		classConst[r] = v
 	}
 	// Fresh null values for constant-free classes. Use string-typed nulls
-	// with reserved names; homomorphism checks treat any value equally and
-	// Eval-based uses never see these structures' types.
+	// with reserved names; evaluation compares values only for equality, so
+	// their type never matters.
 	frozen = make(map[string]instance.Value)
 	nullIdx := 0
 	valueOf := func(t Term) instance.Value {
@@ -329,138 +329,34 @@ func (q CQ) CanonicalDB() (st *MapStructure, frozen map[string]instance.Value, o
 	return st, out, true
 }
 
-// Holds evaluates the boolean CQ on a structure by homomorphism search.
+// Holds reports whether the boolean CQ holds in st: it evaluates
+// q.Formula() through Eval, the package's one evaluator. A CQ with free
+// variables is an open formula, which Eval refuses, so it does not hold.
 func (q CQ) Holds(st Structure) bool {
-	env := make(map[string]instance.Value)
-	return q.HoldsWith(st, env)
-}
-
-// HoldsWith evaluates the CQ with some variables pre-bound.
-func (q CQ) HoldsWith(st Structure, env map[string]instance.Value) bool {
-	return homSearch(q, st, env, 0)
-}
-
-// homSearch finds a homomorphism from the CQ's atoms into st extending env,
-// then validates equalities and inequalities.
-func homSearch(q CQ, st Structure, env map[string]instance.Value, idx int) bool {
-	if idx == len(q.Atoms) {
-		return checkEqNeq(q, env, st)
-	}
-	a := q.Atoms[idx]
-	for _, tup := range st.TuplesOf(a.Pred) {
-		if len(tup) != len(a.Args) {
-			continue
-		}
-		bound := make([]string, 0, len(a.Args))
-		ok := true
-		for i, t := range a.Args {
-			if t.IsVar() {
-				if v, have := env[t.Name()]; have {
-					if v != tup[i] {
-						ok = false
-						break
-					}
-				} else {
-					env[t.Name()] = tup[i]
-					bound = append(bound, t.Name())
-				}
-			} else if t.Value() != tup[i] {
-				ok = false
-				break
-			}
-		}
-		if ok && homSearch(q, st, env, idx+1) {
-			for _, b := range bound {
-				delete(env, b)
-			}
-			return true
-		}
-		for _, b := range bound {
-			delete(env, b)
-		}
-	}
-	return false
-}
-
-func checkEqNeq(q CQ, env map[string]instance.Value, st Structure) bool {
-	val := func(t Term) (instance.Value, bool) {
-		if t.IsVar() {
-			v, ok := env[t.Name()]
-			return v, ok
-		}
-		return t.Value(), true
-	}
-	for _, e := range q.Eqs {
-		l, lok := val(e.L)
-		r, rok := val(e.R)
-		if !lok || !rok || l != r {
-			// Unbound equality variables could still be satisfied by picking
-			// equal values; delegate to full Eval in that rare case.
-			if !lok || !rok {
-				return evalResidual(q, env, st)
-			}
-			return false
-		}
-	}
-	for _, n := range q.Neqs {
-		l, lok := val(n.L)
-		r, rok := val(n.R)
-		if !lok || !rok {
-			return evalResidual(q, env, st)
-		}
-		if l == r {
-			return false
-		}
-	}
-	return true
-}
-
-// evalResidual handles CQs with variables that occur only in (in)equalities:
-// fall back to the complete evaluator on the residual formula.
-func evalResidual(q CQ, env map[string]instance.Value, st Structure) bool {
-	sub := make(map[string]instance.Value, len(env))
-	for k, v := range env {
-		sub[k] = v
-	}
-	var conj []Formula
-	for _, e := range q.Eqs {
-		conj = append(conj, e)
-	}
-	for _, n := range q.Neqs {
-		conj = append(conj, n)
-	}
-	f := Substitute(Conj(conj...), sub)
-	vars := FreeVars(f)
-	res, err := Eval(Ex(vars, f), st)
-	return err == nil && res
+	ok, err := Eval(q.Formula(), st)
+	return err == nil && ok
 }
 
 // ContainedIn decides CQ containment q ⊆ p for boolean CQs without
 // inequalities: freeze q into its canonical database and check whether p
-// has a homomorphism into it (Chandra–Merlin). Returns an error if either
-// CQ carries inequalities (use ContainedInUCQNeq for the ≠ case) or is
-// non-boolean.
+// holds in it, i.e. has a homomorphism into it (Chandra–Merlin). It is
+// UCQContains with one CQ a side, and refuses a non-boolean or ≠-bearing
+// p even when q is unsatisfiable.
 func (q CQ) ContainedIn(p CQ) (bool, error) {
-	if len(q.Free) != 0 || len(p.Free) != 0 {
-		return false, fmt.Errorf("fo: containment of non-boolean CQs; close them first")
+	if err := ucqOperand(p, "right"); err != nil {
+		return false, err
 	}
-	if q.HasInequalities() || p.HasInequalities() {
-		return false, fmt.Errorf("fo: ContainedIn does not handle inequalities")
-	}
-	st, _, ok := q.CanonicalDB()
-	if !ok {
-		return true, nil // unsatisfiable q is contained in everything
-	}
-	return p.Holds(st), nil
+	return UCQContains([]CQ{q}, []CQ{p})
 }
 
-// UCQContains decides containment of a UCQ in a UCQ (no inequalities):
-// every disjunct of qs must be contained in the union ps, i.e. the canonical
-// database of each q ∈ qs must satisfy some p ∈ ps.
+// UCQContains decides containment of a UCQ in a UCQ of boolean CQs
+// without inequalities: every disjunct of qs must be contained in the union
+// ps, i.e. the canonical database of each q ∈ qs must satisfy some p ∈ ps.
+// A non-boolean or ≠-bearing CQ it reaches is an error.
 func UCQContains(qs, ps []CQ) (bool, error) {
 	for _, q := range qs {
-		if q.HasInequalities() {
-			return false, fmt.Errorf("fo: UCQContains does not handle inequalities on the left")
+		if err := ucqOperand(q, "left"); err != nil {
+			return false, err
 		}
 		st, _, ok := q.CanonicalDB()
 		if !ok {
@@ -468,8 +364,8 @@ func UCQContains(qs, ps []CQ) (bool, error) {
 		}
 		found := false
 		for _, p := range ps {
-			if p.HasInequalities() {
-				return false, fmt.Errorf("fo: UCQContains does not handle inequalities on the right")
+			if err := ucqOperand(p, "right"); err != nil {
+				return false, err
 			}
 			if p.Holds(st) {
 				found = true
@@ -481,6 +377,18 @@ func UCQContains(qs, ps []CQ) (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// ucqOperand refuses a CQ containment cannot decide over: a non-boolean
+// or ≠-bearing one.
+func ucqOperand(q CQ, side string) error {
+	if len(q.Free) != 0 {
+		return fmt.Errorf("fo: containment of a non-boolean CQ on the %s; close it first", side)
+	}
+	if q.HasInequalities() {
+		return fmt.Errorf("fo: containment does not handle inequalities on the %s", side)
+	}
+	return nil
 }
 
 // Contains decides containment between positive sentences without

@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"accltl/internal/access"
@@ -152,18 +154,10 @@ func (e Engine) String() string {
 // decision pipeline. A zero-option checker runs the fragment-dispatched
 // search with formula-derived bounds.
 type Checker struct {
-	engine             Engine
-	grounded           bool
-	idempotentOnly     bool
-	exactMethods       map[string]bool
-	allExact           bool
-	maxDepth           int
-	maxPaths           int
-	maxResponseChoices int
-	parallelism        int
-	shards             []int
-	initial            *Instance
-	universe           *Instance
+	engine Engine
+	// opts is the configuration every search of the checker runs under;
+	// solveOptions adds each check's context and schema.
+	opts accltl.SolveOptions
 	// anytimeChunk bounds how many not-yet-completed shards one
 	// CheckAnytime round attempts (0 = all remaining); see WithAnytimeChunk.
 	anytimeChunk int
@@ -190,13 +184,13 @@ func NewChecker(opts ...Option) (*Checker, error) {
 // WithGrounded restricts the search to grounded access paths: every binding
 // value must occur in the initial instance or an earlier response.
 func WithGrounded() Option {
-	return func(c *Checker) error { c.grounded = true; return nil }
+	return func(c *Checker) error { c.opts.Grounded = true; return nil }
 }
 
 // WithIdempotentOnly restricts the search to idempotent paths (repeating an
 // access yields the same response).
 func WithIdempotentOnly() Option {
-	return func(c *Checker) error { c.idempotentOnly = true; return nil }
+	return func(c *Checker) error { c.opts.IdempotentOnly = true; return nil }
 }
 
 // WithExactMethods restricts the named methods to exact responses (all
@@ -206,14 +200,14 @@ func WithExactMethods(names ...string) Option {
 		if len(names) == 0 {
 			return fmt.Errorf("accesscheck: WithExactMethods needs at least one method name")
 		}
-		if c.exactMethods == nil {
-			c.exactMethods = make(map[string]bool, len(names))
+		if c.opts.ExactMethods == nil {
+			c.opts.ExactMethods = make(map[string]bool, len(names))
 		}
 		for _, n := range names {
 			if n == "" {
 				return fmt.Errorf("accesscheck: WithExactMethods: empty method name")
 			}
-			c.exactMethods[n] = true
+			c.opts.ExactMethods[n] = true
 		}
 		return nil
 	}
@@ -221,7 +215,7 @@ func WithExactMethods(names ...string) Option {
 
 // WithAllExact restricts every method to exact responses.
 func WithAllExact() Option {
-	return func(c *Checker) error { c.allExact = true; return nil }
+	return func(c *Checker) error { c.opts.AllExact = true; return nil }
 }
 
 // WithMaxDepth bounds witness path length; 0 (the default) derives a bound
@@ -231,7 +225,7 @@ func WithMaxDepth(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("accesscheck: WithMaxDepth(%d): depth must be non-negative", n)
 		}
-		c.maxDepth = n
+		c.opts.MaxDepth = n
 		return nil
 	}
 }
@@ -243,7 +237,7 @@ func WithMaxPaths(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("accesscheck: WithMaxPaths(%d): cap must be non-negative", n)
 		}
-		c.maxPaths = n
+		c.opts.MaxPaths = n
 		return nil
 	}
 }
@@ -255,7 +249,7 @@ func WithMaxResponseChoices(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("accesscheck: WithMaxResponseChoices(%d): cap must be non-negative", n)
 		}
-		c.maxResponseChoices = n
+		c.opts.MaxResponseChoices = n
 		return nil
 	}
 }
@@ -281,7 +275,7 @@ func WithParallelism(n int) Option {
 		if n == 0 {
 			n = runtime.GOMAXPROCS(0)
 		}
-		c.parallelism = n
+		c.opts.Parallelism = n
 		return nil
 	}
 }
@@ -311,7 +305,7 @@ func WithShards(indexes ...int) Option {
 		// hashes and Check and CheckAnytime count.
 		sel := slices.Clone(indexes)
 		slices.Sort(sel)
-		c.shards = slices.Compact(sel)
+		c.opts.Shards = slices.Compact(sel)
 		return nil
 	}
 }
@@ -341,7 +335,7 @@ func WithInitialInstance(i *Instance) Option {
 		if i == nil {
 			return fmt.Errorf("accesscheck: WithInitialInstance(nil); omit the option for an empty I0")
 		}
-		c.initial = i
+		c.opts.Initial = i
 		return nil
 	}
 }
@@ -353,7 +347,7 @@ func WithUniverse(u *Instance) Option {
 		if u == nil {
 			return fmt.Errorf("accesscheck: WithUniverse(nil); omit the option for the formula-derived universe")
 		}
-		c.universe = u
+		c.opts.Universe = u
 		return nil
 	}
 }
@@ -380,7 +374,7 @@ func WithExactSpec(spec string) Option {
 			return err
 		}
 		if all {
-			c.allExact = true
+			c.opts.AllExact = true
 			return nil
 		}
 		if len(names) == 0 {
@@ -481,7 +475,7 @@ type Result struct {
 // past its deadline returns ctx's error before the search loop is entered,
 // and expiry mid-search aborts promptly.
 func (c *Checker) Check(ctx context.Context, sch *Schema, f Formula) (*Result, error) {
-	ctx, err := entry("Check", ctx, sch, f)
+	ctx, err := c.entry("Check", ctx, sch, f)
 	if err != nil {
 		return nil, err
 	}
@@ -489,13 +483,17 @@ func (c *Checker) Check(ctx context.Context, sch *Schema, f Formula) (*Result, e
 }
 
 // entry checks the arguments of the entry point op: a schema and a formula
-// are required, and a nil ctx stands for context.Background.
-func entry(op string, ctx context.Context, sch *Schema, f Formula) (context.Context, error) {
+// are required, the checker must be valid for the schema (ValidateFor), and
+// a nil ctx stands for context.Background.
+func (c *Checker) entry(op string, ctx context.Context, sch *Schema, f Formula) (context.Context, error) {
 	if sch == nil {
 		return nil, fmt.Errorf("accesscheck: %s: nil schema", op)
 	}
 	if f == nil {
 		return nil, fmt.Errorf("accesscheck: %s: nil formula", op)
+	}
+	if err := c.ValidateFor(sch); err != nil {
+		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -517,7 +515,7 @@ func (c *Checker) checkOn(ctx context.Context, sch *Schema, f Formula, info Info
 			return nil, err
 		}
 	}
-	sr, err := p.run(ctx, c.parallelism, c.shards)
+	sr, err := p.run(ctx, c.opts.Parallelism, c.opts.Shards)
 	res.Elapsed = time.Since(start)
 	if err != nil {
 		return nil, err
@@ -532,11 +530,11 @@ func (c *Checker) checkOn(ctx context.Context, sch *Schema, f Formula, info Info
 	// path cap: fold both into Truncated so no caller (or cache) mistakes
 	// a capped search for an exact one.
 	res.Truncated = sr.Truncated || sr.ResponsesCapped
-	if len(c.shards) > 0 {
+	if len(c.opts.Shards) > 0 {
 		// Shard-subset run: tag the verdict with its coverage so a partial
 		// answer is honest on its face. The search reports the partition
 		// size it executed against, so no second enumeration.
-		res.ShardsCompleted = len(c.shards)
+		res.ShardsCompleted = len(c.opts.Shards)
 		res.ShardsTotal = sr.TotalShards
 	}
 	return res, nil
@@ -615,6 +613,7 @@ const (
 // accltl procedure — under the checker's configuration, enumerating its
 // plan under ctx.
 func (c *Checker) prepare(ctx context.Context, sch *Schema, f Formula, engine Engine, info Info, mode prepareMode) (*prepared, error) {
+	opts := c.solveOptions(ctx, sch)
 	var proc accltl.Procedure
 	switch engine {
 	case EngineAutomaton:
@@ -623,30 +622,17 @@ func (c *Checker) prepare(ctx context.Context, sch *Schema, f Formula, engine En
 			return nil, err
 		}
 		if mode == planOnly {
-			plan, err := a.Plan(c.emptinessOptions(ctx))
+			plan, err := a.Plan(opts)
 			if err != nil {
 				return nil, err
 			}
 			return &prepared{plan: plan, a: a}, nil
 		}
-		ep, err := a.Prepare(c.emptinessOptions(ctx))
+		ep, err := a.Prepare(opts)
 		if err != nil {
 			return nil, err
 		}
-		search := func(ctx context.Context, parallelism int, shards []int) (accltl.SolveResult, error) {
-			er, err := ep.Search(ctx, parallelism, shards)
-			return accltl.SolveResult{
-				Satisfiable:     !er.Empty,
-				Witness:         er.Witness,
-				PathsExplored:   er.PathsExplored,
-				Depth:           er.Depth,
-				Truncated:       er.Truncated,
-				ResponsesCapped: er.ResponsesCapped,
-				CompletedShards: er.CompletedShards,
-				TotalShards:     er.TotalShards,
-			}, err
-		}
-		return &prepared{plan: ep.Plan(), a: a, search: search}, nil
+		return &prepared{plan: ep.Plan(), a: a, search: ep.Search}, nil
 	case EngineX:
 		proc = accltl.ProcX
 	case EngineZeroAcc:
@@ -659,7 +645,7 @@ func (c *Checker) prepare(ctx context.Context, sch *Schema, f Formula, engine En
 		return nil, fmt.Errorf("accesscheck: Check: unknown engine %v", engine)
 	}
 	if mode == planOnly {
-		plan, err := accltl.Plan(proc, f, c.solveOptions(ctx, sch))
+		plan, err := accltl.Plan(proc, f, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -669,7 +655,7 @@ func (c *Checker) prepare(ctx context.Context, sch *Schema, f Formula, engine En
 	if admit != nil && mode == gated {
 		return nil, admit
 	}
-	bp, err := accltl.Prepare(proc, f, c.solveOptions(ctx, sch))
+	bp, err := accltl.Prepare(proc, f, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -694,7 +680,7 @@ func (c *Checker) prepare(ctx context.Context, sch *Schema, f Formula, engine En
 // formula the dispatched engine would reject, and the rejection then
 // surfaces from Check itself.
 func (c *Checker) ShardPlan(ctx context.Context, sch *Schema, f Formula) ([]ShardID, bool, error) {
-	ctx, err := entry("ShardPlan", ctx, sch, f)
+	ctx, err := c.entry("ShardPlan", ctx, sch, f)
 	if err != nil {
 		return nil, false, err
 	}
@@ -709,39 +695,32 @@ func (c *Checker) ShardPlan(ctx context.Context, sch *Schema, f Formula) ([]Shar
 	return p.plan.IDs(), p.plan.ResponsesCapped(), nil
 }
 
-// solveOptions is the checker's configuration as the solvers' options; the
-// prepared search takes parallelism and shards per run.
+// solveOptions is the checker's configuration as the options of a search
+// on sch under ctx, for either engine; the prepared search takes
+// parallelism and shards per run.
 func (c *Checker) solveOptions(ctx context.Context, sch *Schema) accltl.SolveOptions {
-	return accltl.SolveOptions{
-		Context:            ctx,
-		Schema:             sch,
-		Initial:            c.initial,
-		Grounded:           c.grounded,
-		IdempotentOnly:     c.idempotentOnly,
-		ExactMethods:       c.exactMethods,
-		AllExact:           c.allExact,
-		MaxDepth:           c.maxDepth,
-		Universe:           c.universe,
-		MaxResponseChoices: c.maxResponseChoices,
-		MaxPaths:           c.maxPaths,
-	}
+	o := c.opts
+	o.Context, o.Schema = ctx, sch
+	return o
 }
 
-// emptinessOptions is the checker's configuration as the emptiness check's
-// options, like solveOptions.
-func (c *Checker) emptinessOptions(ctx context.Context) autom.EmptinessOptions {
-	return autom.EmptinessOptions{
-		Context:            ctx,
-		Initial:            c.initial,
-		Grounded:           c.grounded,
-		IdempotentOnly:     c.idempotentOnly,
-		ExactMethods:       c.exactMethods,
-		AllExact:           c.allExact,
-		MaxDepth:           c.maxDepth,
-		MaxResponseChoices: c.maxResponseChoices,
-		MaxPaths:           c.maxPaths,
-		Universe:           c.universe,
+// ValidateFor returns an error naming each exact method (WithExactMethods,
+// WithExactSpec) that sch does not declare, nil when there is none. A name
+// the schema lacks would restrict nothing, so the search would silently
+// answer another question. Every entry point that takes a schema checks
+// it first, and a server calls it before it probes any cache.
+func (c *Checker) ValidateFor(sch *Schema) error {
+	var unknown []string
+	for n := range c.opts.ExactMethods {
+		if _, ok := sch.Method(n); !ok {
+			unknown = append(unknown, strconv.Quote(n))
+		}
 	}
+	if len(unknown) == 0 {
+		return nil
+	}
+	slices.Sort(unknown)
+	return fmt.Errorf("accesscheck: exact method not declared by the schema: %s", strings.Join(unknown, ", "))
 }
 
 // engineFor is Check's engine dispatch for a formula with the features
@@ -788,7 +767,7 @@ func (c *Checker) Holds(f Formula, p *Path) (bool, error) {
 	if p == nil {
 		return false, fmt.Errorf("accesscheck: Holds: nil path")
 	}
-	ts, err := p.Transitions(c.initial)
+	ts, err := p.Transitions(c.opts.Initial)
 	if err != nil {
 		return false, err
 	}

@@ -3,6 +3,7 @@ package accesscheck_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -56,6 +57,48 @@ func TestCheckNilArguments(t *testing.T) {
 	}
 	if _, err := accesscheck.Check(ctx, phone.Schema, nil); err == nil {
 		t.Error("Check accepted a nil formula")
+	}
+}
+
+// TestEntryPointsRefuseUnknownExactMethod: every entry point that takes a
+// schema refuses an exact method the schema does not declare, naming it.
+// The name used to restrict nothing, so the check without it was answered.
+func TestEntryPointsRefuseUnknownExactMethod(t *testing.T) {
+	sch, err := accesscheck.ParseSchema([]string{"R:int,int"}, []string{"scanR:R:"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := accesscheck.ParseFormula("(![exists x,y. post R(x,y)]) & (F [exists x,y. post R(x,y)])")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if res, err := accesscheck.Check(ctx, sch, f, accesscheck.WithExactMethods("scanR")); err != nil || res.Satisfiable || res.Truncated {
+		t.Fatalf("declared exact method: %+v, %v; want an exact unsat", res, err)
+	}
+	chk, err := accesscheck.NewChecker(accesscheck.WithExactSpec("scanR,scnR"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	universe := instance.NewInstance(sch)
+	entries := map[string]func() error{
+		"Check": func() error { _, err := chk.Check(ctx, sch, f); return err },
+		"CheckAnytime": func() error {
+			_, _, err := chk.CheckAnytime(ctx, sch, f, nil)
+			return err
+		},
+		"ShardPlan": func() error { _, _, err := chk.ShardPlan(ctx, sch, f); return err },
+		"ShardPlanAnytime": func() error {
+			_, _, err := chk.ShardPlanAnytime(ctx, sch, f, nil)
+			return err
+		},
+		"PathTree":  func() error { _, err := chk.PathTree(ctx, sch, universe, 1); return err },
+		"PathStats": func() error { _, err := chk.PathStats(ctx, sch, universe, 1); return err },
+	}
+	for name, run := range entries {
+		if err := run(); err == nil || !strings.Contains(err.Error(), `"scnR"`) || strings.Contains(err.Error(), `"scanR"`) {
+			t.Errorf("%s: err = %v, want one naming scnR alone", name, err)
+		}
 	}
 }
 

@@ -184,11 +184,11 @@ func (s *shardSet) members() []int {
 // check shares a frontier. For checkers without WithShards it equals
 // Fingerprint.
 func (c *Checker) anytimeKey(sch *Schema, f Formula) string {
-	if c.shards == nil {
+	if c.opts.Shards == nil {
 		return c.Fingerprint(sch, f)
 	}
 	shardless := *c
-	shardless.shards = nil
+	shardless.opts.Shards = nil
 	return shardless.Fingerprint(sch, f)
 }
 
@@ -225,7 +225,7 @@ func (cp *Checkpoint) sameCheck(c *Checker, sch *Schema, f Formula) bool {
 // shard subset, because sibling slices share a frontier.
 func (c *Checker) verdictConfig() Checker {
 	v := *c
-	v.parallelism, v.anytimeChunk, v.shards = 0, 0, nil
+	v.opts.Parallelism, v.opts.Shards, v.anytimeChunk = 0, nil, 0
 	return v
 }
 
@@ -254,7 +254,7 @@ func (c *Checker) prepareOn(ctx context.Context, sch *Schema, f Formula, info In
 // enumerating it again — how a fabric worker verifies a shard's plan and
 // then runs it with one enumeration.
 func (c *Checker) ShardPlanAnytime(ctx context.Context, sch *Schema, f Formula, prev *Checkpoint) ([]ShardID, *Checkpoint, error) {
-	ctx, err := entry("ShardPlanAnytime", ctx, sch, f)
+	ctx, err := c.entry("ShardPlanAnytime", ctx, sch, f)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -315,7 +315,7 @@ func (c *Checker) ShardPlanAnytime(ctx context.Context, sch *Schema, f Formula, 
 // checkpoint serializes its rounds: concurrent identical requests resume
 // one at a time.
 func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev *Checkpoint) (*Result, *Checkpoint, error) {
-	ctx, err := entry("CheckAnytime", ctx, sch, f)
+	ctx, err := c.entry("CheckAnytime", ctx, sch, f)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -338,7 +338,7 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 	// its first round. A whole check targets the full canonical partition
 	// and plans it once, through the checkpoint, so its first round
 	// executes that same enumeration.
-	target := c.shards
+	target := c.opts.Shards
 	if target == nil {
 		if cp.planSize == 0 {
 			p, err := c.prepareOn(ctx, sch, f, info, cp, ungated)
@@ -391,7 +391,7 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 	var sr accltl.SolveResult
 	p, err := c.prepareOn(ctx, sch, f, info, cp, gated)
 	if err == nil {
-		sr, err = p.run(ctx, c.parallelism, attempt)
+		sr, err = p.run(ctx, c.opts.Parallelism, attempt)
 	}
 	if cp.planSize == 0 {
 		cp.planSize = sr.TotalShards
@@ -513,7 +513,7 @@ func (c *Checker) anytimePartial(info Info, cp *Checkpoint, target []int, done i
 // checkers on exact answers: a subset verdict names what it covers. Whole
 // checks keep zero tags, like Check. Called with cp.mu held.
 func (c *Checker) tagShardSubset(res *Result, cp *Checkpoint, target []int) {
-	if c.shards == nil {
+	if c.opts.Shards == nil {
 		return
 	}
 	res.ShardsCompleted = len(target)

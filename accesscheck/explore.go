@@ -19,22 +19,26 @@ type PathTree = lts.TreeNode
 // reached per depth.
 type PathStats = lts.Stats
 
-// ltsOptions translates the checker's configuration into exploration
-// options against an explicit hidden universe.
-func (c *Checker) ltsOptions(ctx context.Context, universe *Instance, depth int) lts.Options {
-	return lts.Options{
-		Context:            ctx,
-		Universe:           universe,
-		Initial:            c.initial,
-		MaxDepth:           depth,
-		GroundedOnly:       c.grounded,
-		IdempotentOnly:     c.idempotentOnly,
-		ExactMethods:       c.exactMethods,
-		AllExact:           c.allExact,
-		MaxResponseChoices: c.maxResponseChoices,
-		MaxPaths:           c.maxPaths,
-		Parallelism:        c.parallelism,
+// ltsOptions checks the arguments of PathTree and PathStats (op) and
+// returns the checker's configuration as the options of a walk of sch's
+// paths against universe, up to depth, under ctx.
+func (c *Checker) ltsOptions(op string, ctx context.Context, sch *Schema, universe *Instance, depth int) (lts.Options, error) {
+	if sch == nil {
+		return lts.Options{}, fmt.Errorf("accesscheck: %s: nil schema", op)
 	}
+	if universe == nil {
+		return lts.Options{}, fmt.Errorf("accesscheck: %s: nil universe", op)
+	}
+	if depth < 0 {
+		return lts.Options{}, fmt.Errorf("accesscheck: %s: negative depth %d", op, depth)
+	}
+	if err := c.ValidateFor(sch); err != nil {
+		return lts.Options{}, err
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return c.solveOptions(ctx, sch).Walk(universe, depth), nil
 }
 
 // PathTree materializes the tree of possible paths of the schema against a
@@ -42,35 +46,19 @@ func (c *Checker) ltsOptions(ctx context.Context, universe *Instance, depth int)
 // (grounded, exact, idempotent, initial instance) apply, and ctx bounds the
 // exploration.
 func (c *Checker) PathTree(ctx context.Context, sch *Schema, universe *Instance, depth int) (*PathTree, error) {
-	if sch == nil {
-		return nil, fmt.Errorf("accesscheck: PathTree: nil schema")
+	o, err := c.ltsOptions("PathTree", ctx, sch, universe, depth)
+	if err != nil {
+		return nil, err
 	}
-	if universe == nil {
-		return nil, fmt.Errorf("accesscheck: PathTree: nil universe")
-	}
-	if depth < 0 {
-		return nil, fmt.Errorf("accesscheck: PathTree: negative depth %d", depth)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return lts.BuildTree(sch, c.ltsOptions(ctx, universe, depth))
+	return lts.BuildTree(sch, o)
 }
 
 // PathStats explores the schema's paths against a hidden universe and
 // returns per-depth path and configuration counts.
 func (c *Checker) PathStats(ctx context.Context, sch *Schema, universe *Instance, depth int) (PathStats, error) {
-	if sch == nil {
-		return PathStats{}, fmt.Errorf("accesscheck: PathStats: nil schema")
+	o, err := c.ltsOptions("PathStats", ctx, sch, universe, depth)
+	if err != nil {
+		return PathStats{}, err
 	}
-	if universe == nil {
-		return PathStats{}, fmt.Errorf("accesscheck: PathStats: nil universe")
-	}
-	if depth < 0 {
-		return PathStats{}, fmt.Errorf("accesscheck: PathStats: negative depth %d", depth)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return lts.Collect(sch, c.ltsOptions(ctx, universe, depth))
+	return lts.Collect(sch, o)
 }

@@ -86,12 +86,13 @@ func (c *Checker) Fingerprint(sch *Schema, f Formula) string {
 		field("formula", f.String())
 	}
 	field("engine", c.engine.String())
-	field("grounded", boolKey(c.grounded))
-	field("idempotent", boolKey(c.idempotentOnly))
-	field("allExact", boolKey(c.allExact))
-	if len(c.exactMethods) > 0 {
-		names := make([]string, 0, len(c.exactMethods))
-		for n := range c.exactMethods {
+	o := &c.opts
+	field("grounded", boolKey(o.Grounded))
+	field("idempotent", boolKey(o.IdempotentOnly))
+	field("allExact", boolKey(o.AllExact))
+	if len(o.ExactMethods) > 0 {
+		names := make([]string, 0, len(o.ExactMethods))
+		for n := range o.ExactMethods {
 			names = append(names, n)
 		}
 		sort.Strings(names)
@@ -99,17 +100,17 @@ func (c *Checker) Fingerprint(sch *Schema, f Formula) string {
 			field("exact", n)
 		}
 	}
-	for _, i := range c.shards {
+	for _, i := range o.Shards {
 		field("shard", fmt.Sprintf("%d", i))
 	}
-	field("maxDepth", fmt.Sprintf("%d", c.maxDepth))
-	field("maxPaths", fmt.Sprintf("%d", c.maxPaths))
-	field("maxResponseChoices", fmt.Sprintf("%d", c.maxResponseChoices))
-	if c.initial != nil {
-		field("initial", c.initial.Fingerprint())
+	field("maxDepth", fmt.Sprintf("%d", o.MaxDepth))
+	field("maxPaths", fmt.Sprintf("%d", o.MaxPaths))
+	field("maxResponseChoices", fmt.Sprintf("%d", o.MaxResponseChoices))
+	if o.Initial != nil {
+		field("initial", o.Initial.Fingerprint())
 	}
-	if c.universe != nil {
-		field("universe", c.universe.Fingerprint())
+	if o.Universe != nil {
+		field("universe", o.Universe.Fingerprint())
 	}
 	return h.sum()
 }

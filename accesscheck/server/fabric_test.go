@@ -524,6 +524,21 @@ func shardGroup(t *testing.T, req CheckRequest, indexes ...int) *fabric.Shard {
 	return wire
 }
 
+// TestWorkerShardRefusesUnknownExactMethod: a shard group whose options
+// name an exact method the schema does not declare answers 400 naming it.
+// The name restricted nothing, so the group's plan matched the sender's
+// and the worker used to solve it.
+func TestWorkerShardRefusesUnknownExactMethod(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	req := exactReq("scnR")
+	wire := shardGroup(t, req, 0)
+	wire.Options = req.Options
+	resp, body := postJSON(t, ts.URL+"/v1/shard", wire)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "scnR") {
+		t.Errorf("status %d, want 400 naming scnR: %s", resp.StatusCode, body)
+	}
+}
+
 // postShard posts a wire shard and decodes a 200 answer.
 func postShard(t *testing.T, url string, wire *fabric.Shard) fabric.ShardResult {
 	t.Helper()

@@ -477,8 +477,9 @@ type parsedCheck struct {
 
 // parseCheck is the prologue every role runs on a check: the required
 // fields, the checker for the wire options at the given parallelism (extra
-// options appended), the schema and the formula — each failure a 400 — and
-// then the fingerprint.
+// options appended), the schema, the checker's validity for it
+// (accesscheck.Checker.ValidateFor) and the formula — each failure a 400,
+// before any cache tier is probed — and then the fingerprint.
 func parseCheck(req CheckRequest, parallelism int, extra ...accesscheck.Option) (parsedCheck, error) {
 	if req.Formula == "" {
 		return parsedCheck{}, badRequest("missing formula")
@@ -492,6 +493,9 @@ func parseCheck(req CheckRequest, parallelism int, extra ...accesscheck.Option) 
 	}
 	sch, err := accesscheck.ParseSchema(req.Relations, req.Methods)
 	if err != nil {
+		return parsedCheck{}, badRequest("%v", err)
+	}
+	if err := chk.ValidateFor(sch); err != nil {
 		return parsedCheck{}, badRequest("%v", err)
 	}
 	f, err := accesscheck.ParseFormula(req.Formula)

@@ -160,6 +160,43 @@ func TestCheckEndpointSchemaNames(t *testing.T) {
 	}
 }
 
+// exactReq is the check of a schema with one free scan, scanR, under
+// exact_methods names: R must be empty after the first access and
+// non-empty later, which an exact scanR rules out and a subset scan allows.
+func exactReq(names ...string) CheckRequest {
+	return CheckRequest{
+		Relations: []string{"R:int,int"},
+		Methods:   []string{"scanR:R:"},
+		Formula:   "(![exists x,y. post R(x,y)]) & (F [exists x,y. post R(x,y)])",
+		Options:   &CheckOptions{ExactMethods: names},
+	}
+}
+
+// TestCheckRefusesUnknownExactMethod: an exact method the schema does not
+// declare answers 400 naming it on both roles, before any cache tier is
+// probed, so no hit or miss counter moves. It used to be ignored: the
+// check without it (satisfiable) was answered, and cached as exact. The
+// declared name answers the check it asks (unsatisfiable).
+func TestCheckRefusesUnknownExactMethod(t *testing.T) {
+	for _, r := range roles(t, Config{}) {
+		before := metricsAt(t, r.url)
+		resp, body := postJSON(t, r.url+"/v1/check", exactReq("scnR"))
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "scnR") {
+			t.Errorf("%s: status %d, want 400 naming scnR: %s", r.name, resp.StatusCode, body)
+		}
+		for name, n := range metricsAt(t, r.url) {
+			if (strings.Contains(name, "hits") || strings.Contains(name, "misses")) && n != before[name] {
+				t.Errorf("%s: %s moved from %d to %d", r.name, name, before[name], n)
+			}
+		}
+		resp, body = postJSON(t, r.url+"/v1/check", exactReq("scanR"))
+		var out CheckResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &out) != nil || out.Satisfiable || out.Truncated {
+			t.Errorf("%s: exact scanR: status %d, want 200 with an exact unsat: %s", r.name, resp.StatusCode, body)
+		}
+	}
+}
+
 // role is one front of the request spine: a standalone server or a
 // coordinator over two workers. prefix starts the role's shared metric
 // names; own is a POST route only this role serves.

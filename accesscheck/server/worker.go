@@ -112,12 +112,18 @@ func (s *Server) doShard(ctx context.Context, sh *fabric.Shard) (*fabric.ShardRe
 	}
 
 	// Anytime frontier, keyed like the cache: each shard group of a check
-	// owns its own checkpoint, so a redispatch of the identical group
-	// (retry, hedge, or a resume round) picks up where the blown budget
-	// left off, while sibling groups of the same check can never fold each
-	// other's cumulative statistics into a partial report — a group's paths
-	// must cover exactly its own slices for the coordinator's merge
-	// arithmetic to stay honest.
+	// owns its own checkpoint, so a redispatch of the identical group picks
+	// up where the blown budget left off, while sibling groups of the same
+	// check can never fold each other's cumulative statistics into a
+	// partial report — a group's paths must cover exactly its own slices
+	// for the coordinator's merge arithmetic to stay honest. The identical
+	// group comes back on a same-worker retry, in the round after a
+	// zero-progress expiry, and whenever a coordinator no longer holds its
+	// union for the check (evicted from its checkpoint LRU, lost in a
+	// restart, or never held by a second coordinator): it then redispatches
+	// the whole plan with the same owner grouping, and the budget is not
+	// part of the key. A coordinator that does hold its union redispatches
+	// only the uncovered remainder, a different group.
 	res, cp, err := s.solveCheck(ctx, chk, sch, f, key, par, cp)
 	if err != nil {
 		return nil, err

@@ -128,7 +128,7 @@ func BenchmarkTable1Row4_AAutomataEmptiness(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := a.IsEmpty(opts)
-				if err != nil || res.Empty {
+				if err != nil || !res.Satisfiable {
 					b.Fatalf("res=%+v err=%v", res, err)
 				}
 			}
@@ -240,7 +240,7 @@ func BenchmarkFigure2_Inclusions(b *testing.B) {
 			b.Fatal(err)
 		}
 		res, err := a.IsEmpty(autom.EmptinessOptions{})
-		if err != nil || res.Empty {
+		if err != nil || !res.Satisfiable {
 			b.Fatalf("res=%+v err=%v", res, err)
 		}
 	}
@@ -706,7 +706,7 @@ func BenchmarkAblation_PlusSat_DirectVsAutomaton(b *testing.B) {
 				b.Fatal(err)
 			}
 			res, err := a.IsEmpty(autom.EmptinessOptions{MaxDepth: 3})
-			if err != nil || res.Empty {
+			if err != nil || !res.Satisfiable {
 				b.Fatal(err)
 			}
 		}

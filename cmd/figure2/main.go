@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"accltl/accesscheck"
+	"accltl/internal/accltl"
 	"accltl/internal/autom"
 	"accltl/internal/workload"
 )
@@ -109,11 +110,11 @@ func main() {
 	parity.MustAddTransition(0, accesscheck.TrueSentence(), 1)
 	parity.MustAddTransition(1, accesscheck.TrueSentence(), 0)
 	parity.SetAccepting(1)
-	res, err := parity.IsEmpty(autom.EmptinessOptions{Context: ctx, MaxDepth: 3})
+	res, err := parity.IsEmpty(accltl.SolveOptions{Context: ctx, MaxDepth: 3})
 	check(err)
 	fmt.Printf("[+ ⊂ A-autom.] separator: odd-length parity automaton (nonempty=%v, witness length %d)\n",
-		!res.Empty, res.Witness.Len())
-	if res.Empty || res.Witness.Len()%2 != 1 {
+		res.Satisfiable, res.Witness.Len())
+	if !res.Satisfiable || res.Witness.Len()%2 != 1 {
 		log.Fatal("parity automaton misbehaved")
 	}
 

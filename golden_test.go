@@ -6,10 +6,12 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 
 	"accltl/accesscheck"
+	"accltl/accesscheck/fabric"
 	"accltl/internal/workload"
 )
 
@@ -99,12 +101,11 @@ func goldenCorpus(t *testing.T) []goldenCase {
 	return cases
 }
 
-// goldenEntries runs every corpus formula through accesscheck.Check at one
-// walker on every engine, under four option sets, and renders one line per
-// run: the verdict, Truncated, ResponsesCapped, the engine that ran and a
-// 48-bit hash of the witness text, or "rejected" when the engine refused
-// the formula.
-func goldenEntries(t *testing.T) []string {
+// goldenRuns calls run once per entry of the golden grid: every corpus
+// formula at one walker on every engine, under four option sets (a case
+// marked once only on the auto engine under default options). name is the
+// entry's name and opts its checker options.
+func goldenRuns(t *testing.T, run func(name string, gc goldenCase, opts []accesscheck.Option)) {
 	t.Helper()
 	optionSets := []struct {
 		name string
@@ -119,7 +120,6 @@ func goldenEntries(t *testing.T) []string {
 		accesscheck.EngineAuto, accesscheck.EngineX, accesscheck.EngineZeroAcc,
 		accesscheck.EnginePlus, accesscheck.EngineBounded, accesscheck.EngineAutomaton,
 	}
-	var lines []string
 	for _, gc := range goldenCorpus(t) {
 		for i, set := range optionSets {
 			for j, eng := range engines {
@@ -128,22 +128,33 @@ func goldenEntries(t *testing.T) []string {
 				}
 				opts := append([]accesscheck.Option{accesscheck.WithParallelism(1), accesscheck.WithEngine(eng)}, set.opts...)
 				opts = append(opts, gc.opts...)
-				name := gc.name + "/" + set.name + "/" + eng.String()
-				res, err := accesscheck.Check(context.Background(), gc.sch, gc.f, opts...)
-				if err != nil {
-					lines = append(lines, name+" rejected")
-					continue
-				}
-				witness := ""
-				if res.Witness != nil {
-					witness = res.Witness.String()
-				}
-				sum := sha256.Sum256([]byte(witness))
-				lines = append(lines, fmt.Sprintf("%s sat=%t truncated=%t capped=%t ran=%s witness=%x",
-					name, res.Satisfiable, res.Truncated, res.ResponsesCapped, res.Engine, sum[:6]))
+				run(gc.name+"/"+set.name+"/"+eng.String(), gc, opts)
 			}
 		}
 	}
+}
+
+// goldenEntries renders one line per golden run of accesscheck.Check: the
+// verdict, Truncated, ResponsesCapped, the engine that ran and a 48-bit
+// hash of the witness text, or "rejected" when the engine refused the
+// formula.
+func goldenEntries(t *testing.T) []string {
+	t.Helper()
+	var lines []string
+	goldenRuns(t, func(name string, gc goldenCase, opts []accesscheck.Option) {
+		res, err := accesscheck.Check(context.Background(), gc.sch, gc.f, opts...)
+		if err != nil {
+			lines = append(lines, name+" rejected")
+			return
+		}
+		witness := ""
+		if res.Witness != nil {
+			witness = res.Witness.String()
+		}
+		sum := sha256.Sum256([]byte(witness))
+		lines = append(lines, fmt.Sprintf("%s sat=%t truncated=%t capped=%t ran=%s witness=%x",
+			name, res.Satisfiable, res.Truncated, res.ResponsesCapped, res.Engine, sum[:6]))
+	})
 	return lines
 }
 
@@ -155,15 +166,23 @@ func goldenEntries(t *testing.T) []string {
 // per line; testdata/golden_verdicts.txt lists the pinned lines, and a
 // failure prints every entry that differs from it.
 func TestGoldenVerdicts(t *testing.T) {
-	lines := goldenEntries(t)
+	checkGolden(t, goldenEntries(t), goldenVerdictDigest, accesscheck.FingerprintSchemeVersion,
+		"testdata/golden_verdicts.txt", "a verdict moved, so bump FingerprintSchemeVersion")
+}
+
+// checkGolden compares the SHA-256 of lines, one per line, with the digest
+// pinned under version; on a mismatch it prints every entry that differs
+// from file, which lists the pinned lines, and fails with the advice move.
+func checkGolden(t *testing.T, lines []string, pinned map[string]string, version, file, move string) {
+	t.Helper()
 	sum := sha256.Sum256([]byte(strings.Join(lines, "\n") + "\n"))
 	digest := hex.EncodeToString(sum[:])
-	want, pinned := goldenVerdictDigest[accesscheck.FingerprintSchemeVersion]
-	if pinned && digest == want {
+	want, ok := pinned[version]
+	if ok && digest == want {
 		return
 	}
 	old := map[string]string{}
-	if data, err := os.ReadFile("testdata/golden_verdicts.txt"); err == nil {
+	if data, err := os.ReadFile(file); err == nil {
 		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
 			name, _, _ := strings.Cut(line, " ")
 			old[name] = line
@@ -177,7 +196,61 @@ func TestGoldenVerdicts(t *testing.T) {
 			t.Logf("entry changed:\n  now %s\n  was %s", line, was)
 		}
 	}
-	t.Fatalf("golden verdict digest %s, pinned %q under %s (%d of %d entries differ from testdata/golden_verdicts.txt): "+
-		"a verdict moved, so bump FingerprintSchemeVersion and pin the new digest and lines under it",
-		digest, want, accesscheck.FingerprintSchemeVersion, changed, len(lines))
+	t.Fatalf("golden digest %s, pinned %q under %s (%d of %d entries differ from %s): "+
+		"%s and pin the new digest and lines under it",
+		digest, want, version, changed, len(lines), file, move)
+}
+
+// goldenPlanDigest pins TestGoldenPlans' digest under the fabric's wire
+// version. A coordinator and its workers derive a check's plan and depth
+// independently, and fabric.Merge refuses parts whose depths differ, so a
+// change that moves a plan or a depth must move fabric.WireVersion too;
+// then pin the new digest under it and update testdata/golden_plans.txt.
+var goldenPlanDigest = map[string]string{
+	"2": "72cbbc64861f09d5e28a69ec3c987c477f33a4390ebb4f956f455fa284094c8b",
+}
+
+// goldenPlanEntries renders one line per golden run: ShardPlan's shard
+// count, its ResponsesCapped and a 48-bit hash of the (Index, Key,
+// WholeAccess) list, or "plan=rejected" when planning failed; then the
+// one-walker Check's Depth, or "depth=rejected" when the engine refused the
+// formula.
+func goldenPlanEntries(t *testing.T) []string {
+	t.Helper()
+	ctx := context.Background()
+	var lines []string
+	goldenRuns(t, func(name string, gc goldenCase, opts []accesscheck.Option) {
+		chk, err := accesscheck.NewChecker(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := name
+		if plan, capped, err := chk.ShardPlan(ctx, gc.sch, gc.f); err != nil {
+			line += " plan=rejected"
+		} else {
+			h := sha256.New()
+			for _, s := range plan {
+				fmt.Fprintf(h, "%d %q %t\n", s.Index, s.Key, s.WholeAccess)
+			}
+			line += fmt.Sprintf(" shards=%d capped=%t plan=%x", len(plan), capped, h.Sum(nil)[:6])
+		}
+		if res, err := chk.Check(ctx, gc.sch, gc.f); err != nil {
+			line += " depth=rejected"
+		} else {
+			line += fmt.Sprintf(" depth=%d", res.Depth)
+		}
+		lines = append(lines, line)
+	})
+	return lines
+}
+
+// TestGoldenPlans pins the shard plans and depth bounds the engines derive
+// for the golden corpus: a change that moves a plan, its response cap or a
+// check's depth fails here until fabric.WireVersion moves with it, so a
+// coordinator never merges parts of workers that partition a check
+// differently. The digest is the SHA-256 of the entry lines, one per line;
+// testdata/golden_plans.txt lists the pinned lines.
+func TestGoldenPlans(t *testing.T) {
+	checkGolden(t, goldenPlanEntries(t), goldenPlanDigest, strconv.Itoa(fabric.WireVersion),
+		"testdata/golden_plans.txt", "a plan or depth moved, so bump fabric.WireVersion")
 }

@@ -264,7 +264,6 @@ func plan(proc Procedure, f Formula, sentences []fo.Formula, opts SolveOptions) 
 	if err != nil {
 		return nil, 0, err
 	}
-	o.Context = opts.Context
 	p, err := lts.NewPlan(opts.Schema, o)
 	return p, depth, err
 }
@@ -296,36 +295,16 @@ func (p *Prepared) Search(ctx context.Context, parallelism int, shards []int) (S
 		pr.Key = func(o obligation) int { return o.id }
 	}
 	rep, witness, err := pr.Search(ctx, p.plan, parallelism, shards)
-	res := SolveResult{
-		Depth:           p.depth,
-		PathsExplored:   rep.Paths,
-		CompletedShards: rep.CompletedShards,
-		TotalShards:     rep.TotalShards,
-	}
-	if witness != nil {
-		res.Satisfiable = true
-		res.Witness = witness
-		ts, err := witness.Transitions(p.initial)
-		if err != nil {
-			return res, err
-		}
-		ok, err := Satisfied(p.f, ts, p.voc)
-		if err != nil {
-			return res, err
-		}
-		if !ok {
-			return res, fmt.Errorf("accltl: internal error: witness rejected by direct semantics")
-		}
-		return res, nil
-	}
-	// A cap met before an error is reported too: a resumed search skips
-	// the shards this one completed, so it would never meet the cap again.
-	res.ResponsesCapped = rep.ResponsesCapped
+	return Settle(rep, p.depth, witness, err, p.holds, "accltl: internal error: witness rejected by direct semantics")
+}
+
+// holds checks a witness against the direct semantics.
+func (p *Prepared) holds(w *access.Path) (bool, error) {
+	ts, err := w.Transitions(p.initial)
 	if err != nil {
-		return res, err
+		return false, err
 	}
-	res.Truncated = rep.PathsCapped
-	return res, nil
+	return Satisfied(p.f, ts, p.voc)
 }
 
 // step is the search's lts.Product step: it progresses the obligation over

@@ -2,6 +2,7 @@ package accltl
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"accltl/internal/access"
@@ -12,14 +13,19 @@ import (
 	"accltl/internal/schema"
 )
 
-// SolveOptions configures a satisfiability search.
+// SolveOptions configures a product search: the AccLTL solver's
+// satisfiability search, and the A-automaton emptiness check of package
+// autom, whose language is non-empty exactly when its search is
+// satisfiable. Both engines read every field unless its comment says
+// otherwise.
 type SolveOptions struct {
 	// Context, when non-nil, bounds the search by cancellation or deadline:
 	// the solver checks it before entering the search loop and the LTS
 	// exploration polls it, so an expired budget stops the search promptly
 	// with the context's error.
 	Context context.Context
-	// Schema is the schema with access methods (required).
+	// Schema is the schema with access methods (required by the solver;
+	// the automaton ignores it and searches its own).
 	Schema *schema.Schema
 	// Initial is the initially known instance I0 (nil = empty).
 	Initial *instance.Instance
@@ -32,14 +38,17 @@ type SolveOptions struct {
 	ExactMethods map[string]bool
 	AllExact     bool
 	// MaxDepth bounds witness path length; 0 derives a bound from the
-	// formula (Lemma 4.13 / Theorem 4.14 style).
+	// formula (Lemma 4.13 / Theorem 4.14 style), or for an automaton from
+	// its states and distinct guards (states + guards + 2).
 	MaxDepth int
-	// Universe overrides the witness universe derived from the formula.
+	// Universe overrides the witness universe derived from the formula's
+	// sentences (an automaton's: from its guards).
 	Universe *instance.Instance
 	// MaxResponseChoices caps response subset fan-out (default 3).
 	MaxResponseChoices int
 	// DisableLTLPruning turns off obligation-progression pruning
-	// (ablation: the search then checks full paths only at the leaves).
+	// (ablation: the search then checks full paths only at the leaves). It
+	// applies to the solver only.
 	DisableLTLPruning bool
 	// MaxPaths aborts after this many visited paths (0 = 2^22 default).
 	MaxPaths int
@@ -66,13 +75,15 @@ type SolveOptions struct {
 	Shards []int
 }
 
-// SolveResult reports a satisfiability verdict.
+// SolveResult reports a satisfiability verdict, or for the A-automaton
+// emptiness check a non-emptiness verdict.
 type SolveResult struct {
 	// Satisfiable is the verdict (within the search bound for the
 	// semi-decision entry points; exact for the fragment solvers on
-	// formulas within their fragment).
+	// formulas within their fragment). For an automaton it means the
+	// language is non-empty.
 	Satisfiable bool
-	// Witness is a satisfying access path when Satisfiable.
+	// Witness is a satisfying (accepted) access path when Satisfiable.
 	Witness *access.Path
 	// PathsExplored counts visited path prefixes.
 	PathsExplored int
@@ -233,18 +244,25 @@ func defaultDepth(f Formula, sentences int) int {
 	return d
 }
 
-// searchOptions assembles the exploration options a bounded search of f,
-// whose distinct sentences are sentences, uses under opts: the depth bound
-// (opts.MaxDepth, else defaultDepth), the witness universe (derived from
-// the sentences unless overridden) and the sentences' constants in the
-// binding pool, completed by lts.ProductOptions. Prepare plans with it, so
-// the partition a plan describes is the partition the search executes: the
-// determinism the distributed check fabric relies on when coordinator and
-// workers derive plans independently.
+// searchOptions is ProductSearch for a bounded search of f, whose distinct
+// sentences are sentences: their constants join the binding pool, and the
+// default depth is defaultDepth's.
 func searchOptions(f Formula, sentences []fo.Formula, opts SolveOptions) (lts.Options, int, error) {
-	depth := opts.MaxDepth
-	if depth == 0 {
-		depth = defaultDepth(f, len(sentences))
+	return ProductSearch(opts, sentences, fo.Constants(sentenceConj(sentences)), defaultDepth(f, len(sentences)))
+}
+
+// ProductSearch assembles the walk of a product search under opts, for
+// either engine: the depth bound (opts.MaxDepth, else depth, the engine's
+// default), the witness universe (opts.Universe, else the one derived from
+// sentences, the formula's sentences or the automaton's guards) and the
+// constants consts in the binding pool, completed by lts.ProductOptions
+// over opts.Schema. It returns the depth bound too. Each engine plans with
+// it, so the partition a plan describes is the partition the search
+// executes: the determinism the distributed check fabric relies on when
+// coordinator and workers derive plans independently.
+func ProductSearch(opts SolveOptions, sentences []fo.Formula, consts []instance.Value, depth int) (lts.Options, int, error) {
+	if opts.MaxDepth != 0 {
+		depth = opts.MaxDepth
 	}
 	universe := opts.Universe
 	if universe == nil {
@@ -253,7 +271,18 @@ func searchOptions(f Formula, sentences []fo.Formula, opts SolveOptions) (lts.Op
 			return lts.Options{}, 0, err
 		}
 	}
-	o, err := lts.ProductOptions(opts.Schema, lts.Options{
+	o := opts.Walk(universe, depth)
+	o.ExtraBindingValues = consts
+	o, err := lts.ProductOptions(opts.Schema, o)
+	return o, depth, err
+}
+
+// Walk is opts as the options of a walk of the schema's access paths over
+// universe, up to depth: the context, the path restrictions, the caps and
+// the walker count.
+func (opts SolveOptions) Walk(universe *instance.Instance, depth int) lts.Options {
+	return lts.Options{
+		Context:            opts.Context,
 		Universe:           universe,
 		Initial:            opts.Initial,
 		MaxDepth:           depth,
@@ -263,14 +292,37 @@ func searchOptions(f Formula, sentences []fo.Formula, opts SolveOptions) (lts.Op
 		AllExact:           opts.AllExact,
 		MaxResponseChoices: opts.MaxResponseChoices,
 		MaxPaths:           opts.MaxPaths,
-		ExtraBindingValues: fo.Constants(sentenceConj(sentences)),
-	})
-	return o, depth, err
+		Parallelism:        opts.Parallelism,
+	}
 }
 
-// searchLTSOptions is searchOptions over f's own sentences.
-func searchLTSOptions(f Formula, opts SolveOptions) (lts.Options, int, error) {
-	return searchOptions(f, Sentences(f), opts)
+// Settle is the SolveResult of a product search to depth that returned
+// rep, witness and err (lts.Product.Search), for either engine. accepts is
+// the engine's check of a witness against its direct semantics; a witness
+// it rejects is an error with the text rejected.
+func Settle(rep lts.Report, depth int, witness *access.Path, err error, accepts func(*access.Path) (bool, error), rejected string) (SolveResult, error) {
+	res := SolveResult{
+		Depth:           depth,
+		PathsExplored:   rep.Paths,
+		CompletedShards: rep.CompletedShards,
+		TotalShards:     rep.TotalShards,
+	}
+	if witness != nil {
+		res.Satisfiable, res.Witness = true, witness
+		ok, err := accepts(witness)
+		if err == nil && !ok {
+			err = errors.New(rejected)
+		}
+		return res, err
+	}
+	// A cap met before an error is reported too: a resumed search skips
+	// the shards this one completed, so it would never meet the cap again.
+	res.ResponsesCapped = rep.ResponsesCapped
+	if err != nil {
+		return res, err
+	}
+	res.Truncated = rep.PathsCapped
+	return res, nil
 }
 
 func sentenceConj(ss []fo.Formula) fo.Formula {

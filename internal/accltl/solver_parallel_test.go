@@ -117,7 +117,7 @@ func TestSolveParallelMatchesSerialAcrossGrid(t *testing.T) {
 // exploration options.
 func oracleSatisfiable(t *testing.T, f Formula, opts SolveOptions) bool {
 	t.Helper()
-	o, _, err := searchLTSOptions(f, opts)
+	o, _, err := searchOptions(f, Sentences(f), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestSolverMemoCarriesPlan(t *testing.T) {
 	if err != nil || full.Satisfiable {
 		t.Fatalf("one-shot: %+v, %v", full, err)
 	}
-	o, _, err := searchLTSOptions(f, opts)
+	o, _, err := searchOptions(f, Sentences(f), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestIsEmptyAllocsOneWalker(t *testing.T) {
 	}
 	opts := EmptinessOptions{MaxDepth: 3, Parallelism: 1}
 	res, err := a.IsEmpty(opts)
-	if err != nil || !res.Empty || res.PathsExplored != 5 {
+	if err != nil || res.Satisfiable || res.PathsExplored != 5 {
 		t.Fatalf("fixture drifted: %+v, %v", res, err)
 	}
 	avg := testing.AllocsPerRun(20, func() {

@@ -116,7 +116,7 @@ func TestIsEmptyFindsWitness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Empty {
+	if !res.Satisfiable {
 		t.Fatal("satisfiable automaton reported empty")
 	}
 	ok, err := a.Accepts(res.Witness)
@@ -139,7 +139,7 @@ func TestIsEmptyUnsatisfiable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Empty {
+	if res.Satisfiable {
 		t.Errorf("empty-language automaton found witness %s", res.Witness)
 	}
 }
@@ -151,7 +151,7 @@ func TestIsEmptyGrounded(t *testing.T) {
 	a.MustAddTransition(0, fo.Ex([]string{"x"}, fo.Atom{Pred: fo.IsBindPred("chkR1"), Args: []fo.Term{fo.Var("x")}}), 1)
 	a.SetAccepting(1)
 	res, err := a.IsEmpty(EmptinessOptions{})
-	if err != nil || res.Empty {
+	if err != nil || !res.Satisfiable {
 		t.Fatalf("ungrounded: %+v, %v", res, err)
 	}
 	// Grounded from empty I0: chkR1's binding can never be known first.
@@ -159,7 +159,7 @@ func TestIsEmptyGrounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Empty {
+	if res.Satisfiable {
 		t.Errorf("grounded witness found: %s", res.Witness)
 	}
 }
@@ -256,7 +256,7 @@ func TestDecompose(t *testing.T) {
 	}
 	// Union emptiness must match the original: original is nonempty.
 	res, err := a.IsEmpty(EmptinessOptions{})
-	if err != nil || res.Empty {
+	if err != nil || !res.Satisfiable {
 		t.Fatalf("original: %+v, %v", res, err)
 	}
 	anyNonEmpty := false
@@ -265,7 +265,7 @@ func TestDecompose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !r.Empty {
+		if r.Satisfiable {
 			anyNonEmpty = true
 		}
 	}
@@ -365,8 +365,8 @@ func TestCompiledEmptinessMatchesSolver(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
-		if res.Empty == direct.Satisfiable {
-			t.Errorf("%s: emptiness=%v but direct solver satisfiable=%v", f, res.Empty, direct.Satisfiable)
+		if !res.Satisfiable == direct.Satisfiable {
+			t.Errorf("%s: emptiness=%v but direct solver satisfiable=%v", f, !res.Satisfiable, direct.Satisfiable)
 		}
 	}
 }
@@ -387,7 +387,7 @@ func TestEmptinessMemoCarriesAutomaton(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, err := a.IsEmpty(EmptinessOptions{})
-	if err != nil || !want.Empty {
+	if err != nil || want.Satisfiable {
 		t.Fatalf("IsEmpty: %+v, %v", want, err)
 	}
 	p, err := a.Prepare(EmptinessOptions{})
@@ -395,7 +395,7 @@ func TestEmptinessMemoCarriesAutomaton(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := p.Search(nil, 1, nil)
-	if err != nil || got.Empty != want.Empty || got.PathsExplored != want.PathsExplored {
+	if err != nil || got.Satisfiable != want.Satisfiable || got.PathsExplored != want.PathsExplored {
 		t.Errorf("prepared search: %+v, %v; IsEmpty %+v", got, err, want)
 	}
 	p, err = a.Prepare(EmptinessOptions{})
@@ -405,7 +405,7 @@ func TestEmptinessMemoCarriesAutomaton(t *testing.T) {
 	plan := p.Plan()
 	for i := 0; i < plan.Len(); i++ {
 		res, err := p.Search(nil, 1, []int{i})
-		if err != nil || !res.Empty || res.TotalShards != plan.Len() {
+		if err != nil || res.Satisfiable || res.TotalShards != plan.Len() {
 			t.Fatalf("shard %d: %+v, %v", i, res, err)
 		}
 	}
@@ -458,10 +458,10 @@ func TestEmptyViaDatalogWithForbiddenPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if direct.Empty != viaDatalog {
-		t.Errorf("direct=%v datalog=%v", direct.Empty, viaDatalog)
+	if !direct.Satisfiable != viaDatalog {
+		t.Errorf("direct=%v datalog=%v", !direct.Satisfiable, viaDatalog)
 	}
-	if direct.Empty {
+	if !direct.Satisfiable {
 		t.Error("expected nonempty")
 	}
 	// Contradictory: require R0post and forbid R0post.
@@ -476,8 +476,8 @@ func TestEmptyViaDatalogWithForbiddenPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !directB.Empty || !viaB {
-		t.Errorf("contradictory guard: direct=%v datalog=%v, want both empty", directB.Empty, viaB)
+	if directB.Satisfiable || !viaB {
+		t.Errorf("contradictory guard: direct=%v datalog=%v, want both empty", !directB.Satisfiable, viaB)
 	}
 }
 

@@ -61,14 +61,14 @@ func TestIsEmptyParallelMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatalf("formula %d grid %d w=%d: %v", fi, gi, w, err)
 				}
-				if !par.Truncated && par.Empty != oracle {
-					t.Errorf("formula %d grid %d w=%d: Empty=%v, brute-force oracle %v", fi, gi, w, par.Empty, oracle)
+				if !par.Truncated && !par.Satisfiable != oracle {
+					t.Errorf("formula %d grid %d w=%d: Empty=%v, brute-force oracle %v", fi, gi, w, !par.Satisfiable, oracle)
 				}
-				if par.Empty != one.Empty {
-					t.Errorf("formula %d grid %d w=%d: Empty=%v, one walker %v", fi, gi, w, par.Empty, one.Empty)
+				if par.Satisfiable != one.Satisfiable {
+					t.Errorf("formula %d grid %d w=%d: Empty=%v, one walker %v", fi, gi, w, !par.Satisfiable, !one.Satisfiable)
 					continue
 				}
-				if par.Empty {
+				if !par.Satisfiable {
 					if par.Truncated != one.Truncated || par.ResponsesCapped != one.ResponsesCapped {
 						t.Errorf("formula %d grid %d w=%d: honesty flags diverge: one walker trunc=%v caps=%v, parallel trunc=%v caps=%v",
 							fi, gi, w, one.Truncated, one.ResponsesCapped, par.Truncated, par.ResponsesCapped)

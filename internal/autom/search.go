@@ -8,9 +8,9 @@ package autom
 
 import (
 	"context"
-	"fmt"
 
 	"accltl/internal/access"
+	"accltl/internal/accltl"
 	"accltl/internal/lts"
 )
 
@@ -40,7 +40,7 @@ type Prepared struct {
 // enumerating the root partition under opts.Context; an expired context
 // returns its error before any derivation. Parallelism and Shards are the
 // searches'.
-func (a *Automaton) Prepare(opts EmptinessOptions) (*Prepared, error) {
+func (a *Automaton) Prepare(opts accltl.SolveOptions) (*Prepared, error) {
 	plan, depth, err := a.plan(opts)
 	if err != nil {
 		return nil, err
@@ -57,14 +57,14 @@ func (a *Automaton) Prepare(opts EmptinessOptions) (*Prepared, error) {
 
 // Plan derives the root partition Prepare(opts) searches, and nothing else:
 // a caller that only plans prepares no guards or memo.
-func (a *Automaton) Plan(opts EmptinessOptions) (*lts.Plan, error) {
+func (a *Automaton) Plan(opts accltl.SolveOptions) (*lts.Plan, error) {
 	p, _, err := a.plan(opts)
 	return p, err
 }
 
 // plan validates a and enumerates its search's root partition under
 // opts.Context, with the depth bound, which it returns too.
-func (a *Automaton) plan(opts EmptinessOptions) (*lts.Plan, int, error) {
+func (a *Automaton) plan(opts accltl.SolveOptions) (*lts.Plan, int, error) {
 	if err := a.Validate(); err != nil {
 		return nil, 0, err
 	}
@@ -77,7 +77,6 @@ func (a *Automaton) plan(opts EmptinessOptions) (*lts.Plan, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	o.Context = opts.Context
 	p, err := lts.NewPlan(a.Schema, o)
 	return p, depth, err
 }
@@ -91,18 +90,15 @@ func (p *Prepared) Plan() *lts.Plan { return p.plan }
 // first; an automaton accepting the empty path then answers non-empty
 // before any search; otherwise the walk polls the context, as
 // accltl.Prepared.Search's does.
-func (p *Prepared) Search(ctx context.Context, parallelism int, shards []int) (EmptinessResult, error) {
+func (p *Prepared) Search(ctx context.Context, parallelism int, shards []int) (accltl.SolveResult, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return EmptinessResult{}, err
+			return accltl.SolveResult{}, err
 		}
 	}
 	a := p.a
-	res := EmptinessResult{Empty: true, Depth: p.depth}
 	if a.AcceptEmpty && a.Accepting[a.Init] {
-		res.Empty = false
-		res.Witness = access.NewPath(a.Schema)
-		return res, nil
+		return accltl.SolveResult{Satisfiable: true, Witness: access.NewPath(a.Schema), Depth: p.depth}, nil
 	}
 	pr := &lts.Product[map[int]bool, string]{
 		Init:  map[int]bool{a.Init: true},
@@ -114,28 +110,7 @@ func (p *Prepared) Search(ctx context.Context, parallelism int, shards []int) (E
 		pr.Key = stateSetKey
 	}
 	rep, witness, err := pr.Search(ctx, p.plan, parallelism, shards)
-	res.PathsExplored = rep.Paths
-	res.CompletedShards = rep.CompletedShards
-	res.TotalShards = rep.TotalShards
-	if witness != nil {
-		res.Empty = false
-		res.Witness = witness
-		ok, err := a.Accepts(witness)
-		if err != nil {
-			return res, err
-		}
-		if !ok {
-			return res, fmt.Errorf("autom: internal error: witness rejected by run semantics")
-		}
-		return res, nil
-	}
-	// Reported on an error return too (see accltl.Prepared.Search).
-	res.ResponsesCapped = rep.ResponsesCapped
-	if err != nil {
-		return res, err
-	}
-	res.Truncated = rep.PathsCapped
-	return res, nil
+	return accltl.Settle(rep, p.depth, witness, err, a.Accepts, "autom: internal error: witness rejected by run semantics")
 }
 
 // step is the search's lts.Product step: it steps the state set over the

@@ -121,19 +121,6 @@ func TestConjDisjSimplification(t *testing.T) {
 	}
 }
 
-func TestSubstitute(t *testing.T) {
-	f := Exists{Vars: []string{"x"}, Body: Conj(atom(rP, "x", "y"))}
-	g := Substitute(f, map[string]instance.Value{"y": instance.Int(5), "x": instance.Int(9)})
-	// x is bound, must not be substituted; y must become 5.
-	s := g.String()
-	if !strings.Contains(s, "5") {
-		t.Errorf("y not substituted: %s", s)
-	}
-	if strings.Contains(s, "9") {
-		t.Errorf("bound x substituted: %s", s)
-	}
-}
-
 func TestFragmentClassifiers(t *testing.T) {
 	pos := Ex([]string{"x"}, Conj(atom(rP, "x"), atom(sP, "x")))
 	if !IsPositive(pos) || HasInequality(pos) {

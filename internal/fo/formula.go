@@ -469,74 +469,6 @@ func Size(f Formula) int {
 	}
 }
 
-// Substitute replaces free occurrences of variables per the given
-// assignment, returning a new formula. Bound variables shadow.
-func Substitute(f Formula, env map[string]instance.Value) Formula {
-	return substitute(f, env)
-}
-
-func substTerm(t Term, env map[string]instance.Value) Term {
-	if t.IsVar() {
-		if v, ok := env[t.Name()]; ok {
-			return Const(v)
-		}
-	}
-	return t
-}
-
-func substitute(f Formula, env map[string]instance.Value) Formula {
-	switch g := f.(type) {
-	case Truth:
-		return g
-	case Atom:
-		args := make([]Term, len(g.Args))
-		for i, t := range g.Args {
-			args[i] = substTerm(t, env)
-		}
-		return Atom{Pred: g.Pred, Args: args}
-	case Eq:
-		return Eq{L: substTerm(g.L, env), R: substTerm(g.R, env)}
-	case Neq:
-		return Neq{L: substTerm(g.L, env), R: substTerm(g.R, env)}
-	case And:
-		cs := make([]Formula, len(g.Conj))
-		for i, c := range g.Conj {
-			cs[i] = substitute(c, env)
-		}
-		return And{Conj: cs}
-	case Or:
-		ds := make([]Formula, len(g.Disj))
-		for i, d := range g.Disj {
-			ds[i] = substitute(d, env)
-		}
-		return Or{Disj: ds}
-	case Not:
-		return Not{F: substitute(g.F, env)}
-	case Exists:
-		// Shadow bound variables.
-		shadowed := false
-		for _, v := range g.Vars {
-			if _, ok := env[v]; ok {
-				shadowed = true
-				break
-			}
-		}
-		if !shadowed {
-			return Exists{Vars: g.Vars, Body: substitute(g.Body, env)}
-		}
-		nenv := make(map[string]instance.Value, len(env))
-		for k, v := range env {
-			nenv[k] = v
-		}
-		for _, v := range g.Vars {
-			delete(nenv, v)
-		}
-		return Exists{Vars: g.Vars, Body: substitute(g.Body, nenv)}
-	default:
-		return f
-	}
-}
-
 // RenameVars applies a variable renaming to all (free and bound) variables.
 // Used when standardizing queries apart.
 func RenameVars(f Formula, ren map[string]string) Formula {

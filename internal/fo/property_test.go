@@ -3,7 +3,6 @@ package fo
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"accltl/internal/instance"
 )
@@ -138,20 +137,6 @@ func TestPropertyCanonicalDBSelfSatisfaction(t *testing.T) {
 		if !q.Holds(st) {
 			t.Errorf("CQ %s fails on its canonical DB", q)
 		}
-	}
-}
-
-func TestPropertySubstituteClosesFormula(t *testing.T) {
-	err := quick.Check(func(a, b int8) bool {
-		f := Ex([]string{"x"}, Conj(
-			Atom{Pred: rP, Args: []Term{Var("x"), Var("y")}},
-			Eq{Var("y"), Const(instance.Int(int64(a)))},
-		))
-		g := Substitute(f, map[string]instance.Value{"y": instance.Int(int64(b))})
-		return len(FreeVars(g)) == 0
-	}, &quick.Config{MaxCount: 30})
-	if err != nil {
-		t.Error(err)
 	}
 }
 

@@ -454,8 +454,8 @@ type Result struct {
 	// truncated ones — the caps, not missing shards, are then what limits
 	// them), strictly below 1 for resumable partials. Shards are the unit
 	// because they are what resume can skip; paths explored per shard vary
-	// too much for a path-ratio to order rounds honestly. Populated by
-	// CheckAnytime (plain Check leaves it zero).
+	// too much for a path-ratio to order rounds honestly. Check never
+	// returns a partial, so its answers carry 1.
 	Coverage float64
 	// Resumable reports that this is a suspended partial answer: the search
 	// ran out of budget (or hit its round chunk) with root shards still
@@ -465,21 +465,40 @@ type Result struct {
 	// answers. A resumable result is always Truncated, and is never
 	// cache-admissible.
 	Resumable bool
-	// Elapsed is the wall time of the solve.
+	// Elapsed is the wall time of preparing and searching the check: for
+	// CheckAnytime, summed over the rounds on its checkpoint.
 	Elapsed time.Duration
 }
 
 // Check decides satisfiability of f over the schema's access paths. It
 // classifies f, dispatches the matching engine (unless WithEngine forced
-// one), and honours ctx throughout: a context that is already cancelled or
-// past its deadline returns ctx's error before the search loop is entered,
-// and expiry mid-search aborts promptly.
+// one) and runs one anytime round on a fresh checkpoint over every
+// targeted shard (WithAnytimeChunk does not apply): the answer is exact,
+// path-capped or an error, never a resumable partial. A formula the engine
+// does not admit is refused before anything else; ctx is honoured
+// throughout, so a context that is already cancelled or past its deadline
+// returns its error before the search loop is entered, and expiry
+// mid-search aborts promptly with ctx's error.
 func (c *Checker) Check(ctx context.Context, sch *Schema, f Formula) (*Result, error) {
 	ctx, err := c.entry("Check", ctx, sch, f)
 	if err != nil {
 		return nil, err
 	}
-	return c.checkOn(ctx, sch, f, accltl.Classify(f), nil)
+	info := accltl.Classify(f)
+	cp := &Checkpoint{engine: c.engineFor(info), chk: c, sch: sch, f: f}
+	res, _, err := c.round(ctx, sch, f, info, cp, 0)
+	if err == nil && res.Resumable {
+		// With no chunk limit only an expiry leaves a targeted shard
+		// unexplored.
+		err = ctx.Err()
+	}
+	if isExpiry(err) {
+		return nil, fmt.Errorf("accesscheck: Check: %w", err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // entry checks the arguments of the entry point op: a schema and a formula
@@ -501,45 +520,6 @@ func (c *Checker) entry(op string, ctx context.Context, sch *Schema, f Formula) 
 	return ctx, nil
 }
 
-// checkOn is Check of f, whose features are info, on p, the search prepared
-// for it, or on a search it prepares when p is nil.
-func (c *Checker) checkOn(ctx context.Context, sch *Schema, f Formula, info Info, p *prepared) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("accesscheck: Check: %w", err)
-	}
-	res := newResult(info, c.engineFor(info))
-	start := time.Now()
-	if p == nil {
-		var err error
-		if p, err = c.prepare(ctx, sch, f, res.Engine, info, gated); err != nil {
-			return nil, err
-		}
-	}
-	sr, err := p.run(ctx, c.opts.Parallelism, c.opts.Shards)
-	res.Elapsed = time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	res.AutomatonStates = p.states()
-	res.Satisfiable = sr.Satisfiable
-	res.Witness = sr.Witness
-	res.PathsExplored = sr.PathsExplored
-	res.Depth = sr.Depth
-	res.ResponsesCapped = sr.ResponsesCapped
-	// A capped response fan-out undermines an unsat verdict exactly like a
-	// path cap: fold both into Truncated so no caller (or cache) mistakes
-	// a capped search for an exact one.
-	res.Truncated = sr.Truncated || sr.ResponsesCapped
-	if len(c.opts.Shards) > 0 {
-		// Shard-subset run: tag the verdict with its coverage so a partial
-		// answer is honest on its face. The search reports the partition
-		// size it executed against, so no second enumeration.
-		res.ShardsCompleted = len(c.opts.Shards)
-		res.ShardsTotal = sr.TotalShards
-	}
-	return res, nil
-}
-
 // newResult is the classification scaffold of a Result: the formula's
 // features, its Table 1 fragment and the engine that runs it.
 func newResult(info Info, engine Engine) *Result {
@@ -556,116 +536,68 @@ func newResult(info Info, engine Engine) *Result {
 // prepared is one check's prepared search on its engine — an
 // accltl.Prepared or an autom.Prepared behind one shape — derived once from
 // the checker's configuration, the schema and the formula, and run any
-// number of times over one plan: Check runs it once, a CheckAnytime
-// checkpoint once per round.
+// number of times over one plan: once per round of the checkpoint holding
+// it.
 type prepared struct {
 	plan *lts.Plan
 	// a is the compiled automaton of EngineAutomaton, nil otherwise.
 	a *autom.Automaton
-	// admit is the fragment error the engine's entry point (accltl.SolveX
-	// and its siblings) gives the formula, nil when it is admitted. A
-	// search prepared without the gate (for a plan: ShardPlan does not
-	// gate) returns it from every run.
-	admit error
-	// search runs the engine's search; nil when only the plan was derived.
+	// search searches the shards subset of the plan with parallelism
+	// walkers. The result is meaningful even when err is non-nil:
+	// CompletedShards and ResponsesCapped survive a deadline expiry, which
+	// the checkpoint records.
 	search func(ctx context.Context, parallelism int, shards []int) (accltl.SolveResult, error)
 }
 
-// run searches the shards subset of the plan with parallelism walkers. The
-// result is meaningful even when err is non-nil: CompletedShards and
-// TotalShards survive a deadline expiry, which checkpoint capture reads.
-func (p *prepared) run(ctx context.Context, parallelism int, shards []int) (accltl.SolveResult, error) {
-	if p.admit != nil {
-		return accltl.SolveResult{}, p.admit
-	}
-	return p.search(ctx, parallelism, shards)
-}
-
-// states is the compiled automaton's state count (zero off EngineAutomaton,
-// or with nothing prepared).
+// states is the compiled automaton's state count (zero off
+// EngineAutomaton).
 func (p *prepared) states() int {
-	if p == nil || p.a == nil {
+	if p.a == nil {
 		return 0
 	}
 	return p.a.NumStates
 }
 
-// prepareMode is what prepare derives, and whether behind the engine's
-// fragment gate.
-type prepareMode int
+// procedures are the accltl engines' bounded-search procedures. Each
+// admits the formulas of its fragment (Procedure.Admit); the automaton
+// admits what it compiles.
+var procedures = map[Engine]accltl.Procedure{
+	EngineX:       accltl.ProcX,
+	EngineZeroAcc: accltl.ProcZeroAcc,
+	EnginePlus:    accltl.ProcPlusDirect,
+	EngineBounded: accltl.ProcBounded,
+}
 
-const (
-	// planOnly derives the plan alone, ungated: ShardPlan's, which a
-	// fabric coordinator asks for every check it fans out.
-	planOnly prepareMode = iota
-	// ungated derives the whole search without the gate, so a plan exists
-	// for a formula outside the engine's fragment: a checkpoint's planning.
-	ungated
-	// gated returns the gate's error for a formula outside the engine's
-	// fragment before anything is derived, as the engine's entry point
-	// does: Check, and a round that prepares.
-	gated
-)
-
-// prepare is the facade's one engine switch: it derives, as mode says, the
-// search of f on engine, whose features are info — the compiled
-// automaton's emptiness search, or the bounded search of the engine's
-// accltl procedure — under the checker's configuration, enumerating its
-// plan under ctx.
-func (c *Checker) prepare(ctx context.Context, sch *Schema, f Formula, engine Engine, info Info, mode prepareMode) (*prepared, error) {
+// prepare is the facade's one engine switch: it derives the search of f on
+// engine — the compiled automaton's emptiness search, or the bounded search
+// of the engine's accltl procedure — under the checker's configuration,
+// enumerating its plan under ctx. It does not check f against the engine's
+// fragment, so a plan exists for a formula the engine refuses.
+func (c *Checker) prepare(ctx context.Context, sch *Schema, f Formula, engine Engine) (*prepared, error) {
 	opts := c.solveOptions(ctx, sch)
-	var proc accltl.Procedure
-	switch engine {
-	case EngineAutomaton:
+	if engine == EngineAutomaton {
 		a, err := autom.CompileAccLTLPlus(sch, f)
 		if err != nil {
 			return nil, err
-		}
-		if mode == planOnly {
-			plan, err := a.Plan(opts)
-			if err != nil {
-				return nil, err
-			}
-			return &prepared{plan: plan, a: a}, nil
 		}
 		ep, err := a.Prepare(opts)
 		if err != nil {
 			return nil, err
 		}
 		return &prepared{plan: ep.Plan(), a: a, search: ep.Search}, nil
-	case EngineX:
-		proc = accltl.ProcX
-	case EngineZeroAcc:
-		proc = accltl.ProcZeroAcc
-	case EnginePlus:
-		proc = accltl.ProcPlusDirect
-	case EngineBounded:
-		proc = accltl.ProcBounded
-	default:
-		return nil, fmt.Errorf("accesscheck: Check: unknown engine %v", engine)
 	}
-	if mode == planOnly {
-		plan, err := accltl.Plan(proc, f, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &prepared{plan: plan}, nil
-	}
-	admit := proc.Admit(info)
-	if admit != nil && mode == gated {
-		return nil, admit
-	}
-	bp, err := accltl.Prepare(proc, f, opts)
+	bp, err := accltl.Prepare(procedures[engine], f, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &prepared{plan: bp.Plan(), admit: admit, search: bp.Search}, nil
+	return &prepared{plan: bp.Plan(), search: bp.Search}, nil
 }
 
 // ShardPlan enumerates the root shards a Check on (sch, f) under this
 // checker's configuration would partition the search into, in the canonical
 // order WithShards indexes (the schema's: method, then binding, then
-// response). The plan is a pure function of the
+// response). It prepares the search Check would run and returns its plan.
+// The plan is a pure function of the
 // schema, the formula and the verdict-affecting options — WithParallelism
 // and WithShards themselves do not change it — so two processes configured
 // identically derive identical plans; that determinism is what lets a
@@ -687,8 +619,7 @@ func (c *Checker) ShardPlan(ctx context.Context, sch *Schema, f Formula) ([]Shar
 	if err := ctx.Err(); err != nil {
 		return nil, false, fmt.Errorf("accesscheck: ShardPlan: %w", err)
 	}
-	info := accltl.Classify(f)
-	p, err := c.prepare(ctx, sch, f, c.engineFor(info), info, planOnly)
+	p, err := c.prepare(ctx, sch, f, c.engineFor(accltl.Classify(f)))
 	if err != nil {
 		return nil, false, err
 	}

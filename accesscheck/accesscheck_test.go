@@ -379,81 +379,32 @@ func TestTruncatedReportedOnResponseCap(t *testing.T) {
 	}
 }
 
-// TestCheckBatchMixedVerdicts: per-item results line up with requests, and
-// broken items fail without failing the batch.
-func TestCheckBatchMixedVerdicts(t *testing.T) {
-	phone := workload.MustPhone()
-	sat := accesscheck.MustParseFormula(`F [bind AcM1]`)
-	unsatPost := accesscheck.Atom(phone.MobileNonEmptyPost())
-	unsat := accesscheck.And(accesscheck.Eventually(unsatPost), accesscheck.Always(accesscheck.Not(unsatPost)))
-	items := accesscheck.CheckBatch(context.Background(), []accesscheck.Request{
-		{Schema: phone.Schema, Formula: sat},
-		{Schema: phone.Schema, Formula: unsat},
-		{Schema: nil, Formula: sat}, // broken: nil schema
-		{Schema: phone.Schema, Formula: sat},
-	}, accesscheck.WithEngine(accesscheck.EngineBounded))
-	if len(items) != 4 {
-		t.Fatalf("got %d items, want 4", len(items))
-	}
-	if it := items[0]; it.Err != nil || !it.Result.Satisfiable {
-		t.Errorf("item 0: %+v, want satisfiable", it)
-	}
-	if it := items[1]; it.Err != nil || it.Result.Satisfiable {
-		t.Errorf("item 1: %+v, want unsatisfiable", it)
-	}
-	if it := items[2]; it.Err == nil {
-		t.Error("item 2: nil schema did not fail")
-	}
-	if it := items[3]; it.Err != nil || !it.Result.Satisfiable {
-		t.Errorf("item 3: %+v, want satisfiable", it)
-	}
-}
-
-// TestCheckBatchSharedCheckerConcurrently: one immutable Checker must serve
-// overlapping CheckBatch calls; run under -race this is the facade-level
+// TestCheckSharedCheckerConcurrently: one immutable Checker must serve
+// overlapping Check calls; run under -race this is the facade-level
 // concurrency regression test.
-func TestCheckBatchSharedCheckerConcurrently(t *testing.T) {
+func TestCheckSharedCheckerConcurrently(t *testing.T) {
 	phone := workload.MustPhone()
 	chk, err := accesscheck.NewChecker()
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := []accesscheck.Request{
-		{Schema: phone.Schema, Formula: accesscheck.MustParseFormula(`F [bind AcM1]`)},
-		{Schema: phone.Schema, Formula: phone.IntroFormula()},
-	}
+	formulas := []accesscheck.Formula{accesscheck.MustParseFormula(`F [bind AcM1]`), phone.IntroFormula()}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, it := range chk.CheckBatch(context.Background(), reqs) {
-				if it.Err != nil {
-					t.Errorf("concurrent batch: %v", it.Err)
-				} else if !it.Result.Satisfiable {
-					t.Error("concurrent batch: lost a verdict")
+			for _, f := range formulas {
+				res, err := chk.Check(context.Background(), phone.Schema, f)
+				if err != nil {
+					t.Errorf("concurrent check: %v", err)
+				} else if !res.Satisfiable {
+					t.Error("concurrent check: lost a verdict")
 				}
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// TestCheckBatchCancelled: a dead context fails every item with its error
-// instead of solving.
-func TestCheckBatchCancelled(t *testing.T) {
-	phone := workload.MustPhone()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	items := accesscheck.CheckBatch(ctx, []accesscheck.Request{
-		{Schema: phone.Schema, Formula: phone.IntroFormula()},
-		{Schema: phone.Schema, Formula: phone.IntroFormula()},
-	})
-	for i, it := range items {
-		if !errors.Is(it.Err, context.Canceled) {
-			t.Errorf("item %d: err = %v, want context.Canceled", i, it.Err)
-		}
-	}
 }
 
 // TestFingerprint: equal configurations agree, and every ingredient that
@@ -531,6 +482,35 @@ func TestShadowedQuantifierVerdict(t *testing.T) {
 			if !res.Satisfiable || res.Truncated {
 				t.Errorf("W=%d %s: satisfiable=%v truncated=%v, want an exact satisfiable verdict", par, src, res.Satisfiable, res.Truncated)
 			}
+		}
+	}
+}
+
+// TestBindingConstantVerdict: a constant the formula binds joins the
+// binding pool even when no universe tuple holds it. The universe holds
+// only R(1,2), so only the formula's constant puts 5 among lookupR's
+// bindings, and every engine that admits the formula must find the
+// witness. (Without WithUniverse the derived universe holds R(5, …), and
+// the verdict would not depend on the binding pool.)
+func TestBindingConstantVerdict(t *testing.T) {
+	sch, err := accesscheck.ParseSchema([]string{"R:int,int"}, []string{"lookupR:R:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := accesscheck.NewInstance(sch)
+	u.MustAdd("R", accesscheck.Int(1), accesscheck.Int(2))
+	f, err := accesscheck.ParseFormula("F [bind lookupR(5)]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := []accesscheck.Engine{accesscheck.EngineAuto, accesscheck.EngineBounded, accesscheck.EnginePlus, accesscheck.EngineAutomaton}
+	for _, eng := range engines {
+		res, err := accesscheck.Check(context.Background(), sch, f, accesscheck.WithEngine(eng), accesscheck.WithUniverse(u))
+		if err != nil {
+			t.Fatalf("%v: %v", eng, err)
+		}
+		if !res.Satisfiable || res.Truncated {
+			t.Errorf("%v: satisfiable=%v truncated=%v, want an exact satisfiable verdict", eng, res.Satisfiable, res.Truncated)
 		}
 	}
 }

@@ -100,7 +100,8 @@ func (cp *Checkpoint) Rounds() int {
 }
 
 // PlanSize is the size of the canonical shard partition the completed
-// indexes refer to (zero until a round has planned or searched it).
+// indexes refer to (zero until a round or ShardPlanAnytime has prepared
+// the check's search).
 func (cp *Checkpoint) PlanSize() int {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
@@ -134,7 +135,7 @@ func (cp *Checkpoint) completedWithinLocked(indexes []int) []int {
 }
 
 // Coverage is the fraction of the plan's shards fully explored so far
-// (zero while the plan size is unknown).
+// (zero while the plan size is unknown, and for a plan with no shard).
 func (cp *Checkpoint) Coverage() float64 {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
@@ -229,19 +230,15 @@ func (c *Checker) verdictConfig() Checker {
 	return v
 }
 
-// prepareOn returns cp's prepared search, preparing it as mode says if no
-// plan or round on cp has yet, and then records the plan's size once it is
-// shardable. Called with cp.mu held.
-func (c *Checker) prepareOn(ctx context.Context, sch *Schema, f Formula, info Info, cp *Checkpoint, mode prepareMode) (*prepared, error) {
+// prepareOn returns cp's prepared search, preparing it and recording its
+// plan's size if no round or plan on cp has yet. Called with cp.mu held.
+func (c *Checker) prepareOn(ctx context.Context, sch *Schema, f Formula, cp *Checkpoint) (*prepared, error) {
 	if cp.search == nil {
-		p, err := c.prepare(ctx, sch, f, cp.engine, info, mode)
+		p, err := c.prepare(ctx, sch, f, cp.engine)
 		if err != nil {
 			return nil, err
 		}
-		cp.search = p
-		if n := p.plan.Len(); n >= 2 {
-			cp.planSize = n
-		}
+		cp.search, cp.planSize = p, p.plan.Len()
 	}
 	return cp.search, nil
 }
@@ -261,14 +258,13 @@ func (c *Checker) ShardPlanAnytime(ctx context.Context, sch *Schema, f Formula, 
 	if err := ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("accesscheck: ShardPlanAnytime: %w", err)
 	}
-	info := accltl.Classify(f)
-	cp, err := c.checkpointFor(sch, f, c.engineFor(info), prev)
+	cp, err := c.checkpointFor(sch, f, c.engineFor(accltl.Classify(f)), prev)
 	if err != nil {
 		return nil, nil, err
 	}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	p, err := c.prepareOn(ctx, sch, f, info, cp, ungated)
+	p, err := c.prepareOn(ctx, sch, f, cp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -298,22 +294,19 @@ func (c *Checker) ShardPlanAnytime(ctx context.Context, sch *Schema, f Formula, 
 //   - An expiry with no completed shard returns (nil, checkpoint, ctx
 //     error): no honest coverage to report, but a retry on the checkpoint
 //     reuses its prepared search and warm memo (none if the expiry came
-//     while planning: the retry then prepares the search again).
+//     while preparing: the retry then prepares the search again).
 //   - A search whose round hit the path cap (WithMaxPaths) is a final
 //     truncated answer, not a resumable one — the cap is a per-search
 //     budget whose exact semantics do not compose across rounds — and the
 //     returned checkpoint is nil.
-//   - Unshardable checks (the plan has fewer than two shards, or planning
-//     failed for a reason other than ctx) run as one plain Check on the
-//     search planning prepared: exact or error, nothing to resume, and the
-//     verdict and witness Check itself returns. PathsExplored is Check's
-//     too, unless an earlier fallback on the same checkpoint left its
-//     memo warm; the checkpoint's lock keeps the two searches apart.
 //
-// PathsExplored, Elapsed and ResponsesCapped accumulate across rounds;
-// Depth, the verdict and the witness are those of the (sub)search. The
-// checkpoint serializes its rounds: concurrent identical requests resume
-// one at a time.
+// A plan of any size runs through the same round: a plan of one shard
+// settles in its first completed round, and a plan of none searches only
+// the root prefix, in every round. PathsExplored, Elapsed and
+// ResponsesCapped accumulate across rounds, and Elapsed includes preparing
+// the search; Depth, the verdict and the witness are those of the
+// (sub)search. The checkpoint serializes its rounds: concurrent identical
+// requests resume one at a time.
 func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev *Checkpoint) (*Result, *Checkpoint, error) {
 	ctx, err := c.entry("CheckAnytime", ctx, sch, f)
 	if err != nil {
@@ -324,198 +317,135 @@ func (c *Checker) CheckAnytime(ctx context.Context, sch *Schema, f Formula, prev
 	if err != nil {
 		return nil, nil, err
 	}
+	return c.round(ctx, sch, f, info, cp, c.anytimeChunk)
+}
 
-	// The round holds the checkpoint from planning on: every search on its
-	// prepared search, the one-shard fallback included, runs alone (the
-	// dominance memo is sound across rounds, never across concurrent
-	// searches).
+// round is one anytime round of the check of f, whose features are info,
+// on cp: it searches at most chunk (0: all) of the targeted shards cp has
+// not explored yet — the checker's shard subset, else the whole plan — and
+// answers from cp's totals. A formula the engine does not admit is refused
+// before anything is prepared, as the engine's entry point (accltl.SolveX
+// and its siblings) does.
+func (c *Checker) round(ctx context.Context, sch *Schema, f Formula, info Info, cp *Checkpoint, chunk int) (*Result, *Checkpoint, error) {
+	if proc, ok := procedures[cp.engine]; ok {
+		if err := proc.Admit(info); err != nil {
+			return nil, nil, err
+		}
+	}
+	// The round holds the checkpoint from preparing on: every search on its
+	// prepared search runs alone (the dominance memo is sound across
+	// rounds, never across concurrent searches).
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-
-	// Resolve the target shard set. A shard-restricted checker targets its
-	// configured subset; its plan size comes from ShardPlanAnytime when the
-	// caller (the fabric worker) planned through the checkpoint, else from
-	// its first round. A whole check targets the full canonical partition
-	// and plans it once, through the checkpoint, so its first round
-	// executes that same enumeration.
+	start := time.Now()
+	p, err := c.prepareOn(ctx, sch, f, cp)
+	if err != nil {
+		if isExpiry(err) {
+			// Nothing is covered and nothing was prepared; a retry
+			// prepares the search again.
+			return nil, cp, err
+		}
+		return nil, nil, err
+	}
 	target := c.opts.Shards
 	if target == nil {
-		if cp.planSize == 0 {
-			p, err := c.prepareOn(ctx, sch, f, info, cp, ungated)
-			if err != nil && ctx.Err() != nil {
-				// The budget died while planning: nothing is covered and
-				// nothing was prepared; a retry prepares the search again.
-				return nil, cp, err
-			}
-			if err != nil || cp.planSize == 0 {
-				// Unshardable (or planning failed): there is no frontier to
-				// slice, so anytime degenerates to the plain check, on the
-				// search planning just prepared (or, if planning failed, a
-				// fresh one that reports Check's error).
-				res, cerr := c.checkOn(ctx, sch, f, info, p)
-				if cerr != nil {
-					return nil, nil, cerr
-				}
-				res.Coverage = 1
-				return res, nil, nil
-			}
-		}
 		target = make([]int, cp.planSize)
 		for i := range target {
 			target[i] = i
 		}
 	}
-
-	remaining := make([]int, 0, len(target))
+	attempt := make([]int, 0, len(target))
 	for _, s := range target {
-		if !cp.completed.has(s) {
-			remaining = append(remaining, s)
+		if !cp.completed.has(s) && (chunk == 0 || len(attempt) < chunk) {
+			attempt = append(attempt, s)
 		}
 	}
-	if len(remaining) == 0 {
-		// Prior rounds already explored every targeted shard without a
-		// witness: synthesize the exact-for-target answer from the frontier.
-		return c.anytimeExact(info, cp, target, nil), cp, nil
+	if len(attempt) == 0 && len(target) > 0 {
+		// Earlier rounds explored every targeted shard without a witness.
+		// A plan with no shard has only its root, which only a search
+		// settles, so it never answers from the frontier.
+		return c.answer(info, cp, target, nil, false), cp, nil
 	}
-	if err := ctx.Err(); err != nil {
-		// Budget already blown before this round could start.
-		return c.anytimeAfterExpiry(info, cp, target, err)
-	}
-
-	attempt := remaining
-	if c.anytimeChunk > 0 && len(attempt) > c.anytimeChunk {
-		attempt = attempt[:c.anytimeChunk]
-	}
-
-	start := time.Now()
-	var sr accltl.SolveResult
-	p, err := c.prepareOn(ctx, sch, f, info, cp, gated)
-	if err == nil {
-		sr, err = p.run(ctx, c.opts.Parallelism, attempt)
-	}
-	if cp.planSize == 0 {
-		cp.planSize = sr.TotalShards
-	}
-	cp.rounds++
-	cp.paths += sr.PathsExplored
-	cp.elapsed += time.Since(start)
-	cp.responsesCapped = cp.responsesCapped || sr.ResponsesCapped
-	if sr.Depth > 0 {
-		cp.depth = sr.Depth
-	}
-	if err == nil && !sr.Satisfiable && !sr.Truncated {
-		// The round ran to completion: every attempted shard was fully
-		// explored, including the degenerate case where the root visit
-		// settled the space before the shard walk began (the engine then
-		// reports no per-shard completions at all).
-		for _, s := range attempt {
+	if err = ctx.Err(); err == nil {
+		var sr accltl.SolveResult
+		sr, err = p.search(ctx, c.opts.Parallelism, attempt)
+		cp.rounds++
+		cp.paths += sr.PathsExplored
+		cp.elapsed += time.Since(start)
+		cp.responsesCapped = cp.responsesCapped || sr.ResponsesCapped
+		if sr.Depth > 0 {
+			cp.depth = sr.Depth
+		}
+		completed := sr.CompletedShards
+		if err == nil && !sr.Satisfiable && !sr.Truncated {
+			// The round ran to completion: every attempted shard was fully
+			// explored, including when the root visit settled the space
+			// before the shard walk began (the engine then reports no
+			// per-shard completions at all).
+			completed = attempt
+		}
+		for _, s := range completed {
 			cp.completed.add(s)
 		}
-	} else {
-		for _, s := range sr.CompletedShards {
-			cp.completed.add(s)
+		switch {
+		case err == nil && sr.Truncated:
+			// Path-capped round: the cap's exact budget semantics do not
+			// compose across rounds, so this is a final truncated answer —
+			// and the checkpoint dies with it (its frontier would
+			// misrepresent a search the cap, not the shard set, cut short).
+			return c.answer(info, cp, target, nil, true), nil, nil
+		case err == nil:
+			return c.answer(info, cp, target, sr.Witness, false), cp, nil
 		}
 	}
-
-	switch {
-	case err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled):
+	if !isExpiry(err) {
 		// Real failure: nothing to answer, nothing worth resuming.
 		return nil, nil, err
-	case err != nil:
-		return c.anytimeAfterExpiry(info, cp, target, err)
-	case sr.Satisfiable:
-		res := c.anytimeBase(info, cp)
-		res.Satisfiable = true
-		res.Witness = sr.Witness
-		res.Depth = sr.Depth
-		res.Coverage = 1
-		c.tagShardSubset(res, cp, target)
-		return res, cp, nil
-	case sr.Truncated:
-		// Path-capped round: the cap's exact budget semantics do not
-		// compose across rounds, so this is a final truncated answer — and
-		// the checkpoint dies with it (its frontier would misrepresent a
-		// search the cap, not the shard set, cut short).
-		res := c.anytimeBase(info, cp)
-		res.Truncated = true
-		res.Depth = sr.Depth
-		res.Coverage = 1
-		c.tagShardSubset(res, cp, target)
-		return res, nil, nil
-	default:
-		done := cp.completedWithinLocked(target)
-		if len(done) == len(target) {
-			return c.anytimeExact(info, cp, target, &sr), cp, nil
-		}
-		// Chunked round: more frontier remains by construction.
-		return c.anytimePartial(info, cp, target, len(done)), cp, nil
 	}
-}
-
-// anytimeAfterExpiry resolves a blown budget against the frontier: a
-// resumable partial when at least one targeted shard is covered, the bare
-// context error (plus the warm checkpoint) when none is. Called with cp.mu
-// held.
-func (c *Checker) anytimeAfterExpiry(info Info, cp *Checkpoint, target []int, err error) (*Result, *Checkpoint, error) {
-	done := cp.completedWithinLocked(target)
-	if len(done) == 0 {
+	if len(cp.completedWithinLocked(target)) == 0 {
+		// Expired with no targeted shard explored: no honest coverage to
+		// answer with, but the checkpoint keeps the warm search.
 		return nil, cp, err
 	}
-	if len(done) == len(target) {
-		// The expiry hit after the frontier was already complete (a resume
-		// whose prior rounds covered everything): still an exact answer.
-		return c.anytimeExact(info, cp, target, nil), cp, nil
-	}
-	return c.anytimePartial(info, cp, target, len(done)), cp, nil
+	return c.answer(info, cp, target, nil, false), cp, nil
 }
 
-// anytimeBase builds the classification scaffold of a Result with the
-// cumulative round statistics folded in. Called with cp.mu held.
-func (c *Checker) anytimeBase(info Info, cp *Checkpoint) *Result {
+// isExpiry reports whether err is a context's deadline or cancellation.
+func isExpiry(err error) bool {
+	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
+}
+
+// answer is the Result of a round on cp that targeted target, read off
+// cp's totals: witness is the round's witness (nil without one), and
+// pathCapped reports that the round hit the path cap. Every Result of
+// Check and CheckAnytime is built here. Called with cp.mu held.
+func (c *Checker) answer(info Info, cp *Checkpoint, target []int, witness *Path, pathCapped bool) *Result {
+	// A witness or the path cap settles the whole target; otherwise the
+	// frontier says how much of it is explored.
+	done := len(target)
+	if witness == nil && !pathCapped {
+		done = len(cp.completedWithinLocked(target))
+	}
 	res := newResult(info, cp.engine)
-	res.PathsExplored = cp.paths
-	res.Depth = cp.depth
+	res.Satisfiable, res.Witness = witness != nil, witness
+	res.PathsExplored, res.Depth, res.Elapsed = cp.paths, cp.depth, cp.elapsed
 	res.AutomatonStates = cp.search.states()
-	res.Elapsed = cp.elapsed
-	return res
-}
-
-// anytimeExact is the exact-for-target unsatisfiable answer synthesized
-// from a complete frontier. sr, when non-nil, is the round that completed
-// the cover (its Depth is the freshest bound). Called with cp.mu held.
-func (c *Checker) anytimeExact(info Info, cp *Checkpoint, target []int, sr *accltl.SolveResult) *Result {
-	res := c.anytimeBase(info, cp)
-	if sr != nil && sr.Depth > 0 {
-		res.Depth = sr.Depth
+	// A verified witness is definitive whatever the caps. Without one, a
+	// capped response fan-out undermines the verdict like a path cap or an
+	// unexplored shard: all three fold into Truncated, so no caller (or
+	// cache) mistakes a capped or partial search for an exact one.
+	res.ResponsesCapped = witness == nil && cp.responsesCapped
+	res.Resumable = done < len(target)
+	res.Truncated = pathCapped || res.ResponsesCapped || res.Resumable
+	coverage := 1.0
+	if res.Resumable {
+		coverage = float64(done) / float64(len(target))
 	}
-	res.Coverage = 1
-	res.ResponsesCapped = cp.responsesCapped
-	res.Truncated = cp.responsesCapped
-	c.tagShardSubset(res, cp, target)
-	return res
-}
-
-// anytimePartial is the resumable coverage-tagged partial answer: no
-// witness in the explored region, nothing claimed about the rest. Called
-// with cp.mu held.
-func (c *Checker) anytimePartial(info Info, cp *Checkpoint, target []int, done int) *Result {
-	res := c.anytimeBase(info, cp)
-	res.Truncated = true
-	res.ResponsesCapped = cp.responsesCapped
-	res.Resumable = true
-	res.Coverage = float64(done) / float64(len(target))
-	res.ShardsCompleted = done
-	res.ShardsTotal = cp.planSize
-	return res
-}
-
-// tagShardSubset mirrors Check's coverage tagging for shard-restricted
-// checkers on exact answers: a subset verdict names what it covers. Whole
-// checks keep zero tags, like Check. Called with cp.mu held.
-func (c *Checker) tagShardSubset(res *Result, cp *Checkpoint, target []int) {
-	if c.opts.Shards == nil {
-		return
+	res.Coverage = coverage
+	if res.Resumable || c.opts.Shards != nil {
+		// A partial or a shard subset's answer names what it covers; whole
+		// exact answers carry no shard tags.
+		res.ShardsCompleted, res.ShardsTotal = done, cp.planSize
 	}
-	res.ShardsCompleted = len(target)
-	res.ShardsTotal = cp.planSize
+	return res
 }

@@ -21,8 +21,8 @@ import (
 )
 
 // anytimeFixture parses the shared parallel-test schema and formula and
-// skips the test unless the canonical plan has at least two shards (the
-// anytime machinery degenerates to plain Check below that).
+// skips the test unless the canonical plan has at least two shards (below
+// that there is no frontier to slice into rounds).
 func anytimeFixture(t *testing.T, src string, opts ...accesscheck.Option) (*accesscheck.Schema, accesscheck.Formula, *accesscheck.Checker) {
 	t.Helper()
 	sch, err := accesscheck.ParseSchema(parRelations, parMethods)
@@ -211,6 +211,52 @@ func TestAnytimePathCapIsFinal(t *testing.T) {
 	}
 }
 
+// TestAnytimePathCapKeepsResponseCaps: a path-capped round is a final
+// truncated answer, and it names every cause that truncated it. Five R
+// tuples exceed the default response-choice cap, so Scan's fan-out is cut
+// at the root; CheckAnytime must report that cap as Check does, whatever
+// the path cap.
+func TestAnytimePathCapKeepsResponseCaps(t *testing.T) {
+	sch, err := accesscheck.ParseSchema([]string{"R:int"}, []string{"Scan:R"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := accesscheck.NewInstance(sch)
+	for v := int64(1); v <= 5; v++ {
+		u.MustAdd("R", accesscheck.Int(v))
+	}
+	f := accesscheck.MustParseFormula("F ([exists x. post R(x)] & ![exists x. post R(x)])")
+	for _, n := range []int{3, 5, 10, 30, 100} {
+		t.Run(fmt.Sprintf("max-paths-%d", n), func(t *testing.T) {
+			chk, err := accesscheck.NewChecker(accesscheck.WithEngine(accesscheck.EngineBounded),
+				accesscheck.WithMaxDepth(3), accesscheck.WithUniverse(u), accesscheck.WithMaxPaths(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := chk.Check(context.Background(), sch, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Satisfiable || !want.Truncated || !want.ResponsesCapped || want.PathsExplored != n {
+				t.Fatalf("Check: %+v, want a path-capped unsat that met the response cap", want)
+			}
+			got, cp, err := chk.CheckAnytime(context.Background(), sch, f, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cp != nil {
+				t.Error("path-capped answer returned a checkpoint to resume")
+			}
+			if got.Satisfiable || got.Truncated != want.Truncated || got.ResponsesCapped != want.ResponsesCapped ||
+				got.PathsExplored != want.PathsExplored {
+				t.Errorf("CheckAnytime sat=%v truncated=%v capped=%v paths=%d; Check sat=%v truncated=%v capped=%v paths=%d",
+					got.Satisfiable, got.Truncated, got.ResponsesCapped, got.PathsExplored,
+					want.Satisfiable, want.Truncated, want.ResponsesCapped, want.PathsExplored)
+			}
+		})
+	}
+}
+
 // TestCheckpointStoreShardedConcurrentResume: several goroutines hammer the
 // same stored checkpoint with identical chunked requests, through the plain
 // LRU a server keeps checkpoints in; the per-checkpoint round lock
@@ -290,21 +336,32 @@ func TestAnytimeShardedPlanningExpiryKeepsCheckpoint(t *testing.T) {
 	}
 }
 
-// TestAnytimeOneShardFallbackMatchesCheck: a check whose plan has a single
-// shard has no frontier to slice, so CheckAnytime answers it as one plain
-// search over the setup its planning derived. The answer must be exact —
-// Coverage 1, no checkpoint — and carry the verdict, witness and
-// PathsExplored that Check itself returns.
-func TestAnytimeOneShardFallbackMatchesCheck(t *testing.T) {
-	sch, err := accesscheck.ParseSchema([]string{"R:int"}, []string{"Scan:R"})
-	if err != nil {
-		t.Fatal(err)
+// TestAnytimeOneShardMatchesCheck: a check whose plan has a single shard,
+// or none, has no frontier to slice, so CheckAnytime's first round
+// settles it. The answer must be exact — Coverage 1, with a checkpoint, the
+// same one on a resume — and carry the verdict, witness and PathsExplored
+// that Check itself returns. A plan with no shard visits only the root.
+func TestAnytimeOneShardMatchesCheck(t *testing.T) {
+	// With Scan, the universe holds no R tuple, so Scan's one response is
+	// the empty one and the root partition is a single shard. The unsat
+	// formula asks for a third access the depth bound does not allow.
+	// Without a method the partition is empty.
+	type fixture struct {
+		methods []string
+		src     string
+		shards  int
 	}
-	// The universe holds no R tuple, so Scan's one response is the empty
-	// one and the root partition is a single shard. The unsat formula asks
-	// for a third access the depth bound does not allow.
-	for name, src := range map[string]string{"sat": "F [bind Scan]", "unsat": "X X [bind Scan]"} {
-		f, err := accesscheck.ParseFormula(src)
+	fixtures := map[string]fixture{
+		"sat":      {[]string{"Scan:R"}, "F [bind Scan]", 1},
+		"unsat":    {[]string{"Scan:R"}, "X X [bind Scan]", 1},
+		"no-shard": {nil, "F [exists x. post R(x)]", 0},
+	}
+	for name, fx := range fixtures {
+		sch, err := accesscheck.ParseSchema([]string{"R:int"}, fx.methods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := accesscheck.ParseFormula(fx.src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,8 +375,8 @@ func TestAnytimeOneShardFallbackMatchesCheck(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(plan) != 1 {
-					t.Fatalf("fixture plans %d shards, want 1", len(plan))
+				if len(plan) != fx.shards {
+					t.Fatalf("fixture plans %d shards, want %d", len(plan), fx.shards)
 				}
 				want, err := chk.Check(context.Background(), sch, f)
 				if err != nil {
@@ -329,11 +386,14 @@ func TestAnytimeOneShardFallbackMatchesCheck(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if cp != nil {
-					t.Errorf("one-shard check returned a checkpoint (rounds %d)", cp.Rounds())
+				if cp == nil {
+					t.Fatal("exact answer came without a checkpoint")
 				}
 				if want.Satisfiable != (name == "sat") {
 					t.Fatalf("Check says satisfiable=%v on the %s fixture", want.Satisfiable, name)
+				}
+				if fx.shards == 0 && want.PathsExplored != 1 {
+					t.Errorf("Check explored %d paths on a plan with no shard, want the root alone", want.PathsExplored)
 				}
 				if got.Coverage != 1 || got.Resumable {
 					t.Errorf("coverage %v resumable %v, want an exact answer", got.Coverage, got.Resumable)
@@ -345,6 +405,16 @@ func TestAnytimeOneShardFallbackMatchesCheck(t *testing.T) {
 				if got.Satisfiable && got.Witness.String() != want.Witness.String() {
 					t.Errorf("witness %s, Check's %s", got.Witness, want.Witness)
 				}
+				again, next, err := chk.CheckAnytime(context.Background(), sch, f, cp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if next != cp {
+					t.Errorf("resume returned checkpoint %p, want %p", next, cp)
+				}
+				if again.Satisfiable != want.Satisfiable || again.Truncated != want.Truncated || again.Coverage != 1 || again.Resumable {
+					t.Errorf("resumed %+v, Check %+v", again, want)
+				}
 			})
 		}
 	}
@@ -353,10 +423,11 @@ func TestAnytimeOneShardFallbackMatchesCheck(t *testing.T) {
 // TestAnytimeOneShardExpiredCheckpointConcurrentResume: a budget that dies
 // while planning a one-shard check leaves a checkpoint with no plan size,
 // the shape the server stores on expiry. Identical retries then resume it
-// concurrently, and each runs the one-shard fallback on the checkpoint's
-// memo. The checkpoint must serialize those searches — a dominance memo is
-// sound across rounds, not across concurrent searches — so every retry
-// answers exactly what Check answers. Run under -race in CI.
+// concurrently, each running its round on the checkpoint's memo. The
+// checkpoint must serialize those searches — a dominance memo is sound
+// across rounds, not across concurrent searches — so every retry answers
+// exactly what Check answers, with the checkpoint it resumed. Run under
+// -race in CI.
 func TestAnytimeOneShardExpiredCheckpointConcurrentResume(t *testing.T) {
 	sch, err := accesscheck.ParseSchema([]string{"R:int"}, []string{"Scan:R"})
 	if err != nil {
@@ -393,8 +464,8 @@ func TestAnytimeOneShardExpiredCheckpointConcurrentResume(t *testing.T) {
 						defer wg.Done()
 						var next *accesscheck.Checkpoint
 						results[g], next, errs[g] = chk.CheckAnytime(context.Background(), sch, f, cp)
-						if errs[g] == nil && next != nil {
-							errs[g] = fmt.Errorf("one-shard check returned a checkpoint")
+						if errs[g] == nil && next != cp {
+							errs[g] = fmt.Errorf("exact answer returned checkpoint %p, want the resumed %p", next, cp)
 						}
 					}()
 				}

@@ -437,6 +437,36 @@ func TestTruncatedResultsNotCached(t *testing.T) {
 	}
 }
 
+// TestPathCappedCheckKeepsResponseCaps: a path-capped /v1/check answer
+// names the response cap its search met, as the same check under no path
+// cap does: four distinct R values exceed the default response-choice cap,
+// so Scan's fan-out is cut.
+func TestPathCappedCheckKeepsResponseCaps(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	for _, maxPaths := range []int{20, 0} {
+		req := CheckRequest{
+			Relations: []string{"R:int"},
+			Methods:   []string{"Scan:R"},
+			Formula:   "F ([exists a,b,c,d. post R(a) & post R(b) & post R(c) & post R(d)] & ![exists x. post R(x)])",
+			Options:   &CheckOptions{Engine: "bounded", MaxDepth: 3, MaxPaths: maxPaths},
+		}
+		resp, body := postJSON(t, ts.URL+"/v1/check", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("max_paths %d: status %d: %s", maxPaths, resp.StatusCode, body)
+		}
+		var out CheckResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Satisfiable || !out.Truncated || !out.ResponsesCapped {
+			t.Errorf("max_paths %d: %s, want a truncated unsat with responses_capped", maxPaths, strings.TrimSpace(string(body)))
+		}
+		if maxPaths > 0 && out.PathsExplored != maxPaths {
+			t.Errorf("max_paths %d: explored %d paths, want the cap", maxPaths, out.PathsExplored)
+		}
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/healthz")

@@ -209,6 +209,9 @@ func TestTaskCheckMatchesCheck(t *testing.T) {
 		t.Errorf("task check diverged: %v/%v vs %v/%v",
 			viaTask.Verdict, viaTask.Check.Engine, direct.Satisfiable, direct.Engine)
 	}
+	if _, err := chk.Do(ctx, accesscheck.NewCheckTask(nil, nil)); err == nil || !strings.Contains(err.Error(), "nil schema") {
+		t.Errorf("check task without a schema: err = %v, want nil-schema validation failure", err)
+	}
 }
 
 func TestTaskFingerprintsDistinctAcrossKinds(t *testing.T) {
@@ -260,51 +263,6 @@ func TestTaskFingerprintsDistinctAcrossKinds(t *testing.T) {
 		} else if fp != fps[name] {
 			t.Errorf("%s fingerprint depends on checker options", name)
 		}
-	}
-}
-
-func TestDoBatchMixedKinds(t *testing.T) {
-	// One batch carrying all four kinds answers index-aligned with
-	// per-item isolation: the invalid item fails alone.
-	phone := workload.MustPhone()
-	sigma, err := accesscheck.ParseFD("R:0->1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	csc := workload.ContainmentScenarios()[0]
-	rsc := workload.RelevanceScenarios()[0]
-	tasks := []*accesscheck.Task{
-		accesscheck.NewCheckTask(phone.Schema, phone.IntroFormula()),
-		containmentTaskFrom(t, csc),
-		relevanceTaskFrom(t, rsc),
-		accesscheck.NewChaseTask(&accesscheck.ChaseTask{Arities: map[string]int{"R": 2}, FDs: []accesscheck.FD{sigma}, Sigma: sigma}),
-		accesscheck.NewCheckTask(nil, nil), // invalid: must fail alone
-	}
-	items := accesscheck.DoBatch(context.Background(), tasks)
-	if len(items) != len(tasks) {
-		t.Fatalf("items = %d, want %d", len(items), len(tasks))
-	}
-	wantKinds := []accesscheck.TaskKind{
-		accesscheck.TaskCheck, accesscheck.TaskContainment,
-		accesscheck.TaskRelevance, accesscheck.TaskChase,
-	}
-	for i, want := range wantKinds {
-		if items[i].Err != nil {
-			t.Errorf("item %d: %v", i, items[i].Err)
-			continue
-		}
-		if items[i].Result.Kind != want {
-			t.Errorf("item %d kind = %v, want %v", i, items[i].Result.Kind, want)
-		}
-	}
-	if items[1].Result != nil && items[1].Result.Verdict != csc.WantContained {
-		t.Errorf("containment verdict = %v, want %v", items[1].Result.Verdict, csc.WantContained)
-	}
-	if items[2].Result != nil && items[2].Result.Verdict != rsc.WantVerdict {
-		t.Errorf("relevance verdict = %v, want %v", items[2].Result.Verdict, rsc.WantVerdict)
-	}
-	if items[4].Err == nil || !strings.Contains(items[4].Err.Error(), "nil schema") {
-		t.Errorf("invalid item error = %v, want nil-schema validation failure", items[4].Err)
 	}
 }
 

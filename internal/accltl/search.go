@@ -172,8 +172,13 @@ type Prepared struct {
 // the root partition under opts.Context; an expired context returns its
 // error before any derivation. Parallelism and Shards are the searches'.
 func Prepare(proc Procedure, f Formula, opts SolveOptions) (*Prepared, error) {
-	if err := preflight(opts); err != nil {
-		return nil, err
+	if opts.Schema == nil {
+		return nil, fmt.Errorf("accltl: SolveOptions.Schema is required")
+	}
+	if opts.Context != nil {
+		if err := opts.Context.Err(); err != nil {
+			return nil, err
+		}
 	}
 	// One walk abstracts the temporal skeleton and collects the distinct
 	// sentences, each of which becomes a proposition, laid out once with its
@@ -219,53 +224,18 @@ func Prepare(proc Procedure, f Formula, opts SolveOptions) (*Prepared, error) {
 	if skeletonErr == nil {
 		p.init = p.in.intern(ltl.NNF(skeleton))
 	}
-	var err error
-	if p.plan, p.depth, err = plan(proc, f, sentences, opts); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// Plan derives the root partition Prepare(proc, f, opts) searches, and
-// nothing else: a caller that only plans (a fabric coordinator) prepares no
-// letters, skeleton or tables.
-func Plan(proc Procedure, f Formula, opts SolveOptions) (*lts.Plan, error) {
-	if err := preflight(opts); err != nil {
-		return nil, err
-	}
-	sentences := Sentences(f)
-	if err := checkSentences(sentences); err != nil {
-		return nil, err
-	}
-	p, _, err := plan(proc, f, sentences, opts)
-	return p, err
-}
-
-// preflight is what Prepare and Plan check first: a schema is required, and
-// an expired context returns its error before any derivation.
-func preflight(opts SolveOptions) error {
-	if opts.Schema == nil {
-		return fmt.Errorf("accltl: SolveOptions.Schema is required")
-	}
-	if opts.Context != nil {
-		return opts.Context.Err()
-	}
-	return nil
-}
-
-// plan enumerates, under opts.Context, the root partition of a search of f
-// whose distinct sentences are sentences, with the depth bound of proc's
-// rule, which it returns too.
-func plan(proc Procedure, f Formula, sentences []fo.Formula, opts SolveOptions) (*lts.Plan, int, error) {
 	if proc == ProcX && opts.MaxDepth == 0 {
 		opts.MaxDepth = TemporalDepth(f) + 1
 	}
 	o, depth, err := searchOptions(f, sentences, opts)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	p, err := lts.NewPlan(opts.Schema, o)
-	return p, depth, err
+	p.depth = depth
+	if p.plan, err = lts.NewPlan(opts.Schema, o); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // Plan returns the search's root partition.

@@ -41,7 +41,19 @@ type Prepared struct {
 // returns its error before any derivation. Parallelism and Shards are the
 // searches'.
 func (a *Automaton) Prepare(opts accltl.SolveOptions) (*Prepared, error) {
-	plan, depth, err := a.plan(opts)
+	if err := a.Validate(); err != nil {
+		return nil, err
+	}
+	if opts.Context != nil {
+		if err := opts.Context.Err(); err != nil {
+			return nil, err
+		}
+	}
+	o, depth, err := a.emptinessLTSOptions(opts)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := lts.NewPlan(a.Schema, o)
 	if err != nil {
 		return nil, err
 	}
@@ -53,32 +65,6 @@ func (a *Automaton) Prepare(opts accltl.SolveOptions) (*Prepared, error) {
 		memo:   lts.NewProductMemo[string](),
 		keyed:  !opts.IdempotentOnly,
 	}, nil
-}
-
-// Plan derives the root partition Prepare(opts) searches, and nothing else:
-// a caller that only plans prepares no guards or memo.
-func (a *Automaton) Plan(opts accltl.SolveOptions) (*lts.Plan, error) {
-	p, _, err := a.plan(opts)
-	return p, err
-}
-
-// plan validates a and enumerates its search's root partition under
-// opts.Context, with the depth bound, which it returns too.
-func (a *Automaton) plan(opts accltl.SolveOptions) (*lts.Plan, int, error) {
-	if err := a.Validate(); err != nil {
-		return nil, 0, err
-	}
-	if opts.Context != nil {
-		if err := opts.Context.Err(); err != nil {
-			return nil, 0, err
-		}
-	}
-	o, depth, err := a.emptinessLTSOptions(opts)
-	if err != nil {
-		return nil, 0, err
-	}
-	p, err := lts.NewPlan(a.Schema, o)
-	return p, depth, err
 }
 
 // Plan returns the search's root partition.

@@ -61,7 +61,6 @@ type Checkpoint struct {
 	planSize  int
 	completed shardSet
 
-	rounds          int
 	paths           int
 	elapsed         time.Duration
 	responsesCapped bool
@@ -89,14 +88,6 @@ func (cp *Checkpoint) fingerprint() string {
 		cp.key = cp.chk.anytimeKey(cp.sch, cp.f)
 	}
 	return cp.key
-}
-
-// Rounds counts the CheckAnytime rounds that have run against this
-// checkpoint.
-func (cp *Checkpoint) Rounds() int {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	return cp.rounds
 }
 
 // PlanSize is the size of the canonical shard partition the completed
@@ -369,7 +360,6 @@ func (c *Checker) round(ctx context.Context, sch *Schema, f Formula, info Info, 
 	if err = ctx.Err(); err == nil {
 		var sr accltl.SolveResult
 		sr, err = p.search(ctx, c.opts.Parallelism, attempt)
-		cp.rounds++
 		cp.paths += sr.PathsExplored
 		cp.elapsed += time.Since(start)
 		cp.responsesCapped = cp.responsesCapped || sr.ResponsesCapped

@@ -1,18 +1,19 @@
-// Package cachetier is the tiered cache subsystem under the check
-// server: coordinated layers that let a warm process answer cheaply,
-// survive restarts, and scale past a single lock.
+// Package cachetier is the result store under the check server: an
+// exact-only LRU in memory whose evictions are written behind to an
+// append-only log on disk, so a warm process answers cheaply and a
+// restarted one keeps what its predecessor settled.
 //
-// The tiers, in probe order — memory shards, disk:
+// The tiers, in probe order — memory, disk:
 //
-//   - The memory tier (Sharded) splits the result LRU into N shards by
-//     the same FNV+avalanche hash (Hash64) the fabric router rings
-//     with, so cache residency aligns with coordinator routing and
-//     shards contend on per-shard locks instead of one global mutex.
-//   - The disk tier (DiskTier) is an append-only CRC-checked segment
-//     log with an in-memory index, written behind from the memory tier
-//     on eviction and at graceful shutdown, recovered by a boot scan,
-//     and versioned by the fingerprint scheme so stale formats are
-//     discarded loudly rather than served under wrong keys.
+//   - The memory tier (Sharded) is cache.LRU. The server builds it with
+//     one shard, so a full tier holds exactly its last CacheSize admitted
+//     entries; more shards split the capacity by Hash64 of the key.
+//   - The disk tier (DiskTier) is an append-only CRC-checked segment log
+//     with an in-memory index, written behind from the memory tier on
+//     eviction and at graceful shutdown, recovered by a boot scan, and
+//     versioned by the fingerprint scheme so stale formats are discarded
+//     loudly rather than served under wrong keys. Records are only ever
+//     added: a key's last record is its value.
 //
 // Tiered composes the memory and disk layers behind one front;
 // Admissible is the single exact-only admission rule every result
@@ -31,19 +32,15 @@ type Store interface {
 	// backing medium may refuse; callers treat refusal as a cache
 	// miss, never an error).
 	Put(key string, val []byte) bool
-	// Delete removes key. It reports whether an entry was removed.
-	Delete(key string) bool
-	// Len is the number of live entries.
-	Len() int
 }
 
-// Hash64 is the shared key-hash fabric of every tier: FNV-64a over the
-// bytes, finished with a murmur-style avalanche so near-identical keys
-// (URLs, fingerprints with a shared prefix) spread across the whole
-// 64-bit space instead of clustering. The fabric router's consistent
-// ring and the sharded memory tier both route with it, which is what
-// aligns cache residency with coordinator routing — changing this
-// function reshuffles both, so don't.
+// Hash64 is the key hash of the fabric and of a sharded memory tier:
+// FNV-64a over the bytes, finished with a murmur-style avalanche so
+// near-identical keys (URLs, fingerprints with a shared prefix) spread
+// across the whole 64-bit space instead of clustering. The fabric
+// router's consistent ring routes with it, and so does a memory tier of
+// more than one shard — changing this function reshuffles every key on
+// the ring, so don't.
 func Hash64(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037

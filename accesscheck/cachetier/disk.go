@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 )
 
 // Disk-tier persistence format (EMBANKS-style append-only segment log
@@ -19,17 +18,18 @@ import (
 //	record:  u32 crc | u8 flag | u32 keyLen | u32 valLen | key | val
 //
 // all integers little-endian; crc is CRC-32 (IEEE) over everything
-// after it (flag through val); flag 1 marks a tombstone (valLen 0).
-// Recovery is a sequential scan rebuilding the last-write-wins index;
-// the first corrupt or short record truncates the log there — loudly —
-// so a torn tail from a crash can never resurrect as an answer. The
-// scheme string versions the log by the *fingerprint scheme* of the
-// keys: a log written under an older scheme is discarded loudly at
-// open, because serving it under new keys would be silent corruption.
-// There is no compaction: the log grows by overwrites and tombstones
-// until discarded by a scheme bump (result records are small and
-// exact-only admission keeps the write rate low; compaction is a
-// follow-on, not a correctness need).
+// after it (flag through val). The flag byte is reserved and must be 0:
+// a record with any other flag is corrupt. Records are only ever
+// appended, and a key's last record wins. Recovery is a sequential scan
+// rebuilding that index; the first corrupt or short record truncates the
+// log there — loudly — so a torn tail from a crash can never resurrect
+// as an answer. The scheme string versions the log by the *fingerprint
+// scheme* of the keys: a log written under an older scheme is discarded
+// loudly at open, because serving it under new keys would be silent
+// corruption. There is no compaction: the log grows by overwrites until
+// discarded by a scheme bump (result records are small and exact-only
+// admission keeps the write rate low; compaction is a follow-on, not a
+// correctness need).
 const (
 	diskMagic         = "ACCTIER1"
 	diskFormatVersion = 1
@@ -55,10 +55,7 @@ type DiskConfig struct {
 type DiskStats struct {
 	Records int   // live index entries
 	Bytes   int64 // log file size, header included
-	Hits    uint64
-	Misses  uint64
 	Writes  uint64
-	Deletes uint64
 	// CorruptTails counts boot scans that found and truncated a
 	// corrupt tail; SchemeDiscards counts whole logs discarded for a
 	// stale scheme or format.
@@ -82,8 +79,7 @@ type DiskTier struct {
 	size  int64
 	index map[string]diskLoc
 
-	hits, misses, writes, deletes atomic.Uint64
-	corruptTails, schemeDiscards  uint64 // set under mu at open/scan time
+	writes, corruptTails, schemeDiscards uint64 // under mu
 }
 
 // OpenDiskTier opens (creating if needed) the segment log in cfg.Dir
@@ -173,7 +169,7 @@ func (t *DiskTier) recover(scheme, path string) error {
 		flag := buf[4]
 		klen := int(binary.LittleEndian.Uint32(buf[5:9]))
 		vlen := int(binary.LittleEndian.Uint32(buf[9:13]))
-		if flag > 1 || klen == 0 || klen > maxKeyLen || vlen > maxValLen ||
+		if flag != 0 || klen == 0 || klen > maxKeyLen || vlen > maxValLen ||
 			off+int64(recHeaderLen)+int64(klen)+int64(vlen) > end {
 			truncateAt, why = off, "implausible record header"
 			break
@@ -188,12 +184,7 @@ func (t *DiskTier) recover(scheme, path string) error {
 			truncateAt, why = off, "CRC mismatch"
 			break
 		}
-		key := string(body[9 : 9+klen])
-		if flag == 1 {
-			delete(t.index, key)
-		} else {
-			t.index[key] = diskLoc{off: off + recHeaderLen + int64(klen), n: vlen}
-		}
+		t.index[string(body[9:9+klen])] = diskLoc{off: off + recHeaderLen + int64(klen), n: vlen}
 		off += int64(recHeaderLen) + int64(klen) + int64(vlen)
 	}
 	if truncateAt >= 0 {
@@ -217,15 +208,12 @@ func (t *DiskTier) Get(key string) ([]byte, bool) {
 	loc, ok := t.index[key]
 	t.mu.Unlock()
 	if !ok {
-		t.misses.Add(1)
 		return nil, false
 	}
 	val := make([]byte, loc.n)
 	if _, err := t.f.ReadAt(val, loc.off); err != nil {
-		t.misses.Add(1)
 		return nil, false
 	}
-	t.hits.Add(1)
 	return val, true
 }
 
@@ -236,7 +224,7 @@ func (t *DiskTier) Put(key string, val []byte) bool {
 	if key == "" || len(key) > maxKeyLen || len(val) > maxValLen {
 		return false
 	}
-	rec := t.encode(0, key, val)
+	rec := encode(key, val)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, err := t.f.WriteAt(rec, t.size); err != nil {
@@ -245,31 +233,13 @@ func (t *DiskTier) Put(key string, val []byte) bool {
 	}
 	t.index[key] = diskLoc{off: t.size + recHeaderLen + int64(len(key)), n: len(val)}
 	t.size += int64(len(rec))
-	t.writes.Add(1)
+	t.writes++
 	return true
 }
 
-// Delete appends a tombstone and drops the index entry.
-func (t *DiskTier) Delete(key string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.index[key]; !ok {
-		return false
-	}
-	rec := t.encode(1, key, nil)
-	if _, err := t.f.WriteAt(rec, t.size); err != nil {
-		log.Printf("cachetier: disk tier tombstone write failed: %v", err)
-		return false
-	}
-	delete(t.index, key)
-	t.size += int64(len(rec))
-	t.deletes.Add(1)
-	return true
-}
-
-func (t *DiskTier) encode(flag byte, key string, val []byte) []byte {
+// encode frames one record; its flag byte stays 0.
+func encode(key string, val []byte) []byte {
 	rec := make([]byte, recHeaderLen+len(key)+len(val))
-	rec[4] = flag
 	binary.LittleEndian.PutUint32(rec[5:9], uint32(len(key)))
 	binary.LittleEndian.PutUint32(rec[9:13], uint32(len(val)))
 	copy(rec[recHeaderLen:], key)
@@ -277,16 +247,6 @@ func (t *DiskTier) encode(flag byte, key string, val []byte) []byte {
 	binary.LittleEndian.PutUint32(rec[0:4], crc32.ChecksumIEEE(rec[4:]))
 	return rec
 }
-
-// Len is the live (indexed) record count.
-func (t *DiskTier) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.index)
-}
-
-// Sync flushes the log to stable storage.
-func (t *DiskTier) Sync() error { return t.f.Sync() }
 
 // Close syncs and closes the log.
 func (t *DiskTier) Close() error {
@@ -300,18 +260,13 @@ func (t *DiskTier) Close() error {
 // Stats snapshots the tier counters.
 func (t *DiskTier) Stats() DiskStats {
 	t.mu.Lock()
-	records, size := len(t.index), t.size
-	corrupt, discards := t.corruptTails, t.schemeDiscards
-	t.mu.Unlock()
+	defer t.mu.Unlock()
 	return DiskStats{
-		Records:        records,
-		Bytes:          size,
-		Hits:           t.hits.Load(),
-		Misses:         t.misses.Load(),
-		Writes:         t.writes.Load(),
-		Deletes:        t.deletes.Load(),
-		CorruptTails:   corrupt,
-		SchemeDiscards: discards,
+		Records:        len(t.index),
+		Bytes:          t.size,
+		Writes:         t.writes,
+		CorruptTails:   t.corruptTails,
+		SchemeDiscards: t.schemeDiscards,
 	}
 }
 

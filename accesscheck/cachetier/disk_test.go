@@ -1,6 +1,8 @@
 package cachetier
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -32,23 +34,16 @@ func TestDiskTierRoundTrip(t *testing.T) {
 		t.Fatal("overwrite refused")
 	}
 	pairs["alpha"] = "rewritten"
-	if !dt.Delete("beta") {
-		t.Fatal("Delete refused")
-	}
-	delete(pairs, "beta")
 	check := func(dt *DiskTier, when string) {
 		t.Helper()
-		if dt.Len() != len(pairs) {
-			t.Fatalf("%s: Len = %d, want %d", when, dt.Len(), len(pairs))
+		if n := dt.Stats().Records; n != len(pairs) {
+			t.Fatalf("%s: %d records, want %d", when, n, len(pairs))
 		}
 		for k, v := range pairs {
 			got, ok := dt.Get(k)
 			if !ok || string(got) != v {
 				t.Fatalf("%s: Get(%q) = %q,%v want %q", when, k, got, ok, v)
 			}
-		}
-		if _, ok := dt.Get("beta"); ok {
-			t.Fatalf("%s: tombstoned key resurrected", when)
 		}
 	}
 	check(dt, "live")
@@ -106,6 +101,47 @@ func TestDiskTierCorruptTailTruncated(t *testing.T) {
 	}
 }
 
+// TestDiskTierNonZeroFlagIsCorrupt: the flag byte is reserved and always
+// written 0. A record whose flag is anything else, even under a CRC that
+// matches it, is recovered as a corrupt tail and never served.
+func TestDiskTierNonZeroFlagIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	dt := openTier(t, dir, "fp-v1")
+	dt.Put("keep", []byte("survives"))
+	goodEnd := dt.Stats().Bytes
+	dt.Put("flagged", []byte("served only if the flag is ignored"))
+	if err := dt.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Set the second record's flag to 1 and recompute its CRC, so only the
+	// flag is wrong.
+	path := filepath.Join(dir, diskLogName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := data[goodEnd:]
+	rec[4] = 1
+	binary.LittleEndian.PutUint32(rec[0:4], crc32.ChecksumIEEE(rec[4:]))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	dt2 := openTier(t, dir, "fp-v1")
+	defer dt2.Close()
+	if got, ok := dt2.Get("keep"); !ok || string(got) != "survives" {
+		t.Fatalf("record before the flagged one: Get = %q, %v", got, ok)
+	}
+	if _, ok := dt2.Get("flagged"); ok {
+		t.Fatal("a record with a non-zero flag was served")
+	}
+	st := dt2.Stats()
+	if st.CorruptTails != 1 || st.Records != 1 || st.Bytes != goodEnd {
+		t.Fatalf("stats %+v; want one corrupt tail truncated at %d with one record left", st, goodEnd)
+	}
+}
+
 func TestDiskTierSchemeMismatchDiscards(t *testing.T) {
 	dir := t.TempDir()
 	dt := openTier(t, dir, "fp-v1")
@@ -134,10 +170,8 @@ func TestDiskTierStats(t *testing.T) {
 	dt := openTier(t, t.TempDir(), "s")
 	defer dt.Close()
 	dt.Put("a", []byte("x"))
-	dt.Get("a")
-	dt.Get("missing")
 	st := dt.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Writes != 1 || st.Records != 1 {
+	if st.Writes != 1 || st.Records != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.Bytes <= int64(len(headerBytes("s"))) {

@@ -2,17 +2,14 @@ package cachetier
 
 import "accltl/accesscheck/cache"
 
-// Sharded is the in-memory tier: the exact-only result LRU split into
-// N independent cache.LRU shards routed by Hash64 of the key — the
-// same hash the fabric router rings with, so the shard a fingerprint
-// lands in here is stable under the routing that decides which worker
-// sees it. Each shard has its own mutex and its own LRU list, so
-// concurrent solves on different fingerprints stop contending on one
-// global lock; within a shard, LRU semantics are exactly cache.LRU's.
-//
-// Capacity is divided evenly across shards (shards rounded up to a
-// power of two for mask routing), so total capacity and total eviction
-// pressure match a single LRU of the same size when keys spread evenly.
+// Sharded is the in-memory tier: the exact-only result LRU, split into
+// N cache.LRU shards routed by Hash64 of the key. Within a shard, LRU
+// semantics are exactly cache.LRU's, and the eviction callback runs
+// outside the shard's lock. With one shard, as the server builds it, the
+// tier is one LRU that holds exactly its last capacity admitted entries.
+// With more, capacity is divided evenly (shards rounded up to a power of
+// two for mask routing), so a full tier forgets a recent key whenever
+// recent keys crowd its shard.
 type Sharded[V any] struct {
 	shards []*cache.LRU[V]
 }
@@ -52,21 +49,6 @@ func (s *Sharded[V]) Get(key string) (V, bool) { return s.shard(key).Get(key) }
 // Add inserts key → val into its shard, subject to the admission rule.
 func (s *Sharded[V]) Add(key string, val V) bool { return s.shard(key).Add(key, val) }
 
-// Remove evicts key from its shard if present.
-func (s *Sharded[V]) Remove(key string) bool { return s.shard(key).Remove(key) }
-
-// Len is the total resident entry count across shards.
-func (s *Sharded[V]) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.Len()
-	}
-	return n
-}
-
-// Shards is the shard count.
-func (s *Sharded[V]) Shards() int { return len(s.shards) }
-
 // OnEvict installs fn as the capacity-eviction observer on every
 // shard; the disk tier's write-behind hangs off it.
 func (s *Sharded[V]) OnEvict(fn func(key string, val V)) {
@@ -98,13 +80,4 @@ func (s *Sharded[V]) Stats() cache.Stats {
 		t.Evictions += st.Evictions
 	}
 	return t
-}
-
-// ShardStats exposes the per-shard breakdown (admin/metrics use).
-func (s *Sharded[V]) ShardStats() []cache.Stats {
-	out := make([]cache.Stats, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.Stats()
-	}
-	return out
 }

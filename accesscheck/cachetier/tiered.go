@@ -7,7 +7,7 @@ import (
 	"accltl/accesscheck/cache"
 )
 
-// Tiered fronts a sharded memory tier with an optional persistent
+// Tiered fronts a memory tier with an optional persistent
 // Store behind it. The coupling is write-behind: values the memory
 // tier evicts under capacity pressure — and the residents at graceful
 // shutdown, via Flush — are encoded and appended to the store, so a
@@ -51,17 +51,6 @@ func (t *Tiered[V]) Get(key string) (V, bool) { return t.mem.Get(key) }
 // when evicted or flushed.
 func (t *Tiered[V]) Add(key string, val V) bool { return t.mem.Add(key, val) }
 
-// Remove drops key from both tiers.
-func (t *Tiered[V]) Remove(key string) bool {
-	ok := t.mem.Remove(key)
-	if t.back != nil {
-		if t.back.Delete(key) {
-			ok = true
-		}
-	}
-	return ok
-}
-
 // Persisted serves the persistent tier: the encoded bytes written
 // behind for key, if any. Callers decode; see the asymmetry note on
 // Tiered.
@@ -103,12 +92,6 @@ func (t *Tiered[V]) Close() error {
 	}
 	return nil
 }
-
-// Len is the resident memory-tier entry count.
-func (t *Tiered[V]) Len() int { return t.mem.Len() }
-
-// Shards is the memory tier's shard count.
-func (t *Tiered[V]) Shards() int { return t.mem.Shards() }
 
 // MemStats snapshots the memory tier's aggregated counters.
 func (t *Tiered[V]) MemStats() cache.Stats { return t.mem.Stats() }

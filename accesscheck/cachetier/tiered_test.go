@@ -27,13 +27,6 @@ func (s *mapStore) Put(key string, val []byte) bool {
 	s.m[key] = val
 	return true
 }
-func (s *mapStore) Delete(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.m[key]
-	delete(s.m, key)
-	return ok
-}
 func (s *mapStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -128,18 +121,15 @@ func TestTieredMemoryOnly(t *testing.T) {
 	}
 }
 
-func TestTieredRemoveBothTiers(t *testing.T) {
+func TestTieredFlushServesBothTiers(t *testing.T) {
 	back := newMapStore()
 	tr := NewTiered(NewSharded[string](4, 1, nil), back, persistAll)
 	tr.Add("k", "v")
 	tr.Flush()
-	if !tr.Remove("k") {
-		t.Fatal("Remove reported nothing removed")
+	if v, ok := tr.Get("k"); !ok || v != "v" {
+		t.Fatalf("flushed entry left the memory tier: Get = %q, %v", v, ok)
 	}
-	if _, ok := tr.Get("k"); ok {
-		t.Fatal("memory entry survived Remove")
-	}
-	if _, ok := tr.Persisted("k"); ok {
-		t.Fatal("persisted entry survived Remove")
+	if b, ok := tr.Persisted("k"); !ok || string(b) != "v" {
+		t.Fatalf("flushed entry not persisted: Persisted = %q, %v", b, ok)
 	}
 }

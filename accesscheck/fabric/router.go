@@ -88,11 +88,10 @@ func RouteKey(checkFingerprint, shardKey string) string {
 	return checkFingerprint + "\x1e" + shardKey
 }
 
-// hash64 is cachetier.Hash64 (FNV-1a + avalanche finalizer): the ring and
-// the in-memory cache shards route by the same hash, so a fingerprint's
-// position on the ring and its shard in a worker's sharded LRU are computed
-// identically — changing one reshuffles both. The avalanche matters here
-// because FNV of near-identical strings (one worker's "#0".."#63" vnode
+// hash64 is cachetier.Hash64 (FNV-1a + avalanche finalizer). A worker's
+// result cache is one LRU, so nothing on the worker has to agree with the
+// ring; changing the hash only moves keys between workers. The avalanche
+// matters because FNV of near-identical strings (one worker's "#0".."#63" vnode
 // labels) differs only in the low bits, which would cluster each worker's
 // vnodes into one arc and defeat the ring.
 func hash64(s string) uint64 { return cachetier.Hash64(s) }

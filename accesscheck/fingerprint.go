@@ -115,26 +115,23 @@ func (c *Checker) Fingerprint(sch *Schema, f Formula) string {
 	return h.sum()
 }
 
-// FingerprintTask is Fingerprint generalized over task kinds: a canonical
-// key for what Do on this task computes. Every key starts with the task
-// kind, so results of different kinds can never collide in any cache tier —
-// a containment verdict cached under its key can never answer a check of
-// textually identical schema/formula inputs, and vice versa.
+// FingerprintTask is Fingerprint's counterpart for the tasks Do runs: a
+// canonical key for what Do on this task computes. Every key starts with
+// the task kind, as Fingerprint's starts with TaskCheck, so results of
+// different kinds can never collide in any cache tier — a containment
+// verdict cached under its key can never answer a check of textually
+// identical schema/formula inputs, and vice versa.
 //
-// TaskCheck keys equal Fingerprint(schema, formula) — the check pipeline is
-// the one task the checker's options configure, and they are folded in
-// exactly as before. The other kinds are canonical in their payload alone
-// (their verdicts do not read the checker's options), so their keys cover
-// the payload and nothing else: two differently-configured checkers agree
-// on the key of the same containment task, and their cached results are
-// interchangeable.
+// The check pipeline is the one problem the checker's options configure.
+// The task kinds are canonical in their payload alone (their verdicts do
+// not read the checker's options), so their keys cover the payload and
+// nothing else: two differently-configured checkers agree on the key of
+// the same containment task, and their cached results are interchangeable.
 func (c *Checker) FingerprintTask(t *Task) (string, error) {
 	if err := t.Validate(); err != nil {
 		return "", err
 	}
 	switch t.Kind {
-	case TaskCheck:
-		return c.Fingerprint(t.Check.Schema, t.Check.Formula), nil
 	case TaskContainment:
 		ct := t.Containment
 		h := newHasher()

@@ -212,6 +212,7 @@ func (c *Coordinator) check(ctx context.Context, req CheckRequest) (*CheckRespon
 		if err := c.forward(ctx, router.Sequence(fp, len(workers)), "/v1/check", req, out); err != nil {
 			return nil, err
 		}
+		c.checks.Add(1)
 		return out, nil
 	}
 	c.fanouts.Add(1)
@@ -447,7 +448,6 @@ func (c *Coordinator) forward(ctx context.Context, seq []string, path string, re
 		}
 		c.reg.Record(worker, err)
 		if err == nil {
-			c.checks.Add(1)
 			return nil
 		}
 		lastErr = err

@@ -1,21 +1,64 @@
 package server
 
-// Restart-warmth and eviction-resilience at the server level: a process
-// restarted with the same -cache-dir answers a previously settled exact
-// check from the disk tier without re-solving, and a budget-blown check
-// whose suspended checkpoint was evicted mid-sequence restarts cleanly
-// from scratch instead of wedging. Names carry "Sharded" so CI's race
-// pass picks them up.
+// The result store at the server level: a full memory tier holds the last
+// CacheSize answers, a process restarted with the same -cache-dir answers
+// a previously settled exact check from the disk tier without re-solving,
+// and a budget-blown check whose suspended checkpoint was evicted
+// mid-sequence restarts cleanly from scratch instead of wedging. CI's
+// "result store" step runs these under the race detector, twice.
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"accltl/accesscheck/cachetier"
+	"accltl/internal/pollctx"
 )
+
+// TestMemoryTierHoldsLastAnswers: a default server that has answered 3,000
+// distinct checks answers a re-ask of its last 1,024 (its CacheSize), in
+// answer order, all from memory. Answer order is the hard order for a tier
+// that holds fewer than its last CacheSize keys: each miss re-solves and
+// evicts a key the re-ask has yet to reach. A tier split into 8 LRU shards
+// of 128 re-solves 418 of them.
+func TestMemoryTierHoldsLastAnswers(t *testing.T) {
+	s := New(Config{})
+	t.Cleanup(func() { s.Close() })
+	const answered, window = 3000, 1024
+	reqs := make([]CheckRequest, answered)
+	for i := range reqs {
+		// MaxPaths is in the fingerprint, and no cap this high cuts the
+		// search short, so every answer is exact and admitted.
+		reqs[i] = checkReq(satFormula)
+		reqs[i].Options = &CheckOptions{MaxPaths: 1000 + i}
+	}
+	ctx := context.Background()
+	for i, req := range reqs {
+		out, err := s.check(ctx, req)
+		if err != nil {
+			t.Fatalf("check %d: %v", i, err)
+		}
+		if out.Cached || out.Truncated {
+			t.Fatalf("check %d: cached %v, truncated %v; want a fresh exact answer", i, out.Cached, out.Truncated)
+		}
+	}
+	resolved := 0
+	for i, req := range reqs[answered-window:] {
+		out, err := s.check(ctx, req)
+		if err != nil {
+			t.Fatalf("re-ask %d: %v", i, err)
+		}
+		if !out.Cached {
+			resolved++
+		}
+	}
+	if resolved != 0 {
+		t.Errorf("%d of the last %d answers re-solved; want all %d served from memory", resolved, window, window)
+	}
+}
 
 // TestServerDiscardsFpV1Log: a cache directory written under the fp-v1
 // scheme, whose tuple keys could collide and so may hold a wrong exact
@@ -101,46 +144,45 @@ func TestServerShardedWarmRestartServesFromDisk(t *testing.T) {
 }
 
 // TestServerShardedCheckpointEvictedMidSequence: with a 1-entry checkpoint
-// store, blow check A's budget so its frontier is suspended, let check B's
-// suspension evict it, then re-ask A under a generous budget. The server
-// must restart A from scratch — a clean exact verdict with full coverage,
-// no resume of the evicted frontier, no panic, no stale partial arithmetic.
+// store, expire check A so its checkpoint is stored, let check B's
+// suspension evict it, then re-ask A under a generous budget. The
+// server must restart A from scratch — a clean exact verdict with full
+// coverage, no resume of the evicted frontier, no panic, no stale partial
+// arithmetic.
 func TestServerShardedCheckpointEvictedMidSequence(t *testing.T) {
-	ts := newTestServer(t, Config{CacheSize: 1})
+	// One walker polls the context in one order, so a context that expires
+	// at a chosen poll stops the search at the same point on every machine.
+	s := New(Config{CacheSize: 1, Parallelism: 1})
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
 	base := CheckRequest{Relations: wideRelations, Methods: wideMethods, Formula: wideUnsatFormula}
 
-	// Whether a budget leaves a frontier behind is a race with the clock:
-	// one that dies before the solve starts stores nothing, one that
-	// outlasts the sub-millisecond search settles the check and caches it
-	// under its fingerprint. suspend therefore sends fresh fingerprints —
-	// MaxDepth counting up from depth, which does not change this search's
-	// cost or verdict — under budgets cycling from 25µs to 12.8ms, until
-	// the counter named by moved leaves zero, and returns the request that
-	// moved it. The server's own metrics, not the status code, say whether
-	// a frontier was stored.
-	suspend := func(depth int, moved string) CheckRequest {
+	// suspend runs req under contexts that expire at poll 1, 2, ... until
+	// the counter named by moved leaves zero. A coverage-tagged partial and
+	// a zero-progress expiry both store a checkpoint; the server's own
+	// metrics, not the answer, say whether one was stored.
+	suspend := func(req CheckRequest, moved string) {
 		t.Helper()
-		for i := 0; i < 64; i++ {
-			req := base
-			req.Options = &CheckOptions{MaxDepth: depth + i, Engine: "bounded"}
-			req.Budget = (25 * time.Microsecond << (i % 10)).String()
-			resp, body := postJSON(t, ts.URL+"/v1/check", req)
-			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusGatewayTimeout {
-				t.Fatalf("depth %d, budget %s: status %d: %s", depth+i, req.Budget, resp.StatusCode, body)
+		for limit := 1; limit <= 64; limit++ {
+			_, err := s.check(pollctx.New(limit, context.DeadlineExceeded), req)
+			if err != nil && statusOf(err) != http.StatusGatewayTimeout {
+				t.Fatalf("expiry at poll %d: %v", limit, err)
 			}
 			if metrics(t, ts)[moved] > 0 {
-				return req
+				return
 			}
 		}
-		t.Fatalf("64 budget-pressed checks never moved %s", moved)
-		return CheckRequest{}
+		t.Fatalf("expiries at polls 1 to 64 never moved %s", moved)
 	}
 
-	// A's suspension (a coverage-tagged partial or a zero-progress 504 —
-	// both checkpoint) fills the capacity-1 store; B's, on fingerprints A
-	// never used, evicts it.
-	reqA := suspend(4, "accserve_checkpoints_size")
-	suspend(100, "accserve_checkpoints_evictions_total")
+	// A's suspension fills the capacity-1 store; B's, on a fingerprint A
+	// never used (MaxDepth does not change this search's cost or verdict),
+	// evicts it.
+	reqA, reqB := base, base
+	reqA.Options = &CheckOptions{MaxDepth: 4, Engine: "bounded"}
+	reqB.Options = &CheckOptions{MaxDepth: 5, Engine: "bounded"}
+	suspend(reqA, "accserve_checkpoints_size")
+	suspend(reqB, "accserve_checkpoints_evictions_total")
 	resumes := metrics(t, ts)["accserve_anytime_resumes_total"]
 
 	// A again, roomy budget: its checkpoint is gone, so this is a fresh

@@ -83,8 +83,8 @@ type Config struct {
 	// "parallelism" options can lower the value for their own check but
 	// never raise it above this limit.
 	Parallelism int
-	// CacheSize is the LRU capacity in results (default 1024), split evenly
-	// across cacheShards fingerprint-sharded segments.
+	// CacheSize is the result LRU's capacity in results (default 1024): a
+	// full cache holds exactly the last CacheSize exact results it admitted.
 	CacheSize int
 	// CacheDir, when non-empty, backs the result cache with an append-only
 	// disk tier in this directory: entries evicted from memory (and the
@@ -112,13 +112,6 @@ type Config struct {
 	// ("dispatch.send"). Nil in production.
 	Failpoints *fabric.Failpoints
 }
-
-// cacheShards is the number of independently locked shards of the
-// in-memory result cache, selected by the same FNV+avalanche hash the
-// fabric's affinity ring uses (capped at CacheSize). Shards lower lock
-// contention on hot mixed workloads; the per-shard LRU discipline and the
-// exact-only admission rule are unchanged.
-const cacheShards = 8
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -149,11 +142,11 @@ func (c Config) withDefaults() Config {
 // solver. Construct with New; the zero value is not usable.
 type Server struct {
 	*spine
-	// cache is the tiered result store: a fingerprint-sharded in-memory
-	// LRU (exact results only), optionally written behind to an append-only
-	// disk tier when Config.CacheDir is set. Only exact check results are
-	// wire round-trippable, so only they persist; non-check task results
-	// stay memory-resident.
+	// cache is the tiered result store: one in-memory LRU (exact results
+	// only), optionally written behind to an append-only disk tier when
+	// Config.CacheDir is set. Only exact check results are wire
+	// round-trippable, so only they persist; non-check task results stay
+	// memory-resident.
 	cache *cachetier.Tiered[accesscheck.TaskResult]
 	// ckpts holds suspended anytime frontiers keyed by the fingerprint of
 	// the check or shard group they belong to: the opposite admission
@@ -210,8 +203,9 @@ func New(cfg Config) *Server {
 	}
 	// Exact results only: a truncated result is relative to this request's
 	// caps and must never answer a later identical request. The rule lives
-	// in cachetier.Admissible so every store in the fabric shares it.
-	mem := cachetier.NewSharded(cfg.CacheSize, cacheShards, func(tr accesscheck.TaskResult) bool {
+	// in cachetier.Admissible so every store in the fabric shares it. One
+	// shard: a full tier keeps exactly the last CacheSize admitted results.
+	mem := cachetier.NewSharded(cfg.CacheSize, 1, func(tr accesscheck.TaskResult) bool {
 		return cachetier.Admissible(cachetier.Verdict{Truncated: tr.Truncated})
 	})
 	var back cachetier.Store
@@ -639,14 +633,12 @@ func (s *Server) solve(ctx context.Context, fp string, run func() (*accesscheck.
 // stores.
 func checkTaskResult(res *accesscheck.Result) *accesscheck.TaskResult {
 	return &accesscheck.TaskResult{
-		Kind:            accesscheck.TaskCheck,
-		Verdict:         res.Satisfiable,
-		Truncated:       res.Truncated,
-		ShardsCompleted: res.ShardsCompleted,
-		ShardsTotal:     res.ShardsTotal,
-		Engine:          res.Engine.String(),
-		Elapsed:         res.Elapsed,
-		Check:           res,
+		Kind:      accesscheck.TaskCheck,
+		Verdict:   res.Satisfiable,
+		Truncated: res.Truncated,
+		Engine:    res.Engine.String(),
+		Elapsed:   res.Elapsed,
+		Check:     res,
 	}
 }
 
@@ -714,7 +706,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "accserve_cache_rejected_total %d\n", cs.Rejected)
 	fmt.Fprintf(w, "accserve_cache_size %d\n", cs.Size)
 	fmt.Fprintf(w, "accserve_cache_capacity %d\n", cs.Capacity)
-	fmt.Fprintf(w, "accserve_cache_shards %d\n", s.cache.Shards())
 	fmt.Fprintf(w, "accserve_checks_total %d\n", s.checks.Load())
 	fmt.Fprintf(w, "accserve_truncations_total %d\n", s.truncations.Load())
 	fmt.Fprintf(w, "accserve_deadline_exceeded_total %d\n", s.deadlines.Load())
@@ -753,7 +744,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 		fmt.Fprintf(w, "accserve_cache_disk_records %d\n", ds.Records)
 		fmt.Fprintf(w, "accserve_cache_disk_bytes %d\n", ds.Bytes)
 		fmt.Fprintf(w, "accserve_cache_disk_writes_total %d\n", ds.Writes)
-		fmt.Fprintf(w, "accserve_cache_disk_deletes_total %d\n", ds.Deletes)
 		fmt.Fprintf(w, "accserve_cache_disk_corrupt_tails_total %d\n", ds.CorruptTails)
 		fmt.Fprintf(w, "accserve_cache_disk_scheme_discards_total %d\n", ds.SchemeDiscards)
 	}

@@ -158,6 +158,43 @@ func TestChaseEndpoint(t *testing.T) {
 	}
 }
 
+// TestCoordinatorChecksTotalCountsChecksOnly: containment, relevance and
+// chase requests the coordinator forwards whole count under
+// task_forwards_total, not accserve_coordinator_checks_total; a check it
+// forwards whole counts there once.
+func TestCoordinatorChecksTotalCountsChecksOnly(t *testing.T) {
+	url, _, _ := newFabric(t, 2, CoordinatorConfig{})
+	for route, req := range map[string]any{
+		"/v1/containment": containmentReq(workload.ContainmentScenarios()[0]),
+		"/v1/relevance":   relevanceReq(workload.RelevanceScenarios()[0]),
+		"/v1/chase":       ChaseRequest{Arities: []string{"R:2"}, FDs: []string{"R:0->1"}, Sigma: "R:0->1"},
+	} {
+		if resp, body := postJSON(t, url+route, req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", route, resp.StatusCode, body)
+		}
+	}
+	m := metricsAt(t, url)
+	for _, k := range []string{"containment", "relevance", "chase"} {
+		if n := m[`accserve_coordinator_task_forwards_total{task="`+k+`"}`]; n != 1 {
+			t.Errorf("%s forwards = %d, want 1", k, n)
+		}
+	}
+	if n := m["accserve_coordinator_checks_total"]; n != 0 {
+		t.Errorf("checks_total = %d after three task forwards, want 0", n)
+	}
+
+	// A schema without methods plans no shard, so the check is forwarded.
+	req := CheckRequest{Relations: []string{"R:int"}, Formula: "F [exists x. post R(x)]"}
+	if resp, body := postJSON(t, url+"/v1/check", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("check: status %d: %s", resp.StatusCode, body)
+	}
+	m = metricsAt(t, url)
+	if m["accserve_coordinator_forwards_total"] != 1 || m["accserve_coordinator_checks_total"] != 1 {
+		t.Errorf("forwards_total %d, checks_total %d after one forwarded check; want 1, 1",
+			m["accserve_coordinator_forwards_total"], m["accserve_coordinator_checks_total"])
+	}
+}
+
 // TestStrictDecodeRejectsUnknownFields: every /v1/* body decoder, on both
 // roles, runs with DisallowUnknownFields, so a typoed field is a
 // structured 400 naming the field instead of a silently ignored option.

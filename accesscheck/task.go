@@ -5,15 +5,15 @@ package accesscheck
 // (Chandra–Merlin homomorphisms, Proposition 4.11 datalog expansions,
 // Example 2.2 containment under access patterns), relevance of accesses
 // (Li's accessible-part datalog program, Example 2.3 long-term relevance)
-// and FD+ID implication via the chase. A Task names one of those problems
-// plus its canonical inputs; Checker.Do runs it and answers a TaskResult —
-// one envelope (verdict, truncation, stats, engine) for every kind, so the
-// cache, the batch runner, the server routes and the CLI can treat all four
-// uniformly.
+// and FD+ID implication via the chase. A Task names one of the three
+// problems beside satisfiability plus its canonical inputs; Checker.Do runs
+// it and answers a TaskResult — one envelope (verdict, truncation, stats,
+// engine) for every kind, so the cache, the batch runner, the server routes
+// and the CLI can treat all four uniformly. A check runs through Check or
+// CheckAnytime, and the server wraps its Result in a TaskResult of kind
+// TaskCheck itself.
 //
-// TaskCheck wraps today's Check pipeline unchanged: Do on a check task calls
-// Check with the checker's options and embeds the identical Result. The
-// other kinds are self-contained — their payload carries everything that
+// The task kinds are self-contained — their payload carries everything that
 // affects the verdict, and the checker's check-pipeline options (engine,
 // path restrictions, bounds) deliberately do not leak into them; see
 // FingerprintTask for the cache-identity consequences.
@@ -162,14 +162,6 @@ func ParseContainmentMode(s string) (ContainmentMode, error) {
 	}
 }
 
-// CheckTask is the TaskCheck payload: the (schema, formula) pair Check
-// takes. Unlike the other kinds, its verdict also depends on the checker's
-// options — it is the one task the Checker configuration applies to.
-type CheckTask struct {
-	Schema  *Schema
-	Formula Formula
-}
-
 // ContainmentTask is the TaskContainment payload. The fields used depend on
 // Mode: ContainUCQ reads Q1/Q2; ContainDatalog reads Program/Q2/Depth;
 // ContainAccess reads Schema/Q1/Q2/Seed/Depth.
@@ -234,15 +226,9 @@ type ChaseTask struct {
 // Task is one unit of facade work: a kind plus exactly the matching payload.
 type Task struct {
 	Kind        TaskKind
-	Check       *CheckTask
 	Containment *ContainmentTask
 	Relevance   *RelevanceTask
 	Chase       *ChaseTask
-}
-
-// NewCheckTask wraps a (schema, formula) pair as a Task.
-func NewCheckTask(sch *Schema, f Formula) *Task {
-	return &Task{Kind: TaskCheck, Check: &CheckTask{Schema: sch, Formula: f}}
 }
 
 // NewUCQContainmentTask asks Q1 ⊆ Q2 for positive queries.
@@ -280,9 +266,6 @@ func (t *Task) Validate() error {
 		return fmt.Errorf("accesscheck: nil Task")
 	}
 	set := 0
-	if t.Check != nil {
-		set++
-	}
 	if t.Containment != nil {
 		set++
 	}
@@ -296,16 +279,6 @@ func (t *Task) Validate() error {
 		return fmt.Errorf("accesscheck: Task must carry exactly one payload, has %d", set)
 	}
 	switch t.Kind {
-	case TaskCheck:
-		if t.Check == nil {
-			return fmt.Errorf("accesscheck: %s task without Check payload", t.Kind)
-		}
-		if t.Check.Schema == nil {
-			return fmt.Errorf("accesscheck: check task: nil schema")
-		}
-		if t.Check.Formula == nil {
-			return fmt.Errorf("accesscheck: check task: nil formula")
-		}
 	case TaskContainment:
 		ct := t.Containment
 		if ct == nil {
@@ -373,7 +346,8 @@ func (t *Task) Validate() error {
 			return fmt.Errorf("accesscheck: chase task: negative step budget %d", ch.StepBudget)
 		}
 	default:
-		return fmt.Errorf("accesscheck: unknown task kind %v", t.Kind)
+		// TaskCheck too: checks run through Check and CheckAnytime.
+		return fmt.Errorf("accesscheck: Do runs no %v task", t.Kind)
 	}
 	return nil
 }
@@ -449,10 +423,6 @@ type TaskResult struct {
 	// containment), an exhausted step budget (chase). Truncated results
 	// are served but never cached; accesscheck/cache enforces it.
 	Truncated bool
-	// ShardsCompleted / ShardsTotal carry a sharded check's coverage
-	// (see Result); zero for whole-space runs and non-check kinds.
-	ShardsCompleted int
-	ShardsTotal     int
 	// Engine names the decision procedure that ran.
 	Engine string
 	// Elapsed is the wall time of the solve.
@@ -465,8 +435,7 @@ type TaskResult struct {
 	Chase       *ChaseReport
 }
 
-// Do runs one task. TaskCheck goes through the unchanged Check pipeline
-// under the checker's configuration; the other kinds are decided from their
+// Do runs one containment, relevance or chase task, decided from its
 // payload alone (see the package comment). ctx is honoured throughout every
 // kind's search loops.
 func (c *Checker) Do(ctx context.Context, t *Task) (*TaskResult, error) {
@@ -480,21 +449,6 @@ func (c *Checker) Do(ctx context.Context, t *Task) (*TaskResult, error) {
 		return nil, fmt.Errorf("accesscheck: Do: %w", err)
 	}
 	switch t.Kind {
-	case TaskCheck:
-		res, err := c.Check(ctx, t.Check.Schema, t.Check.Formula)
-		if err != nil {
-			return nil, err
-		}
-		return &TaskResult{
-			Kind:            TaskCheck,
-			Verdict:         res.Satisfiable,
-			Truncated:       res.Truncated,
-			ShardsCompleted: res.ShardsCompleted,
-			ShardsTotal:     res.ShardsTotal,
-			Engine:          res.Engine.String(),
-			Elapsed:         res.Elapsed,
-			Check:           res,
-		}, nil
 	case TaskContainment:
 		return doContainment(ctx, t.Containment)
 	case TaskRelevance:

@@ -2,7 +2,6 @@ package accesscheck_test
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"accltl/accesscheck"
@@ -184,54 +183,24 @@ func TestChaseTask(t *testing.T) {
 	}
 }
 
-func TestTaskCheckMatchesCheck(t *testing.T) {
-	// Do on a check task must wrap the identical Check pipeline: same
-	// verdict, same engine, the embedded Result usable as before.
-	phone := workload.MustPhone()
-	f := phone.IntroFormula()
-	chk, err := accesscheck.NewChecker()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	direct, err := chk.Check(ctx, phone.Schema, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaTask, err := chk.Do(ctx, accesscheck.NewCheckTask(phone.Schema, f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaTask.Kind != accesscheck.TaskCheck || viaTask.Check == nil {
-		t.Fatalf("envelope wrong: %+v", viaTask)
-	}
-	if viaTask.Verdict != direct.Satisfiable || viaTask.Check.Engine != direct.Engine {
-		t.Errorf("task check diverged: %v/%v vs %v/%v",
-			viaTask.Verdict, viaTask.Check.Engine, direct.Satisfiable, direct.Engine)
-	}
-	if _, err := chk.Do(ctx, accesscheck.NewCheckTask(nil, nil)); err == nil || !strings.Contains(err.Error(), "nil schema") {
-		t.Errorf("check task without a schema: err = %v, want nil-schema validation failure", err)
-	}
-}
-
 func TestTaskFingerprintsDistinctAcrossKinds(t *testing.T) {
 	// The task kind leads the fingerprint, so tasks built from identical
 	// schema and formula text can never collide across kinds — a cache
 	// warmed by one task must not answer another.
 	phone := workload.MustPhone()
 	q := phone.JonesQuery()
+	f := accesscheck.Eventually(accesscheck.Atom(q))
 	chk, err := accesscheck.NewChecker()
 	if err != nil {
 		t.Fatal(err)
 	}
 	tasks := map[string]*accesscheck.Task{
-		"check":       accesscheck.NewCheckTask(phone.Schema, accesscheck.Eventually(accesscheck.Atom(q))),
 		"containment": accesscheck.NewAccessContainmentTask(phone.Schema, q, q, nil, 3),
 		"relevance": accesscheck.NewRelevanceTask(&accesscheck.RelevanceTask{
 			Schema: phone.Schema, Query: q, Hidden: phone.SmithJonesUniverse(),
 		}),
 	}
-	fps := make(map[string]string, len(tasks))
+	fps := map[string]string{"check": chk.Fingerprint(phone.Schema, f)}
 	for name, task := range tasks {
 		fp, err := chk.FingerprintTask(task)
 		if err != nil {
@@ -251,16 +220,15 @@ func TestTaskFingerprintsDistinctAcrossKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if again.Fingerprint(phone.Schema, f) == fps["check"] {
+		t.Error("check fingerprint ignores checker options")
+	}
 	for name, task := range tasks {
 		fp, err := again.FingerprintTask(task)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if name == "check" {
-			if fp == fps[name] {
-				t.Error("check fingerprint ignores checker options")
-			}
-		} else if fp != fps[name] {
+		if fp != fps[name] {
 			t.Errorf("%s fingerprint depends on checker options", name)
 		}
 	}

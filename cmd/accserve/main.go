@@ -8,13 +8,13 @@
 // exploration out over that many walker goroutines (0 = auto, keeping
 // workers × parallelism ≤ GOMAXPROCS).
 //
-// Caching tiers: the in-memory result LRU is split into independently
-// locked fingerprint-routed shards; -cache-dir backs it with an
-// append-only disk tier so exact check results survive restarts (evicted
-// and shutdown-resident entries are written behind, and a restarted
-// process with the same directory serves them without re-solving). Both
-// are observable under /metrics (accserve_cache_tier_*,
-// accserve_cache_hit_ratio{tier=...}).
+// Caching tiers: the in-memory result cache is one LRU of -cache-size
+// entries, so a full cache holds exactly the last -cache-size exact
+// results; -cache-dir backs it with an append-only disk tier so exact
+// check results survive restarts (evicted and shutdown-resident entries
+// are written behind, and a restarted process with the same directory
+// serves them without re-solving). Both are observable under /metrics
+// (accserve_cache_tier_*, accserve_cache_hit_ratio{tier=...}).
 //
 // Endpoints (see accltl/accesscheck/server for the wire format):
 //
